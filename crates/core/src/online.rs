@@ -9,9 +9,10 @@
 //! deterministic event stream of batch arrivals and retirements:
 //!
 //! * every **arrival** is committed immediately to the best admissible
-//!   rack under a pluggable [`CommitPolicy`], evaluated in O(T) per
-//!   candidate against the cached aggregate rows (a fused
-//!   [`peak_of_sum_samples`] probe per path node — no full recompute);
+//!   rack under a pluggable [`CommitPolicy`], evaluated against the
+//!   cached aggregate rows and peaks: one fused [`peak_of_sum_samples`]
+//!   pass per candidate rack, plus one budget check per distinct ancestor
+//!   of the probed racks, usually O(1) (see [`OnlineFleet::evaluate`]);
 //! * every **retirement** releases its slot and the touched power path is
 //!   refreshed;
 //! * a configurable **repair budget** amortizes cleanup through the
@@ -31,8 +32,7 @@
 //! consequence, pinned by the `online` oracle family, is that the
 //! resident aggregates after *any* event sequence are **bit-identical**
 //! to an offline recompute of the final fleet. Candidate *evaluation*
-//! stays fused and allocation-free; only the O(path) commit pays the
-//! canonical refresh.
+//! stays fused; only the O(path) commit pays the canonical refresh.
 //!
 //! Policies break ties deterministically (ascending rack id last), events
 //! within a batch are canonically ordered by [`OnlineFleet::apply`], and
@@ -52,7 +52,11 @@ use so_telemetry::{AlertTransition, FlightKind, LivePlane};
 
 use crate::error::CoreError;
 use crate::remap::{remap_arena, RemapConfig, RemapReport};
-use crate::score::{pairwise_score, pairwise_score_samples, peak_of_sum_samples};
+use crate::score::{pairwise_score, pairwise_score_from_peaks, peak_of_sum_samples};
+
+/// Fewest racks a lane of an all-rack probe scan is given: spawning one OS
+/// thread costs on the order of a hundred O(T) rack probes.
+const SCAN_GRAIN: usize = 512;
 
 /// How an arrival picks its rack among the admissible candidates.
 ///
@@ -665,70 +669,99 @@ impl OnlineFleet {
         Ok((traces, assignment, slots))
     }
 
-    /// Evaluates admitting `candidate` onto one rack, fused: one
-    /// [`peak_of_sum_samples`] probe against the rack's cached aggregate
-    /// row, one per ancestor (skipped once inadmissible), and one
-    /// [`pairwise_score_samples`] — O(T) per path node, no allocation, and
-    /// bit-identical to the materializing [`crate::admission_decisions`]
-    /// arithmetic.
+    /// Evaluates admitting `candidate` onto one rack — the one-rack case
+    /// of the batched evaluator behind [`arrive`](Self::arrive) and
+    /// [`decisions`](Self::decisions), bit-identical to the materializing
+    /// [`crate::admission_decisions`] arithmetic.
+    ///
+    /// The rack costs one fused [`peak_of_sum_samples`] pass for its new
+    /// peak; the asynchrony follows from the cached rack peak, the
+    /// candidate's peak and the new peak with the float operations of
+    /// [`crate::pairwise_score_samples`]. Each ancestor budget on the root
+    /// path is decided in O(1) from the cached node peaks whenever
+    /// `peak(node) + peak(candidate) <= budget`, which is exact (rounding
+    /// is monotone), and by an O(T) probe otherwise.
     ///
     /// # Errors
     ///
     /// Propagates tree lookups and row-length mismatches.
     pub fn evaluate(&self, rack: NodeId, candidate: &[f64]) -> Result<LeafDecision, CoreError> {
-        let aggregate = self.aggregates.trace(rack).map_err(CoreError::Tree)?;
-        let row = aggregate.samples();
-        let new_peak = peak_of_sum_samples(row, candidate)?;
-        let old_peak = aggregate.peak();
-
-        let capacity = self.topology.rack_capacity();
-        let has_slot = self.members[rack.index()].len() < capacity;
-        let mut path_ok = new_peak <= self.budgets[rack.index()];
-        if path_ok {
-            for ancestor in self.topology.ancestors(rack).map_err(CoreError::Tree)? {
-                let anc_row = self
-                    .aggregates
-                    .trace(ancestor)
-                    .map_err(CoreError::Tree)?
-                    .samples();
-                if peak_of_sum_samples(anc_row, candidate)? > self.budgets[ancestor.index()] {
-                    path_ok = false;
-                    break;
-                }
-            }
-        }
-
-        let asynchrony = if old_peak > 0.0 {
-            pairwise_score_samples(row, candidate)?
-        } else {
-            2.0
-        };
-        Ok(LeafDecision {
-            rack,
-            fits: has_slot && path_ok,
-            has_slot,
-            power_ok: path_ok,
-            new_peak_watts: new_peak,
-            peak_increase_watts: new_peak - old_peak,
-            headroom_watts: self.budgets[rack.index()] - new_peak,
-            asynchrony,
-        })
+        let checks = AncestorChecks::new(self, &[rack], candidate)?;
+        self.decide(rack, candidate, &checks)
     }
 
-    /// Evaluates `candidate` against every rack (parallel, positional —
-    /// thread-count-free), in ascending rack order.
+    /// Evaluates `candidate` against every rack, in ascending rack order.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors.
     pub fn decisions(&self, candidate: &PowerTrace) -> Result<Vec<LeafDecision>, CoreError> {
         self.check_grid(candidate)?;
-        let racks = self.topology.racks();
-        par_map(racks, 16, |_, &rack| {
-            self.evaluate(rack, candidate.samples())
+        self.evaluate_racks(self.topology.racks(), candidate.samples())
+    }
+
+    /// The batched evaluator behind [`arrive`](Self::arrive),
+    /// [`decisions`](Self::decisions) and
+    /// [`fragmentation`](Self::fragmentation): one decision per rack of
+    /// `racks`, positionally. The candidate's peak is taken once and every
+    /// *distinct* ancestor of the probed racks has its budget checked once
+    /// ([`AncestorChecks`]), so each rack costs one fused O(T) pass.
+    /// [`evaluate`](Self::evaluate) is the same pair of steps for one rack.
+    ///
+    /// A probe set smaller than two [`SCAN_GRAIN`]s (every sampled
+    /// arrival) runs on the caller thread; larger scans split into
+    /// positional lanes, so the result is the same at any thread count.
+    fn evaluate_racks(
+        &self,
+        racks: &[NodeId],
+        candidate: &[f64],
+    ) -> Result<Vec<LeafDecision>, CoreError> {
+        let checks = AncestorChecks::new(self, racks, candidate)?;
+        par_map(racks, SCAN_GRAIN, |_, &rack| {
+            self.decide(rack, candidate, &checks)
         })
         .into_iter()
         .collect()
+    }
+
+    /// One rack's decision. The root path is walked upward and stops at
+    /// the first veto; each ancestor's verdict comes from `checks`.
+    fn decide(
+        &self,
+        rack: NodeId,
+        candidate: &[f64],
+        checks: &AncestorChecks,
+    ) -> Result<LeafDecision, CoreError> {
+        let row = self
+            .aggregates
+            .trace(rack)
+            .map_err(CoreError::Tree)?
+            .samples();
+        let new_peak = peak_of_sum_samples(row, candidate)?;
+        let old_peak = self.aggregates.peak(rack).map_err(CoreError::Tree)?;
+        let budget = self.budgets[rack.index()];
+        let has_slot = self.members[rack.index()].len() < self.topology.rack_capacity();
+        let mut power_ok = new_peak <= budget;
+        let mut node = self.topology.node(rack).map_err(CoreError::Tree)?;
+        while let Some(parent) = node.parent().filter(|_| power_ok) {
+            power_ok = checks.holds(parent);
+            node = self.topology.node(parent).map_err(CoreError::Tree)?;
+        }
+        let asynchrony = if old_peak > 0.0 {
+            pairwise_score_from_peaks(old_peak, checks.candidate_peak, new_peak)
+        } else {
+            2.0
+        };
+        Ok(LeafDecision {
+            rack,
+            fits: has_slot && power_ok,
+            has_slot,
+            power_ok,
+            new_peak_watts: new_peak,
+            peak_increase_watts: new_peak - old_peak,
+            headroom_watts: budget - new_peak,
+            asynchrony,
+        })
     }
 
     /// The candidate racks the configured policy probes for arrival
@@ -757,11 +790,7 @@ impl OnlineFleet {
         self.check_grid(candidate)?;
         let ordinal = self.arrivals_seen;
         let candidates = self.candidate_racks(ordinal);
-        let decisions: Vec<LeafDecision> = par_map(&candidates, 16, |_, &rack| {
-            self.evaluate(rack, candidate.samples())
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
+        let decisions = self.evaluate_racks(&candidates, candidate.samples())?;
         let choice = select_decision(&self.config.policy, &decisions);
         self.arrivals_seen += 1;
 
@@ -1094,17 +1123,10 @@ impl OnlineFleet {
         &self,
         reference: &PowerTrace,
     ) -> Result<Vec<FragmentationLevel>, CoreError> {
-        self.check_grid(reference)?;
-        let racks = self.topology.racks();
-        let fits: Vec<bool> = par_map(racks, 16, |_, &rack| {
-            self.evaluate(rack, reference.samples()).map(|d| d.fits)
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?;
-        let admits: BTreeMap<NodeId, bool> = racks
+        let admits: BTreeMap<NodeId, bool> = self
+            .decisions(reference)?
             .iter()
-            .zip(&fits)
-            .map(|(&rack, &fit)| (rack, fit))
+            .map(|d| (d.rack, d.fits))
             .collect();
         self.fragmentation_from_admits(&admits)
     }
@@ -1183,39 +1205,30 @@ impl OnlineFleet {
                 .refresh_rack(&self.topology, rack, rows)
                 .map_err(CoreError::Tree)?;
         }
-        self.aggregates
+        let ancestors = self
+            .aggregates
             .refresh_ancestors(&self.topology, racks)
             .map_err(CoreError::Tree)?;
-        if self.frag_reference.is_some() {
-            let mut touched = BTreeSet::new();
-            for &rack in racks {
-                touched.insert(rack);
-                for ancestor in self.topology.ancestors(rack).map_err(CoreError::Tree)? {
-                    touched.insert(ancestor);
-                }
-            }
-            let touched: Vec<NodeId> = touched.into_iter().collect();
-            self.refresh_reference_fits(&touched)?;
-        }
-        Ok(())
+        self.refresh_reference_fits(racks)?;
+        self.refresh_reference_fits(&ancestors)
     }
 
-    /// Recomputes the cached reference-fit bit for each of `nodes`: one
-    /// fused [`peak_of_sum_samples`] probe per node against its resident
-    /// aggregate row — the same arithmetic as
-    /// [`OnlineFleet::evaluate`]'s budget checks.
+    /// Recomputes the cached reference-fit bit for each of `nodes` (a
+    /// no-op without a reference): one [`budget_holds`] check per node,
+    /// O(1) unless the node is near its budget.
     fn refresh_reference_fits(&mut self, nodes: &[NodeId]) -> Result<(), CoreError> {
         let Some(reference) = &self.frag_reference else {
             return Ok(());
         };
+        let reference_peak = peak_of_samples(reference);
         for &node in nodes {
-            let row = self
-                .aggregates
-                .trace(node)
-                .map_err(CoreError::Tree)?
-                .samples();
-            let new_peak = peak_of_sum_samples(row, reference)?;
-            self.fits_node[node.index()] = new_peak <= self.budgets[node.index()];
+            self.fits_node[node.index()] = budget_holds(
+                &self.aggregates,
+                node,
+                self.budgets[node.index()],
+                reference,
+                reference_peak,
+            )?;
         }
         Ok(())
     }
@@ -1278,6 +1291,71 @@ impl OnlineFleet {
     }
 }
 
+/// One candidate's budget checks at every distinct ancestor of a set of
+/// probed racks, each checked once: racks under one RPP/SB/MSB share
+/// their path checks instead of re-reading the same node rows per rack.
+struct AncestorChecks {
+    /// The candidate's peak, taken once for the batch.
+    candidate_peak: f64,
+    /// The ancestors whose budget the candidate would breach, descending id.
+    vetoes: Vec<NodeId>,
+}
+
+impl AncestorChecks {
+    fn new(fleet: &OnlineFleet, racks: &[NodeId], candidate: &[f64]) -> Result<Self, CoreError> {
+        let candidate_peak = peak_of_samples(candidate);
+        let ancestors = fleet
+            .topology
+            .ancestor_set(racks)
+            .map_err(CoreError::Tree)?;
+        let mut vetoes = Vec::new();
+        for node in ancestors {
+            // An ancestor vetoes only when `peak > budget`, as in the
+            // materializing `admission_decisions`, so a NaN ancestor
+            // budget admits (the rack's own check is `peak <= budget`).
+            let budget = fleet.budgets[node.index()];
+            if !budget.is_nan()
+                && !budget_holds(&fleet.aggregates, node, budget, candidate, candidate_peak)?
+            {
+                vetoes.push(node);
+            }
+        }
+        Ok(Self {
+            candidate_peak,
+            vetoes,
+        })
+    }
+
+    /// Whether the budget at `node`, an ancestor of a probed rack, holds.
+    fn holds(&self, node: NodeId) -> bool {
+        self.vetoes.binary_search_by(|a| node.cmp(a)).is_err()
+    }
+}
+
+/// Whether `node`'s `budget` still holds with `candidate` added below it:
+/// exactly `peak_of_sum_samples(row, candidate)? <= budget` for the node's
+/// aggregate `row`, but decided in O(1) from the cached peaks whenever
+/// `f64::MIN <= peak(node) + candidate_peak <= budget`. That shortcut is
+/// exact: rounding is monotone, so every `fl(a_t + c_t)` is at most
+/// `fl(peak_a + peak_c)` (a NaN sum is skipped by the `max` fold, and an
+/// undefined `inf - inf` bound is NaN, failing the test), while the fold's
+/// `f64::MIN` start stays below a bound that did not round to `-inf`. A
+/// NaN budget fails the test too and takes the O(T) probe.
+fn budget_holds(
+    aggregates: &NodeAggregates,
+    node: NodeId,
+    budget: f64,
+    candidate: &[f64],
+    candidate_peak: f64,
+) -> Result<bool, CoreError> {
+    let bound = aggregates.peak(node).map_err(CoreError::Tree)? + candidate_peak;
+    if (f64::MIN..=budget).contains(&bound) {
+        return Ok(true);
+    }
+    let row = aggregates.trace(node).map_err(CoreError::Tree)?.samples();
+    Ok(peak_of_sum_samples(row, candidate)? <= budget)
+}
+
 /// Picks the winning decision for `policy` among `decisions` (which must
 /// be in ascending rack order — the final tie-break). Shared by the
 /// engine's fused path and [`offline_choose`]'s materialized replay, so
@@ -1320,17 +1398,25 @@ pub fn sample_racks(racks: &[NodeId], salt: u64, ordinal: u64, probes: usize) ->
         return racks.to_vec();
     }
     let stream = mix(salt, ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED);
-    let mut picked = BTreeSet::new();
+    // A sorted, duplicate-free index set.
+    fn insert(picked: &mut Vec<usize>, idx: usize) {
+        if let Err(pos) = picked.binary_search(&idx) {
+            picked.insert(pos, idx);
+        }
+    }
+    let mut picked = Vec::with_capacity(probes);
     let mut draw = 0u64;
     while picked.len() < probes && draw < 64 * probes as u64 {
-        let idx = (mix(stream, draw) % racks.len() as u64) as usize;
-        picked.insert(idx);
+        insert(
+            &mut picked,
+            (mix(stream, draw) % racks.len() as u64) as usize,
+        );
         draw += 1;
     }
     // Pathological-collision fallback: fill ascending from the start.
     let mut next = 0usize;
     while picked.len() < probes {
-        picked.insert(next);
+        insert(&mut picked, next);
         next += 1;
     }
     picked.into_iter().map(|i| racks[i]).collect()

@@ -110,38 +110,28 @@ pub fn differential_score(instance: &PowerTrace, peer_mean: &PowerTrace) -> Resu
 /// length. Steps are the caller's responsibility — rows of one arena always
 /// share a grid.
 pub fn pairwise_score_samples(a: &[f64], b: &[f64]) -> Result<f64, CoreError> {
-    if a.len() != b.len() {
-        return Err(CoreError::Trace(TraceError::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
-        }));
-    }
-    // Same accumulation as `asynchrony_score`: peaks added onto 0.0 in
-    // member order.
+    let aggregate_peak = peak_of_sum_samples(a, b)?;
+    Ok(pairwise_score_from_peaks(
+        peak_of_samples(a),
+        peak_of_samples(b),
+        aggregate_peak,
+    ))
+}
+
+/// The pairwise asynchrony score from its three peaks — the two members'
+/// and their aggregate's — with [`asynchrony_score`]'s float operations:
+/// the member peaks are added onto `0.0` in order, and a zero aggregate
+/// scores `2.0`. [`pairwise_score_samples`] is this function over three
+/// folds, so a caller that already holds the peaks (the online engine
+/// caches every node's) gets the same bits without re-reading either row.
+pub(crate) fn pairwise_score_from_peaks(peak_a: f64, peak_b: f64, aggregate_peak: f64) -> f64 {
     let mut peak_sum = 0.0;
-    peak_sum += peak_of_samples(a);
-    peak_sum += peak_of_samples(b);
-    // The aggregate peak mirrors `peak_of_samples`' 4-lane reduction over
-    // the elementwise sums `a[t] + b[t]`: per-element arithmetic is
-    // unchanged and `max` reassociation is exact, so the fold returns the
-    // same bits as materializing the sum and taking its peak.
-    let mut lanes = [f64::MIN; 4];
-    let mut a_chunks = a.chunks_exact(4);
-    let mut b_chunks = b.chunks_exact(4);
-    for (ca, cb) in (&mut a_chunks).zip(&mut b_chunks) {
-        lanes[0] = lanes[0].max(ca[0] + cb[0]);
-        lanes[1] = lanes[1].max(ca[1] + cb[1]);
-        lanes[2] = lanes[2].max(ca[2] + cb[2]);
-        lanes[3] = lanes[3].max(ca[3] + cb[3]);
-    }
-    let mut aggregate_peak = lanes[0].max(lanes[1]).max(lanes[2].max(lanes[3]));
-    for (&x, &y) in a_chunks.remainder().iter().zip(b_chunks.remainder()) {
-        aggregate_peak = aggregate_peak.max(x + y);
-    }
+    peak_sum += peak_a;
+    peak_sum += peak_b;
     if aggregate_peak == 0.0 {
-        return Ok(2.0);
+        return 2.0;
     }
-    Ok(peak_sum / aggregate_peak)
+    peak_sum / aggregate_peak
 }
 
 /// Peak of the element-wise sum of two sample rows, fused: the aggregate

@@ -2,11 +2,20 @@
 //! would be breached even when the rack itself has room — the per-level
 //! capping the paper's power tree exists to enforce. Pins the behaviour
 //! at the RPP and MSB levels for both the materializing
-//! [`admission_decisions`] path and the fused [`OnlineFleet`] evaluation.
+//! [`admission_decisions`] path and the fused [`OnlineFleet`] evaluation,
+//! and pins the fused path's O(1) budget shortcut
+//! (`peak(node) + peak(candidate) <= budget`) and shared ancestor checks
+//! as exact: budgets placed on, one ulp either side of, and far from the
+//! shortcut bound give the materializing path's decisions bit for bit.
 
-use so_core::{admission_decisions, CommitPolicy, OnlineConfig, OnlineFleet};
-use so_powertrace::{PowerTrace, TimeGrid};
-use so_powertree::{Assignment, Level, NodeAggregates, PowerTopology};
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+use so_core::{
+    admission_decisions, offline_choose, CommitPolicy, LeafDecision, OnlineConfig, OnlineFleet,
+};
+use so_powertrace::{peak_of_samples, PowerTrace, TimeGrid};
+use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology};
 
 /// 1 suite × 2 MSB × 1 SB × 1 RPP × 2 racks: racks 0–1 share one
 /// RPP/SB/MSB path, racks 2–3 the other.
@@ -121,4 +130,221 @@ fn online_engine_agrees_with_ancestor_rejection() {
     let committed = engine.arrive(&flat(200.0)).unwrap().unwrap();
     let rack = engine.rack_of(committed).unwrap();
     assert!(rack == topology.racks()[2] || rack == topology.racks()[3]);
+}
+
+/// A candidate that peaks at the third step, against a rack peaking at
+/// the first: the shortcut bound (sum of peaks) overstates the combined
+/// peak, so a budget one ulp under the bound must still admit — only the
+/// exact O(T) fallback can say so.
+#[test]
+fn budget_under_the_peak_bound_still_admits_an_asynchronous_candidate() {
+    let topology = topo();
+    let day = PowerTrace::new(vec![300.0, 100.0, 50.0, 100.0], 60).unwrap();
+    let night = PowerTrace::new(vec![20.0, 60.0, 200.0, 60.0], 60).unwrap();
+    let mut engine = OnlineFleet::new(
+        topology.clone(),
+        TimeGrid::new(60, 4),
+        OnlineConfig {
+            policy: CommitPolicy::FirstFit,
+            repair_budget: 0,
+            ..OnlineConfig::default()
+        },
+    );
+    let slot = engine.arrive(&day).unwrap().unwrap();
+    let rack = engine.rack_of(slot).unwrap();
+    let bound = |node: NodeId| engine.aggregates().peak(node).unwrap() + 200.0;
+    let under: Vec<f64> = topology
+        .nodes()
+        .iter()
+        .map(|n| ulp_down(bound(n.id())))
+        .collect();
+    let tight = engine.clone().with_budgets(under).unwrap();
+    let decision = tight.evaluate(rack, night.samples()).unwrap();
+    assert_eq!(decision.new_peak_watts, 320.0, "the peaks do not coincide");
+    assert!(decision.fits, "the exact probe admits under the bound");
+    // A budget under the true combined peak still rejects.
+    let below: Vec<f64> = topology.nodes().iter().map(|_| 319.0).collect();
+    let tighter = engine.with_budgets(below).unwrap();
+    assert!(!tighter.evaluate(rack, night.samples()).unwrap().power_ok);
+}
+
+/// The next float above `x >= 0`.
+fn ulp_up(x: f64) -> f64 {
+    assert!(x >= 0.0 && x.is_finite());
+    f64::from_bits(if x == 0.0 { 1 } else { x.to_bits() + 1 })
+}
+
+/// The next float below `x >= 0`.
+fn ulp_down(x: f64) -> f64 {
+    assert!(x >= 0.0 && x.is_finite());
+    if x == 0.0 {
+        -f64::from_bits(1)
+    } else {
+        f64::from_bits(x.to_bits() - 1)
+    }
+}
+
+/// A budget placed relative to the shortcut bound `peak(node) +
+/// peak(candidate)`: on it (the O(1) branch decides), one ulp above or
+/// below (below, only the O(T) probe can decide), far above, far below,
+/// or non-finite.
+fn budget_at(bound: f64, mode: u8) -> f64 {
+    match mode {
+        0 => bound,
+        1 => ulp_up(bound),
+        2 => ulp_down(bound),
+        3 => 4.0 * bound + 1_000.0,
+        4 => 0.25 * bound - 1.0,
+        5 => f64::NAN,
+        6 => f64::INFINITY,
+        _ => f64::NEG_INFINITY,
+    }
+}
+
+fn samples() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec(0.0f64..150.0, 4..=4)
+}
+
+fn policy() -> impl Strategy<Value = CommitPolicy> {
+    prop_oneof![
+        Just(CommitPolicy::BestAsynchrony),
+        Just(CommitPolicy::FirstFit),
+        Just(CommitPolicy::WorstFit),
+        Just(CommitPolicy::Sampling { probes: 3 }),
+    ]
+}
+
+fn bits(d: &LeafDecision) -> (usize, bool, bool, bool, [u64; 4]) {
+    (
+        d.rack.index(),
+        d.fits,
+        d.has_slot,
+        d.power_ok,
+        [
+            d.new_peak_watts.to_bits(),
+            d.peak_increase_watts.to_bits(),
+            d.headroom_watts.to_bits(),
+            d.asynchrony.to_bits(),
+        ],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every `LeafDecision` field of `decisions()` and `evaluate()` equals
+    /// the materializing reference under `to_bits`, and `arrive` commits
+    /// where `offline_choose` says, for budgets on, next to and far from
+    /// the shortcut bound — one uniform placement per pass (all on the
+    /// bound: the O(1) branch everywhere; all one ulp under: the O(T)
+    /// fallback everywhere) and one random per-node mix.
+    #[test]
+    fn shortcut_and_shared_checks_match_materialized_admission(
+        fleet in prop::collection::vec(samples(), 0..=10),
+        candidate in samples(),
+        mix in prop::collection::vec(0u8..8, 12..=12),
+        policy in policy(),
+    ) {
+        let topology = topo();
+        let mut engine = OnlineFleet::new(
+            topology.clone(),
+            TimeGrid::new(60, 4),
+            OnlineConfig {
+                policy,
+                repair_budget: 0,
+                sample_salt: 3,
+                ..OnlineConfig::default()
+            },
+        );
+        for row in fleet {
+            engine.arrive(&PowerTrace::new(row, 60).unwrap()).unwrap();
+        }
+        let candidate = PowerTrace::new(candidate, 60).unwrap();
+        let candidate_peak = peak_of_samples(candidate.samples());
+        let (traces, assignment, _) = engine.live_view().unwrap();
+        let aggregates = if traces.is_empty() {
+            NodeAggregates::zeros(&topology, engine.grid())
+        } else {
+            NodeAggregates::compute(&topology, &assignment, &traces).unwrap()
+        };
+        let occupancy: BTreeMap<NodeId, usize> = assignment
+            .by_rack()
+            .into_iter()
+            .map(|(rack, members)| (rack, members.len()))
+            .collect();
+        prop_assert_eq!(mix.len(), topology.len());
+
+        let passes: Vec<Vec<u8>> = (0..8u8)
+            .map(|mode| vec![mode; topology.len()])
+            .chain(std::iter::once(mix))
+            .collect();
+        for modes in passes {
+            let budgets: Vec<f64> = topology
+                .nodes()
+                .iter()
+                .zip(&modes)
+                .map(|(n, &mode)| {
+                    budget_at(engine.aggregates().peak(n.id()).unwrap() + candidate_peak, mode)
+                })
+                .collect();
+            let probe = engine.clone().with_budgets(budgets.clone()).unwrap();
+            let reference =
+                admission_decisions(&topology, &assignment, &aggregates, &budgets, &candidate)
+                    .unwrap();
+            let scan = probe.decisions(&candidate).unwrap();
+            prop_assert_eq!(scan.len(), topology.racks().len());
+            for (d, &rack) in scan.iter().zip(topology.racks()) {
+                let single = probe.evaluate(rack, candidate.samples()).unwrap();
+                prop_assert_eq!(bits(&single), bits(d), "evaluate vs decisions, modes {:?}", modes);
+                let o = reference.iter().find(|o| o.rack == rack).unwrap();
+                // The materializing path, node by node, with no shortcut:
+                // the rack holds when `peak <= budget`, an ancestor vetoes
+                // when `peak > budget` (so a NaN ancestor budget admits).
+                let peak_with = |n: NodeId| {
+                    aggregates.trace(n).unwrap().try_add(&candidate).unwrap().peak()
+                };
+                let vetoed = topology
+                    .ancestors(rack)
+                    .unwrap()
+                    .into_iter()
+                    .any(|n| peak_with(n) > budgets[n.index()]);
+                let power_ok = peak_with(rack) <= budgets[rack.index()] && !vetoed;
+                let has_slot = occupancy.get(&rack).copied().unwrap_or(0)
+                    < topology.rack_capacity();
+                let want = (
+                    rack.index(),
+                    o.fits,
+                    has_slot,
+                    power_ok,
+                    [
+                        o.new_peak_watts.to_bits(),
+                        o.peak_increase_watts.to_bits(),
+                        (budgets[rack.index()] - o.new_peak_watts).to_bits(),
+                        o.asynchrony.to_bits(),
+                    ],
+                );
+                prop_assert_eq!(bits(d), want, "rack {} under modes {:?}: {:?} vs {:?}", rack, modes, bits(d), want);
+            }
+
+            let chosen = offline_choose(
+                &topology,
+                &budgets,
+                &aggregates,
+                &occupancy,
+                &candidate,
+                &policy,
+                3,
+                probe.arrivals_seen(),
+            )
+            .unwrap();
+            let mut committing = probe;
+            let slot = committing.arrive(&candidate).unwrap();
+            prop_assert_eq!(
+                slot.map(|s| committing.rack_of(s).unwrap()),
+                chosen,
+                "arrive vs offline_choose under modes {:?}",
+                modes
+            );
+        }
+    }
 }

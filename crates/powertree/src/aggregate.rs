@@ -33,9 +33,22 @@ use crate::topology::PowerTopology;
 #[derive(Debug, Clone)]
 pub struct NodeAggregates {
     traces: Vec<PowerTrace>,
+    /// `traces[i].peak()`, written alongside every trace so that
+    /// [`NodeAggregates::peak`] and [`NodeAggregates::headroom`] are O(1).
+    peaks: Vec<f64>,
 }
 
 impl NodeAggregates {
+    fn with_peaks(traces: Vec<PowerTrace>) -> Self {
+        let peaks = traces.iter().map(PowerTrace::peak).collect();
+        Self { traces, peaks }
+    }
+
+    fn set(&mut self, node: NodeId, trace: PowerTrace) {
+        self.peaks[node.index()] = trace.peak();
+        self.traces[node.index()] = trace;
+    }
+
     /// Aggregates instance traces through the tree.
     ///
     /// Racks are summed concurrently (each rack's [`NodeAggregate`] adds
@@ -106,7 +119,7 @@ impl NodeAggregates {
             level = current.parent();
         }
 
-        Ok(Self { traces })
+        Ok(Self::with_peaks(traces))
     }
 
     /// An all-zero aggregate set on `grid` — the starting state of an
@@ -116,11 +129,11 @@ impl NodeAggregates {
     /// trace to take a grid from), the grid here is explicit, so the zero
     /// traces live on the same grid later refreshes will use.
     pub fn zeros(topology: &PowerTopology, grid: TimeGrid) -> Self {
-        Self {
-            traces: (0..topology.len())
+        Self::with_peaks(
+            (0..topology.len())
                 .map(|_| PowerTrace::zeros(grid))
                 .collect(),
-        }
+        )
     }
 
     /// Canonically recomputes the aggregate of one rack from its member
@@ -153,18 +166,22 @@ impl NodeAggregates {
         }
         let grid = self.traces[rack.index()].grid();
         let agg = NodeAggregate::from_samples(grid, members)?;
-        self.traces[rack.index()] = agg.to_trace()?;
+        self.set(rack, agg.to_trace()?);
         Ok(())
     }
 
     /// Canonically recomputes every ancestor of the given racks, deepest
-    /// level first, after one or more [`refresh_rack`] calls.
+    /// first, after one or more [`refresh_rack`] calls, and returns the
+    /// refreshed ancestors in that order (descending id, each once).
     ///
     /// Each affected internal node re-sums its children in ascending id
     /// order — the exact float work of [`NodeAggregates::compute`]'s upward
     /// pass — so the refreshed traces are bit-identical to a from-scratch
-    /// recompute of the same fleet. Untouched subtrees are skipped, which
-    /// is what makes maintenance O(path) instead of O(tree).
+    /// recompute of the same fleet. The affected set comes from
+    /// [`PowerTopology::ancestor_set`], which walks parent links, so the
+    /// bookkeeping is O(path) per rack and untouched subtrees are never
+    /// visited; the float work is one children re-sum per distinct
+    /// ancestor.
     ///
     /// [`refresh_rack`]: NodeAggregates::refresh_rack
     ///
@@ -176,37 +193,23 @@ impl NodeAggregates {
         &mut self,
         topology: &PowerTopology,
         racks: &[NodeId],
-    ) -> Result<(), TreeError> {
+    ) -> Result<Vec<NodeId>, TreeError> {
+        let ancestors = topology.ancestor_set(racks)?;
         let Some(&first) = racks.first() else {
-            return Ok(());
+            return Ok(ancestors);
         };
         let grid = self
             .traces
             .get(first.index())
             .ok_or(TreeError::UnknownNode(first))?
             .grid();
-        let mut affected = std::collections::BTreeSet::new();
-        for &rack in racks {
-            for ancestor in topology.ancestors(rack)? {
-                affected.insert(ancestor);
-            }
+        for &id in &ancestors {
+            let children = topology.node(id)?.children();
+            let agg =
+                NodeAggregate::from_traces(grid, children.iter().map(|c| &self.traces[c.index()]))?;
+            self.set(id, agg.to_trace()?);
         }
-        let mut level = Some(Level::Rpp);
-        while let Some(current) = level {
-            for &id in topology.nodes_at_level(current) {
-                if !affected.contains(&id) {
-                    continue;
-                }
-                let children = topology.node(id)?.children();
-                let agg = NodeAggregate::from_traces(
-                    grid,
-                    children.iter().map(|c| &self.traces[c.index()]),
-                )?;
-                self.traces[id.index()] = agg.to_trace()?;
-            }
-            level = current.parent();
-        }
-        Ok(())
+        Ok(ancestors)
     }
 
     /// The aggregate trace at `node`.
@@ -220,13 +223,17 @@ impl NodeAggregates {
             .ok_or(TreeError::UnknownNode(node))
     }
 
-    /// Peak aggregate power at `node`.
+    /// Peak aggregate power at `node` — cached, O(1), and bit-identical to
+    /// `self.trace(node)?.peak()`.
     ///
     /// # Errors
     ///
     /// Returns [`TreeError::UnknownNode`] for ids outside the topology.
     pub fn peak(&self, node: NodeId) -> Result<f64, TreeError> {
-        Ok(self.trace(node)?.peak())
+        self.peaks
+            .get(node.index())
+            .copied()
+            .ok_or(TreeError::UnknownNode(node))
     }
 
     /// The paper's *sum of peaks* fragmentation indicator at one level: the
@@ -235,19 +242,19 @@ impl NodeAggregates {
         topology
             .nodes_at_level(level)
             .iter()
-            .map(|&id| self.traces[id.index()].peak())
+            .map(|&id| self.peaks[id.index()])
             .sum()
     }
 
     /// Headroom at `node`: budget minus aggregate peak (negative when the
-    /// node is over-committed).
+    /// node is over-committed). O(1).
     ///
     /// # Errors
     ///
     /// Returns [`TreeError::UnknownNode`] for ids outside the topology.
     pub fn headroom(&self, topology: &PowerTopology, node: NodeId) -> Result<f64, TreeError> {
         let budget = topology.node(node)?.budget_watts();
-        Ok(budget - self.trace(node)?.peak())
+        Ok(budget - self.peak(node)?)
     }
 
     /// Slack profile of `node` against its configured budget.
@@ -331,6 +338,62 @@ mod tests {
         assert_eq!(slack.min_slack(), 400.0);
     }
 
+    /// 1 suite × 2 MSB × 2 SB × 2 RPP × 2 racks: 16 racks whose paths
+    /// split at every level.
+    fn wide_topo() -> PowerTopology {
+        PowerTopology::builder()
+            .suites(1)
+            .msbs_per_suite(2)
+            .sbs_per_msb(2)
+            .rpps_per_sb(2)
+            .racks_per_rpp(2)
+            .rack_capacity(4)
+            .rack_budget_watts(500.0)
+            .build()
+            .unwrap()
+    }
+
+    /// 40 distinct four-sample traces.
+    fn many_traces(salt: f64) -> Vec<PowerTrace> {
+        (0..40)
+            .map(|i| {
+                let x = i as f64 + salt;
+                PowerTrace::new(
+                    vec![x * 1.7 % 31.0, x * 0.3 + 2.5, (x * 7.1) % 13.0, 0.1 * x],
+                    10,
+                )
+                .unwrap()
+            })
+            .collect()
+    }
+
+    /// Every node's cached peak must carry the bits of its trace's peak.
+    fn assert_peaks_cached(agg: &NodeAggregates, t: &PowerTopology) {
+        for id in t.nodes().iter().map(|n| n.id()) {
+            assert_eq!(
+                agg.peak(id).unwrap().to_bits(),
+                agg.trace(id).unwrap().peak().to_bits(),
+                "node {id}: stale cached peak"
+            );
+        }
+    }
+
+    fn assert_bit_identical(got: &NodeAggregates, want: &NodeAggregates, t: &PowerTopology) {
+        for id in t.nodes().iter().map(|n| n.id()) {
+            let g = got.trace(id).unwrap().samples();
+            let w = want.trace(id).unwrap().samples();
+            assert_eq!(g.len(), w.len());
+            for (g, w) in g.iter().zip(w) {
+                assert_eq!(g.to_bits(), w.to_bits(), "node {id} diverged");
+            }
+            assert_eq!(
+                got.peak(id).unwrap().to_bits(),
+                want.peak(id).unwrap().to_bits(),
+                "node {id}: peak diverged"
+            );
+        }
+    }
+
     #[test]
     fn incremental_refresh_is_bit_identical_to_compute() {
         let t = topo();
@@ -341,6 +404,7 @@ mod tests {
         // Maintain incrementally: start from zeros, refresh each rack from
         // its members, then refresh the ancestor paths.
         let mut inc = NodeAggregates::zeros(&t, grid);
+        assert_peaks_cached(&inc, &t);
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); t.len()];
         for i in 0..traces.len() {
             members[a.rack_of(i).unwrap().index()].push(i);
@@ -352,18 +416,62 @@ mod tests {
                 members[rack.index()].iter().map(|&i| traces[i].samples()),
             )
             .unwrap();
+            assert_peaks_cached(&inc, &t);
         }
-        inc.refresh_ancestors(&t, t.racks()).unwrap();
+        let refreshed = inc.refresh_ancestors(&t, t.racks()).unwrap();
+        assert_peaks_cached(&inc, &t);
+        // Every internal node, each once, children before parents.
+        assert_eq!(refreshed.len(), t.len() - t.racks().len());
+        assert!(refreshed.windows(2).all(|w| w[0] > w[1]));
 
         let scratch = NodeAggregates::compute(&t, &a, &traces).unwrap();
-        for id in t.nodes().iter().map(|n| n.id()) {
-            let got = inc.trace(id).unwrap().samples();
-            let want = scratch.trace(id).unwrap().samples();
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(want) {
-                assert_eq!(g.to_bits(), w.to_bits(), "node {id} diverged");
-            }
+        assert_peaks_cached(&scratch, &t);
+        assert_bit_identical(&inc, &scratch, &t);
+    }
+
+    #[test]
+    fn one_ancestor_refresh_over_a_scattered_batch_matches_compute() {
+        // The shape an ingest batch produces: rows change under racks of
+        // different RPPs, SBs and MSBs, each touched rack is refreshed,
+        // then a single ancestor refresh settles every path at once.
+        let t = wide_topo();
+        let before = many_traces(0.0);
+        let a = Assignment::round_robin(&t, before.len()).unwrap();
+        let mut inc = NodeAggregates::compute(&t, &a, &before).unwrap();
+
+        let changed = [3usize, 17, 22, 38, 9];
+        let fresh = many_traces(0.5);
+        let mut after = before.clone();
+        let mut touched = Vec::new();
+        for &i in &changed {
+            after[i] = fresh[i].clone();
+            touched.push(a.rack_of(i).unwrap());
         }
+        for &rack in &touched {
+            let rows: Vec<&[f64]> = (0..after.len())
+                .filter(|&i| a.rack_of(i).unwrap() == rack)
+                .map(|i| after[i].samples())
+                .collect();
+            inc.refresh_rack(&t, rack, rows).unwrap();
+        }
+        // Unsorted, as a batch arrives; the paths meet at the suite.
+        let refreshed = inc.refresh_ancestors(&t, &touched).unwrap();
+        let mut want: Vec<NodeId> = touched
+            .iter()
+            .flat_map(|&r| t.ancestors(r).unwrap())
+            .collect();
+        want.sort_unstable_by(|x, y| y.cmp(x));
+        want.dedup();
+        assert_eq!(refreshed, want);
+        let msbs: std::collections::BTreeSet<NodeId> = touched
+            .iter()
+            .map(|&r| t.ancestors(r).unwrap()[2])
+            .collect();
+        assert_eq!(msbs.len(), 2, "the batch spans both MSBs");
+
+        let scratch = NodeAggregates::compute(&t, &a, &after).unwrap();
+        assert_peaks_cached(&inc, &t);
+        assert_bit_identical(&inc, &scratch, &t);
     }
 
     #[test]
@@ -374,12 +482,15 @@ mod tests {
         let mut inc = NodeAggregates::zeros(&t, grid);
         let rack = t.racks()[0];
         inc.refresh_rack(&t, rack, [traces[0].samples()]).unwrap();
-        inc.refresh_ancestors(&t, &[rack]).unwrap();
+        let refreshed = inc.refresh_ancestors(&t, &[rack]).unwrap();
+        assert_eq!(refreshed, t.ancestors(rack).unwrap());
+        assert_peaks_cached(&inc, &t);
         // The refreshed path carries the member; the sibling RPP stays zero.
         assert_eq!(inc.trace(rack).unwrap().samples(), traces[0].samples());
         assert_eq!(inc.peak(t.root()).unwrap(), 100.0);
         let other_rpp = t.nodes_at_level(Level::Rpp)[1];
         assert_eq!(inc.peak(other_rpp).unwrap(), 0.0);
+        assert_eq!(inc.headroom(&t, rack).unwrap(), 400.0);
     }
 
     #[test]
@@ -401,7 +512,7 @@ mod tests {
         let t = topo();
         let grid = traces()[0].grid();
         let mut inc = NodeAggregates::zeros(&t, grid);
-        inc.refresh_ancestors(&t, &[]).unwrap();
+        assert!(inc.refresh_ancestors(&t, &[]).unwrap().is_empty());
         assert_eq!(inc.peak(t.root()).unwrap(), 0.0);
     }
 

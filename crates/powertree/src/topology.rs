@@ -404,6 +404,29 @@ impl PowerTopology {
         Ok(path)
     }
 
+    /// Every distinct proper ancestor of `ids`, in descending id order.
+    /// Children always carry larger ids than their parents, so each node
+    /// comes after all of its descendants in the set — the order a
+    /// bottom-up refresh needs. Each id's parent links are walked, so the
+    /// cost is O(path) per id, not O(tree).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TreeError::UnknownNode`] for an id outside this topology.
+    pub fn ancestor_set(&self, ids: &[NodeId]) -> Result<Vec<NodeId>, TreeError> {
+        let mut set = Vec::new();
+        for &id in ids {
+            let mut parent = self.node(id)?.parent();
+            while let Some(p) = parent {
+                set.push(p);
+                parent = self.nodes[p.index()].parent();
+            }
+        }
+        set.sort_unstable_by(|a, b| b.cmp(a));
+        set.dedup();
+        Ok(set)
+    }
+
     /// Whether `ancestor` lies on the path from `id` to the root
     /// (a node is not its own ancestor).
     ///
@@ -492,6 +515,30 @@ mod tests {
         assert!(t.is_ancestor(t.root(), rack).unwrap());
         assert!(!t.is_ancestor(rack, t.root()).unwrap());
         assert!(!t.is_ancestor(rack, rack).unwrap());
+    }
+
+    #[test]
+    fn ancestor_set_is_the_descending_union_of_paths() {
+        let t = small();
+        let racks = t.racks();
+        // Racks under different SBs and MSBs, a duplicate, and an
+        // internal node mixed in (its path joins the racks' higher up).
+        let sb = t.nodes_at_level(Level::Sb)[3];
+        let ids = [racks[9], racks[0], racks[1], racks[15], racks[0], sb];
+        let mut want: Vec<NodeId> = ids
+            .iter()
+            .flat_map(|&id| t.ancestors(id).unwrap())
+            .collect();
+        want.sort_unstable_by(|a, b| b.cmp(a));
+        want.dedup();
+        assert_eq!(t.ancestor_set(&ids).unwrap(), want);
+        assert_eq!(t.ancestor_set(&[t.root()]).unwrap(), Vec::new());
+        assert!(t.ancestor_set(&[]).unwrap().is_empty());
+        let bogus = NodeId::new(t.len());
+        assert!(matches!(
+            t.ancestor_set(&[racks[0], bogus]),
+            Err(TreeError::UnknownNode(_))
+        ));
     }
 
     #[test]

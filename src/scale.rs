@@ -85,7 +85,7 @@ impl QuantileMode {
 /// Waveform family the ladder synthesizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ScaleWorkload {
-    /// Diurnal basis-table waveforms ([`RowWave`]) — the v2 default; the
+    /// Diurnal basis-table waveforms (`RowWave`) — the v2 default; the
     /// committed `BENCH_scale.json` digests are from this family.
     #[default]
     Diurnal,
