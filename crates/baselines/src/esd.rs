@@ -8,11 +8,10 @@
 //! unbalanced placements deplete the batteries of hot nodes while cold
 //! nodes never use theirs. This module reproduces both effects.
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::PowerTrace;
 
 /// A battery attached to one power node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatteryModel {
     /// Usable energy, watt-minutes.
     pub capacity_watt_minutes: f64,
@@ -37,7 +36,7 @@ impl BatteryModel {
 }
 
 /// Outcome of shaving one node's power trace with a battery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShaveOutcome {
     /// Samples where the budget was exceeded and the battery could *not*
     /// fully cover the gap.

@@ -10,13 +10,12 @@
 //! provisions each node at the `(100 − u)`-th percentile of the node's
 //! *aggregate* trace, capturing temporal cancellation.
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::{Ecdf, PowerTrace};
 use so_powertree::{Assignment, Level, NodeAggregates, PowerTopology, TreeError};
 
 /// Degrees of under-provisioning and overbooking, the `(u, δ)` pair of the
 /// paper's `StatProf(u, δ)` / `SmoOp(u, δ)` notation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProvisioningDegrees {
     /// Degree of under-provisioning `u`, percent (provision at the
     /// `(100 − u)`-th percentile).
@@ -69,7 +68,7 @@ impl ProvisioningDegrees {
 }
 
 /// Required power budget per level under some provisioning scheme.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProvisioningReport {
     /// `(level, required watts)`, root level first.
     pub required: Vec<(Level, f64)>,

@@ -72,7 +72,7 @@ fn bench_sim() -> String {
     )
 }
 
-/// Hand-rolled JSON (the workspace's serde is a no-op shim): metric keys
+/// Hand-rolled JSON (the workspace has no serialization dependency): metric keys
 /// flatten labels as `name[k=v,...]`; only finite numbers are emitted.
 fn render_json(
     name: &str,

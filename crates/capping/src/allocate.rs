@@ -8,13 +8,12 @@
 //! receive budget proportionally to their demand (the shedding rule
 //! deployed systems apply).
 
-use serde::{Deserialize, Serialize};
 use so_powertree::{NodeId, PowerTopology, TreeError};
 
 use crate::demand::{ClassDemand, Priority};
 
 /// The outcome of one cap-allocation round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CapOutcome {
     /// Granted power per rack, watts (rack order follows
     /// [`PowerTopology::racks`]).

@@ -2,7 +2,6 @@
 
 use std::ops::{Add, AddAssign};
 
-use serde::{Deserialize, Serialize};
 use so_workloads::WorkKind;
 
 /// Priority of a power demand under capping, highest first.
@@ -10,7 +9,7 @@ use so_workloads::WorkKind;
 /// Latency-critical traffic is shed last ("their techniques degrade the
 /// performance of user-facing services significantly during the peak time,
 /// which is not ideal", §6 — a capping system must protect LC first).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Latency-critical, shed last.
     High,
@@ -35,7 +34,7 @@ impl Priority {
 }
 
 /// Power demand split by priority class, watts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ClassDemand {
     /// High-priority (LC) demand.
     pub high: f64,

@@ -1,6 +1,5 @@
 //! Running the cap allocator over a window of power traces.
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::PowerTrace;
 use so_powertree::{Assignment, PowerTopology, TreeError};
 use so_workloads::Fleet;
@@ -9,7 +8,7 @@ use crate::allocate::allocate_caps;
 use crate::demand::{ClassDemand, Priority};
 
 /// Aggregate outcome of capping over a trace window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CappingReport {
     /// Energy shed per class over the window, watt-minutes.
     pub shed_energy: ClassDemand,

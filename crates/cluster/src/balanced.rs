@@ -6,7 +6,6 @@
 //! guarantee, so this module re-assigns points to equalize sizes at the
 //! least distance penalty (documented design choice in `DESIGN.md`).
 
-use serde::{Deserialize, Serialize};
 use so_parallel::par_map;
 
 use crate::distance::euclidean_sq;
@@ -14,7 +13,7 @@ use crate::error::{validate_points, ClusterError};
 use crate::kmeans::{cluster_sums, inertia_of, kmeans, Clustering, KMeansConfig};
 
 /// Result of a balanced k-means run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BalancedClustering {
     /// The underlying clustering with balanced labels.
     pub clustering: Clustering,

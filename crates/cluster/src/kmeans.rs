@@ -7,7 +7,6 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use so_parallel::{par_chunk_map, par_map};
 
 use crate::distance::euclidean_sq;
@@ -24,7 +23,7 @@ const ASSIGN_GRAIN: usize = 64;
 pub(crate) const REDUCE_CHUNK: usize = 256;
 
 /// Configuration for [`kmeans`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KMeansConfig {
     /// Number of clusters `k`.
     pub k: usize,
@@ -49,7 +48,7 @@ impl KMeansConfig {
 }
 
 /// Result of a k-means run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Clustering {
     /// Cluster label of each input point, in `0..k`.
     pub labels: Vec<usize>,

@@ -3,12 +3,10 @@
 //! Used by the embedding ablation (`so-bench`) and as a cheap 2-D
 //! projection alternative to t-SNE.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{validate_points, ClusterError};
 
 /// A fitted PCA projection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pca {
     mean: Vec<f64>,
     /// Row-major principal axes, unit length, most significant first.

@@ -4,13 +4,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::distance::euclidean_sq;
 use crate::error::{validate_points, ClusterError};
 
 /// Configuration for [`tsne`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TsneConfig {
     /// Perplexity: effective number of neighbours (must be below `n`).
     pub perplexity: f64,

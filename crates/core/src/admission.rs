@@ -8,7 +8,6 @@
 //! exactly that question for every candidate rack and picks the best
 //! admissible one — the day-two operation of a deployed SmoothOperator.
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::PowerTrace;
 use so_powertree::{Assignment, NodeAggregates, NodeId, PowerTopology};
 
@@ -16,7 +15,7 @@ use crate::error::CoreError;
 use crate::score::pairwise_score;
 
 /// The effect of admitting a candidate instance onto one rack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionDecision {
     /// The rack evaluated.
     pub rack: NodeId,

@@ -2,7 +2,6 @@
 //! scores, and before/after comparisons (the measurements behind Figures 9
 //! and 10).
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::{peak_reduction, MaskedTrace, PowerTrace};
 use so_powertree::{Assignment, Level, NodeAggregates, PowerTopology};
 
@@ -11,7 +10,7 @@ use crate::error::CoreError;
 use crate::score::asynchrony_score;
 
 /// Fragmentation indicators for one level of the tree.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelFragmentation {
     /// The level.
     pub level: Level,
@@ -25,7 +24,7 @@ pub struct LevelFragmentation {
 }
 
 /// Fragmentation indicators for a whole placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FragmentationReport {
     levels: Vec<LevelFragmentation>,
 }

@@ -10,7 +10,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
 use so_cluster::euclidean_sq;
 use so_powertree::{Assignment, NodeId, PowerTopology};
 use so_workloads::Fleet;
@@ -21,7 +20,7 @@ use crate::score::instance_to_service_score;
 use crate::straces::ServiceTraces;
 
 /// Constraints a placement must satisfy.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PlacementConstraints {
     anti_affinity: Vec<Vec<usize>>,
 }

@@ -10,13 +10,12 @@
 //! surface how much of a placement decision rested on priors rather than
 //! measurements.
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::{MaskedTrace, PowerTrace, TraceError};
 
 use crate::error::CoreError;
 
 /// Where one instance's completed trace came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceSource {
     /// Fully measured — no masked samples.
     Measured,
@@ -32,7 +31,7 @@ pub enum TraceSource {
 }
 
 /// What degraded-mode completion did, instance by instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradedReport {
     /// Per-instance provenance, aligned with the input traces.
     pub sources: Vec<TraceSource>,

@@ -6,14 +6,13 @@
 //! infrastructure." When the drift exceeds a threshold the monitor
 //! recommends a remapping pass.
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::PowerTrace;
 use so_powertree::{Assignment, Level, NodeAggregates, PowerTopology};
 
 use crate::error::CoreError;
 
 /// Per-level drift of the sum of peaks relative to the monitored baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LevelDrift {
     /// The level.
     pub level: Level,
@@ -26,7 +25,7 @@ pub struct LevelDrift {
 }
 
 /// Outcome of one monitoring observation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftReport {
     /// Drift per level, root first.
     pub levels: Vec<LevelDrift>,
@@ -54,7 +53,7 @@ pub struct DriftReport {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DriftMonitor {
     baseline_sums: Vec<(Level, f64)>,
     threshold: f64,

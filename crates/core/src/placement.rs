@@ -8,7 +8,6 @@
 //! placement spreads synchronous instances apart, raising the asynchrony
 //! score — and therefore lowering the aggregate peak — at every node.
 
-use serde::{Deserialize, Serialize};
 use so_cluster::{balanced_kmeans, KMeansConfig};
 use so_parallel::par_map;
 use so_powertree::{Assignment, NodeId, PowerTopology};
@@ -19,7 +18,7 @@ use crate::error::CoreError;
 use crate::straces::ServiceTraces;
 
 /// Configuration of the placement engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacementConfig {
     /// `|B|`: number of top power-consuming services whose S-traces span
     /// the embedding space.

@@ -28,7 +28,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use so_parallel::par_map;
 use so_powertrace::{peak_of_samples, NodeAggregate, PowerTrace, TraceArena};
 use so_powertree::{Assignment, Level, NodeId, PowerTopology, TreeError};
@@ -44,7 +43,7 @@ use crate::source::SampleSource;
 const TIME_BLOCK: usize = 512;
 
 /// Configuration of the remapping engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RemapConfig {
     /// Power-node level monitored for fragmentation (the paper focuses on
     /// leaf power nodes; racks are the direct hosts here).
@@ -70,7 +69,7 @@ impl Default for RemapConfig {
 }
 
 /// One accepted swap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwapRecord {
     /// Instance moved out of the fragmented node.
     pub instance_out: usize,
@@ -87,7 +86,7 @@ pub struct SwapRecord {
 }
 
 /// Outcome of a remapping run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RemapReport {
     /// Accepted swaps, in order.
     pub swaps: Vec<SwapRecord>,

@@ -4,14 +4,13 @@
 //! the averaged I-traces of its instances. S-traces form the basis against
 //! which every instance's asynchrony-score vector is computed.
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::PowerTrace;
 use so_workloads::{Fleet, ServiceClass};
 
 use crate::error::CoreError;
 
 /// The S-traces of the top power-consuming services of a fleet subset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceTraces {
     services: Vec<ServiceClass>,
     traces: Vec<PowerTrace>,

@@ -1,9 +1,7 @@
 //! Fault event types.
 
-use serde::{Deserialize, Serialize};
-
 /// The kind of a fault event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The power sensor of one instance reports nothing for the event
     /// window; its samples are missing (masked).
@@ -34,7 +32,7 @@ impl FaultKind {
 }
 
 /// What a fault event applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultTarget {
     /// One instance (index into the population the schedule was generated
     /// for).
@@ -47,7 +45,7 @@ pub enum FaultTarget {
 /// `[start, start + steps)` on the simulation [`TimeGrid`].
 ///
 /// [`TimeGrid`]: so_powertrace::TimeGrid
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// What happens.
     pub kind: FaultKind,

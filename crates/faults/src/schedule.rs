@@ -1,7 +1,6 @@
 //! Deterministic fault schedules and their per-step compiled timeline.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use so_workloads::rng::stream_rng;
 
 use crate::event::{FaultEvent, FaultKind, FaultTarget};
@@ -31,7 +30,7 @@ const TRIP_STREAM_BASE: u64 = 1 << 62;
 /// let b = FaultSchedule::generate(&spec, 168, 40);
 /// assert_eq!(a, b);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSchedule {
     spec: FaultSpec,
     n_steps: usize,
@@ -180,7 +179,7 @@ impl FaultSchedule {
 /// Per-step aggregate fault effects, ready for the simulator: fractions
 /// of the instance population affected by each telemetry fault kind and
 /// the capacity derate from active breaker trips.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultTimeline {
     /// Fraction of instances whose sensor reports nothing, per step.
     pub dropout_frac: Vec<f64>,

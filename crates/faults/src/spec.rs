@@ -1,7 +1,5 @@
 //! Fault specification: rates, seeds, and the `--faults` string format.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::FaultError;
 
 /// Parameters of a fault-injection campaign.
@@ -23,7 +21,7 @@ use crate::error::FaultError;
 /// assert_eq!(spec.seed, 7);
 /// assert_eq!(spec.trips, 2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Base seed; every event stream is derived from it.
     pub seed: u64,

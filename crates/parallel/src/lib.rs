@@ -13,45 +13,90 @@
 //!   per-chunk partials **in chunk order**, which pins the
 //!   floating-point association once for serial and parallel alike.
 //!
-//! Worker threads come out of a process-wide budget (defaulting to
-//! [`std::thread::available_parallelism`]) so that nested calls — e.g.
-//! per-child placement recursion invoking parallel k-means — share one
-//! pool-sized allotment instead of multiplying threads. When no budget
-//! is free, inside [`serial_scope`], or with the `threads` feature
-//! disabled, every helper degenerates to the plain serial loop and
-//! produces the same bits.
+//! Each thread carries its own lane budget ([`set_thread_limit`],
+//! defaulting to [`std::thread::available_parallelism`]). Workers run
+//! under the budget and telemetry sink of the thread that spawned them
+//! ([`ThreadContext`]), and every helper draws its workers from one count
+//! of live workers, so nested calls — e.g. per-child placement recursion
+//! invoking parallel k-means — share one pool-sized allotment instead of
+//! multiplying threads. When no lane is free, inside [`serial_scope`], or
+//! with the `threads` feature disabled, every helper degenerates to the
+//! plain serial loop and produces the same bits.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-/// Process-wide override of the lane budget; 0 means "unset, use the
-/// machine's available parallelism".
-static LIMIT: AtomicUsize = AtomicUsize::new(0);
+use so_telemetry::TelemetrySink;
 
-/// Spawned worker threads currently alive across all helpers.
+/// Spawned worker threads currently alive across all helpers. The one
+/// process-wide value here: it counts real threads, not configuration.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
+    /// This thread's lane budget; 0 means "unset, use the machine's
+    /// available parallelism".
+    static LIMIT: Cell<usize> = const { Cell::new(0) };
     /// Nesting depth of [`serial_scope`] on this thread.
     static SERIAL_DEPTH: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Maximum number of lanes (caller thread + spawned workers) a helper
-/// may use. Defaults to the machine's available parallelism.
+/// called on this thread may use. Defaults to the machine's available
+/// parallelism.
 pub fn thread_limit() -> usize {
-    match LIMIT.load(Ordering::Relaxed) {
+    match LIMIT.get() {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     }
 }
 
-/// Overrides [`thread_limit`] process-wide. `1` disables spawning.
+/// Overrides [`thread_limit`] for this thread and the workers it spawns.
+/// `1` disables spawning.
 ///
 /// Intended for tests and benchmarks that need a fixed lane count
 /// regardless of the host's core count (e.g. exercising the threaded
 /// path on a single-core CI runner).
 pub fn set_thread_limit(lanes: usize) {
-    LIMIT.store(lanes.max(1), Ordering::Relaxed);
+    LIMIT.set(lanes.max(1));
+}
+
+/// The calling thread's lane budget and telemetry sink, captured so that
+/// other threads can run under them: every helper here enters its
+/// spawner's context in each worker, and a service that starts its own
+/// threads does the same with one `capture` and an `enter` per thread.
+#[derive(Clone)]
+pub struct ThreadContext {
+    limit: usize,
+    sink: Option<Arc<dyn TelemetrySink>>,
+}
+
+impl ThreadContext {
+    /// Captures the calling thread's lane budget and installed sink.
+    pub fn capture() -> Self {
+        Self {
+            limit: LIMIT.get(),
+            sink: so_telemetry::current_sink(),
+        }
+    }
+
+    /// Runs `f` on this thread under the captured budget and sink, then
+    /// restores this thread's own — including when `f` panics. A context
+    /// captured with no sink leaves this thread's sink as it is, which
+    /// for a newly spawned thread means none.
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(usize);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                LIMIT.set(self.0);
+            }
+        }
+        let _restore = Restore(LIMIT.replace(self.limit));
+        match &self.sink {
+            Some(sink) => so_telemetry::with_sink(Arc::clone(sink), f),
+            None => f(),
+        }
+    }
 }
 
 /// True when the current thread is inside a [`serial_scope`].
@@ -75,7 +120,7 @@ pub fn serial_scope<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// A reservation of spawned-worker slots against the global budget.
+/// A reservation of spawned-worker slots against the caller's budget.
 struct Permit {
     count: usize,
 }
@@ -152,14 +197,17 @@ fn run<R: Send>(count: usize, lanes: usize, produce: impl Fn(usize) -> R + Sync)
             rest = tail;
         }
         let produce = &produce;
+        let context = &ThreadContext::capture();
         std::thread::scope(|scope| {
             let mut windows = windows.into_iter();
             let (first_base, first_window) = windows.next().expect("lanes >= 1");
             for (base, window) in windows {
                 scope.spawn(move || {
-                    for (offset, slot) in window.iter_mut().enumerate() {
-                        *slot = Some(produce(base + offset));
-                    }
+                    context.enter(|| {
+                        for (offset, slot) in window.iter_mut().enumerate() {
+                            *slot = Some(produce(base + offset));
+                        }
+                    });
                 });
             }
             // The caller thread works the first window instead of
@@ -238,6 +286,7 @@ where
     // Hand each lane a contiguous run of whole chunks, as a disjoint
     // `&mut` window of the output.
     let f = &f;
+    let context = &ThreadContext::capture();
     std::thread::scope(|scope| {
         let mut rest = out;
         let mut chunk_base = 0usize;
@@ -252,9 +301,11 @@ where
             } else {
                 let base = chunk_base;
                 scope.spawn(move || {
-                    for (offset, chunk) in head.chunks_mut(chunk_len).enumerate() {
-                        f(base + offset, chunk);
-                    }
+                    context.enter(|| {
+                        for (offset, chunk) in head.chunks_mut(chunk_len).enumerate() {
+                            f(base + offset, chunk);
+                        }
+                    });
                 });
             }
             chunk_base += lane_chunks;

@@ -1,8 +1,6 @@
 //! Cross-instance percentile bands, the representation behind the paper's
 //! Figure 6 (per-service diurnal bands such as p5–p95, p25–p75, p45–p55).
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TraceError;
 use crate::quantile::quantile_sorted;
 use crate::trace::PowerTrace;
@@ -24,7 +22,7 @@ use crate::trace::PowerTrace;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PercentileBands {
     percentiles: Vec<f64>,
     /// `series[p][t]`: value of percentile `p` at timestep `t`.

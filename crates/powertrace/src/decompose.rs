@@ -6,14 +6,12 @@
 //! fraction means a predictable instance the placement can bank on, a low
 //! one means noise-driven behaviour — and for denoising external traces.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TraceError;
 use crate::grid::MINUTES_PER_DAY;
 use crate::trace::PowerTrace;
 
 /// A trace split into a repeating daily template and a residual.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeasonalDecomposition {
     /// Mean power across the whole trace, watts.
     pub mean: f64,

@@ -5,8 +5,6 @@
 //! trade fidelity for speed (e.g. 10-minute sampling for full-datacenter
 //! sweeps).
 
-use serde::{Deserialize, Serialize};
-
 /// Minutes in one day.
 pub const MINUTES_PER_DAY: u32 = 24 * 60;
 /// Minutes in one week.
@@ -27,7 +25,7 @@ pub const MINUTES_PER_WEEK: u32 = 7 * MINUTES_PER_DAY;
 /// assert_eq!(week.len(), 1008);
 /// assert_eq!(week.minute_of(6), 60);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimeGrid {
     step_minutes: u32,
     len: usize,

@@ -8,8 +8,6 @@
 //!
 //! [`fill_with`]: MaskedTrace::fill_with
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TraceError;
 use crate::grid::TimeGrid;
 use crate::trace::PowerTrace;
@@ -38,7 +36,7 @@ use crate::trace::PowerTrace;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaskedTrace {
     samples: Vec<f64>,
     valid: Vec<bool>,

@@ -17,14 +17,12 @@
 //!   or drop, so the repaired peak never exceeds the largest valid input
 //!   sample.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TraceError;
 use crate::trace::PowerTrace;
 
 /// How flagged samples (invalid readings, spikes, and the gaps they form)
 /// are repaired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GapPolicy {
     /// Linear interpolation between the nearest valid samples on either
     /// side; boundary gaps hold the nearest valid sample flat.
@@ -43,7 +41,7 @@ pub enum GapPolicy {
 }
 
 /// Configuration of a [`TraceSanitizer`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SanitizeConfig {
     /// Repair policy for flagged samples.
     pub gap_policy: GapPolicy,
@@ -95,7 +93,7 @@ impl SanitizeConfig {
 }
 
 /// What a sanitization pass found and repaired.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairReport {
     /// Samples that were NaN, infinite, or negative.
     pub invalid_samples: usize,
@@ -138,7 +136,7 @@ impl RepairReport {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TraceSanitizer {
     config: SanitizeConfig,
 }

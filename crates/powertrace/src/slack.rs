@@ -4,8 +4,6 @@
 //! unused share of a power node's budget. *Energy slack* is its integral
 //! over a timespan (Eq. 2). Low slack means the budget is well utilized.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TraceError;
 use crate::trace::PowerTrace;
 
@@ -24,7 +22,7 @@ use crate::trace::PowerTrace;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlackProfile {
     slack: Vec<f64>,
     overdraw: Vec<f64>,

@@ -4,8 +4,6 @@
 //! models each instance's power profile as a cumulative distribution
 //! function and provisions at high percentiles; [`Ecdf`] is that CDF.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TraceError;
 use crate::quantile::quantile_sorted;
 use crate::trace::PowerTrace;
@@ -25,7 +23,7 @@ use crate::trace::PowerTrace;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -115,7 +113,7 @@ impl Ecdf {
 }
 
 /// Summary statistics of a trace, convenient for reports.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceSummary {
     /// Peak (maximum) power.
     pub peak: f64,

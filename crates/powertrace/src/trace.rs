@@ -2,8 +2,6 @@
 
 use std::ops::{Add, AddAssign, Index, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TraceError;
 use crate::grid::TimeGrid;
 
@@ -35,7 +33,7 @@ use crate::grid::TimeGrid;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTrace {
     samples: Vec<f64>,
     step_minutes: u32,

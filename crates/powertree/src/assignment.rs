@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TreeError;
 use crate::node::NodeId;
 use crate::topology::PowerTopology;
@@ -27,7 +25,7 @@ use crate::topology::PowerTopology;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     rack_of: Vec<NodeId>,
 }

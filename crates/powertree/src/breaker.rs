@@ -3,8 +3,6 @@
 //! breaker is tripped and the power supply for the entire sub-tree is shut
 //! down" (§2.2).
 
-use serde::{Deserialize, Serialize};
-
 use crate::aggregate::NodeAggregates;
 use crate::error::TreeError;
 use crate::node::NodeId;
@@ -12,7 +10,7 @@ use crate::topology::PowerTopology;
 
 /// A breaker trip: `node` exceeded its budget for at least the breaker's
 /// sustain window starting at sample `start`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TripEvent {
     /// The tripped node.
     pub node: NodeId,
@@ -27,7 +25,7 @@ pub struct TripEvent {
 /// Breaker behaviour: an overdraw must persist for `sustain_samples`
 /// consecutive samples before the breaker trips (real breakers tolerate
 /// brief transients).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerModel {
     sustain_samples: usize,
 }

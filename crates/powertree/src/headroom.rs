@@ -1,7 +1,5 @@
 //! Headroom and utilization reporting across the tree.
 
-use serde::{Deserialize, Serialize};
-
 use crate::aggregate::NodeAggregates;
 use crate::error::TreeError;
 use crate::level::Level;
@@ -9,7 +7,7 @@ use crate::node::NodeId;
 use crate::topology::PowerTopology;
 
 /// Headroom numbers for one node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeHeadroom {
     /// The node.
     pub node: NodeId,
@@ -26,7 +24,7 @@ pub struct NodeHeadroom {
 }
 
 /// Headroom for every node of a topology under one assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HeadroomReport {
     entries: Vec<NodeHeadroom>,
 }

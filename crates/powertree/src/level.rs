@@ -8,11 +8,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One level of the power delivery tree, from the datacenter root down to
 /// the rack that servers plug into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Level {
     /// The datacenter root (fed by the substation).
     Datacenter,

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::level::Level;
 
 /// Identifier of a node within one [`PowerTopology`].
@@ -12,7 +10,7 @@ use crate::level::Level;
 /// meaningful relative to the topology that produced them.
 ///
 /// [`PowerTopology`]: crate::PowerTopology
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(usize);
 
 impl NodeId {
@@ -35,7 +33,7 @@ impl fmt::Display for NodeId {
 
 /// One power delivery device in the tree: a budget, a level, and links to
 /// its parent and children.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerNode {
     pub(crate) id: NodeId,
     pub(crate) level: Level,

@@ -1,7 +1,5 @@
 //! Construction and navigation of the power delivery tree.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TreeError;
 use crate::level::Level;
 use crate::node::{NodeId, PowerNode};
@@ -10,7 +8,7 @@ use crate::node::{NodeId, PowerNode};
 ///
 /// The default shape is a small OCP-style datacenter that keeps simulation
 /// tractable: 2 suites × 2 MSBs × 2 SBs × 3 RPPs × 4 racks = 96 racks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TopologyShape {
     /// Suites per datacenter.
     pub suites: usize,
@@ -243,7 +241,7 @@ impl TopologyBuilder {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerTopology {
     nodes: Vec<PowerNode>,
     root: NodeId,

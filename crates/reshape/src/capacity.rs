@@ -5,14 +5,13 @@
 //! can host extra (conversion) servers. Proactive throttling additionally
 //! frees Batch power at peak, funding a further set `e_th`.
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::PowerTrace;
 use so_powertree::{Assignment, NodeAggregates, NodeId, PowerTopology};
 
 use crate::error::ReshapeError;
 
 /// Extra servers unlocked by reshaping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExtraCapacity {
     /// Conversion servers hostable inside placement-unlocked headroom
     /// (`e_conv`).

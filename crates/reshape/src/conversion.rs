@@ -8,11 +8,10 @@
 //! conversion servers run Batch; as the load approaches `L_conv` they are
 //! converted to LC (*LC-heavy phase*).
 
-use serde::{Deserialize, Serialize};
 use so_sim::{DvfsState, ReshapePolicy, StepDecision, StepObservation};
 
 /// Which phase the conversion state machine is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// LC load is comfortably below `L_conv`; conversion servers do Batch
     /// work.
@@ -22,7 +21,7 @@ pub enum Phase {
 }
 
 /// The server-conversion policy (no throttling/boosting).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConversionPolicy {
     /// Entering LC-heavy when base-LC load exceeds `enter_fraction × L_conv`.
     pub enter_fraction: f64,
@@ -98,7 +97,7 @@ impl ReshapePolicy for ConversionPolicy {
 /// servers) and `e_th` servers convert to LC. During deep Batch-heavy
 /// phases the Batch cluster is boosted to win back the throughput lost to
 /// throttling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThrottleBoostPolicy {
     /// The underlying conversion state machine.
     pub conversion: ConversionPolicy,

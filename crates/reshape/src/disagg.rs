@@ -6,10 +6,8 @@
 //! reboot. This module captures those properties so the policies (and
 //! Table 1) can state their assumptions explicitly.
 
-use serde::{Deserialize, Serialize};
-
 /// How a server's storage is attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageAttachment {
     /// Flash/disks on the local PCIe bus: conversion must migrate data.
     Local,
@@ -19,7 +17,7 @@ pub enum StorageAttachment {
 }
 
 /// Cost model of converting one server between Batch and LC roles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConversionModel {
     /// Storage attachment of the fleet's conversion candidates.
     pub attachment: StorageAttachment,

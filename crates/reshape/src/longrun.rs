@@ -10,7 +10,6 @@
 //! flagged — a bounded remapping pass repairs the placement.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use so_core::{remap, DriftMonitor, RemapConfig};
 use so_powertree::{Assignment, Level, NodeAggregates, PowerTopology};
 use so_workloads::rng::{normal, stream_rng};
@@ -19,7 +18,7 @@ use so_workloads::{Fleet, InstanceSpec};
 use crate::error::ReshapeError;
 
 /// Configuration of a long-run operation simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LongRunConfig {
     /// Operation weeks simulated after the initial placement.
     pub weeks: u32,
@@ -50,7 +49,7 @@ impl Default for LongRunConfig {
 }
 
 /// What happened in one operation week.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeekOutcome {
     /// Operation week (1-based).
     pub week: u32,
@@ -67,7 +66,7 @@ pub struct WeekOutcome {
 }
 
 /// The full history of a long-run simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LongRunReport {
     /// Rack-level sum of peaks of the initial placement on its own
     /// training data, watts.

@@ -7,7 +7,6 @@
 //! (pre-optimization, LC-only addition, server conversion, and conversion
 //! plus proactive throttling/boosting).
 
-use serde::{Deserialize, Serialize};
 use so_baselines::oblivious_placement;
 use so_core::{PlacementConfig, SmoothPlacer};
 use so_powertrace::{off_peak_mask, slack_reduction, PowerTrace, TimeGrid};
@@ -23,7 +22,7 @@ use crate::error::ReshapeError;
 use crate::threshold::learn_conversion_threshold;
 
 /// Tuning knobs of the end-to-end pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Placement engine configuration.
     pub placement: PlacementConfig,
@@ -61,7 +60,7 @@ impl Default for PipelineConfig {
 }
 
 /// Everything the pipeline measured for one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioOutcome {
     /// Scenario name (DC1/DC2/DC3).
     pub name: String,

@@ -9,10 +9,8 @@
 //! generations), and load is spread so nobody crosses the guarded level
 //! until everyone has.
 
-use serde::{Deserialize, Serialize};
-
 /// One LC-serving server as the router sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSlot {
     /// QPS this server absorbs at 100% utilization.
     pub capacity_qps: f64,
@@ -34,7 +32,7 @@ impl ServerSlot {
 }
 
 /// The outcome of routing one instant's offered load.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingOutcome {
     /// Per-server load (fraction of that server's capacity), aligned with
     /// the input slots.

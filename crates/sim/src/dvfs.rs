@@ -5,10 +5,8 @@
 //! budget for extra LC capacity) and boosts them during Batch-heavy phases
 //! to win the lost throughput back.
 
-use serde::{Deserialize, Serialize};
-
 /// A CPU frequency/voltage operating point for Batch servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DvfsState {
     /// Reduced frequency: lower power, lower throughput.
     Throttled,

@@ -4,7 +4,6 @@
 //! step, and records the telemetry behind the paper's Figures 12–14:
 //! per-LC-server load, LC and Batch throughput, and the total power draw.
 
-use serde::{Deserialize, Serialize};
 use so_faults::{FaultEvent, FaultSchedule};
 use so_powertrace::{PowerTrace, SlackProfile, TimeGrid, TraceError};
 use so_workloads::OfferedLoad;
@@ -16,7 +15,7 @@ use crate::policy::{ReshapePolicy, StepDecision, StepObservation};
 use crate::power::ServerPowerModel;
 
 /// Static configuration of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Permanently-LC servers.
     pub base_lc: usize,
@@ -95,7 +94,7 @@ impl SimConfig {
 }
 
 /// A role transition of the conversion pools between two steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConversionEvent {
     /// Step at which the new role split took effect.
     pub step: usize,
@@ -106,7 +105,7 @@ pub struct ConversionEvent {
 }
 
 /// Recorded series and counters from one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Telemetry {
     step_minutes: u32,
     /// Mean per-LC-server load each step (1.0 = fully utilized).

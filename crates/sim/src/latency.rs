@@ -7,8 +7,6 @@
 //! SLO terms and `L_conv` can be derived from a latency target instead of
 //! being guessed.
 
-use serde::{Deserialize, Serialize};
-
 /// M/M/1-style response-time model for one LC server.
 ///
 /// Mean response time is `S / (1 − ρ)` for service time `S` and
@@ -27,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(l_conv > 0.5 && l_conv < 1.0);
 /// assert!(model.p99_latency_ms(l_conv) <= 150.0 * 1.001);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Mean service time per query, milliseconds.
     pub service_time_ms: f64,

@@ -4,14 +4,12 @@
 //! implement [`ReshapePolicy`]; the engine calls them once per timestep
 //! with the observable state and applies the returned decision.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dvfs::DvfsState;
 
 /// What a policy can observe at the start of a timestep (§4.2: the runtime
 /// "continuously monitor\[s\] the LC server load over each original set of LC
 /// servers").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepObservation {
     /// Timestep index.
     pub t: usize,
@@ -49,7 +47,7 @@ impl StepObservation {
 }
 
 /// A policy's decision for one timestep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepDecision {
     /// Conversion servers (`e_conv`) to run as LC this step; the remainder
     /// run Batch.
@@ -85,7 +83,7 @@ pub trait ReshapePolicy {
 ///
 /// With `as_lc = true` this models "just add LC-specific servers" (§4.1's
 /// strawman); with `false`, "just add Batch servers".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticPolicy {
     /// Whether the extra servers run LC (otherwise Batch).
     pub as_lc: bool,
@@ -118,7 +116,7 @@ impl ReshapePolicy for StaticPolicy {
 /// Before any trustworthy step has been seen, the wrapper fails safe by
 /// running every conversion server as LC — over-provisioning QoS is the
 /// recoverable mistake.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailSafe<P> {
     /// The wrapped policy; consulted only on trustworthy steps.
     pub inner: P,

@@ -1,7 +1,5 @@
 //! Per-server power models for the runtime simulator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::dvfs::DvfsState;
 
 /// Linear load-proportional server power model:
@@ -10,7 +8,7 @@ use crate::dvfs::DvfsState;
 /// The reshaping policies only observe load and power, so a linear model
 /// exercises the same control paths as production power sensors
 /// (substitution documented in `DESIGN.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerPowerModel {
     /// Idle power, watts.
     pub idle_watts: f64,

@@ -4,7 +4,7 @@
 //! The engine is a pure deterministic state machine: feed it one named
 //! signal snapshot per evaluation ([`AlertEngine::evaluate`]) and it
 //! returns the [`AlertTransition`]s that snapshot caused. Nothing inside
-//! reads a clock, a thread id, or the process-global sink state for its
+//! reads a clock, a thread id, or the installed sink for its
 //! *decisions*, so alert streams are bit-identical at any thread count —
 //! the caller drives evaluation from a serial orchestration point (the
 //! online engine's per-batch hook) and the signals themselves are

@@ -336,7 +336,7 @@ fn handle_connection(mut stream: TcpStream, handler: &Arc<HttpHandler>) -> std::
     respond(&mut stream, &response)
 }
 
-fn read_request(stream: &mut TcpStream) -> std::io::Result<ReadOutcome> {
+fn read_request(stream: &mut impl Read) -> std::io::Result<ReadOutcome> {
     let mut buf = Vec::with_capacity(MAX_REQUEST_LINE);
     // Read until the request line is complete (ends with \r\n). A line
     // that has not terminated within MAX_REQUEST_LINE bytes would
@@ -389,7 +389,7 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<ReadOutcome> {
 /// Reads the rest of the header block and the `Content-Length`-framed
 /// body. Returns `Err(response)` for protocol rejections.
 fn read_body(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut Vec<u8>,
 ) -> std::io::Result<Result<String, HttpResponse>> {
     let head_end = loop {
@@ -445,7 +445,7 @@ fn drain_excess(stream: &mut TcpStream) {
     }
 }
 
-fn read_chunk(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+fn read_chunk(stream: &mut impl Read, buf: &mut Vec<u8>) -> std::io::Result<usize> {
     let mut chunk = [0u8; 2048];
     let n = stream.read(&mut chunk)?;
     buf.extend_from_slice(&chunk[..n]);
@@ -471,6 +471,7 @@ fn respond(stream: &mut TcpStream, response: &HttpResponse) -> std::io::Result<(
         414 => "URI Too Long",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         _ => "Error",
     };
     let header = format!(
@@ -489,6 +490,132 @@ mod tests {
     use super::*;
     use crate::alerts::AlertRule;
     use crate::sink::{RecordingSink, TelemetrySink};
+    use proptest::prelude::*;
+
+    /// A reader that hands out `sizes[i]` bytes (cycling) on the i-th
+    /// call, as a slow or fragmenting peer would.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        sizes: Vec<usize>,
+        calls: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let want = self.sizes[self.calls % self.sizes.len()];
+            self.calls += 1;
+            let n = want.min(out.len()).min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    fn fields(outcome: ReadOutcome) -> (String, String, String, String) {
+        match outcome {
+            ReadOutcome::Request(req) => (req.method, req.path, req.query, req.body),
+            ReadOutcome::Reject(resp) => panic!("valid request rejected: {}", resp.status),
+            ReadOutcome::Closed => panic!("valid request read as closed"),
+        }
+    }
+
+    /// Text drawn from ASCII plus 2-, 3- and 4-byte UTF-8 characters.
+    fn text(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+        prop::collection::vec(
+            prop_oneof![
+                4 => 0x20u32..0x7F,
+                1 => 0xA0u32..0x800,
+                1 => 0x800u32..0xD800,
+                1 => 0x1_0000u32..0x11_0000,
+            ],
+            len,
+        )
+        .prop_map(|codes| codes.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    /// Arbitrary bytes: alone, after `GET /`, or after a `POST` request
+    /// line and a `Content-Length` header (with or without the blank line
+    /// that ends the head), so every outcome is reachable.
+    fn request_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let bytes = |len| prop::collection::vec(0u8..=255, 0..len);
+        let get = bytes(3_000).prop_map(|tail| [b"GET /".as_slice(), &tail].concat());
+        let post = (
+            bytes(20_000),
+            prop_oneof![0usize..64, 0usize..12_000_000],
+            0u8..2,
+        )
+            .prop_map(|(tail, length, ends_head)| {
+                let mut head = format!("POST /ingest HTTP/1.1\r\nContent-Length: {length}\r\n");
+                if ends_head == 1 {
+                    head.push_str("\r\n");
+                }
+                [head.as_bytes(), &tail].concat()
+            });
+        prop_oneof![1 => Just(Vec::new()), 4 => bytes(3_000), 4 => get, 8 => post]
+    }
+
+    /// A short token of URL- and header-safe characters.
+    fn token() -> impl Strategy<Value = String> {
+        const CHARS: &[u8] = b"abcxyz0189_-.";
+        prop::collection::vec(0..CHARS.len(), 1..12)
+            .prop_map(|picks| picks.into_iter().map(|i| char::from(CHARS[i])).collect())
+    }
+
+    /// A well-formed request: method, path, optional query, a few
+    /// headers and, for non-GET methods, a `Content-Length` body.
+    fn valid_request() -> impl Strategy<Value = Vec<u8>> {
+        (
+            prop_oneof![Just("GET"), Just("POST"), Just("PUT")],
+            token(),
+            prop::collection::vec((token(), token()), 0..3),
+            prop::collection::vec((token(), token()), 0..4),
+            text(0..400),
+        )
+            .prop_map(|(method, path, query, headers, body)| {
+                let query: Vec<String> = query.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                let mut message = format!("{method} /{path}");
+                if !query.is_empty() {
+                    message = format!("{message}?{}", query.join("&"));
+                }
+                message.push_str(" HTTP/1.1\r\nHost: x\r\n");
+                for (name, value) in headers {
+                    message.push_str(&format!("X-{name}: {value}\r\n"));
+                }
+                if method == "GET" {
+                    message.push_str("\r\n");
+                } else {
+                    message.push_str(&format!("Content-Length: {}\r\n\r\n{body}", body.len()));
+                }
+                message.into_bytes()
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_read_to_a_request_closed_or_a_known_reject(bytes in request_bytes()) {
+            let outcome = read_request(&mut bytes.as_slice()).expect("a slice never fails to read");
+            if let ReadOutcome::Reject(resp) = outcome {
+                prop_assert!(
+                    [400, 413, 414, 431].contains(&resp.status),
+                    "unexpected reject status {}",
+                    resp.status
+                );
+            }
+        }
+
+        #[test]
+        fn fragmented_reads_parse_like_one_read(
+            bytes in valid_request(),
+            sizes in prop::collection::vec(1usize..=64, 1..16),
+        ) {
+            let whole = fields(read_request(&mut bytes.as_slice()).unwrap());
+            let mut trickle = Trickle { bytes: &bytes, sizes, calls: 0 };
+            let pieces = fields(read_request(&mut trickle).unwrap());
+            prop_assert_eq!(pieces, whole);
+        }
+    }
 
     fn get(addr: SocketAddr, target: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();

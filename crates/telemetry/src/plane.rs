@@ -82,8 +82,8 @@ impl LivePlane {
         }
     }
 
-    /// The plane's metric/event sink (install it process-globally with
-    /// [`crate::install`] to route the engine's gauges here too).
+    /// The plane's metric/event sink (install it on the engine's thread
+    /// with [`crate::install`] to route the engine's gauges here too).
     pub fn sink(&self) -> &Arc<RecordingSink> {
         &self.sink
     }

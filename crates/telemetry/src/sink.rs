@@ -1,7 +1,8 @@
-//! The sink trait, the process-global sink, and the two built-in sinks.
+//! The sink trait, the per-thread installed sink, and the two built-in
+//! sinks.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::cell::RefCell;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::clock::TelemetryClock;
 use crate::registry::MetricsRegistry;
@@ -59,8 +60,8 @@ pub struct Event {
 /// Destination for telemetry.
 ///
 /// Implementations must be cheap and non-blocking enough to sit on hot
-/// paths; they are called behind the global [`enabled`] check, so the
-/// disabled path never reaches them. Metric methods may be called from
+/// paths; they are called behind the [`enabled`] check, so the disabled
+/// path never reaches them. Metric methods may be called from
 /// parallel worker threads — implementations must only rely on
 /// commutative updates (integer adds, fixed-point sums) for cross-thread
 /// determinism. [`emit`](TelemetrySink::emit) is only called from serial
@@ -217,64 +218,56 @@ impl TelemetrySink for RecordingSink {
     }
 }
 
-/// Fast-path switch: true only while a sink is installed. Relaxed loads
-/// keep the disabled path at one predictable branch.
-static ENABLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// The sink installed on this thread. `so_parallel` workers and the
+    /// smoothopd service threads run under their spawner's sink (see
+    /// `so_parallel::ThreadContext`); any other new thread starts with
+    /// none.
+    static SINK: RefCell<Option<Arc<dyn TelemetrySink>>> = const { RefCell::new(None) };
+}
 
-/// The installed sink.
-static SINK: RwLock<Option<Arc<dyn TelemetrySink>>> = RwLock::new(None);
-
-/// Serializes [`with_sink`] scopes so concurrently running tests cannot
-/// observe each other's metrics through the process-global sink.
-static SCOPE: Mutex<()> = Mutex::new(());
-
-/// True while a sink is installed. Instrumented call sites check this
-/// before computing labels or values, keeping the disabled path
-/// allocation-free.
+/// True while a sink is installed on this thread. Instrumented call
+/// sites check this before computing labels or values, keeping the
+/// disabled path allocation-free.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.with_borrow(Option::is_some)
 }
 
-/// Installs `sink` as the process-global telemetry destination.
+/// Installs `sink` as this thread's telemetry destination.
 pub fn install(sink: Arc<dyn TelemetrySink>) {
-    let mut slot = SINK.write().unwrap_or_else(PoisonError::into_inner);
-    *slot = Some(sink);
-    ENABLED.store(true, Ordering::Release);
+    SINK.set(Some(sink));
 }
 
-/// Removes and returns the installed sink, disabling telemetry.
+/// Removes and returns this thread's sink, disabling telemetry on it.
 pub fn uninstall() -> Option<Arc<dyn TelemetrySink>> {
-    let mut slot = SINK.write().unwrap_or_else(PoisonError::into_inner);
-    ENABLED.store(false, Ordering::Release);
-    slot.take()
+    SINK.take()
 }
 
-/// Runs `f` with `sink` installed, then restores the previous state —
-/// including when `f` panics. Scopes are serialized process-wide (one
-/// `with_sink` at a time, so parallel tests do not cross-contaminate);
-/// nesting `with_sink` inside `f` therefore deadlocks and is not
-/// supported.
+/// This thread's sink, if any — what a spawner hands to the threads it
+/// starts so their telemetry lands in the same place.
+pub fn current_sink() -> Option<Arc<dyn TelemetrySink>> {
+    SINK.with_borrow(Option::clone)
+}
+
+/// Runs `f` with `sink` installed on this thread, then restores the
+/// previous sink — including when `f` panics. Scopes nest, and each
+/// thread has its own, so concurrent scopes never see each other's
+/// metrics.
 pub fn with_sink<R>(sink: Arc<dyn TelemetrySink>, f: impl FnOnce() -> R) -> R {
-    struct Restore;
+    struct Restore(Option<Arc<dyn TelemetrySink>>);
     impl Drop for Restore {
         fn drop(&mut self) {
-            uninstall();
+            SINK.set(self.0.take());
         }
     }
-    let _scope = SCOPE.lock().unwrap_or_else(PoisonError::into_inner);
-    install(sink);
-    let _restore = Restore;
+    let _restore = Restore(SINK.replace(Some(sink)));
     f()
 }
 
-/// Runs `f` against the installed sink, if any.
+/// Runs `f` against this thread's sink, if any.
 pub(crate) fn with_active<R>(f: impl FnOnce(&dyn TelemetrySink) -> R) -> Option<R> {
-    if !enabled() {
-        return None;
-    }
-    let slot = SINK.read().unwrap_or_else(PoisonError::into_inner);
-    slot.as_deref().map(f)
+    SINK.with_borrow(|slot| slot.as_deref().map(f))
 }
 
 /// Adds `delta` to the named counter on the installed sink.
@@ -283,9 +276,6 @@ pub(crate) fn with_active<R>(f: impl FnOnce(&dyn TelemetrySink) -> R) -> Option<
 /// commutative, so totals are thread-count independent.
 #[inline]
 pub fn counter_add(name: &str, labels: &[(&str, &str)], delta: u64) {
-    if !enabled() {
-        return;
-    }
     with_active(|sink| sink.counter_add(name, labels, delta));
 }
 
@@ -296,9 +286,6 @@ pub fn counter_add(name: &str, labels: &[(&str, &str)], delta: u64) {
 /// parallel workers: each key still has a single writer).
 #[inline]
 pub fn gauge_set(name: &str, labels: &[(&str, &str)], value: f64) {
-    if !enabled() {
-        return;
-    }
     with_active(|sink| sink.gauge_set(name, labels, value));
 }
 
@@ -309,9 +296,6 @@ pub fn gauge_set(name: &str, labels: &[(&str, &str)], value: f64) {
 /// [`Histogram`](crate::Histogram)).
 #[inline]
 pub fn observe(name: &str, labels: &[(&str, &str)], value: f64) {
-    if !enabled() {
-        return;
-    }
     with_active(|sink| sink.observe(name, labels, value));
 }
 
@@ -348,6 +332,44 @@ mod tests {
         });
         assert!(result.is_err());
         assert!(!enabled(), "panic must not leave the sink installed");
+    }
+
+    #[test]
+    fn nested_with_sink_routes_inward_then_restores() {
+        let outer = Arc::new(RecordingSink::with_virtual_clock());
+        let inner = Arc::new(RecordingSink::with_virtual_clock());
+        with_sink(outer.clone(), || {
+            counter_add("so_test_total", &[], 1);
+            with_sink(inner.clone(), || counter_add("so_test_total", &[], 10));
+            counter_add("so_test_total", &[], 100);
+            let unwound = std::panic::catch_unwind(|| {
+                with_sink(inner.clone(), || {
+                    counter_add("so_test_total", &[], 1_000);
+                    panic!("boom");
+                })
+            });
+            assert!(unwound.is_err());
+            counter_add("so_test_total", &[], 10_000);
+        });
+        assert!(!enabled());
+        assert_eq!(outer.snapshot().counter("so_test_total", &[]), 10_101);
+        assert_eq!(inner.snapshot().counter("so_test_total", &[]), 1_010);
+    }
+
+    #[test]
+    fn a_plain_spawned_thread_sees_no_sink() {
+        let sink = Arc::new(RecordingSink::with_virtual_clock());
+        with_sink(sink.clone(), || {
+            let seen = std::thread::spawn(|| {
+                counter_add("so_test_total", &[], 1);
+                (enabled(), current_sink().is_some())
+            })
+            .join()
+            .unwrap();
+            assert_eq!(seen, (false, false));
+            assert!(enabled());
+        });
+        assert!(sink.snapshot().is_empty());
     }
 
     #[test]

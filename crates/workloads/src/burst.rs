@@ -6,7 +6,6 @@
 //! traces so that experiments can compare breaker-trip exposure across
 //! placements.
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::PowerTrace;
 
 use crate::fleet::Fleet;
@@ -14,7 +13,7 @@ use crate::service::ServiceClass;
 
 /// A sudden traffic burst hitting one service (e.g. a neighbouring
 /// datacenter failing over its users).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstSpec {
     /// The service whose instances absorb the burst.
     pub service: ServiceClass,

@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::{PowerTrace, TimeGrid};
 
 use crate::error::WorkloadError;
@@ -16,7 +15,7 @@ use crate::service::{ServiceClass, WorkKind};
 /// power traces are collected; the average of the training weeks forms the
 /// *averaged instance power trace* (Eq. 4) used to derive placements, and a
 /// held-out week is used to evaluate them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fleet {
     specs: Vec<InstanceSpec>,
     grid: TimeGrid,

@@ -6,7 +6,6 @@
 //! shift, amplitude scale, and base scale on top of the service's shape.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use so_powertrace::{PowerTrace, TimeGrid, MINUTES_PER_DAY};
 
 use crate::activity::{backup_window, office_hours, user_activity};
@@ -15,7 +14,7 @@ use crate::rng::{normal, stream_rng};
 use crate::service::{DiurnalShape, ServiceClass};
 
 /// Parameters describing one service instance (one server).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceSpec {
     /// The service this instance belongs to.
     pub service: ServiceClass,

@@ -4,7 +4,6 @@
 //! turns the global user-activity curve into an offered-load series the
 //! simulator distributes over LC servers.
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::TimeGrid;
 
 use crate::activity::user_activity;
@@ -21,7 +20,7 @@ pub fn activity_series(grid: TimeGrid) -> Vec<f64> {
 ///
 /// The series follows the user-activity curve, scaled so its peak equals
 /// `peak_qps`, with optional multiplicative noise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OfferedLoad {
     qps: Vec<f64>,
     step_minutes: u32,

@@ -5,14 +5,13 @@
 //! its instances differ — the quantified version of the paper's §2.3
 //! heterogeneity discussion.
 
-use serde::{Deserialize, Serialize};
 use so_powertrace::{PowerTrace, SeasonalDecomposition, TraceError};
 
 use crate::fleet::Fleet;
 use crate::service::ServiceClass;
 
 /// Characterization of one service's power behaviour within a fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceProfile {
     /// The service.
     pub service: ServiceClass,

@@ -12,7 +12,6 @@
 //!   gains, since there is little Batch to throttle).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use so_powertrace::TimeGrid;
 
 use crate::error::WorkloadError;
@@ -23,7 +22,7 @@ use crate::service::ServiceClass;
 
 /// A synthetic datacenter scenario: a service mix plus heterogeneity and
 /// sampling parameters, from which fleets are generated.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DcScenario {
     /// Scenario name (e.g. `"DC1"`).
     pub name: String,

@@ -3,11 +3,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Broad scheduling category of a service, which determines how the
 /// reshaping runtime may treat its servers (§4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkKind {
     /// Latency-critical, user-facing (the paper's *LC*): web, cache,
     /// search. Power follows user activity; QoS-bound.
@@ -30,7 +28,7 @@ impl fmt::Display for WorkKind {
 }
 
 /// The diurnal power shape a service's instances follow (Figure 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DiurnalShape {
     /// Follows user activity: low at night, double-peaked during the day
     /// (web, cache, search frontends).
@@ -73,7 +71,7 @@ impl DiurnalShape {
 ///
 /// Each service carries a [`WorkKind`], a [`DiurnalShape`], and nominal
 /// per-server base/peak wattages used by the trace generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ServiceClass {
     /// Web frontend serving live user traffic.
     Frontend,

@@ -417,8 +417,9 @@ fn plan_cmd(flags: &CliFlags) -> CliResult {
 }
 
 /// Builds the live plane for `watch` / `--listen` sessions over the
-/// process-global recording sink (so engine gauges land on `/metrics`),
-/// and spawns the HTTP listener when an address was requested.
+/// recording sink installed on the main thread (so engine gauges land on
+/// `/metrics`), and spawns the HTTP listener when an address was
+/// requested.
 fn live_plane(
     flags: &CliFlags,
     sink: Option<&Arc<RecordingSink>>,

@@ -415,7 +415,7 @@ fn run_point(config: &ScaleConfig, n: usize) -> Result<ScalePoint, Box<dyn std::
 
 impl ScaleReport {
     /// Renders the report as the `BENCH_scale.json` artifact (hand-rolled
-    /// JSON — the workspace's serde is a no-op shim). Deterministic
+    /// JSON; the workspace has no serialization dependency). Deterministic
     /// fields come first; the machine-dependent timings carry the `_ms`
     /// suffix by convention.
     pub fn to_json(&self) -> String {

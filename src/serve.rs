@@ -59,6 +59,7 @@ use std::time::{Duration, Instant};
 
 use so_core::daemon::{DaemonFleet, SampleUpdate};
 use so_core::online::{select_decision, CommitPolicy, OnlineConfig, OnlineFleet};
+use so_parallel::ThreadContext;
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_powertree::NodeId;
 use so_telemetry::{route_plane, HttpRequest, HttpResponse, HttpServer, LivePlane};
@@ -184,12 +185,18 @@ pub fn run_serve(
     let state = Arc::new(Mutex::new(daemon));
     let stop = Arc::new(AtomicBool::new(false));
     let repair_passes = Arc::new(AtomicU64::new(0));
+    // The HTTP and repair threads run under this thread's lane budget and
+    // telemetry sink, so `--threads` and `/metrics` cover their work too.
+    let context = ThreadContext::capture();
 
     let handler = {
         let state = Arc::clone(&state);
         let stop = Arc::clone(&stop);
         let plane = Arc::clone(&plane);
-        Arc::new(move |req: &HttpRequest| route_daemon(&state, &plane, &stop, &policy, req))
+        let context = context.clone();
+        Arc::new(move |req: &HttpRequest| {
+            context.enter(|| route_daemon(&state, &plane, &stop, &policy, req))
+        })
     };
     let server = HttpServer::spawn(&config.listen, "smoothopd-http", handler)?;
     announce(&format!(
@@ -205,21 +212,27 @@ pub fn run_serve(
         let passes = Arc::clone(&repair_passes);
         let interval = Duration::from_millis(config.repair_interval_ms);
         Some(std::thread::spawn(move || {
-            let mut last = Instant::now();
-            while !stop.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(10));
-                if last.elapsed() < interval {
-                    continue;
-                }
-                last = Instant::now();
-                let mut daemon = state.lock().unwrap_or_else(|e| e.into_inner());
-                if daemon.repair().is_ok() {
-                    passes.fetch_add(1, Ordering::Relaxed);
-                    if so_telemetry::enabled() {
-                        so_telemetry::counter_add("so_daemon_repair_passes_total", &[], 1);
+            context.enter(|| {
+                let mut last = Instant::now();
+                while !stop.load(Ordering::Acquire) {
+                    std::thread::sleep(Duration::from_millis(10));
+                    if last.elapsed() < interval {
+                        continue;
+                    }
+                    last = Instant::now();
+                    // A poisoned state stops the loop; the session then
+                    // ends with an error.
+                    let Ok(mut daemon) = state.lock() else {
+                        return;
+                    };
+                    if daemon.repair().is_ok() {
+                        passes.fetch_add(1, Ordering::Relaxed);
+                        if so_telemetry::enabled() {
+                            so_telemetry::counter_add("so_daemon_repair_passes_total", &[], 1);
+                        }
                     }
                 }
-            }
+            });
         }))
     } else {
         None
@@ -240,7 +253,9 @@ pub fn run_serve(
         let _ = handle.join();
     }
 
-    let daemon = state.lock().unwrap_or_else(|e| e.into_inner());
+    let daemon = state
+        .lock()
+        .map_err(|_| "daemon state was poisoned by a panic; session summary withheld")?;
     Ok(ServeOutcome {
         batches_ingested: daemon.batches_ingested(),
         samples_ingested: daemon.samples_ingested(),
@@ -253,9 +268,49 @@ pub fn run_serve(
     })
 }
 
+/// What a route needs from the daemon.
+#[derive(Clone, Copy)]
+enum Route {
+    /// The plane's scrape surface, served without the state lock.
+    Plane,
+    /// The plane's `/health`, which also reports a poisoned state.
+    Health,
+    /// A query under the state lock.
+    Read(fn(&DaemonFleet, &CommitPolicy, &HttpRequest) -> HttpResponse),
+    /// A mutation under the state lock.
+    Write(fn(&mut DaemonFleet, &HttpRequest) -> HttpResponse),
+    /// Stop serving.
+    Shutdown,
+}
+
+/// Every daemon route as (method, path, handler); a known path with
+/// another method answers `405`.
+#[rustfmt::skip]
+const ROUTES: [(&str, &str, Route); 14] = [
+    ("GET", "/metrics", Route::Plane),
+    ("GET", "/health", Route::Health),
+    ("GET", "/alerts", Route::Plane),
+    ("GET", "/flight", Route::Plane),
+    ("GET", "/fleet", Route::Read(|daemon, _, _| fleet_summary(daemon))),
+    ("GET", "/headroom", Route::Read(|daemon, _, req| headroom_query(daemon, req))),
+    ("GET", "/asynchrony", Route::Read(|daemon, _, req| asynchrony_query(daemon, req))),
+    ("GET", "/whatif", Route::Read(|daemon, _, req| whatif_query(daemon, req))),
+    ("GET", "/admit", Route::Read(admit_query)),
+    ("POST", "/ingest", Route::Write(|daemon, req| ingest_post(daemon, &req.body))),
+    ("POST", "/arrive", Route::Write(|daemon, req| arrive_post(daemon, &req.body))),
+    ("POST", "/retire", Route::Write(retire_post)),
+    ("POST", "/repair", Route::Write(|daemon, _| repair_post(daemon))),
+    ("POST", "/shutdown", Route::Shutdown),
+];
+
 /// Routes one request against the daemon state: the plane's scrape
 /// surface plus the query and mutation endpoints listed in the module
 /// docs. Exported for in-process tests.
+///
+/// A panic while the state lock was held poisons it, and the state may
+/// then be half-updated: from then on the state routes and `/health`
+/// answer `503`, while `/metrics`, `/alerts` and `/flight` keep serving
+/// the plane.
 #[must_use]
 pub fn route_daemon(
     state: &Mutex<DaemonFleet>,
@@ -264,55 +319,45 @@ pub fn route_daemon(
     policy: &CommitPolicy,
     req: &HttpRequest,
 ) -> HttpResponse {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/metrics" | "/health" | "/alerts" | "/flight") => route_plane(plane, req),
-        ("GET", "/fleet") => {
-            let daemon = state.lock().unwrap_or_else(|e| e.into_inner());
-            fleet_summary(&daemon)
-        }
-        ("GET", "/headroom") => {
-            let daemon = state.lock().unwrap_or_else(|e| e.into_inner());
-            headroom_query(&daemon, req)
-        }
-        ("GET", "/asynchrony") => {
-            let daemon = state.lock().unwrap_or_else(|e| e.into_inner());
-            asynchrony_query(&daemon, req)
-        }
-        ("GET", "/whatif") => {
-            let daemon = state.lock().unwrap_or_else(|e| e.into_inner());
-            whatif_query(&daemon, req)
-        }
-        ("GET", "/admit") => {
-            let daemon = state.lock().unwrap_or_else(|e| e.into_inner());
-            admit_query(&daemon, policy, req)
-        }
-        ("POST", "/ingest") => {
-            let mut daemon = state.lock().unwrap_or_else(|e| e.into_inner());
-            ingest_post(&mut daemon, &req.body)
-        }
-        ("POST", "/arrive") => {
-            let mut daemon = state.lock().unwrap_or_else(|e| e.into_inner());
-            arrive_post(&mut daemon, &req.body)
-        }
-        ("POST", "/retire") => {
-            let mut daemon = state.lock().unwrap_or_else(|e| e.into_inner());
-            retire_post(&mut daemon, req)
-        }
-        ("POST", "/repair") => {
-            let mut daemon = state.lock().unwrap_or_else(|e| e.into_inner());
-            repair_post(&mut daemon)
-        }
-        ("POST", "/shutdown") => {
+    let Some(&(_, _, route)) = ROUTES
+        .iter()
+        .find(|(method, path, _)| *method == req.method && *path == req.path)
+    else {
+        return if ROUTES.iter().any(|(_, path, _)| *path == req.path) {
+            HttpResponse::method_not_allowed()
+        } else {
+            HttpResponse::not_found()
+        };
+    };
+    match route {
+        Route::Plane => route_plane(plane, req),
+        Route::Health if state.is_poisoned() => state_poisoned(),
+        Route::Health => route_plane(plane, req),
+        Route::Read(read) => with_state(state, |daemon| read(daemon, policy, req)),
+        Route::Write(write) => with_state(state, |daemon| write(daemon, req)),
+        Route::Shutdown => {
             stop.store(true, Ordering::Release);
             HttpResponse::json("{\"status\":\"stopping\"}\n")
         }
-        (
-            _,
-            "/metrics" | "/health" | "/alerts" | "/flight" | "/fleet" | "/headroom" | "/asynchrony"
-            | "/whatif" | "/admit" | "/ingest" | "/arrive" | "/retire" | "/repair" | "/shutdown",
-        ) => HttpResponse::method_not_allowed(),
-        _ => HttpResponse::not_found(),
     }
+}
+
+/// Applies `f` under the state lock — the router's one lock site.
+fn with_state(
+    state: &Mutex<DaemonFleet>,
+    f: impl FnOnce(&mut DaemonFleet) -> HttpResponse,
+) -> HttpResponse {
+    match state.lock() {
+        Ok(mut daemon) => f(&mut daemon),
+        Err(_) => state_poisoned(),
+    }
+}
+
+fn state_poisoned() -> HttpResponse {
+    HttpResponse::error(
+        503,
+        "daemon state is poisoned: a panic interrupted an update",
+    )
 }
 
 fn fleet_summary(daemon: &DaemonFleet) -> HttpResponse {
@@ -983,6 +1028,7 @@ impl DaemonScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::{Read as _, Write as _};
     use std::net::TcpStream;
     use std::sync::mpsc;
@@ -1167,6 +1213,114 @@ mod tests {
         assert_eq!(got, want, "daemon ingest diverged from the offline batch");
         let _ = request(&addr, "POST /shutdown HTTP/1.1", "");
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn poisoned_state_fails_closed() {
+        let plane = test_plane();
+        let state = Mutex::new(build_daemon(&small_config(), plane.clone()).unwrap());
+        let policy = state.lock().unwrap().fleet().config().policy;
+        let stop = AtomicBool::new(false);
+        let call = |method: &str, target: &str| {
+            let (path, query) = target.split_once('?').unwrap_or((target, ""));
+            let req = HttpRequest {
+                method: method.to_string(),
+                path: path.to_string(),
+                query: query.to_string(),
+                body: String::new(),
+            };
+            route_daemon(&state, &plane, &stop, &policy, &req).status
+        };
+        assert_eq!(call("GET", "/health"), 200);
+
+        let panicked = std::panic::catch_unwind(|| {
+            let _daemon = state.lock().unwrap();
+            panic!("interrupted mid-update");
+        });
+        assert!(panicked.is_err() && state.is_poisoned());
+
+        for (method, target) in [
+            ("GET", "/health"),
+            ("GET", "/fleet"),
+            ("GET", "/headroom"),
+            ("GET", "/asynchrony"),
+            ("GET", "/whatif?rack=1&watts=5"),
+            ("GET", "/admit?watts=5"),
+            ("POST", "/ingest"),
+            ("POST", "/arrive"),
+            ("POST", "/retire?slot=0"),
+            ("POST", "/repair"),
+        ] {
+            assert_eq!(call(method, target), 503, "{method} {target}");
+        }
+        for target in ["/metrics", "/alerts", "/flight"] {
+            assert_eq!(call("GET", target), 200, "{target}");
+        }
+        assert_eq!(call("POST", "/fleet"), 405);
+        assert_eq!(call("GET", "/nope"), 404);
+        assert_eq!(call("POST", "/shutdown"), 200);
+        assert!(stop.load(Ordering::Acquire));
+    }
+
+    /// Text built from ingest-protocol fragments, digits, whitespace and
+    /// arbitrary characters — ASCII and 2-, 3- and 4-byte UTF-8.
+    fn ingest_like_text() -> impl Strategy<Value = String> {
+        const FRAGMENTS: [&str; 12] = [
+            "{\"slot\"",
+            "\"watts\"",
+            ":",
+            ",",
+            "}",
+            " ",
+            "\n",
+            "-",
+            "+",
+            "e",
+            ".",
+            "9",
+        ];
+        let piece = prop_oneof![
+            3 => (0..FRAGMENTS.len()).prop_map(|i| FRAGMENTS[i].to_string()),
+            1 => (0u32..0x80).prop_map(|c| char::from_u32(c).unwrap().to_string()),
+            1 => (0x80u32..0x11_0000)
+                .prop_map(|c| char::from_u32(c).map_or_else(String::new, String::from)),
+        ];
+        prop::collection::vec(piece, 0..80).prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn ingest_parsers_never_panic_on_arbitrary_text(text in ingest_like_text()) {
+            let _ = parse_ingest_body(&text);
+            for key in ["slot", "watts"] {
+                let _ = json_number_field(&text, key);
+            }
+        }
+
+        #[test]
+        fn sample_lines_round_trip_exactly(
+            samples in prop::collection::vec((0usize..1 << 53, 0u64..=u64::MAX, 0u8..2), 0..32),
+        ) {
+            let mut body = String::new();
+            let mut want = Vec::new();
+            for (slot, bits, json) in samples {
+                let watts = f64::from_bits(bits);
+                if !watts.is_finite() {
+                    continue;
+                }
+                if json == 1 {
+                    let _ = writeln!(body, "{{\"slot\":{slot},\"watts\":{watts}}}");
+                } else {
+                    let _ = writeln!(body, "{slot} {watts}");
+                }
+                want.push((slot, bits));
+            }
+            let parsed = parse_ingest_body(&body).map_err(TestCaseError::fail)?;
+            let got: Vec<(usize, u64)> = parsed.iter().map(|u| (u.slot, u.watts.to_bits())).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -120,8 +120,9 @@ pub struct WatchOutcome {
 }
 
 /// Builds the plane a watch session attaches: the given sink (share the
-/// process-global recording sink so engine gauges land on `/metrics`),
-/// the configured flight capacity, and the default online alert rules.
+/// recording sink installed on the engine's thread so engine gauges land
+/// on `/metrics`), the configured flight capacity, and the default online
+/// alert rules.
 pub fn watch_plane(sink: Arc<RecordingSink>, config: &WatchConfig) -> Arc<LivePlane> {
     Arc::new(LivePlane::new(
         sink,

@@ -16,7 +16,7 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use smoothoperator::serve::{build_daemon, run_serve, ServeConfig, ServeOutcome};
 use so_core::daemon::SampleUpdate;
@@ -44,21 +44,25 @@ fn config() -> ServeConfig {
     }
 }
 
-/// Starts an in-process serve session on an ephemeral port; returns the
-/// bound address and the session's join handle.
+/// Starts an in-process serve session on an ephemeral port, with the
+/// plane's sink installed on the serving thread as `smoothop serve` does;
+/// returns the bound address and the session's join handle.
 fn spawn_serve(config: ServeConfig) -> (String, std::thread::JoinHandle<ServeOutcome>) {
     let (tx, rx) = mpsc::channel();
     let handle = std::thread::spawn(move || {
-        run_serve(&config, test_plane(), |line| {
-            let addr = line
-                .split("\"addr\":\"http://")
-                .nth(1)
-                .and_then(|rest| rest.split('"').next())
-                .expect("announce line carries the bound address")
-                .to_string();
-            tx.send(addr).unwrap();
+        let plane = test_plane();
+        so_telemetry::with_sink(plane.sink().clone(), || {
+            run_serve(&config, plane, |line| {
+                let addr = line
+                    .split("\"addr\":\"http://")
+                    .nth(1)
+                    .and_then(|rest| rest.split('"').next())
+                    .expect("announce line carries the bound address")
+                    .to_string();
+                tx.send(addr).unwrap();
+            })
+            .unwrap()
         })
-        .unwrap()
     });
     let addr = rx.recv_timeout(Duration::from_secs(30)).unwrap();
     (addr, handle)
@@ -320,4 +324,36 @@ fn ingest_split_across_many_requests_matches_one_offline_batch() {
     );
     let _ = request(&addr, "POST /shutdown HTTP/1.1", "");
     handle.join().unwrap();
+}
+
+#[test]
+fn service_and_repair_threads_report_into_the_serving_threads_sink() {
+    let config = ServeConfig {
+        repair_interval_ms: 20,
+        ..config()
+    };
+    let (body, _) = sample_stream(config.instances, 1, 5);
+    let (addr, handle) = spawn_serve(config);
+
+    let (head, _) = request(&addr, "POST /ingest HTTP/1.1", &body);
+    assert_eq!(status(&head), 200, "{head}");
+    // The ingest histogram comes from the HTTP thread; poll until the
+    // repair thread has finished a pass too.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let metrics = loop {
+        let (_, metrics) = request(&addr, "GET /metrics HTTP/1.1", "");
+        if metrics.contains("so_daemon_repair_passes_total") || Instant::now() > deadline {
+            break metrics;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    for series in [
+        "so_daemon_ingest_batch_us_count",
+        "so_daemon_repair_passes_total",
+    ] {
+        assert!(metrics.contains(series), "missing {series}:\n{metrics}");
+    }
+
+    let _ = request(&addr, "POST /shutdown HTTP/1.1", "");
+    assert!(handle.join().unwrap().repair_passes > 0);
 }

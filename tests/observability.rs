@@ -5,14 +5,13 @@
 //! while a live session runs, and the Prometheus/report renderers
 //! carrying the online engine's labeled gauges.
 //!
-//! Lives in its own integration-test binary because two process-global
-//! switches are exercised here — [`so_parallel::set_thread_limit`] and
-//! the installed telemetry sink ([`so_telemetry::install`]) — and the
-//! default test harness runs `#[test]` functions on concurrent threads.
+//! The lane budget ([`so_parallel::set_thread_limit`]) and the installed
+//! telemetry sink ([`so_telemetry::install`]) belong to the calling
+//! thread, so the harness may run these tests concurrently.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use smoothoperator::watch::{run_watch, watch_plane, WatchConfig, WatchOutcome};
 use so_core::{CommitPolicy, EventRecord, OnlineConfig, OnlineFleet};
@@ -20,10 +19,6 @@ use so_powertrace::{PowerTrace, TimeGrid};
 use so_telemetry::{
     default_online_rules, render_report, FlightKind, LivePlane, MetricsServer, RecordingSink,
 };
-
-/// Serializes the tests in this binary: thread limits and the installed
-/// sink are process-global.
-static GLOBAL_STATE_LOCK: Mutex<()> = Mutex::new(());
 
 fn small_watch() -> WatchConfig {
     WatchConfig {
@@ -57,14 +52,12 @@ fn deterministic_lines(config: &WatchConfig) -> (WatchOutcome, Vec<String>) {
 
 #[test]
 fn alert_stream_is_bit_identical_across_thread_counts() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let config = small_watch();
     let mut runs = Vec::new();
     for lanes in [1usize, 2, 8] {
         so_parallel::set_thread_limit(lanes);
         runs.push((lanes, deterministic_lines(&config)));
     }
-    so_parallel::set_thread_limit(usize::MAX);
 
     let (_, reference) = &runs[0];
     assert!(
@@ -212,9 +205,8 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 
 #[test]
 fn http_surface_serves_all_four_endpoints_during_a_live_run() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Install the sink globally so the engine's gauges land on /metrics,
-    // exactly as `smoothop watch --listen` wires it.
+    // Install the sink on the engine's thread so its gauges land on
+    // /metrics, exactly as `smoothop watch --listen` wires it.
     let sink = Arc::new(RecordingSink::with_wall_clock());
     so_telemetry::install(sink.clone());
     let config = WatchConfig {
@@ -260,7 +252,6 @@ fn http_surface_serves_all_four_endpoints_during_a_live_run() {
 
 #[test]
 fn online_gauges_reach_the_prometheus_exporter_and_the_report_renderer() {
-    let _guard = GLOBAL_STATE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let sink = Arc::new(RecordingSink::with_virtual_clock());
     so_telemetry::install(sink.clone());
     let mut engine = micro_fleet();

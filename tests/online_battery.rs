@@ -4,19 +4,15 @@
 //! bit-identical to a from-scratch offline recompute of the final fleet —
 //! and the whole run must produce the same bits at any thread count.
 //!
-//! Lives in its own integration-test binary because
-//! [`so_parallel::set_thread_limit`] is process-global (same reasoning as
-//! `scale_determinism.rs`).
-
-use std::sync::Mutex;
+//! Each test sets the lane budget of its own thread
+//! ([`so_parallel::set_thread_limit`]), so the harness may run them
+//! concurrently.
 
 use so_core::{CommitPolicy, OnlineConfig, OnlineFleet};
 use so_oracles::{run_battery, BatteryConfig, OracleFamily};
 use so_powertrace::TimeGrid;
 use so_powertree::{NodeAggregates, PowerTopology};
 use so_workloads::{synthesize_events, DcScenario, EventStreamConfig};
-
-static THREAD_LIMIT_LOCK: Mutex<()> = Mutex::new(());
 
 fn topology() -> PowerTopology {
     PowerTopology::builder()
@@ -123,7 +119,6 @@ fn assert_matches_offline(engine: &OnlineFleet) {
 
 #[test]
 fn online_end_state_is_bit_identical_across_thread_counts() {
-    let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     for policy in [
         CommitPolicy::BestAsynchrony,
         CommitPolicy::FirstFit,
@@ -136,7 +131,6 @@ fn online_end_state_is_bit_identical_across_thread_counts() {
             assert_matches_offline(&engine);
             runs.push((lanes, digest(&engine)));
         }
-        so_parallel::set_thread_limit(2);
         let (_, reference) = &runs[0];
         for (lanes, run) in &runs {
             assert_eq!(
@@ -151,7 +145,6 @@ fn online_end_state_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn online_streams_with_distinct_seeds_diverge() {
-    let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     so_parallel::set_thread_limit(2);
     let a = digest(&drive(CommitPolicy::BestAsynchrony, 17));
     let b = digest(&drive(CommitPolicy::BestAsynchrony, 18));
@@ -160,7 +153,6 @@ fn online_streams_with_distinct_seeds_diverge() {
 
 #[test]
 fn battery_covers_the_online_family() {
-    let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     so_parallel::set_thread_limit(2);
     let outcome = run_battery(&BatteryConfig {
         seed: 12,

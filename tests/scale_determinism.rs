@@ -4,21 +4,11 @@
 //! is what lets CI compare checksums produced on differently-sized
 //! runners against one committed baseline.
 //!
-//! Lives in its own integration-test binary because
-//! [`so_parallel::set_thread_limit`] is process-global: tests here run
-//! the ladder serially under different limits without racing other
-//! tests' parallel kernels.
+//! Each test sets the lane budget of its own thread
+//! ([`so_parallel::set_thread_limit`]), so the harness may run them
+//! concurrently.
 
 use smoothoperator::scale::{run_scale, QuantileMode, ScaleConfig, ScaleWorkload};
-use std::sync::Mutex;
-
-/// Serializes the tests in this binary: `set_thread_limit` is
-/// process-global, and the default test harness runs `#[test]` functions
-/// on concurrent threads, so without this lock one test could overwrite
-/// the lane count the other believes it is exercising. The digests would
-/// still match (they are lane-independent by contract), but the intended
-/// coverage of specific lane counts would be unreliable.
-static THREAD_LIMIT_LOCK: Mutex<()> = Mutex::new(());
 
 fn config() -> ScaleConfig {
     ScaleConfig {
@@ -45,14 +35,12 @@ fn digests(config: &ScaleConfig) -> Vec<(u64, u64)> {
 
 #[test]
 fn scale_outputs_are_bit_identical_across_thread_counts() {
-    let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let config = config();
     let mut runs = Vec::new();
     for lanes in [1usize, 2, 8] {
         so_parallel::set_thread_limit(lanes);
         runs.push((lanes, digests(&config)));
     }
-    so_parallel::set_thread_limit(1);
     let serial_scoped = so_parallel::serial_scope(|| digests(&config));
 
     let (_, reference) = &runs[0];
@@ -72,7 +60,6 @@ fn scale_outputs_are_bit_identical_across_thread_counts() {
 fn scale_outputs_are_bit_identical_across_chunk_and_mode_combinations() {
     // Chunk size interacts with the parallel fill's window layout; the
     // cross product of chunk sizes and lane counts must still agree.
-    let _guard = THREAD_LIMIT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut config = config();
     so_parallel::set_thread_limit(1);
     let reference = digests(&config);
@@ -87,5 +74,4 @@ fn scale_outputs_are_bit_identical_across_chunk_and_mode_combinations() {
             );
         }
     }
-    so_parallel::set_thread_limit(1);
 }

@@ -67,7 +67,6 @@ fn snapshots_are_identical_across_thread_counts() {
             Some(n) => {
                 set_thread_limit(n);
                 pipeline();
-                set_thread_limit(usize::MAX);
             }
             None => {
                 serial_scope(|| {
