@@ -14,6 +14,7 @@ use std::time::Instant;
 use so_bench::banner;
 use so_core::SmoothPlacer;
 use so_sim::{default_config, one_week_grid, simulate, StaticPolicy};
+use so_telemetry::export::{BenchJson, BenchObject};
 use so_telemetry::{MetricsRegistry, RecordingSink};
 use so_workloads::{DcScenario, OfferedLoad};
 
@@ -72,37 +73,33 @@ fn bench_sim() -> String {
     )
 }
 
-/// Hand-rolled JSON (the workspace has no serialization dependency): metric keys
-/// flatten labels as `name[k=v,...]`; only finite numbers are emitted.
+/// The shared BENCH layout: metric keys flatten labels as
+/// `name[k=v,...]`; only finite numbers are emitted.
 fn render_json(
     name: &str,
     extra: &[(&str, f64)],
     wall_ms: f64,
     snapshot: &MetricsRegistry,
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"benchmark\": \"{name}\",\n"));
-    out.push_str(&format!("  \"wall_ms\": {wall_ms:.3},\n"));
+    let mut doc = BenchObject::default()
+        .string("benchmark", name)
+        .fixed("wall_ms", wall_ms, 3);
     for (key, value) in extra {
-        out.push_str(&format!("  \"{key}\": {value},\n"));
+        doc = doc.raw(key, value);
     }
-    out.push_str("  \"metrics\": {\n");
-    let mut lines = Vec::new();
+    let mut metrics = BenchObject::default();
     for (key, value) in snapshot.counters() {
-        lines.push(format!("    \"{}\": {value}", flat_key(key)));
+        metrics = metrics.raw(&flat_key(key), value);
     }
-    for (key, value) in snapshot.gauges() {
-        if value.is_finite() {
-            lines.push(format!("    \"{}\": {value}", flat_key(key)));
-        }
+    for (key, value) in snapshot.gauges().filter(|(_, v)| v.is_finite()) {
+        metrics = metrics.raw(&flat_key(key), value);
     }
     for (key, hist) in snapshot.histograms() {
-        lines.push(format!("    \"{}_count\": {}", flat_key(key), hist.count()));
-        lines.push(format!("    \"{}_sum\": {:.6}", flat_key(key), hist.sum()));
+        let key = flat_key(key);
+        metrics = metrics.raw(&format!("{key}_count"), hist.count());
+        metrics = metrics.fixed(&format!("{key}_sum"), hist.sum(), 6);
     }
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n  }\n}\n");
-    out
+    doc.field("metrics", BenchJson::Object(metrics)).render()
 }
 
 fn flat_key(key: &so_telemetry::MetricKey) -> String {

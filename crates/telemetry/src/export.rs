@@ -1,17 +1,20 @@
-//! Exporters: JSON-lines event logs and Prometheus text-format
-//! snapshots.
+//! Exporters: JSON-lines event logs, Prometheus text-format snapshots,
+//! and the `BENCH_*.json` artifact layout ([`BenchObject`]).
 //!
-//! Both formats are hand-rolled (the crate is dependency-free) and
+//! Every format is hand-rolled (the crate is dependency-free) and
 //! deterministic: events export in emission order, metrics in the
-//! registry's canonical key order, and floats render through Rust's
-//! shortest-roundtrip `Display` — the same bits always produce the same
-//! text, which is what the golden tests pin.
+//! registry's canonical key order, BENCH fields in the order the caller
+//! adds them, and floats render through Rust's shortest-roundtrip
+//! `Display` — the same bits always produce the same text, which is what
+//! the golden tests pin.
+
+use std::fmt::{Display, Write as _};
 
 use crate::registry::{MetricsRegistry, BUCKET_BOUNDS};
 use crate::sink::{Event, FieldValue};
 
 /// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -27,20 +30,15 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders a float as a JSON number (`null` for non-finite values,
-/// which JSON cannot represent).
-pub(crate) fn json_f64(v: f64) -> String {
+/// Renders a float as a JSON number: Rust's shortest-roundtrip
+/// `Display` for finite values (integral ones without a fractional
+/// part), `null` for non-finite ones, which JSON cannot represent.
+pub fn json_f64(v: f64) -> String {
     if v.is_finite() {
-        format_f64(v)
+        v.to_string()
     } else {
         "null".to_string()
     }
-}
-
-/// Shortest-roundtrip float formatting (`Display` omits the fractional
-/// part for integral floats; Prometheus and JSON both accept that).
-fn format_f64(v: f64) -> String {
-    format!("{v}")
 }
 
 /// Renders recorded events as JSON-lines: one event object per line.
@@ -112,7 +110,7 @@ pub fn registry_to_prometheus(registry: &MetricsRegistry) -> String {
             "{}{} {}\n",
             key.name(),
             key.label_block(None),
-            format_f64(value)
+            value
         ));
     }
 
@@ -126,7 +124,7 @@ pub fn registry_to_prometheus(registry: &MetricsRegistry) -> String {
         for (i, &count) in hist.bucket_counts().iter().enumerate() {
             cumulative += count;
             let le = if i < BUCKET_BOUNDS.len() {
-                format_f64(BUCKET_BOUNDS[i])
+                BUCKET_BOUNDS[i].to_string()
             } else {
                 "+Inf".to_string()
             };
@@ -141,7 +139,7 @@ pub fn registry_to_prometheus(registry: &MetricsRegistry) -> String {
             "{}_sum{} {}\n",
             key.name(),
             key.label_block(None),
-            format_f64(hist.sum())
+            hist.sum()
         ));
         out.push_str(&format!(
             "{}_count{} {}\n",
@@ -152,6 +150,176 @@ pub fn registry_to_prometheus(registry: &MetricsRegistry) -> String {
     }
 
     out
+}
+
+/// One value in the layout of every `BENCH_*.json` artifact.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BenchJson {
+    /// A scalar's exact JSON text: `12`, `0.500`, `"exact"`, `null`.
+    Scalar(String),
+    /// A nested object.
+    Object(BenchObject),
+    /// An array, always of objects in this layout.
+    Array(Vec<BenchObject>),
+}
+
+/// An ordered object in the BENCH layout: one `"key": value` per line,
+/// two spaces of indent per level. The report emitters build and
+/// [`render`](Self::render) it; `smoothop gate` [`parse`](Self::parse)s
+/// artifacts back with every scalar kept as its exact text.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BenchObject {
+    /// The fields, in order.
+    pub fields: Vec<(String, BenchJson)>,
+}
+
+impl BenchObject {
+    /// Appends `key` with any value.
+    #[must_use]
+    pub fn field(mut self, key: &str, value: BenchJson) -> Self {
+        self.fields.push((key.to_string(), value));
+        self
+    }
+
+    /// Appends `key` with `value`'s `Display` text, verbatim.
+    #[must_use]
+    pub fn raw(self, key: &str, value: impl Display) -> Self {
+        self.field(key, BenchJson::Scalar(value.to_string()))
+    }
+
+    /// Appends `key` with `value` as a JSON string.
+    #[must_use]
+    pub fn string(self, key: &str, value: &str) -> Self {
+        self.raw(key, format_args!("\"{}\"", json_escape(value)))
+    }
+
+    /// Appends `key` with `value` rounded to `decimals` places.
+    #[must_use]
+    pub fn fixed(self, key: &str, value: f64, decimals: usize) -> Self {
+        self.raw(key, format_args!("{value:.decimals$}"))
+    }
+
+    /// Appends `key` with `value`'s text, or `null` when it is absent.
+    #[must_use]
+    pub fn nullable(self, key: &str, value: Option<impl Display>) -> Self {
+        match value {
+            Some(value) => self.raw(key, value),
+            None => self.raw(key, "null"),
+        }
+    }
+
+    /// Appends `key` with an array of objects.
+    #[must_use]
+    pub fn array(self, key: &str, items: impl IntoIterator<Item = BenchObject>) -> Self {
+        self.field(key, BenchJson::Array(items.into_iter().collect()))
+    }
+
+    /// The value of the first field named `key`.
+    #[must_use]
+    pub fn get(&self, key: &str) -> Option<&BenchJson> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The artifact text, newline-terminated.
+    #[must_use]
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        render_object(&mut out, self, 0);
+        out.push('\n');
+        out
+    }
+
+    /// Reads the layout [`BenchObject::render`] writes, line by line.
+    /// Trailing commas are dropped unchecked, and a key that needs
+    /// escaping is an error (no BENCH key does).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first line that breaks the layout.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        let mut lines = text.lines().enumerate().map(|(i, line)| {
+            let line = line.trim();
+            (i + 1, line.strip_suffix(',').unwrap_or(line))
+        });
+        if lines.next().map(|(_, line)| line) != Some("{") {
+            return Err("line 1: a BENCH artifact opens with `{`".to_string());
+        }
+        let object = parse_object(&mut lines)?;
+        match lines.find(|(_, line)| !line.is_empty()) {
+            None => Ok(object),
+            Some((n, line)) => Err(format!("line {n}: `{line}` after the closing brace")),
+        }
+    }
+}
+
+/// Writes `object` closing at `depth`; empty containers stay `{}`, `[]`.
+fn render_object(out: &mut String, object: &BenchObject, depth: usize) {
+    let indent = 2 * depth + 2;
+    out.push('{');
+    for (i, (key, value)) in object.fields.iter().enumerate() {
+        let comma = if i == 0 { "" } else { "," };
+        let _ = write!(out, "{comma}\n{:indent$}\"{}\": ", "", json_escape(key));
+        match value {
+            BenchJson::Scalar(text) => out.push_str(text),
+            BenchJson::Object(inner) => render_object(out, inner, depth + 1),
+            BenchJson::Array(items) => {
+                out.push('[');
+                for (j, item) in items.iter().enumerate() {
+                    let comma = if j == 0 { "" } else { "," };
+                    let _ = write!(out, "{comma}\n{:1$}", "", indent + 2);
+                    render_object(out, item, depth + 2);
+                }
+                if !items.is_empty() {
+                    let _ = write!(out, "\n{:indent$}", "");
+                }
+                out.push(']');
+            }
+        }
+    }
+    if !object.fields.is_empty() {
+        let _ = write!(out, "\n{:1$}", "", 2 * depth);
+    }
+    out.push('}');
+}
+
+/// Reads fields up to the closing brace of an object already opened.
+fn parse_object<'a>(
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+) -> Result<BenchObject, String> {
+    let mut object = BenchObject::default();
+    loop {
+        let (n, line) = lines.next().ok_or("the artifact ends inside an object")?;
+        if line == "}" {
+            return Ok(object);
+        }
+        let (key, text) = line
+            .strip_prefix('"')
+            .and_then(|rest| rest.split_once("\": "))
+            .filter(|(key, _)| !key.contains(['"', '\\']))
+            .ok_or_else(|| format!("line {n}: expected `\"key\": value`, found `{line}`"))?;
+        let value = match text {
+            "{" => BenchJson::Object(parse_object(lines)?),
+            "{}" => BenchJson::Object(BenchObject::default()),
+            "[" => {
+                let mut items = Vec::new();
+                loop {
+                    match lines.next() {
+                        Some((_, "]")) => break BenchJson::Array(items),
+                        Some((_, "{")) => items.push(parse_object(lines)?),
+                        Some((_, "{}")) => items.push(BenchObject::default()),
+                        Some((n, line)) => return Err(format!("line {n}: `{line}` in an array")),
+                        None => return Err("the artifact ends inside an array".to_string()),
+                    }
+                }
+            }
+            "[]" => BenchJson::Array(Vec::new()),
+            _ if text.starts_with(['{', '}', '[', ']']) => {
+                return Err(format!("line {n}: unexpected `{text}`"));
+            }
+            _ => BenchJson::Scalar(text.to_string()),
+        };
+        object.fields.push((key.to_string(), value));
+    }
 }
 
 #[cfg(test)]

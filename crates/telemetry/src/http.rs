@@ -29,6 +29,7 @@
 
 use std::io::{Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -135,7 +136,9 @@ impl HttpResponse {
 pub type HttpHandler = dyn Fn(&HttpRequest) -> HttpResponse + Send + Sync;
 
 /// A running dependency-free HTTP listener. One service thread, one
-/// connection at a time, blocking I/O with 2 s read/write timeouts.
+/// connection at a time, blocking I/O with 2 s read/write timeouts. A
+/// handler that panics answers that request `500` and the thread serves
+/// on.
 /// Shuts down (blocking until the service thread exits) on
 /// [`shutdown`](HttpServer::shutdown) or drop.
 pub struct HttpServer {
@@ -321,7 +324,10 @@ enum ReadOutcome {
 
 fn handle_connection(mut stream: TcpStream, handler: &Arc<HttpHandler>) -> std::io::Result<()> {
     let response = match read_request(&mut stream)? {
-        ReadOutcome::Request(req) => handler(&req),
+        // A panicking handler costs its request a 500, not the service
+        // thread; a lock it held stays poisoned for the handler to report.
+        ReadOutcome::Request(req) => catch_unwind(AssertUnwindSafe(|| handler(&req)))
+            .unwrap_or_else(|_| HttpResponse::error(500, "the request handler panicked")),
         ReadOutcome::Reject(resp) => {
             // The peer may still be mid-send (that is usually why the
             // request was rejected). Closing with unread inbound data
@@ -831,6 +837,29 @@ mod tests {
         for scraper in scrapers {
             scraper.join().unwrap();
         }
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_the_server_serves_on() {
+        let handler: Arc<HttpHandler> = Arc::new(|req| match req.path.as_str() {
+            "/boom" => panic!("planted handler panic"),
+            _ => HttpResponse::ok("text/plain; charset=utf-8", "fine"),
+        });
+        let server = HttpServer::spawn("127.0.0.1:0", "so-test-http", handler).unwrap();
+        let get = |path: &str| {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            response
+        };
+        assert!(get("/boom").starts_with("HTTP/1.1 500"));
+        let ok = get("/ok");
+        assert!(ok.starts_with("HTTP/1.1 200"), "{ok}");
+        assert!(ok.ends_with("\r\n\r\nfine"), "{ok}");
+        assert!(get("/boom").starts_with("HTTP/1.1 500"));
+        assert!(get("/ok").starts_with("HTTP/1.1 200"));
+        server.shutdown();
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! smoothop place     <dc> [n]       placement vs historical layout (Figure 10)
 //! smoothop pipeline  <dc> [n]       full reshaping pipeline (Figures 12-14)
 //! smoothop report    <dc> [n]       instrumented run + telemetry summary
+//! smoothop gate      <current> <baseline> <key=value> <tol> <phases> [exact]
+//!                                   check one BENCH point against a baseline
 //! ```
 //!
 //! `<dc>` is `dc1`, `dc2`, or `dc3`; `n` is the fleet size (default 240).
@@ -69,6 +71,7 @@ fn main() -> ExitCode {
         Some("watch") => watch_cmd(&flags, sink.as_ref()),
         Some("serve") => serve_cmd(&flags, sink.as_ref()),
         Some("daemon") => daemon_cmd(&flags),
+        Some("gate") => gate_cmd(&args),
         Some("report") => with_scenario(&args, |scenario, n| {
             report_cmd(
                 scenario,
@@ -157,6 +160,8 @@ fn print_usage() {
     println!("                                    the in-process ingest path and writes");
     println!("                                    BENCH_daemon.json with throughput + latency");
     println!("                                    quantiles");
+    println!("  smoothop gate <current> <baseline> <key=value> <tolerance_pct> <phases> [exact]");
+    println!("                                    check one BENCH_*.json point against a baseline");
     println!();
     println!("  <dc> ∈ {{dc1, dc2, dc3}}; n = fleet size, default 240");
     println!();
@@ -262,6 +267,43 @@ fn check_cmd(args: &[String], seed: Option<u64>) -> CliResult {
     }
 }
 
+/// Writes a BENCH artifact to `path` and reports its size.
+fn write_artifact(path: &str, json: &str) -> CliResult {
+    std::fs::write(path, json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+    println!("wrote {path} ({} bytes)", json.len());
+    Ok(())
+}
+
+/// `smoothop gate`: check one point of a BENCH artifact against a
+/// baseline ([`smoothoperator::gate`]), print the table, append it to the
+/// CI job summary when `GITHUB_STEP_SUMMARY` names one, fail on any FAIL.
+fn gate_cmd(args: &[String]) -> CliResult {
+    use smoothoperator::gate::{run_gate, USAGE};
+    use std::io::Write as _;
+
+    let [_, current, baseline, rest @ ..] = args else {
+        return Err(USAGE.into());
+    };
+    let read = |path: &str| -> Result<so_telemetry::export::BenchObject, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("`{path}`: {e}"))?;
+        so_telemetry::export::BenchObject::parse(&text).map_err(|e| format!("`{path}`: {e}"))
+    };
+    let (table, failures) = run_gate(&read(current)?, &read(baseline)?, rest)?;
+    let report = format!("### smoothop gate {}\n\n{table}", args[1..].join(" "));
+    println!("{report}");
+    if let Some(path) = std::env::var_os("GITHUB_STEP_SUMMARY").filter(|p| !p.is_empty()) {
+        let mut summary = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        writeln!(summary, "{report}")?;
+    }
+    match failures {
+        0 => Ok(()),
+        n => Err(format!("gate: {n} check(s) failed").into()),
+    }
+}
+
 /// `smoothop scale [--instances n1,n2,...] [--out path] [--quantiles
 /// exact|sketch] [--chunk-rows n]`: run the columnar scale ladder and
 /// write the `BENCH_scale.json` artifact.
@@ -322,10 +364,7 @@ fn scale_cmd(flags: &CliFlags) -> CliResult {
             rss,
         );
     }
-    let json = report.to_json();
-    std::fs::write(path, &json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    println!("wrote {path} ({} bytes)", json.len());
-    Ok(())
+    write_artifact(path, &report.to_json())
 }
 
 /// `smoothop plan [--base n] [--racks n] [--deltas d1,d2,...]
@@ -410,10 +449,7 @@ fn plan_cmd(flags: &CliFlags) -> CliResult {
             );
         }
     }
-    let json = report.to_json();
-    std::fs::write(path, &json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    println!("wrote {path} ({} bytes)", json.len());
-    Ok(())
+    write_artifact(path, &report.to_json())
 }
 
 /// Builds the live plane for `watch` / `--listen` sessions over the
@@ -537,10 +573,7 @@ fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult 
         );
     }
     write_flight(flags, plane.as_ref())?;
-    let json = report.to_json();
-    std::fs::write(path, &json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    println!("wrote {path} ({} bytes)", json.len());
-    Ok(())
+    write_artifact(path, &report.to_json())
 }
 
 /// `smoothop watch [--instances n] [--batches b] [--listen addr]
@@ -752,10 +785,7 @@ fn daemon_cmd(flags: &CliFlags) -> CliResult {
             rss,
         );
     }
-    let json = report.to_json();
-    std::fs::write(path, &json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    println!("wrote {path} ({} bytes)", json.len());
-    Ok(())
+    write_artifact(path, &report.to_json())
 }
 
 /// Writes the plane's full flight ring as JSONL when `--flight-out` was

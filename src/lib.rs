@@ -108,6 +108,10 @@ pub mod plan;
 /// online engine's flight recorder, alert engine, and scrape surface.
 pub mod watch;
 
+/// `smoothop gate`: per-phase regression and exact-field checks of one
+/// `BENCH_*.json` point against a baseline.
+pub mod gate;
+
 /// `smoothopd`: the resident placement daemon behind `smoothop serve` —
 /// streaming ring-buffer ingest, live queries, background repair — and
 /// the `BENCH_daemon.json` load rung.

@@ -37,11 +37,11 @@
 //! Everything deterministic is a pure function of the config (the `plan`
 //! golden test pins the schema and the checksum); only the `*_ms` and
 //! `peak_rss_bytes` fields are machine-dependent. The report is written
-//! as `BENCH_plan.json` and gated in CI by `scripts/perf_gate.sh`.
+//! as `BENCH_plan.json` and gated in CI by `smoothop gate`.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
+use so_telemetry::export::BenchObject;
 use so_workloads::LlmBasis;
 
 use crate::scale::{fold_digest, ms_since, peak_rss_bytes, RowWave, SynthBasis};
@@ -395,102 +395,59 @@ fn run_point(
 }
 
 impl PlanReport {
-    /// Renders the report as the `BENCH_plan.json` artifact — the same
-    /// field-per-line shape as the scale artifacts (each point keyed by
-    /// `"instances"` first), so `scripts/perf_gate.sh` extracts the
-    /// phase timings with the same awk.
+    /// Renders the report as the `BENCH_plan.json` artifact, in the
+    /// layout of the scale artifacts (each point keyed by `"instances"`
+    /// first), so `smoothop gate` reads its phases and every fit the same
+    /// way.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"benchmark\": \"plan\",");
-        let _ = writeln!(out, "  \"schema_version\": {PLAN_SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(
-            out,
-            "  \"samples_per_trace\": {},",
-            self.config.samples_per_trace
-        );
-        let _ = writeln!(out, "  \"step_minutes\": {},", self.config.step_minutes);
-        let _ = writeln!(out, "  \"base_instances\": {},", self.config.base_instances);
-        let _ = writeln!(out, "  \"rack_slots\": {},", self.config.rack_slots);
-        let _ = writeln!(out, "  \"max_racks\": {},", self.config.max_racks);
-        out.push_str("  \"points\": [\n");
-        let rendered: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                let mut s = String::from("    {\n");
-                let _ = writeln!(s, "      \"instances\": {},", p.instances);
-                let _ = writeln!(s, "      \"workload\": \"{}\",", p.workload.as_str());
-                let _ = writeln!(s, "      \"threads\": {},", p.threads);
-                let _ = writeln!(s, "      \"budget_watts\": {:.6},", p.budget_watts);
-                let _ = writeln!(s, "      \"base_peak_watts\": {:.6},", p.base_peak_watts);
-                let _ = writeln!(
-                    s,
-                    "      \"base_sum_of_peaks_watts\": {:.6},",
-                    p.base_sum_of_peaks_watts
-                );
-                s.push_str("      \"fits\": [\n");
-                let fit_blocks: Vec<String> = p
-                    .fits
-                    .iter()
-                    .map(|f| {
-                        let mut b = String::from("        {\n");
-                        let _ = writeln!(b, "          \"delta\": {:.3},", f.delta);
-                        let _ = writeln!(
-                            b,
-                            "          \"statprof_racks_fit\": {},",
-                            f.statprof_racks_fit
-                        );
-                        let _ = writeln!(
-                            b,
-                            "          \"statprof_stranded_watts\": {:.6},",
-                            f.statprof_stranded_watts
-                        );
-                        let _ = writeln!(
-                            b,
-                            "          \"statprof_projected_peak_watts\": {:.6},",
-                            f.statprof_projected_peak_watts
-                        );
-                        let _ = writeln!(
-                            b,
-                            "          \"smoothoperator_racks_fit\": {},",
-                            f.smoothoperator_racks_fit
-                        );
-                        let _ = writeln!(
-                            b,
-                            "          \"smoothoperator_stranded_watts\": {:.6},",
-                            f.smoothoperator_stranded_watts
-                        );
-                        let _ = writeln!(
-                            b,
-                            "          \"smoothoperator_projected_peak_watts\": {:.6}",
-                            f.smoothoperator_projected_peak_watts
-                        );
-                        b.push_str("        }");
-                        b
-                    })
-                    .collect();
-                s.push_str(&fit_blocks.join(",\n"));
-                s.push_str("\n      ],\n");
-                let _ = writeln!(s, "      \"synth_ms\": {:.3},", p.synth_ms);
-                let _ = writeln!(s, "      \"sweep_ms\": {:.3},", p.sweep_ms);
-                let _ = writeln!(s, "      \"total_ms\": {:.3},", p.total_ms);
-                match p.peak_rss_bytes {
-                    Some(bytes) => {
-                        let _ = writeln!(s, "      \"peak_rss_bytes\": {bytes},");
-                    }
-                    None => {
-                        let _ = writeln!(s, "      \"peak_rss_bytes\": null,");
-                    }
-                }
-                let _ = writeln!(s, "      \"checksum\": {:.6}", p.checksum);
-                s.push_str("    }");
-                s
-            })
-            .collect();
-        out.push_str(&rendered.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        let points = self.points.iter().map(|p| {
+            let fits = p.fits.iter().map(|f| {
+                BenchObject::default()
+                    .fixed("delta", f.delta, 3)
+                    .raw("statprof_racks_fit", f.statprof_racks_fit)
+                    .fixed("statprof_stranded_watts", f.statprof_stranded_watts, 6)
+                    .fixed(
+                        "statprof_projected_peak_watts",
+                        f.statprof_projected_peak_watts,
+                        6,
+                    )
+                    .raw("smoothoperator_racks_fit", f.smoothoperator_racks_fit)
+                    .fixed(
+                        "smoothoperator_stranded_watts",
+                        f.smoothoperator_stranded_watts,
+                        6,
+                    )
+                    .fixed(
+                        "smoothoperator_projected_peak_watts",
+                        f.smoothoperator_projected_peak_watts,
+                        6,
+                    )
+            });
+            BenchObject::default()
+                .raw("instances", p.instances)
+                .string("workload", p.workload.as_str())
+                .raw("threads", p.threads)
+                .fixed("budget_watts", p.budget_watts, 6)
+                .fixed("base_peak_watts", p.base_peak_watts, 6)
+                .fixed("base_sum_of_peaks_watts", p.base_sum_of_peaks_watts, 6)
+                .array("fits", fits)
+                .fixed("synth_ms", p.synth_ms, 3)
+                .fixed("sweep_ms", p.sweep_ms, 3)
+                .fixed("total_ms", p.total_ms, 3)
+                .nullable("peak_rss_bytes", p.peak_rss_bytes)
+                .fixed("checksum", p.checksum, 6)
+        });
+        BenchObject::default()
+            .string("benchmark", "plan")
+            .raw("schema_version", PLAN_SCHEMA_VERSION)
+            .raw("seed", self.config.seed)
+            .raw("samples_per_trace", self.config.samples_per_trace)
+            .raw("step_minutes", self.config.step_minutes)
+            .raw("base_instances", self.config.base_instances)
+            .raw("rack_slots", self.config.rack_slots)
+            .raw("max_racks", self.config.max_racks)
+            .array("points", points)
+            .render()
     }
 }
 

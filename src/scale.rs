@@ -36,17 +36,18 @@
 //! function of `(seed, instances, samples_per_trace, group_size,
 //! quantile_mode)`; only the `*_ms`, `rows_per_sec`, and
 //! `peak_rss_bytes` fields are machine-dependent. CI's `scale-smoke` job
-//! runs the 100k rung and gates per-phase throughput against the
-//! committed baseline (`scripts/perf_gate.sh`); `tests/scale_golden.rs`
-//! pins the JSON schema and the determinism of the numeric fields.
+//! runs the 100k rung and gates per-phase wall time and the digests
+//! against the committed baseline (`smoothop gate`, [`crate::gate`]);
+//! `tests/scale_golden.rs` pins the JSON schema and the determinism of
+//! the numeric fields.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
 use so_core::{differential_score_excluding, CommitPolicy, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid, TraceArena};
 use so_powertree::{Level, PowerTopology};
+use so_telemetry::export::BenchObject;
 use so_telemetry::{default_online_rules, LivePlane, RecordingSink};
 
 /// How the per-row quantile phase computes p99.
@@ -414,70 +415,38 @@ fn run_point(config: &ScaleConfig, n: usize) -> Result<ScalePoint, Box<dyn std::
 }
 
 impl ScaleReport {
-    /// Renders the report as the `BENCH_scale.json` artifact (hand-rolled
-    /// JSON; the workspace has no serialization dependency). Deterministic
+    /// Renders the report as the `BENCH_scale.json` artifact. Deterministic
     /// fields come first; the machine-dependent timings carry the `_ms`
     /// suffix by convention.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"benchmark\": \"scale\",");
-        let _ = writeln!(out, "  \"schema_version\": {SCALE_SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(
-            out,
-            "  \"samples_per_trace\": {},",
-            self.config.samples_per_trace
-        );
-        let _ = writeln!(out, "  \"step_minutes\": {},", self.config.step_minutes);
-        let _ = writeln!(
-            out,
-            "  \"workload\": \"{}\",",
-            self.config.workload.as_str()
-        );
-        let _ = writeln!(out, "  \"group_size\": {},", self.config.group_size);
-        let _ = writeln!(out, "  \"swap_probes\": {},", self.config.swap_probes);
-        out.push_str("  \"points\": [\n");
-        let rendered: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                let mut s = String::from("    {\n");
-                let _ = writeln!(s, "      \"instances\": {},", p.instances);
-                let _ = writeln!(s, "      \"threads\": {},", p.threads);
-                let _ = writeln!(
-                    s,
-                    "      \"quantile_mode\": \"{}\",",
-                    p.quantile_mode.as_str()
-                );
-                let _ = writeln!(s, "      \"chunk_rows\": {},", p.chunk_rows);
-                let _ = writeln!(s, "      \"synth_ms\": {:.3},", p.synth_ms);
-                let _ = writeln!(s, "      \"row_peaks_ms\": {:.3},", p.row_peaks_ms);
-                let _ = writeln!(s, "      \"quantiles_ms\": {:.3},", p.quantiles_ms);
-                let _ = writeln!(s, "      \"aggregation_ms\": {:.3},", p.aggregation_ms);
-                let _ = writeln!(s, "      \"swap_probe_ms\": {:.3},", p.swap_probe_ms);
-                let _ = writeln!(s, "      \"total_ms\": {:.3},", p.total_ms);
-                let _ = writeln!(s, "      \"rows_per_sec\": {:.1},", p.rows_per_sec);
-                match p.peak_rss_bytes {
-                    Some(bytes) => {
-                        let _ = writeln!(s, "      \"peak_rss_bytes\": {bytes},");
-                    }
-                    None => {
-                        let _ = writeln!(s, "      \"peak_rss_bytes\": null,");
-                    }
-                }
-                let _ = writeln!(
-                    s,
-                    "      \"sum_of_group_peaks\": {:.6},",
-                    p.sum_of_group_peaks
-                );
-                let _ = writeln!(s, "      \"checksum\": {:.6}", p.checksum);
-                s.push_str("    }");
-                s
-            })
-            .collect();
-        out.push_str(&rendered.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        let points = self.points.iter().map(|p| {
+            BenchObject::default()
+                .raw("instances", p.instances)
+                .raw("threads", p.threads)
+                .string("quantile_mode", p.quantile_mode.as_str())
+                .raw("chunk_rows", p.chunk_rows)
+                .fixed("synth_ms", p.synth_ms, 3)
+                .fixed("row_peaks_ms", p.row_peaks_ms, 3)
+                .fixed("quantiles_ms", p.quantiles_ms, 3)
+                .fixed("aggregation_ms", p.aggregation_ms, 3)
+                .fixed("swap_probe_ms", p.swap_probe_ms, 3)
+                .fixed("total_ms", p.total_ms, 3)
+                .fixed("rows_per_sec", p.rows_per_sec, 1)
+                .nullable("peak_rss_bytes", p.peak_rss_bytes)
+                .fixed("sum_of_group_peaks", p.sum_of_group_peaks, 6)
+                .fixed("checksum", p.checksum, 6)
+        });
+        BenchObject::default()
+            .string("benchmark", "scale")
+            .raw("schema_version", SCALE_SCHEMA_VERSION)
+            .raw("seed", self.config.seed)
+            .raw("samples_per_trace", self.config.samples_per_trace)
+            .raw("step_minutes", self.config.step_minutes)
+            .string("workload", self.config.workload.as_str())
+            .raw("group_size", self.config.group_size)
+            .raw("swap_probes", self.config.swap_probes)
+            .array("points", points)
+            .render()
     }
 }
 
@@ -835,86 +804,54 @@ pub(crate) fn min_rack_headroom(engine: &OnlineFleet) -> Result<f64, so_core::Co
 }
 
 impl OnlineScaleReport {
-    /// Renders the report as the `BENCH_online.json` artifact — the same
-    /// field-per-line shape as [`ScaleReport::to_json`], so
-    /// `scripts/perf_gate.sh` can extract per-phase timings with the same
-    /// awk.
+    /// Renders the report as the `BENCH_online.json` artifact, in the
+    /// same layout as [`ScaleReport::to_json`] (each point keyed by
+    /// `"instances"` first), so `smoothop gate` reads both alike.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"benchmark\": \"online_scale\",");
-        let _ = writeln!(out, "  \"schema_version\": {ONLINE_SCALE_SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(
-            out,
-            "  \"samples_per_trace\": {},",
-            self.config.samples_per_trace
-        );
-        let _ = writeln!(out, "  \"step_minutes\": {},", self.config.step_minutes);
-        let _ = writeln!(out, "  \"batches\": {},", self.config.batches);
-        let _ = writeln!(out, "  \"sample_probes\": {},", self.config.sample_probes);
-        let _ = writeln!(out, "  \"repair_budget\": {},", self.config.repair_budget);
-        out.push_str("  \"points\": [\n");
-        let rendered: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                let mut s = String::from("    {\n");
-                let _ = writeln!(s, "      \"instances\": {},", p.instances);
-                let _ = writeln!(s, "      \"threads\": {},", p.threads);
-                let _ = writeln!(s, "      \"live_instances\": {},", p.live_instances);
-                let _ = writeln!(s, "      \"committed\": {},", p.committed);
-                let _ = writeln!(s, "      \"rejected\": {},", p.rejected);
-                let _ = writeln!(s, "      \"retired\": {},", p.retired);
-                let _ = writeln!(s, "      \"repair_moves\": {},", p.repair_moves);
-                let _ = writeln!(s, "      \"arrive_ms\": {:.3},", p.arrive_ms);
-                let _ = writeln!(s, "      \"retire_ms\": {:.3},", p.retire_ms);
-                let _ = writeln!(s, "      \"repair_ms\": {:.3},", p.repair_ms);
-                let _ = writeln!(s, "      \"offline_ms\": {:.3},", p.offline_ms);
-                let _ = writeln!(s, "      \"total_ms\": {:.3},", p.total_ms);
-                let _ = writeln!(s, "      \"rows_per_sec\": {:.1},", p.rows_per_sec);
-                match p.peak_rss_bytes {
-                    Some(bytes) => {
-                        let _ = writeln!(s, "      \"peak_rss_bytes\": {bytes},");
-                    }
-                    None => {
-                        let _ = writeln!(s, "      \"peak_rss_bytes\": null,");
-                    }
-                }
-                let _ = writeln!(
-                    s,
-                    "      \"online_mean_asynchrony\": {:.6},",
-                    p.online_mean_asynchrony
-                );
-                let _ = writeln!(
-                    s,
-                    "      \"offline_mean_asynchrony\": {:.6},",
-                    p.offline_mean_asynchrony
-                );
-                let _ = writeln!(
-                    s,
-                    "      \"online_min_rack_headroom_watts\": {:.6},",
-                    p.online_min_rack_headroom_watts
-                );
-                let _ = writeln!(
-                    s,
-                    "      \"offline_min_rack_headroom_watts\": {:.6},",
-                    p.offline_min_rack_headroom_watts
-                );
-                let _ = writeln!(
-                    s,
-                    "      \"rack_fragmentation_ratio\": {:.6},",
-                    p.rack_fragmentation_ratio
-                );
-                let _ = writeln!(s, "      \"alerts_fired\": {},", p.alerts_fired);
-                let _ = writeln!(s, "      \"alerts_resolved\": {},", p.alerts_resolved);
-                let _ = writeln!(s, "      \"checksum\": {:.6}", p.checksum);
-                s.push_str("    }");
-                s
-            })
-            .collect();
-        out.push_str(&rendered.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        let points = self.points.iter().map(|p| {
+            BenchObject::default()
+                .raw("instances", p.instances)
+                .raw("threads", p.threads)
+                .raw("live_instances", p.live_instances)
+                .raw("committed", p.committed)
+                .raw("rejected", p.rejected)
+                .raw("retired", p.retired)
+                .raw("repair_moves", p.repair_moves)
+                .fixed("arrive_ms", p.arrive_ms, 3)
+                .fixed("retire_ms", p.retire_ms, 3)
+                .fixed("repair_ms", p.repair_ms, 3)
+                .fixed("offline_ms", p.offline_ms, 3)
+                .fixed("total_ms", p.total_ms, 3)
+                .fixed("rows_per_sec", p.rows_per_sec, 1)
+                .nullable("peak_rss_bytes", p.peak_rss_bytes)
+                .fixed("online_mean_asynchrony", p.online_mean_asynchrony, 6)
+                .fixed("offline_mean_asynchrony", p.offline_mean_asynchrony, 6)
+                .fixed(
+                    "online_min_rack_headroom_watts",
+                    p.online_min_rack_headroom_watts,
+                    6,
+                )
+                .fixed(
+                    "offline_min_rack_headroom_watts",
+                    p.offline_min_rack_headroom_watts,
+                    6,
+                )
+                .fixed("rack_fragmentation_ratio", p.rack_fragmentation_ratio, 6)
+                .raw("alerts_fired", p.alerts_fired)
+                .raw("alerts_resolved", p.alerts_resolved)
+                .fixed("checksum", p.checksum, 6)
+        });
+        BenchObject::default()
+            .string("benchmark", "online_scale")
+            .raw("schema_version", ONLINE_SCALE_SCHEMA_VERSION)
+            .raw("seed", self.config.seed)
+            .raw("samples_per_trace", self.config.samples_per_trace)
+            .raw("step_minutes", self.config.step_minutes)
+            .raw("batches", self.config.batches)
+            .raw("sample_probes", self.config.sample_probes)
+            .raw("repair_budget", self.config.repair_budget)
+            .array("points", points)
+            .render()
     }
 }
 

@@ -50,7 +50,7 @@
 //! The module also hosts the daemon's load rung: [`crate::serve::run_daemon_scale`]
 //! streams millions of samples through the ingest path in-process (no
 //! socket between the measurements) and writes `BENCH_daemon.json`,
-//! gated per phase by `scripts/perf_gate.sh` in CI.
+//! gated per phase and on its digests by `smoothop gate` in CI.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -62,6 +62,7 @@ use so_core::online::{select_decision, CommitPolicy, OnlineConfig, OnlineFleet};
 use so_parallel::ThreadContext;
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_powertree::NodeId;
+use so_telemetry::export::{json_f64, BenchObject};
 use so_telemetry::{route_plane, HttpRequest, HttpResponse, HttpServer, LivePlane};
 
 use crate::scale::{
@@ -382,7 +383,7 @@ fn fleet_summary(daemon: &DaemonFleet) -> HttpResponse {
     let _ = write!(
         body,
         "\"mean_rack_asynchrony\":{}",
-        fmt_f64_or_null(daemon.mean_rack_asynchrony())
+        json_f64(daemon.mean_rack_asynchrony().unwrap_or(f64::NAN))
     );
     body.push_str("}\n");
     HttpResponse::json(body)
@@ -402,8 +403,8 @@ fn headroom_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
             };
             HttpResponse::json(format!(
                 "{{\"min_rack_headroom_watts\":{},\"root_headroom_watts\":{}}}\n",
-                fmt_f64(min_rack),
-                fmt_f64(root)
+                json_f64(min_rack),
+                json_f64(root)
             ))
         }
         Some(raw) => {
@@ -416,7 +417,7 @@ fn headroom_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
             match fleet.headroom(NodeId::new(index)) {
                 Ok(v) => HttpResponse::json(format!(
                     "{{\"node\":{index},\"headroom_watts\":{}}}\n",
-                    fmt_f64(v)
+                    json_f64(v)
                 )),
                 Err(e) => HttpResponse::error(500, format!("headroom failed: {e}")),
             }
@@ -428,7 +429,7 @@ fn asynchrony_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
     match req.query_param("rack") {
         None => HttpResponse::json(format!(
             "{{\"mean_rack_asynchrony\":{},\"racks\":{}}}\n",
-            fmt_f64_or_null(daemon.mean_rack_asynchrony()),
+            json_f64(daemon.mean_rack_asynchrony().unwrap_or(f64::NAN)),
             daemon.fleet().topology().racks().len()
         )),
         Some(raw) => {
@@ -442,7 +443,7 @@ fn asynchrony_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
             match daemon.rack_asynchrony(rack) {
                 Ok(score) => HttpResponse::json(format!(
                     "{{\"rack\":{index},\"asynchrony\":{}}}\n",
-                    fmt_f64(score)
+                    json_f64(score)
                 )),
                 Err(so_core::CoreError::EmptySet) => {
                     HttpResponse::error(404, format!("rack #{index} is empty"))
@@ -503,10 +504,10 @@ fn whatif_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
             d.fits,
             d.has_slot,
             d.power_ok,
-            fmt_f64(d.new_peak_watts),
-            fmt_f64(d.peak_increase_watts),
-            fmt_f64(d.headroom_watts),
-            fmt_f64(d.asynchrony)
+            json_f64(d.new_peak_watts),
+            json_f64(d.peak_increase_watts),
+            json_f64(d.headroom_watts),
+            json_f64(d.asynchrony)
         )),
         Err(e) => HttpResponse::error(500, format!("evaluate failed: {e}")),
     }
@@ -529,8 +530,8 @@ fn admit_query(daemon: &DaemonFleet, policy: &CommitPolicy, req: &HttpRequest) -
         Some(d) => HttpResponse::json(format!(
             "{{\"admits\":true,\"rack\":{},\"headroom_watts\":{},\"asynchrony\":{}}}\n",
             d.rack.index(),
-            fmt_f64(d.headroom_watts),
-            fmt_f64(d.asynchrony)
+            json_f64(d.headroom_watts),
+            json_f64(d.asynchrony)
         )),
         None => HttpResponse::json("{\"admits\":false,\"rack\":null}\n"),
     }
@@ -692,23 +693,6 @@ fn repair_post(daemon: &mut DaemonFleet) -> HttpResponse {
             2 * report.swaps.len()
         )),
         Err(e) => HttpResponse::error(500, format!("repair failed: {e}")),
-    }
-}
-
-/// Shortest round-trip decimal of a finite float (Rust's `Display` is
-/// exact), `null` for non-finite — strict-JSON safe.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn fmt_f64_or_null(v: Option<f64>) -> String {
-    match v {
-        Some(v) => fmt_f64(v),
-        None => "null".to_string(),
     }
 }
 
@@ -957,71 +941,43 @@ fn run_daemon_point(
 }
 
 impl DaemonScaleReport {
-    /// Renders the report as the `BENCH_daemon.json` artifact — the same
-    /// field-per-line shape as the other BENCH emitters, so
-    /// `scripts/perf_gate.sh` extracts per-phase timings with the same
-    /// awk.
+    /// Renders the report as the `BENCH_daemon.json` artifact, in the
+    /// layout every BENCH emitter shares, so `smoothop gate` reads its
+    /// phases and digests like the others.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"benchmark\": \"daemon_scale\",");
-        let _ = writeln!(out, "  \"schema_version\": {DAEMON_SCALE_SCHEMA_VERSION},");
-        let _ = writeln!(out, "  \"seed\": {},", self.config.seed);
-        let _ = writeln!(
-            out,
-            "  \"samples_per_trace\": {},",
-            self.config.samples_per_trace
-        );
-        let _ = writeln!(out, "  \"step_minutes\": {},", self.config.step_minutes);
-        let _ = writeln!(out, "  \"sweeps\": {},", self.config.sweeps);
-        let _ = writeln!(out, "  \"batch_slots\": {},", self.config.batch_slots);
-        let _ = writeln!(out, "  \"sample_probes\": {},", self.config.sample_probes);
-        let _ = writeln!(out, "  \"repair_budget\": {},", self.config.repair_budget);
-        out.push_str("  \"points\": [\n");
-        let rendered: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| {
-                let mut s = String::from("    {\n");
-                let _ = writeln!(s, "      \"instances\": {},", p.instances);
-                let _ = writeln!(s, "      \"threads\": {},", p.threads);
-                let _ = writeln!(s, "      \"live_instances\": {},", p.live_instances);
-                let _ = writeln!(s, "      \"batches\": {},", p.batches);
-                let _ = writeln!(s, "      \"samples_ingested\": {},", p.samples_ingested);
-                let _ = writeln!(s, "      \"seed_ms\": {:.3},", p.seed_ms);
-                let _ = writeln!(s, "      \"ingest_ms\": {:.3},", p.ingest_ms);
-                let _ = writeln!(s, "      \"query_ms\": {:.3},", p.query_ms);
-                let _ = writeln!(s, "      \"repair_ms\": {:.3},", p.repair_ms);
-                let _ = writeln!(s, "      \"total_ms\": {:.3},", p.total_ms);
-                let _ = writeln!(s, "      \"rows_per_sec\": {:.1},", p.rows_per_sec);
-                let _ = writeln!(s, "      \"ingest_p50_us\": {:.3},", p.ingest_p50_us);
-                let _ = writeln!(s, "      \"ingest_p99_us\": {:.3},", p.ingest_p99_us);
-                match p.peak_rss_bytes {
-                    Some(bytes) => {
-                        let _ = writeln!(s, "      \"peak_rss_bytes\": {bytes},");
-                    }
-                    None => {
-                        let _ = writeln!(s, "      \"peak_rss_bytes\": null,");
-                    }
-                }
-                let _ = writeln!(
-                    s,
-                    "      \"mean_rack_asynchrony\": {:.6},",
-                    p.mean_rack_asynchrony
-                );
-                let _ = writeln!(
-                    s,
-                    "      \"min_rack_headroom_watts\": {:.6},",
-                    p.min_rack_headroom_watts
-                );
-                let _ = writeln!(s, "      \"checksum\": {:.6}", p.checksum);
-                s.push_str("    }");
-                s
-            })
-            .collect();
-        out.push_str(&rendered.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        out
+        let points = self.points.iter().map(|p| {
+            BenchObject::default()
+                .raw("instances", p.instances)
+                .raw("threads", p.threads)
+                .raw("live_instances", p.live_instances)
+                .raw("batches", p.batches)
+                .raw("samples_ingested", p.samples_ingested)
+                .fixed("seed_ms", p.seed_ms, 3)
+                .fixed("ingest_ms", p.ingest_ms, 3)
+                .fixed("query_ms", p.query_ms, 3)
+                .fixed("repair_ms", p.repair_ms, 3)
+                .fixed("total_ms", p.total_ms, 3)
+                .fixed("rows_per_sec", p.rows_per_sec, 1)
+                .fixed("ingest_p50_us", p.ingest_p50_us, 3)
+                .fixed("ingest_p99_us", p.ingest_p99_us, 3)
+                .nullable("peak_rss_bytes", p.peak_rss_bytes)
+                .fixed("mean_rack_asynchrony", p.mean_rack_asynchrony, 6)
+                .fixed("min_rack_headroom_watts", p.min_rack_headroom_watts, 6)
+                .fixed("checksum", p.checksum, 6)
+        });
+        BenchObject::default()
+            .string("benchmark", "daemon_scale")
+            .raw("schema_version", DAEMON_SCALE_SCHEMA_VERSION)
+            .raw("seed", self.config.seed)
+            .raw("samples_per_trace", self.config.samples_per_trace)
+            .raw("step_minutes", self.config.step_minutes)
+            .raw("sweeps", self.config.sweeps)
+            .raw("batch_slots", self.config.batch_slots)
+            .raw("sample_probes", self.config.sample_probes)
+            .raw("repair_budget", self.config.repair_budget)
+            .array("points", points)
+            .render()
     }
 }
 
@@ -1198,7 +1154,7 @@ mod tests {
         offline.ingest_batch(&updates).unwrap();
         let want = format!(
             "{{\"mean_rack_asynchrony\":{},\"racks\":{}}}\n",
-            fmt_f64_or_null(offline.mean_rack_asynchrony()),
+            json_f64(offline.mean_rack_asynchrony().unwrap_or(f64::NAN)),
             offline.fleet().topology().racks().len()
         );
 

@@ -43,6 +43,7 @@ use std::time::Instant;
 
 use so_core::{CommitPolicy, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid};
+use so_telemetry::export::json_f64;
 use so_telemetry::{default_online_rules, LivePlane, RecordingSink};
 
 use crate::scale::{
@@ -249,7 +250,7 @@ pub fn run_watch(
                 rule,
                 if t.fired { "fired" } else { "resolved" },
                 t.eval,
-                fmt_f64(t.value),
+                json_f64(t.value),
             );
             emit(&line);
         }
@@ -280,8 +281,8 @@ pub fn run_watch(
             engine.rejected(),
             engine.retired(),
             engine.live_len(),
-            fmt_f64(root_power),
-            fmt_f64(min_headroom),
+            json_f64(root_power),
+            json_f64(min_headroom),
             plane.active_alerts().len(),
             match peak_rss_bytes() {
                 Some(bytes) => bytes.to_string(),
@@ -317,20 +318,10 @@ pub fn run_watch(
         outcome.breaker_violations,
         outcome.dumps_total,
         outcome.journal_compactions,
-        fmt_f64(ms_since(started)),
+        json_f64(ms_since(started)),
     );
     emit(&line);
     Ok(outcome)
-}
-
-/// Finite floats verbatim, non-finite as `null` — keeps every emitted
-/// line strict JSON.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 #[cfg(test)]

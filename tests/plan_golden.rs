@@ -1,7 +1,7 @@
 //! Golden test for the `BENCH_plan.json` schema plus the planning
-//! acceptance pin: field names and ordering are parsed by name in CI
-//! (`scripts/perf_gate.sh`, the plan-smoke determinism cross-check), so
-//! any drift here must be deliberate (bump `PLAN_SCHEMA_VERSION`); and
+//! acceptance pin: field names and ordering are read by name in CI
+//! (`smoothop gate` in the plan-smoke job), so any drift here must be
+//! deliberate (bump `PLAN_SCHEMA_VERSION`); and
 //! on an LLM-heavy candidate mix SmoothOperator provisioning must fit
 //! *strictly* more racks than StatProf at δ = 0.05 — the headline row of
 //! the EXPERIMENTS.md racks-fit table.

@@ -1,8 +1,9 @@
 //! Golden test for the `BENCH_scale.json` schema: field names, ordering
 //! guarantees, and the determinism contract of the numeric fields. A
 //! schema drift here must be deliberate (bump `SCALE_SCHEMA_VERSION`),
-//! because CI tooling and the scale-smoke regression gate
-//! (`scripts/perf_gate.sh`) parse this file by name.
+//! because CI's `smoothop gate` steps and the frozen benchmark read
+//! this file by field name; `tests/bench_artifacts.rs` pins the byte
+//! layout.
 
 use smoothoperator::scale::{
     run_scale, QuantileMode, ScaleConfig, ScaleWorkload, SCALE_SCHEMA_VERSION,
