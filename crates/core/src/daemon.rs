@@ -5,7 +5,7 @@
 //! re-evaluates the severity of the fragmentation problem" (§3.6). A
 //! [`DaemonFleet`] is that loop's state: it wraps an [`OnlineFleet`]
 //! (topology, per-node budgets, the columnar [`TraceArena`] of live
-//! windows, canonical [`NodeAggregates`]) and adds *streaming* sample
+//! windows, exact [`NodeAggregates`]) and adds *streaming* sample
 //! ingest on top of the engine's arrival/retirement churn.
 //!
 //! [`TraceArena`]: so_powertrace::TraceArena
@@ -25,21 +25,17 @@
 //!
 //! # The incremental-update contract
 //!
-//! Ingest is O(touched path) per batch, never a fleet-wide recompute:
-//! sample writes land directly in the arena, then each touched rack and
-//! its ancestor path is *canonically refreshed* (the same
-//! [`refresh_rack`](so_powertree::NodeAggregates::refresh_rack) /
-//! [`refresh_ancestors`](so_powertree::NodeAggregates::refresh_ancestors)
-//! walk every commit and retirement already runs). Canonical refresh
-//! performs exactly the float operations of a from-scratch
-//! [`compute`](so_powertree::NodeAggregates::compute), so the resident
-//! aggregates after **any** ingest stream are bit-identical to an
-//! offline recompute of the final windows — the invariant the `daemon`
-//! oracle family pins. Per-slot window peaks are cached on write
-//! ([`peak_of_samples`] of the touched row only), so asynchrony queries
-//! are O(members) sums over cached peaks, bit-identical to the fused
-//! [`OnlineFleet::rack_asynchrony`] recompute because both fold member
-//! peaks in ascending slot order.
+//! Ingest costs O(path) per sample, never a re-sum: each reading is
+//! snapped onto the exact grid of [`snap_samples`], written into its
+//! window, and its rack path shifted by `new − old` at that position.
+//! Sums on the grid are exact, so the resident aggregates after **any**
+//! ingest stream are bit-identical to a
+//! [`compute`](so_powertree::NodeAggregates::compute) of the final
+//! windows — the invariant the `daemon` oracle family pins. Per-slot
+//! window peaks are cached the same way (a row is refolded only when its
+//! peak sample fell), so asynchrony queries are O(members) sums over
+//! cached peaks, bit-identical to the fused
+//! [`OnlineFleet::rack_asynchrony`] recompute.
 //!
 //! # Serial commits
 //!
@@ -49,7 +45,7 @@
 //! connection order. Determinism then follows from the engine's own
 //! guarantees — no mutation interleaves mid-batch.
 
-use so_powertrace::{peak_of_samples, PowerTrace, TraceError};
+use so_powertrace::{peak_of_samples, snap_samples, PowerTrace};
 use so_powertree::NodeId;
 use so_telemetry::AlertTransition;
 
@@ -74,7 +70,7 @@ pub struct IngestReport {
     pub applied: usize,
     /// Samples addressed to retired or never-seen slots, skipped.
     pub dropped: usize,
-    /// Distinct racks whose aggregate path was refreshed.
+    /// Distinct racks whose aggregate path was updated.
     pub racks_touched: usize,
 }
 
@@ -87,9 +83,12 @@ pub struct DaemonFleet {
     /// Next ring write position per slot (column index into the window).
     cursor: Vec<usize>,
     /// Cached [`peak_of_samples`] of each slot's resident window,
-    /// refreshed on every write that touches the slot. Stale for retired
-    /// slots, which no live query reads.
+    /// kept current by every write that touches the slot. Stale for
+    /// retired slots, which no live query reads.
     row_peak: Vec<f64>,
+    /// Per rack, the last ingest call that touched it: counts distinct
+    /// racks without a touched set.
+    rack_stamp: Vec<u64>,
     samples_ingested: u64,
     samples_dropped: u64,
     batches_ingested: u64,
@@ -101,6 +100,7 @@ impl DaemonFleet {
     #[must_use]
     pub fn new(fleet: OnlineFleet) -> Self {
         let mut daemon = Self {
+            rack_stamp: vec![0; fleet.topology().len()],
             fleet,
             cursor: Vec::new(),
             row_peak: Vec::new(),
@@ -145,60 +145,43 @@ impl DaemonFleet {
 
     /// Applies one batch of streamed samples at the serial commit point.
     ///
-    /// The whole batch is validated first — any non-finite or negative
-    /// reading rejects the call *before any mutation*, so a malformed
-    /// batch never half-applies. Samples addressed to retired or unknown
-    /// slots are counted and skipped (instances retire while their last
-    /// readings are in flight — that is churn, not corruption). Writes
-    /// land in submission order; each touched slot's cached peak is then
-    /// recomputed from its row alone, and each touched rack path is
-    /// canonically refreshed once (ascending rack id), keeping the whole
-    /// call O(batch + touched path), bit-identical to a full recompute.
+    /// The whole batch is snapped first ([`snap_samples`]): a NaN,
+    /// negative or over-cap reading rejects the call *before any
+    /// mutation*, so a malformed batch never half-applies. Samples
+    /// addressed to retired or unknown slots are counted and skipped
+    /// (instances retire while their last readings are in flight — that
+    /// is churn, not corruption). Writes land in submission order, each
+    /// shifting its rack path by delta, so the call is O(batch · path).
     ///
     /// # Errors
     ///
-    /// [`TraceError::InvalidSample`] (wrapped in [`CoreError::Trace`])
-    /// for a malformed reading; propagates refresh errors.
+    /// [`so_powertrace::TraceError::InvalidSample`] (wrapped in
+    /// [`CoreError::Trace`]) for an out-of-range reading.
     pub fn ingest_batch(&mut self, updates: &[SampleUpdate]) -> Result<IngestReport, CoreError> {
-        for (index, update) in updates.iter().enumerate() {
-            if !update.watts.is_finite() || update.watts < 0.0 {
-                return Err(CoreError::Trace(TraceError::InvalidSample {
-                    index,
-                    value: update.watts,
-                }));
-            }
-        }
+        let watts: Vec<f64> = updates.iter().map(|u| u.watts).collect();
+        let watts = snap_samples(&watts)?;
         let window = self.window();
-        // Touched sets as sort+dedup vectors: sample streams arrive in
-        // near-slot-order (scrapes walk machines rack by rack), so the
-        // sorts are close to linear and far cheaper than per-sample
-        // tree inserts at million-sample rates.
-        let mut touched_slots = Vec::new();
-        let mut touched_racks = Vec::new();
+        let stamp = self.batches_ingested + 1;
         let mut report = IngestReport::default();
-        for update in updates {
-            let Some(rack) = self.fleet.rack_of(update.slot) else {
+        for (update, watts) in updates.iter().zip(watts) {
+            let slot = update.slot;
+            let Some(rack) = self.fleet.rack_of(slot) else {
                 report.dropped += 1;
                 continue;
             };
-            let pos = self.cursor[update.slot];
-            self.fleet
-                .write_window_sample(update.slot, pos, update.watts)?;
-            self.cursor[update.slot] = (pos + 1) % window;
-            touched_slots.push(update.slot);
-            touched_racks.push(rack);
+            let pos = self.cursor[slot];
+            let old = self.fleet.write_window_sample(slot, pos, watts)?;
+            self.cursor[slot] = (pos + 1) % window;
+            if watts > self.row_peak[slot] {
+                self.row_peak[slot] = watts;
+            } else if watts < old && old == self.row_peak[slot] {
+                self.row_peak[slot] = peak_of_samples(self.fleet.row(slot));
+            }
+            if std::mem::replace(&mut self.rack_stamp[rack.index()], stamp) != stamp {
+                report.racks_touched += 1;
+            }
             report.applied += 1;
         }
-        touched_slots.sort_unstable();
-        touched_slots.dedup();
-        for &slot in &touched_slots {
-            self.row_peak[slot] = peak_of_samples(self.fleet.row(slot));
-        }
-        touched_racks.sort_unstable();
-        touched_racks.dedup();
-        let racks = touched_racks;
-        self.fleet.refresh_racks(&racks)?;
-        report.racks_touched = racks.len();
         self.samples_ingested += report.applied as u64;
         self.samples_dropped += report.dropped as u64;
         self.batches_ingested += 1;
@@ -263,9 +246,8 @@ impl DaemonFleet {
         self.fleet.observe_batch()
     }
 
-    /// Rack asynchrony from the cached window peaks: the sum of member
-    /// peaks (ascending slot order, same fold as the engine's fused
-    /// recompute) over the resident aggregate peak — O(members), no
+    /// Rack asynchrony from the cached window peaks: the (exact) sum of
+    /// member peaks over the resident aggregate peak — O(members), no
     /// window scan, bit-identical to [`OnlineFleet::rack_asynchrony`].
     ///
     /// # Errors
@@ -277,15 +259,8 @@ impl DaemonFleet {
         if members.is_empty() {
             return Err(CoreError::EmptySet);
         }
-        let mut peak_sum = 0.0;
-        for &slot in members {
-            peak_sum += self.row_peak[slot];
-        }
-        let aggregate_peak = self
-            .fleet
-            .aggregates()
-            .peak(rack)
-            .map_err(CoreError::Tree)?;
+        let peak_sum: f64 = members.iter().map(|&s| self.row_peak[s]).sum();
+        let aggregate_peak = self.fleet.aggregates().peak(rack)?;
         if aggregate_peak == 0.0 {
             return Ok(members.len() as f64);
         }

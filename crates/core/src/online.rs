@@ -13,40 +13,39 @@
 //!   cached aggregate rows and peaks: one fused [`peak_of_sum_samples`]
 //!   pass per candidate rack, plus one budget check per distinct ancestor
 //!   of the probed racks, usually O(1) (see [`OnlineFleet::evaluate`]);
-//! * every **retirement** releases its slot and the touched power path is
-//!   refreshed;
+//! * every **retirement** releases its slot and subtracts its row from
+//!   the touched power path;
 //! * a configurable **repair budget** amortizes cleanup through the
 //!   offline differential-score remap ([`remap_arena`]) between batches.
 //!
-//! # The bit-identity contract
+//! # Exact resident aggregates
 //!
-//! Naive incremental maintenance (add on arrival, subtract on retirement)
-//! drifts: floating-point subtraction is not an exact inverse of
-//! addition, so after enough churn the resident aggregates disagree with
-//! what the fleet actually draws. Instead, every mutation *canonically
-//! refreshes* the touched rack and its ancestor path
-//! ([`NodeAggregates::refresh_rack`] / [`refresh_ancestors`]): the rack
-//! sum is rebuilt from its live members in ascending slot order and each
-//! ancestor re-sums its children in ascending id order — exactly the
-//! float operations of a from-scratch [`NodeAggregates::compute`]. The
-//! consequence, pinned by the `online` oracle family, is that the
-//! resident aggregates after *any* event sequence are **bit-identical**
-//! to an offline recompute of the final fleet. Candidate *evaluation*
-//! stays fused; only the O(path) commit pays the canonical refresh.
+//! Every sample that enters the resident state (arrivals, the daemon's
+//! ingest) and every candidate evaluated against it is snapped onto the
+//! exact grid of [`snap_samples`]; out-of-range input is rejected before
+//! any state changes. Sums on that grid are exact, so each mutation
+//! updates the touched path in place, O(path · T): `+= row` on a commit,
+//! `-= row` on a retirement, both on a repair move. The resident
+//! aggregates after *any* event sequence are therefore **bit-identical**
+//! to an offline [`NodeAggregates::compute`] of the final fleet, in any
+//! order of addition; the `online` oracle family pins this, with
+//! [`NodeAggregates::refresh_rack`] and `refresh_ancestors` kept as the
+//! reference recompute.
 //!
 //! Policies break ties deterministically (ascending rack id last), events
 //! within a batch are canonically ordered by [`OnlineFleet::apply`], and
 //! every parallel scan is a positional [`par_map`], so the engine is
 //! bit-reproducible at any thread count.
 //!
-//! [`refresh_ancestors`]: NodeAggregates::refresh_ancestors
 //! [`peak_of_sum_samples`]: crate::score::peak_of_sum_samples
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use so_parallel::par_map;
-use so_powertrace::{peak_of_samples, PowerTrace, TimeGrid, TraceArena, TraceError};
+use so_powertrace::{
+    peak_of_samples, snap_samples, PowerTrace, TimeGrid, TraceArena, TraceError, MAX_EXACT_SLOTS,
+};
 use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology, TreeError};
 use so_telemetry::{AlertTransition, FlightKind, LivePlane};
 
@@ -335,7 +334,7 @@ pub struct OnlineFleet {
     /// accounting (see [`OnlineFleet::set_fragmentation_reference`]).
     frag_reference: Option<Vec<f64>>,
     /// Per-node "the reference candidate fits under this node's budget"
-    /// bits, maintained alongside every canonical refresh while
+    /// bits, maintained alongside every path update while
     /// `frag_reference` is set. Same arithmetic as
     /// [`OnlineFleet::evaluate`]'s budget probes, so the cached
     /// fragmentation is bit-identical to the full recompute.
@@ -349,7 +348,17 @@ pub struct OnlineFleet {
 impl OnlineFleet {
     /// An empty engine over `topology` on `grid`, with budgets taken from
     /// the topology's per-node `budget_watts`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the topology has more slots than
+    /// [`MAX_EXACT_SLOTS`], past which resident sums could round.
     pub fn new(topology: PowerTopology, grid: TimeGrid, config: OnlineConfig) -> Self {
+        assert!(
+            topology.server_capacity() <= MAX_EXACT_SLOTS,
+            "{} slots exceed the exact-sum limit of {MAX_EXACT_SLOTS}",
+            topology.server_capacity()
+        );
         let budgets = topology.nodes().iter().map(|n| n.budget_watts()).collect();
         let aggregates = NodeAggregates::zeros(&topology, grid);
         let members = vec![Vec::new(); topology.len()];
@@ -465,8 +474,8 @@ impl OnlineFleet {
         self.arena.row(slot)
     }
 
-    /// The resident per-node aggregates — canonically maintained, so
-    /// bit-identical to [`NodeAggregates::compute`] on the live fleet.
+    /// The resident per-node aggregates — exact, so bit-identical to
+    /// [`NodeAggregates::compute`] on the live fleet.
     pub fn aggregates(&self) -> &NodeAggregates {
         &self.aggregates
     }
@@ -502,7 +511,7 @@ impl OnlineFleet {
     }
 
     /// Sets (or clears) the reference candidate for *incremental*
-    /// fragmentation accounting. While set, every canonical refresh also
+    /// fragmentation accounting. While set, every path update also
     /// re-probes the touched nodes' budgets against the reference, so
     /// [`OnlineFleet::fragmentation_cached`] — and the per-level
     /// `so_online_stranded_watts` / `so_online_fragmentation_ratio`
@@ -512,7 +521,8 @@ impl OnlineFleet {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Trace`] for a grid mismatch.
+    /// Returns [`CoreError::Trace`] for a grid mismatch or a sample off
+    /// the exact range.
     pub fn set_fragmentation_reference(
         &mut self,
         reference: Option<&PowerTrace>,
@@ -523,10 +533,11 @@ impl OnlineFleet {
             return Ok(());
         };
         self.check_grid(reference)?;
-        self.frag_reference = Some(reference.samples().to_vec());
+        self.frag_reference = Some(snap_samples(reference.samples())?);
         self.fits_node = vec![false; self.topology.len()];
-        let nodes: Vec<NodeId> = self.topology.nodes().iter().map(|n| n.id()).collect();
-        self.refresh_reference_fits(&nodes)?;
+        for rack in self.topology.racks().to_vec() {
+            self.refresh_path_fits(rack)?;
+        }
         Ok(())
     }
 
@@ -672,32 +683,36 @@ impl OnlineFleet {
     /// Evaluates admitting `candidate` onto one rack — the one-rack case
     /// of the batched evaluator behind [`arrive`](Self::arrive) and
     /// [`decisions`](Self::decisions), bit-identical to the materializing
-    /// [`crate::admission_decisions`] arithmetic.
+    /// [`crate::admission_decisions`] arithmetic. The candidate is snapped
+    /// exactly as [`arrive`](Self::arrive) snaps it.
     ///
     /// The rack costs one fused [`peak_of_sum_samples`] pass for its new
     /// peak; the asynchrony follows from the cached rack peak, the
     /// candidate's peak and the new peak with the float operations of
     /// [`crate::pairwise_score_samples`]. Each ancestor budget on the root
     /// path is decided in O(1) from the cached node peaks whenever
-    /// `peak(node) + peak(candidate) <= budget`, which is exact (rounding
-    /// is monotone), and by an O(T) probe otherwise.
+    /// `peak(node) + peak(candidate) <= budget`, and by an O(T) probe
+    /// otherwise.
     ///
     /// # Errors
     ///
-    /// Propagates tree lookups and row-length mismatches.
+    /// Propagates tree lookups, row-length mismatches and samples off the
+    /// exact range.
     pub fn evaluate(&self, rack: NodeId, candidate: &[f64]) -> Result<LeafDecision, CoreError> {
-        let checks = AncestorChecks::new(self, &[rack], candidate)?;
-        self.decide(rack, candidate, &checks)
+        let candidate = snap_samples(candidate)?;
+        let checks = AncestorChecks::new(self, &[rack], &candidate)?;
+        self.decide(rack, &candidate, &checks)
     }
 
-    /// Evaluates `candidate` against every rack, in ascending rack order.
+    /// Evaluates `candidate` (snapped) against every rack, in ascending
+    /// rack order.
     ///
     /// # Errors
     ///
     /// Propagates evaluation errors.
     pub fn decisions(&self, candidate: &PowerTrace) -> Result<Vec<LeafDecision>, CoreError> {
         self.check_grid(candidate)?;
-        self.evaluate_racks(self.topology.racks(), candidate.samples())
+        self.evaluate_racks(self.topology.racks(), &snap_samples(candidate.samples())?)
     }
 
     /// The batched evaluator behind [`arrive`](Self::arrive),
@@ -732,20 +747,16 @@ impl OnlineFleet {
         candidate: &[f64],
         checks: &AncestorChecks,
     ) -> Result<LeafDecision, CoreError> {
-        let row = self
-            .aggregates
-            .trace(rack)
-            .map_err(CoreError::Tree)?
-            .samples();
+        let row = self.aggregates.trace(rack)?.samples();
         let new_peak = peak_of_sum_samples(row, candidate)?;
-        let old_peak = self.aggregates.peak(rack).map_err(CoreError::Tree)?;
+        let old_peak = self.aggregates.peak(rack)?;
         let budget = self.budgets[rack.index()];
         let has_slot = self.members[rack.index()].len() < self.topology.rack_capacity();
         let mut power_ok = new_peak <= budget;
-        let mut node = self.topology.node(rack).map_err(CoreError::Tree)?;
+        let mut node = self.topology.node(rack)?;
         while let Some(parent) = node.parent().filter(|_| power_ok) {
             power_ok = checks.holds(parent);
-            node = self.topology.node(parent).map_err(CoreError::Tree)?;
+            node = self.topology.node(parent)?;
         }
         let asynchrony = if old_peak > 0.0 {
             pairwise_score_from_peaks(old_peak, checks.candidate_peak, new_peak)
@@ -779,18 +790,21 @@ impl OnlineFleet {
         }
     }
 
-    /// Offers one arrival; returns the committed slot, or `None` when no
-    /// rack is admissible (the arrival is rejected and journaled).
+    /// Offers one arrival, snapped onto the exact grid; returns the
+    /// committed slot, or `None` when no rack is admissible (the arrival
+    /// is rejected and journaled).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Trace`] for a grid mismatch and propagates
-    /// evaluation errors. A failed arrival does not change engine state.
+    /// Returns [`CoreError::Trace`] for a grid mismatch or a sample off the
+    /// exact range, and propagates evaluation errors. A failed arrival
+    /// does not change engine state.
     pub fn arrive(&mut self, candidate: &PowerTrace) -> Result<Option<usize>, CoreError> {
         self.check_grid(candidate)?;
+        let row = snap_samples(candidate.samples())?;
         let ordinal = self.arrivals_seen;
         let candidates = self.candidate_racks(ordinal);
-        let decisions = self.evaluate_racks(&candidates, candidate.samples())?;
+        let decisions = self.evaluate_racks(&candidates, &row)?;
         let choice = select_decision(&self.config.policy, &decisions);
         self.arrivals_seen += 1;
 
@@ -805,7 +819,7 @@ impl OnlineFleet {
             self.push_journal(EventRecord::Rejected { ordinal });
             if breaker_bound {
                 if let Some(plane) = &self.plane {
-                    plane.note_breaker_violation(ordinal, peak_of_samples(candidate.samples()));
+                    plane.note_breaker_violation(ordinal, peak_of_samples(&row));
                 }
                 if so_telemetry::enabled() {
                     so_telemetry::counter_add("so_online_breaker_violations_total", &[], 1);
@@ -819,12 +833,9 @@ impl OnlineFleet {
         };
 
         let rack = best.rack;
-        let slot = self.arena.push_trace(candidate)?;
+        let slot = self.arena.push_samples(&row)?;
         self.rack_of.push(Some(rack));
-        let members = &mut self.members[rack.index()];
-        let pos = members.partition_point(|&s| s < slot);
-        members.insert(pos, slot);
-        self.refresh_path(&[rack])?;
+        self.place(slot, rack)?;
         self.live += 1;
         self.committed += 1;
         self.push_journal(EventRecord::Committed {
@@ -836,13 +847,13 @@ impl OnlineFleet {
             so_telemetry::counter_add("so_online_arrivals_total", &[], 1);
             so_telemetry::counter_add("so_online_commits_total", &[], 1);
             so_telemetry::gauge_set("so_online_live_instances", &[], self.live as f64);
-            self.emit_fragmentation_gauges()?;
+            self.fragmentation_cached()?; // re-emits the fragmentation gauges
         }
         Ok(Some(slot))
     }
 
-    /// Retires a live instance, releasing its slot and refreshing the
-    /// touched power path.
+    /// Retires a live instance, releasing its slot and subtracting its
+    /// row from the touched power path.
     ///
     /// # Errors
     ///
@@ -855,19 +866,15 @@ impl OnlineFleet {
             .copied()
             .flatten()
             .ok_or(CoreError::Tree(TreeError::UnknownInstance(slot)))?;
-        let members = &mut self.members[rack.index()];
-        let pos = members.partition_point(|&s| s < slot);
-        debug_assert_eq!(members.get(pos), Some(&slot));
-        members.remove(pos);
+        self.unplace(slot, rack)?;
         self.rack_of[slot] = None;
-        self.refresh_path(&[rack])?;
         self.live -= 1;
         self.retired += 1;
         self.push_journal(EventRecord::Retired { slot, rack });
         if so_telemetry::enabled() {
             so_telemetry::counter_add("so_online_retirements_total", &[], 1);
             so_telemetry::gauge_set("so_online_live_instances", &[], self.live as f64);
-            self.emit_fragmentation_gauges()?;
+            self.fragmentation_cached()?; // re-emits the fragmentation gauges
         }
         Ok(())
     }
@@ -934,9 +941,9 @@ impl OnlineFleet {
 
     /// Runs one repair pass: the live fleet is compacted into a dense view
     /// and handed to the offline differential-score remap with
-    /// `max_swaps = repair_budget`; the resulting moves are applied back
-    /// to the resident state (journaled as [`EventRecord::Moved`]) and the
-    /// touched paths are canonically refreshed.
+    /// `max_swaps = repair_budget`; each resulting move is applied back to
+    /// the resident state as a retirement from one path and a commit to
+    /// the other (journaled as [`EventRecord::Moved`]).
     ///
     /// # Errors
     ///
@@ -966,34 +973,19 @@ impl OnlineFleet {
         };
         let report = remap_arena(&compact, &self.topology, &mut assignment, config)?;
 
-        if !report.swaps.is_empty() {
-            let mut touched = BTreeSet::new();
-            for (dense, &slot) in slots.iter().enumerate() {
-                let new_rack = assignment.rack_of(dense).map_err(CoreError::Tree)?;
-                let old_rack = self.rack_of[slot].expect("live slot has a rack");
-                if new_rack != old_rack {
-                    touched.insert(old_rack);
-                    touched.insert(new_rack);
-                    self.rack_of[slot] = Some(new_rack);
-                    self.push_journal(EventRecord::Moved {
-                        slot,
-                        from: old_rack,
-                        to: new_rack,
-                    });
-                }
+        for (dense, &slot) in slots.iter().enumerate() {
+            let new_rack = assignment.rack_of(dense)?;
+            let old_rack = self.rack_of[slot].expect("live slot has a rack");
+            if new_rack != old_rack {
+                self.unplace(slot, old_rack)?;
+                self.place(slot, new_rack)?;
+                self.rack_of[slot] = Some(new_rack);
+                self.push_journal(EventRecord::Moved {
+                    slot,
+                    from: old_rack,
+                    to: new_rack,
+                });
             }
-            for &rack in &touched {
-                self.members[rack.index()].clear();
-            }
-            for &slot in &slots {
-                let rack = self.rack_of[slot].expect("live slot has a rack");
-                if touched.contains(&rack) {
-                    // Slots ascend, so pushes keep members sorted.
-                    self.members[rack.index()].push(slot);
-                }
-            }
-            let touched: Vec<NodeId> = touched.into_iter().collect();
-            self.refresh_path(&touched)?;
         }
         if so_telemetry::enabled() {
             so_telemetry::counter_add(
@@ -1001,15 +993,15 @@ impl OnlineFleet {
                 &[],
                 2 * report.swaps.len() as u64,
             );
-            self.emit_fragmentation_gauges()?;
+            self.fragmentation_cached()?; // re-emits the fragmentation gauges
         }
         Ok(report)
     }
 
     /// The asynchrony score (§3.4) of one rack's live members, fused over
     /// arena rows — bit-identical to [`asynchrony_score`] on the members'
-    /// materialized traces (the resident rack aggregate *is* their
-    /// canonical sum).
+    /// materialized traces (the resident rack aggregate *is* their exact
+    /// sum).
     ///
     /// [`asynchrony_score`]: crate::asynchrony_score
     ///
@@ -1022,11 +1014,11 @@ impl OnlineFleet {
         if members.is_empty() {
             return Err(CoreError::EmptySet);
         }
-        let mut peak_sum = 0.0;
-        for &slot in members {
-            peak_sum += peak_of_samples(self.arena.row(slot));
-        }
-        let aggregate_peak = self.aggregates.peak(rack).map_err(CoreError::Tree)?;
+        let peak_sum: f64 = members
+            .iter()
+            .map(|&s| peak_of_samples(self.arena.row(s)))
+            .sum();
+        let aggregate_peak = self.aggregates.peak(rack)?;
         if aggregate_peak == 0.0 {
             return Ok(members.len() as f64);
         }
@@ -1049,64 +1041,43 @@ impl OnlineFleet {
         (count > 0).then(|| sum / count as f64)
     }
 
-    /// Live member slots of `rack`, ascending. Empty for non-rack nodes
-    /// and empty racks.
+    /// Live member slots of `rack`. Empty for non-rack nodes and empty
+    /// racks.
     pub(crate) fn members_of(&self, rack: NodeId) -> &[usize] {
         &self.members[rack.index()]
     }
 
-    /// Overwrites one sample of a live slot's resident window *without*
-    /// refreshing aggregates. The daemon's ring-buffer ingest
-    /// ([`crate::daemon::DaemonFleet`]) writes a whole batch of these and
-    /// then canonically refreshes each touched rack path once via
-    /// [`OnlineFleet::refresh_racks`]; a write without a matching refresh
-    /// leaves the resident aggregates stale, so this stays crate-private.
+    /// Overwrites one sample of a live slot's resident window with
+    /// `watts`, which must already lie on the exact grid (the daemon snaps
+    /// each batch whole), and shifts the slot's rack path by the
+    /// difference, O(path). Returns the overwritten sample.
     ///
     /// # Errors
     ///
     /// Rejects retired/unknown slots and out-of-window positions with
-    /// [`TraceError::OutOfBounds`], and non-finite or negative watts with
-    /// [`TraceError::InvalidSample`] — the same validity rule
-    /// [`PowerTrace::new`] enforces, so resident windows always
-    /// materialize into valid traces.
+    /// [`TraceError::OutOfBounds`], and propagates path updates.
     pub(crate) fn write_window_sample(
         &mut self,
         slot: usize,
         pos: usize,
         watts: f64,
-    ) -> Result<(), CoreError> {
-        if slot >= self.rack_of.len() || self.rack_of[slot].is_none() {
-            return Err(CoreError::Trace(TraceError::OutOfBounds {
-                requested: slot,
-                len: self.rack_of.len(),
-            }));
-        }
+    ) -> Result<f64, CoreError> {
+        let rack = self.rack_of(slot).ok_or(TraceError::OutOfBounds {
+            requested: slot,
+            len: self.rack_of.len(),
+        })?;
         if pos >= self.grid.len() {
             return Err(CoreError::Trace(TraceError::OutOfBounds {
                 requested: pos,
                 len: self.grid.len(),
             }));
         }
-        if !watts.is_finite() || watts < 0.0 {
-            return Err(CoreError::Trace(TraceError::InvalidSample {
-                index: pos,
-                value: watts,
-            }));
-        }
+        let old = self.arena.row(slot)[pos];
+        self.aggregates
+            .shift_path_sample(&self.topology, rack, pos, old, watts)?;
         self.arena.view_mut(slot).samples_mut()[pos] = watts;
-        Ok(())
-    }
-
-    /// Canonically refreshes `racks` and their ancestor paths — the same
-    /// O(touched path) repair every commit/retire runs, exposed within
-    /// the crate so the daemon's batched sample ingest can settle all of
-    /// a batch's window writes in one pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tree lookups.
-    pub(crate) fn refresh_racks(&mut self, racks: &[NodeId]) -> Result<(), CoreError> {
-        self.refresh_path(racks)
+        self.refresh_path_fits(rack)?;
+        Ok(old)
     }
 
     /// Per-level fragmentation of the live fleet against `reference`: at
@@ -1155,12 +1126,7 @@ impl OnlineFleet {
             for &node in self.topology.nodes_at_level(level) {
                 let h = self.headroom(node)?.max(0.0);
                 headroom += h;
-                let admissible = self
-                    .topology
-                    .racks_under(node)
-                    .map_err(CoreError::Tree)?
-                    .iter()
-                    .any(|r| admits[r]);
+                let admissible = self.topology.racks_under(node)?.iter().any(|r| admits[r]);
                 if !admissible {
                     stranded += h;
                 }
@@ -1185,50 +1151,40 @@ impl OnlineFleet {
         Ok(out)
     }
 
-    /// Re-emits the per-level fragmentation gauges from the cached
-    /// per-node probes — the satellite fix for scrape staleness: gauges
-    /// track every commit/retire/move, not just the repair path. A no-op
-    /// unless a fragmentation reference is configured.
-    fn emit_fragmentation_gauges(&self) -> Result<(), CoreError> {
-        // `fragmentation_cached` routes through `fragmentation_from_admits`,
-        // which performs the gauge emission itself.
-        self.fragmentation_cached().map(|_| ())
+    /// Adds live `slot` to `rack`'s members and its row to the rack path.
+    fn place(&mut self, slot: usize, rack: NodeId) -> Result<(), CoreError> {
+        let members = &mut self.members[rack.index()];
+        members.insert(members.partition_point(|&s| s < slot), slot);
+        self.aggregates
+            .add_to_path(&self.topology, rack, self.arena.row(slot))?;
+        self.refresh_path_fits(rack)
     }
 
-    /// Canonically refreshes the given racks and their ancestor paths.
-    fn refresh_path(&mut self, racks: &[NodeId]) -> Result<(), CoreError> {
-        for &rack in racks {
-            let rows = self.members[rack.index()]
-                .iter()
-                .map(|&s| self.arena.row(s));
-            self.aggregates
-                .refresh_rack(&self.topology, rack, rows)
-                .map_err(CoreError::Tree)?;
-        }
-        let ancestors = self
-            .aggregates
-            .refresh_ancestors(&self.topology, racks)
-            .map_err(CoreError::Tree)?;
-        self.refresh_reference_fits(racks)?;
-        self.refresh_reference_fits(&ancestors)
+    /// Removes `slot` from `rack`'s members and its row from the rack path.
+    fn unplace(&mut self, slot: usize, rack: NodeId) -> Result<(), CoreError> {
+        let members = &mut self.members[rack.index()];
+        let pos = members.partition_point(|&s| s < slot);
+        debug_assert_eq!(members.get(pos), Some(&slot));
+        members.remove(pos);
+        self.aggregates
+            .remove_from_path(&self.topology, rack, self.arena.row(slot))?;
+        self.refresh_path_fits(rack)
     }
 
-    /// Recomputes the cached reference-fit bit for each of `nodes` (a
-    /// no-op without a reference): one [`budget_holds`] check per node,
-    /// O(1) unless the node is near its budget.
-    fn refresh_reference_fits(&mut self, nodes: &[NodeId]) -> Result<(), CoreError> {
+    /// Recomputes the cached reference-fit bit of `rack` and each of its
+    /// ancestors (a no-op without a reference): one [`budget_holds`] check
+    /// per node, O(1) unless the node is near its budget.
+    fn refresh_path_fits(&mut self, rack: NodeId) -> Result<(), CoreError> {
         let Some(reference) = &self.frag_reference else {
             return Ok(());
         };
         let reference_peak = peak_of_samples(reference);
-        for &node in nodes {
-            self.fits_node[node.index()] = budget_holds(
-                &self.aggregates,
-                node,
-                self.budgets[node.index()],
-                reference,
-                reference_peak,
-            )?;
+        let mut next = Some(rack);
+        while let Some(node) = next {
+            let budget = self.budgets[node.index()];
+            self.fits_node[node.index()] =
+                budget_holds(&self.aggregates, node, budget, reference, reference_peak)?;
+            next = self.topology.node(node)?.parent();
         }
         Ok(())
     }
@@ -1304,12 +1260,8 @@ struct AncestorChecks {
 impl AncestorChecks {
     fn new(fleet: &OnlineFleet, racks: &[NodeId], candidate: &[f64]) -> Result<Self, CoreError> {
         let candidate_peak = peak_of_samples(candidate);
-        let ancestors = fleet
-            .topology
-            .ancestor_set(racks)
-            .map_err(CoreError::Tree)?;
         let mut vetoes = Vec::new();
-        for node in ancestors {
+        for node in fleet.topology.ancestor_set(racks)? {
             // An ancestor vetoes only when `peak > budget`, as in the
             // materializing `admission_decisions`, so a NaN ancestor
             // budget admits (the rack's own check is `peak <= budget`).
@@ -1334,13 +1286,10 @@ impl AncestorChecks {
 
 /// Whether `node`'s `budget` still holds with `candidate` added below it:
 /// exactly `peak_of_sum_samples(row, candidate)? <= budget` for the node's
-/// aggregate `row`, but decided in O(1) from the cached peaks whenever
-/// `f64::MIN <= peak(node) + candidate_peak <= budget`. That shortcut is
-/// exact: rounding is monotone, so every `fl(a_t + c_t)` is at most
-/// `fl(peak_a + peak_c)` (a NaN sum is skipped by the `max` fold, and an
-/// undefined `inf - inf` bound is NaN, failing the test), while the fold's
-/// `f64::MIN` start stays below a bound that did not round to `-inf`. A
-/// NaN budget fails the test too and takes the O(T) probe.
+/// aggregate `row`, but decided in O(1) whenever
+/// `peak(node) + candidate_peak <= budget`, since no sample of the sum
+/// exceeds the sum of the peaks (every sum here is exact). A NaN budget
+/// fails the test and takes the O(T) probe.
 fn budget_holds(
     aggregates: &NodeAggregates,
     node: NodeId,
@@ -1348,11 +1297,10 @@ fn budget_holds(
     candidate: &[f64],
     candidate_peak: f64,
 ) -> Result<bool, CoreError> {
-    let bound = aggregates.peak(node).map_err(CoreError::Tree)? + candidate_peak;
-    if (f64::MIN..=budget).contains(&bound) {
+    if aggregates.peak(node)? + candidate_peak <= budget {
         return Ok(true);
     }
-    let row = aggregates.trace(node).map_err(CoreError::Tree)?.samples();
+    let row = aggregates.trace(node)?.samples();
     Ok(peak_of_sum_samples(row, candidate)? <= budget)
 }
 
@@ -1426,7 +1374,8 @@ pub fn sample_racks(racks: &[NodeId], salt: u64, ordinal: u64, probes: usize) ->
 /// arithmetic (`try_add().peak()`, [`pairwise_score`]) over a
 /// from-scratch [`NodeAggregates`] — an independent float path from the
 /// engine's fused probes, documented bit-identical, and the reference the
-/// `online` oracle family holds the journal against.
+/// `online` oracle family holds the journal against. The candidate is
+/// snapped as [`OnlineFleet::arrive`] snaps it.
 ///
 /// `occupancy` maps racks to their live member count (missing = empty).
 ///
@@ -1451,6 +1400,7 @@ pub fn offline_choose(
         _ => topology.racks().to_vec(),
     };
     let capacity = topology.rack_capacity();
+    let candidate = &PowerTrace::new(snap_samples(candidate.samples())?, candidate.step_minutes())?;
     let mut decisions = Vec::with_capacity(candidates.len());
     for rack in candidates {
         let aggregate = aggregates.trace(rack).map_err(CoreError::Tree)?;

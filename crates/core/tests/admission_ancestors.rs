@@ -7,6 +7,8 @@
 //! (`peak(node) + peak(candidate) <= budget`) and shared ancestor checks
 //! as exact: budgets placed on, one ulp either side of, and far from the
 //! shortcut bound give the materializing path's decisions bit for bit.
+//! The reference side sees the candidate snapped onto the exact grid, as
+//! the engine does, so the bounds it builds sit exactly on the engine's.
 
 use std::collections::BTreeMap;
 
@@ -14,7 +16,7 @@ use proptest::prelude::*;
 use so_core::{
     admission_decisions, offline_choose, CommitPolicy, LeafDecision, OnlineConfig, OnlineFleet,
 };
-use so_powertrace::{peak_of_samples, PowerTrace, TimeGrid};
+use so_powertrace::{peak_of_samples, snap_samples, PowerTrace, TimeGrid};
 use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology};
 
 /// 1 suite × 2 MSB × 1 SB × 1 RPP × 2 racks: racks 0–1 share one
@@ -259,7 +261,7 @@ proptest! {
         for row in fleet {
             engine.arrive(&PowerTrace::new(row, 60).unwrap()).unwrap();
         }
-        let candidate = PowerTrace::new(candidate, 60).unwrap();
+        let candidate = PowerTrace::new(snap_samples(&candidate).unwrap(), 60).unwrap();
         let candidate_peak = peak_of_samples(candidate.samples());
         let (traces, assignment, _) = engine.live_view().unwrap();
         let aggregates = if traces.is_empty() {

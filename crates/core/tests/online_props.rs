@@ -69,9 +69,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Arrive∘retire is the identity on the resident aggregates — not
-    /// merely within 1e-9, but bit-for-bit, because every mutation
-    /// canonically rebuilds the touched path instead of incrementally
-    /// adding and subtracting.
+    /// merely within 1e-9, but bit-for-bit, because resident samples sit
+    /// on the exact grid, where adding and then subtracting a row is
+    /// exact.
     #[test]
     fn arrive_then_retire_is_identity(warm in batch(0..=8), t in batch(1..=1)) {
         let mut fleet = engine(CommitPolicy::BestAsynchrony);

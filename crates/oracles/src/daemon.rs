@@ -6,6 +6,7 @@
 //! | `ring_replay_reconstructs_every_window_cell` | arena rows after an ingest stream vs an independent ring-replay model | bit-identical cells |
 //! | `ingest_aggregates_match_batch_recompute` | resident aggregates after ingest vs [`NodeAggregates::compute`] on the materialized windows | bit-identical samples |
 //! | `ingest_peaks_match_batch_recompute` | resident per-node peaks vs the recomputed aggregates' peaks | bit-identical |
+//! | `aggregates_match_shuffled_recompute` | resident aggregates and peaks vs a recompute adding live rows and children in a seeded random order | bit-identical |
 //! | `cached_asynchrony_matches_fused_score` | cached-peak [`DaemonFleet::rack_asynchrony`] vs the fused [`OnlineFleet::rack_asynchrony`] recompute | bit-identical |
 //! | `cached_asynchrony_matches_materialized_score` | cached-peak scores vs [`asynchrony_score`] over materialized member traces | bit-identical |
 //! | `cached_mean_asynchrony_matches_fused` | [`DaemonFleet::mean_rack_asynchrony`] vs the engine's recompute | bit-identical |
@@ -13,19 +14,21 @@
 //! | `malformed_batch_rejects_without_mutation` | root aggregate bits around a NaN-bearing batch | rejected + bit-identical |
 //! | `ingest_accounting_is_exact` | per-batch applied/dropped vs the submitted updates and lifetime counters | exact |
 //!
-//! Every identity here is *exact*: ingest settles each touched rack path
-//! with the same canonical refresh every commit runs, so the resident
-//! state after any stream — including ring wrap-around and interleaved
-//! arrival/retirement churn — must match a from-scratch recompute to the
-//! bit. [`check_daemon_state`] is exported so mutation tests can feed
-//! deliberately broken daemons through the same checker the battery runs.
+//! Every identity here is *exact*: ingest snaps each reading onto the
+//! exact grid of [`snap_samples`] and shifts its rack path by delta, so
+//! the resident state after any stream — including ring wrap-around and
+//! interleaved arrival/retirement churn — must match a from-scratch
+//! recompute, in any order of addition, to the bit. The ring-replay model
+//! snaps its inputs with the same function. [`check_daemon_state`] is
+//! exported so mutation tests can feed deliberately broken daemons
+//! through the same checker the battery runs.
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use so_core::asynchrony_score;
 use so_core::daemon::{DaemonFleet, SampleUpdate};
 use so_core::online::{CommitPolicy, OnlineConfig, OnlineFleet};
-use so_powertrace::PowerTrace;
+use so_powertrace::{snap_samples, PowerTrace};
 use so_powertree::NodeAggregates;
 
 use crate::{Fixture, OracleError, OracleFamily, OracleReport};
@@ -75,7 +78,7 @@ pub fn run(
     for trace in traces {
         if let Some(slot) = daemon.arrive(trace).map_err(OracleError::Core)? {
             debug_assert_eq!(slot, model.len());
-            model.push((trace.samples().to_vec(), 0));
+            model.push((snap_samples(trace.samples())?, 0));
         }
     }
 
@@ -98,11 +101,12 @@ pub fn run(
         });
         let submitted = updates.len();
         let outcome = daemon.ingest_batch(&updates).map_err(OracleError::Core)?;
+        let watts = snap_samples(&updates.iter().map(|u| u.watts).collect::<Vec<_>>())?;
         let mut expect_applied = 0usize;
-        for update in &updates {
+        for (update, watts) in updates.iter().zip(watts) {
             if daemon.fleet().rack_of(update.slot).is_some() {
                 let (row, cursor) = &mut model[update.slot];
-                row[*cursor] = update.watts;
+                row[*cursor] = watts;
                 *cursor = (*cursor + 1) % window;
                 expect_applied += 1;
             }
@@ -129,13 +133,14 @@ pub fn run(
             let fresh = traces[rng.gen_range(0..traces.len())].clone();
             if let Some(slot) = daemon.arrive(&fresh).map_err(OracleError::Core)? {
                 debug_assert_eq!(slot, model.len());
-                model.push((fresh.samples().to_vec(), 0));
+                model.push((snap_samples(fresh.samples())?, 0));
             }
             daemon.repair().map_err(OracleError::Core)?;
         }
 
         check_ring_replay(&daemon, &model, report);
         check_daemon_state(&daemon, report)?;
+        crate::online::shuffled_recompute_matches(FAMILY, daemon.fleet(), rng, report)?;
     }
 
     empty_ingest_is_identity(&mut daemon, report)?;

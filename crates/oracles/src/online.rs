@@ -5,6 +5,7 @@
 //! |---|---|---|
 //! | `resident_aggregates_match_offline_recompute` | engine aggregates after an event stream vs [`NodeAggregates::compute`] on the final live fleet | bit-identical samples |
 //! | `resident_peaks_match_offline_recompute` | cached per-node peaks vs the recomputed aggregates' peaks | bit-identical |
+//! | `aggregates_match_shuffled_recompute` | engine aggregates and peaks vs a recompute adding live rows and children in a seeded random order | bit-identical |
 //! | `rack_asynchrony_matches_materialized_score` | fused [`OnlineFleet::rack_asynchrony`] vs [`asynchrony_score`] over materialized member traces | bit-identical |
 //! | `journal_commit_matches_offline_choice` | each journaled commit vs [`offline_choose`] replayed against the reconstructed pre-state | same rack |
 //! | `journal_retirement_names_the_hosting_rack` | journal replay occupancy at each `Retired`/`Moved` event | exact |
@@ -16,23 +17,25 @@
 //! | `counters_account_for_every_event` | engine counters vs journal arithmetic | exact |
 //! | `fragmentation_is_bounded` | per-level stranded watts vs headroom | `0 ≤ stranded ≤ headroom` |
 //!
-//! Everything except the two bounds checks is *exact*: the engine's
-//! canonical path refresh and fused probes are documented to perform the
-//! same float operations in the same order as the offline paths, so any
-//! ULP of drift is a bug. [`check_resident_aggregates`] and
-//! [`check_commit_decision`] are exported so mutation tests can feed
+//! Everything except the two bounds checks is *exact*: resident samples
+//! sit on the exact grid of [`so_powertrace::snap_samples`], where every
+//! order of addition gives the same bits, and the fused probes perform
+//! the same float operations as the offline paths, so any ULP of drift
+//! is a bug. [`check_resident_aggregates`], [`check_shuffled_recompute`]
+//! and [`check_commit_decision`] are exported so mutation tests can feed
 //! deliberately broken states through the same checkers the battery runs.
 
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::Rng;
 use so_core::{
     admission_decisions, asynchrony_score, offline_choose, CommitPolicy, EventRecord, OnlineConfig,
     OnlineFleet,
 };
-use so_powertrace::{PowerTrace, TimeGrid};
-use so_powertree::{Assignment, NodeAggregates, NodeId, PowerTopology};
+use so_powertrace::{peak_of_samples, PowerTrace, TimeGrid, MAX_SAMPLE_WATTS};
+use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology};
 
 use crate::{Fixture, OracleError, OracleFamily, OracleReport};
 
@@ -87,6 +90,7 @@ pub fn run(
             engine.apply(batch, &retires).map_err(OracleError::Core)?;
         }
         state_matches_offline(&engine, report)?;
+        shuffled_recompute_matches(FAMILY, &engine, rng, report)?;
         asynchrony_matches_materialized(&engine, report)?;
         journal_replays_offline(&engine, report)?;
         rejection_is_agreed(&engine, cap, report)?;
@@ -147,11 +151,79 @@ pub fn check_resident_aggregates(
     Ok(())
 }
 
+/// Diffs `claimed` against a recompute that starts from zero, adds each
+/// rack's live `rows` (hosted on `racks`, positionally) and then each
+/// internal node's children, every list in a seeded random order. On the
+/// exact grid every order lands on the same bits, so a difference means a
+/// path update went astray or a row was never snapped. Exported so
+/// mutation tests can present broken states to the battery's checker.
+///
+/// # Errors
+///
+/// Propagates tree lookups on the claimed side.
+pub fn check_shuffled_recompute(
+    family: OracleFamily,
+    topology: &PowerTopology,
+    rows: &[&[f64]],
+    racks: &[NodeId],
+    claimed: &NodeAggregates,
+    rng: &mut StdRng,
+    report: &mut OracleReport,
+) -> Result<(), OracleError> {
+    let window = claimed.trace(topology.root())?.len();
+    let mut members: Vec<Vec<usize>> = vec![Vec::new(); topology.len()];
+    for (i, rack) in racks.iter().enumerate() {
+        members[rack.index()].push(i);
+    }
+    let mut sums = vec![vec![0.0f64; window]; topology.len()];
+    let add = |acc: &mut Vec<f64>, row: &[f64]| acc.iter_mut().zip(row).for_each(|(a, v)| *a += v);
+    for &rack in topology.racks() {
+        members[rack.index()].shuffle(rng);
+        for &i in &members[rack.index()] {
+            add(&mut sums[rack.index()], rows[i]);
+        }
+    }
+    let mut level = Some(Level::Rpp);
+    while let Some(current) = level {
+        for &id in topology.nodes_at_level(current) {
+            let mut children = topology.node(id)?.children().to_vec();
+            children.shuffle(rng);
+            let mut acc = vec![0.0f64; window];
+            for child in children {
+                add(&mut acc, &sums[child.index()]);
+            }
+            sums[id.index()] = acc;
+        }
+        level = current.parent();
+    }
+    for node in topology.nodes().iter().map(|n| n.id()) {
+        let got = claimed.trace(node)?.samples();
+        let want = &sums[node.index()];
+        report.check(
+            family,
+            "aggregates_match_shuffled_recompute",
+            got.iter()
+                .map(|v| v.to_bits())
+                .eq(want.iter().map(|v| v.to_bits())),
+            || format!("node {node}: aggregate depends on the order of addition"),
+        );
+        report.check_exact(
+            family,
+            "aggregates_match_shuffled_recompute",
+            claimed.peak(node)?,
+            peak_of_samples(want),
+        );
+    }
+    Ok(())
+}
+
 /// Replays one commit decision offline — a from-scratch
 /// [`NodeAggregates::compute`] of the pre-state, then [`offline_choose`]
 /// with the **materializing** arithmetic — and checks the claimed outcome
-/// (`Some(rack)` for a commit, `None` for a rejection). Exported so
-/// mutation tests can claim wrong-leaf commits against the same checker.
+/// (`Some(rack)` for a commit, `None` for a rejection). `offline_choose`
+/// snaps the candidate as the engine does, so a raw candidate replays the
+/// engine's decision. Exported so mutation tests can claim wrong-leaf
+/// commits against the same checker.
 ///
 /// # Errors
 ///
@@ -222,6 +294,28 @@ fn state_matches_offline(
         &traces,
         &racks,
         engine.aggregates(),
+        report,
+    )
+}
+
+/// The engine's aggregates vs [`check_shuffled_recompute`] over its own
+/// live view, reported under `family`.
+pub(crate) fn shuffled_recompute_matches(
+    family: OracleFamily,
+    engine: &OnlineFleet,
+    rng: &mut StdRng,
+    report: &mut OracleReport,
+) -> Result<(), OracleError> {
+    let (traces, _, slots) = engine.live_view().map_err(OracleError::Core)?;
+    let rows: Vec<&[f64]> = traces.iter().map(PowerTrace::samples).collect();
+    let racks: Vec<NodeId> = slots.iter().filter_map(|&s| engine.rack_of(s)).collect();
+    check_shuffled_recompute(
+        family,
+        engine.topology(),
+        &rows,
+        &racks,
+        engine.aggregates(),
+        rng,
         report,
     )
 }
@@ -349,15 +443,21 @@ pub(crate) fn journal_replays_offline(
 }
 
 /// An arrival whose flat draw exceeds every budget must be rejected by
-/// the engine *and* by the offline replay of the same decision.
+/// the engine *and* by the offline replay of the same decision. The draw
+/// is the largest the exact grid admits, against budgets at most half of
+/// it, so the probe stays in range at any fixture size.
 fn rejection_is_agreed(
     engine: &OnlineFleet,
     cap: f64,
     report: &mut OracleReport,
 ) -> Result<(), OracleError> {
-    let mut probe = engine.clone();
+    let budget = cap.min(MAX_SAMPLE_WATTS / 2.0);
+    let mut probe = engine
+        .clone()
+        .with_budgets(vec![budget; engine.topology().len()])
+        .map_err(OracleError::Core)?;
     let too_big = PowerTrace::new(
-        vec![cap * 2.0; engine.grid().len()],
+        vec![MAX_SAMPLE_WATTS; engine.grid().len()],
         engine.grid().step_minutes(),
     )?;
     let ordinal = probe.arrivals_seen();
@@ -366,7 +466,7 @@ fn rejection_is_agreed(
         FAMILY,
         "rejection_is_agreed_by_offline_replay",
         outcome.is_none(),
-        || format!("engine admitted a {cap}-watt-over-budget arrival as slot {outcome:?}"),
+        || format!("engine admitted an arrival over its {budget} W budgets as slot {outcome:?}"),
     );
     let (pre_traces, _, slots) = engine.live_view().map_err(OracleError::Core)?;
     let pre_racks: Vec<NodeId> = slots
@@ -375,7 +475,7 @@ fn rejection_is_agreed(
         .collect();
     check_commit_decision(
         engine.topology(),
-        engine.budgets(),
+        probe.budgets(),
         engine.grid(),
         &pre_traces,
         &pre_racks,
@@ -451,8 +551,8 @@ fn decisions_match_admission(
 }
 
 /// Arrive-then-retire must leave every aggregate bit where it was: the
-/// canonical path refresh rebuilds touched sums from members, so the
-/// round trip is exact, not merely close.
+/// path update adds and then subtracts one snapped row, so the round trip
+/// is exact, not merely close.
 fn arrive_retire_identity(
     engine: &OnlineFleet,
     candidate: &PowerTrace,

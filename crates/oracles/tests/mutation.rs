@@ -1,12 +1,17 @@
 //! Mutation smoke test: the oracle harness is only worth its keep if a
 //! deliberately broken implementation actually trips it. Each test plants
 //! a classic bug — quantile convention drift, a stale online aggregate, a
-//! wrong-leaf commit — and asserts at least one oracle objects; the
-//! production implementations pass the same probes untouched.
+//! path delta that stops at the rack, an ingest write that skips the
+//! snap, a wrong-leaf commit — and asserts at least one oracle objects;
+//! the production implementations pass the same probes untouched.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use so_core::{CommitPolicy, OnlineConfig, OnlineFleet};
 use so_oracles::differential::quantile_matches_reference;
-use so_oracles::online::{check_commit_decision, check_resident_aggregates};
+use so_oracles::online::{
+    check_commit_decision, check_resident_aggregates, check_shuffled_recompute,
+};
 use so_oracles::{Fixture, OracleFamily, OracleReport};
 use so_powertrace::PowerTrace;
 use so_powertree::{NodeAggregates, NodeId};
@@ -140,6 +145,108 @@ fn stale_aggregate_after_retirement_is_caught() {
         .violations()
         .iter()
         .all(|v| v.family == OracleFamily::Online));
+}
+
+#[test]
+fn delta_applied_to_the_rack_but_not_its_ancestors_is_caught() {
+    // Bug: a commit whose row delta lands on the rack and stops there —
+    // modeled by snapshotting the aggregates, committing an arrival, and
+    // bringing only the chosen rack of the snapshot up to date.
+    let (mut engine, traces) = driven_engine();
+    let mut broken = engine.aggregates().clone();
+    let slot = engine.arrive(&traces[0]).unwrap().expect("admissible");
+    let rack = engine.rack_of(slot).unwrap();
+    let members: Vec<&[f64]> = engine
+        .live_slots()
+        .into_iter()
+        .filter(|&s| engine.rack_of(s) == Some(rack))
+        .map(|s| engine.row(s))
+        .collect();
+    broken
+        .refresh_rack(engine.topology(), rack, members)
+        .unwrap();
+    let (live, _, _) = engine.live_view().unwrap();
+    let rows: Vec<&[f64]> = live.iter().map(PowerTrace::samples).collect();
+    let racks = live_racks(&engine);
+    let mut report = OracleReport::new();
+    check_resident_aggregates(
+        engine.topology(),
+        engine.grid(),
+        &live,
+        &racks,
+        &broken,
+        &mut report,
+    )
+    .unwrap();
+    let mut rng = StdRng::seed_from_u64(9);
+    check_shuffled_recompute(
+        OracleFamily::Online,
+        engine.topology(),
+        &rows,
+        &racks,
+        &broken,
+        &mut rng,
+        &mut report,
+    )
+    .unwrap();
+    // The rack itself is right; each of its ancestors is stale, in both
+    // checkers, samples and peak.
+    let path = engine.topology().ancestors(rack).unwrap().len();
+    assert_eq!(report.violations_in(OracleFamily::Online), 4 * path);
+
+    let mut clean = OracleReport::new();
+    check_shuffled_recompute(
+        OracleFamily::Online,
+        engine.topology(),
+        &rows,
+        &racks,
+        engine.aggregates(),
+        &mut rng,
+        &mut clean,
+    )
+    .unwrap();
+    assert!(clean.is_clean(), "{:#?}", clean.violations());
+}
+
+#[test]
+fn ingest_write_that_skips_the_snap_is_caught() {
+    // Bug: an ingest path that writes raw readings and shifts the rack
+    // path by the raw difference — off the exact grid, the resident sums
+    // then depend on the order the samples came in.
+    let (engine, _) = driven_engine();
+    let topology = engine.topology();
+    let (live, _, _) = engine.live_view().unwrap();
+    let mut rows: Vec<Vec<f64>> = live.iter().map(|t| t.samples().to_vec()).collect();
+    let racks = live_racks(&engine);
+    let mut broken = engine.aggregates().clone();
+    for k in 0..64usize {
+        let (i, pos) = (k % rows.len(), k % engine.grid().len());
+        let raw = 100.0 / 3.0 + k as f64 * 0.1;
+        broken
+            .shift_path_sample(topology, racks[i], pos, rows[i][pos], raw)
+            .unwrap();
+        rows[i][pos] = raw;
+    }
+    let rows: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+    let mut report = OracleReport::new();
+    check_shuffled_recompute(
+        OracleFamily::Daemon,
+        topology,
+        &rows,
+        &racks,
+        &broken,
+        &mut StdRng::seed_from_u64(9),
+        &mut report,
+    )
+    .unwrap();
+    assert!(
+        !report.is_clean(),
+        "an unsnapped ingest write slipped past the oracle"
+    );
+    assert!(report
+        .violations()
+        .iter()
+        .all(|v| v.family == OracleFamily::Daemon));
 }
 
 #[test]

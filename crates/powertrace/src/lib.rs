@@ -20,6 +20,8 @@
 //! * [`NodeAggregate`] — an incrementally maintained aggregate trace with a
 //!   cached peak, so remapping evaluates candidate swaps in `O(T)` instead
 //!   of re-summing a whole power node;
+//! * [`snap_samples`] — the exact sample grid (2^-10 W, capped at 2^20 W)
+//!   on which the online engine's resident sums are order-free;
 //! * [`TraceArena`] — columnar storage for large trace populations: one
 //!   contiguous sample buffer with [`TraceView`]/[`TraceViewMut`] handles
 //!   and allocation-free batch kernels, the representation behind the
@@ -53,6 +55,7 @@ mod arena;
 mod bands;
 mod decompose;
 mod error;
+mod exact;
 mod grid;
 pub mod io;
 mod mask;
@@ -69,6 +72,7 @@ pub use arena::{TraceArena, TraceView, TraceViewMut};
 pub use bands::PercentileBands;
 pub use decompose::SeasonalDecomposition;
 pub use error::TraceError;
+pub use exact::{snap_samples, MAX_EXACT_SLOTS, MAX_SAMPLE_WATTS, SAMPLE_QUANTUM_WATTS};
 pub use grid::{TimeGrid, MINUTES_PER_DAY, MINUTES_PER_WEEK};
 pub use mask::MaskedTrace;
 pub use metrics::{peak_of_sum, peak_reduction, sum_of_peaks};

@@ -248,6 +248,76 @@ impl PowerTrace {
         Ok(())
     }
 
+    /// In-place `self += row`, returning the new peak. Exact on the grid of
+    /// [`crate::snap_samples`].
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::LengthMismatch`] for a row of another length, and
+    /// [`TraceError::InvalidSample`] when a result would be negative or not
+    /// finite. The trace is unchanged on error.
+    pub fn add_row_in_place(&mut self, row: &[f64]) -> Result<f64, TraceError> {
+        self.shift_by_row(row, 1.0)
+    }
+
+    /// In-place `self -= row`; see [`add_row_in_place`](Self::add_row_in_place).
+    ///
+    /// # Errors
+    ///
+    /// As for [`add_row_in_place`](Self::add_row_in_place).
+    pub fn sub_row_in_place(&mut self, row: &[f64]) -> Result<f64, TraceError> {
+        self.shift_by_row(row, -1.0)
+    }
+
+    fn shift_by_row(&mut self, row: &[f64], sign: f64) -> Result<f64, TraceError> {
+        if row.len() != self.samples.len() {
+            return Err(TraceError::LengthMismatch {
+                left: self.samples.len(),
+                right: row.len(),
+            });
+        }
+        // Branch-free passes that vectorize: check every result, write,
+        // then refold the peak while the row is still in cache.
+        let valid = |v: f64| (0.0..=f64::MAX).contains(&v);
+        let shifted = |t: usize| self.samples[t] + sign * row[t];
+        let all_valid = self
+            .samples
+            .iter()
+            .zip(row)
+            .fold(true, |ok, (&a, &v)| ok & valid(a + sign * v));
+        if !all_valid {
+            let index = (0..row.len()).find(|&t| !valid(shifted(t))).unwrap_or(0);
+            return Err(TraceError::InvalidSample {
+                index,
+                value: shifted(index),
+            });
+        }
+        for (acc, &v) in self.samples.iter_mut().zip(row) {
+            *acc += sign * v;
+        }
+        Ok(self.peak())
+    }
+
+    /// Overwrites the sample at `index`.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::OutOfBounds`] past the end and
+    /// [`TraceError::InvalidSample`] for a NaN, infinite or negative value;
+    /// the trace is unchanged on error.
+    pub fn set_sample(&mut self, index: usize, value: f64) -> Result<(), TraceError> {
+        let len = self.samples.len();
+        let slot = self.samples.get_mut(index).ok_or(TraceError::OutOfBounds {
+            requested: index,
+            len,
+        })?;
+        if !value.is_finite() || value < 0.0 {
+            return Err(TraceError::InvalidSample { index, value });
+        }
+        *slot = value;
+        Ok(())
+    }
+
     /// Multiply every sample by `factor`.
     ///
     /// # Panics
@@ -498,6 +568,30 @@ mod tests {
             PowerTrace::new(vec![f64::NAN], 10),
             Err(TraceError::InvalidSample { index: 0, .. })
         ));
+    }
+
+    #[test]
+    fn in_place_row_updates_keep_the_trace_valid() {
+        let mut t = trace(&[1.0, 4.0, 2.0]);
+        assert_eq!(t.add_row_in_place(&[3.0, 0.0, 1.0]).unwrap(), 4.0);
+        assert_eq!(t.samples(), &[4.0, 4.0, 3.0]);
+        assert_eq!(t.sub_row_in_place(&[4.0, 1.0, 3.0]).unwrap(), 3.0);
+        assert_eq!(t.samples(), &[0.0, 3.0, 0.0]);
+        // Rejected updates leave every sample where it was.
+        assert!(matches!(
+            t.sub_row_in_place(&[0.0, 3.5, 0.0]),
+            Err(TraceError::InvalidSample { index: 1, .. })
+        ));
+        assert!(matches!(
+            t.add_row_in_place(&[0.0, f64::NAN, 0.0]),
+            Err(TraceError::InvalidSample { index: 1, .. })
+        ));
+        assert!(t.add_row_in_place(&[1.0]).is_err());
+        assert!(t.set_sample(3, 1.0).is_err());
+        assert!(t.set_sample(0, f64::INFINITY).is_err());
+        assert_eq!(t.samples(), &[0.0, 3.0, 0.0]);
+        t.set_sample(2, 7.5).unwrap();
+        assert_eq!(t.peak(), 7.5);
     }
 
     #[test]

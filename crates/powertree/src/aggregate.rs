@@ -1,7 +1,7 @@
 //! Bottom-up aggregation of instance power traces through the tree.
 
 use so_parallel::par_map;
-use so_powertrace::{NodeAggregate, PowerTrace, SlackProfile, TimeGrid};
+use so_powertrace::{NodeAggregate, PowerTrace, SlackProfile, TimeGrid, TraceError};
 
 use crate::assignment::Assignment;
 use crate::error::TreeError;
@@ -136,18 +136,10 @@ impl NodeAggregates {
         )
     }
 
-    /// Canonically recomputes the aggregate of one rack from its member
-    /// sample rows.
-    ///
-    /// This is the leaf half of incremental maintenance: instead of
-    /// adding/subtracting the changed member in place (which leaves
-    /// floating-point residue — subtraction is not an exact inverse of
-    /// addition), the rack's sum is rebuilt from scratch with exactly the
-    /// float operations [`NodeAggregates::compute`] performs (members
-    /// accumulated in iteration order onto a zero buffer, then clamped via
-    /// the same materialization). Pass members in ascending instance order
-    /// to stay bit-identical to a from-scratch [`NodeAggregates::compute`]
-    /// of the same fleet.
+    /// Reference recompute of one rack's aggregate from its member rows,
+    /// with the float operations of [`NodeAggregates::compute`] (members
+    /// accumulated in iteration order onto a zero buffer). Tests compare
+    /// the in-place path deltas against it; no mutation path calls it.
     ///
     /// # Errors
     ///
@@ -170,20 +162,12 @@ impl NodeAggregates {
         Ok(())
     }
 
-    /// Canonically recomputes every ancestor of the given racks, deepest
-    /// first, after one or more [`refresh_rack`] calls, and returns the
-    /// refreshed ancestors in that order (descending id, each once).
-    ///
-    /// Each affected internal node re-sums its children in ascending id
-    /// order — the exact float work of [`NodeAggregates::compute`]'s upward
-    /// pass — so the refreshed traces are bit-identical to a from-scratch
-    /// recompute of the same fleet. The affected set comes from
-    /// [`PowerTopology::ancestor_set`], which walks parent links, so the
-    /// bookkeeping is O(path) per rack and untouched subtrees are never
-    /// visited; the float work is one children re-sum per distinct
-    /// ancestor.
-    ///
-    /// [`refresh_rack`]: NodeAggregates::refresh_rack
+    /// Reference recompute of every ancestor of the given racks, deepest
+    /// first, each re-summing all of its children as
+    /// [`NodeAggregates::compute`]'s upward pass does. Returns the
+    /// refreshed ancestors in that order (descending id, each once); the
+    /// set comes from [`PowerTopology::ancestor_set`], so untouched
+    /// subtrees are never visited.
     ///
     /// # Errors
     ///
@@ -210,6 +194,94 @@ impl NodeAggregates {
             self.set(id, agg.to_trace()?);
         }
         Ok(ancestors)
+    }
+
+    /// Adds one member row to `rack` and to every ancestor, in place:
+    /// O(path · T), each node's cached peak refolded as its row is written.
+    ///
+    /// On the exact sample grid (`so_powertrace::snap_samples`) every sum
+    /// is exact, so the path lands on the bits [`NodeAggregates::compute`]
+    /// gives the updated fleet, whatever order the updates came in.
+    ///
+    /// # Errors
+    ///
+    /// [`TreeError::UnknownNode`] / [`TreeError::NotARack`] for a bad
+    /// `rack`, and [`TreeError::Trace`] for a row of the wrong length or
+    /// a sum that would leave the valid range.
+    pub fn add_to_path(
+        &mut self,
+        topology: &PowerTopology,
+        rack: NodeId,
+        row: &[f64],
+    ) -> Result<(), TreeError> {
+        self.update_path(topology, rack, |trace, _| trace.add_row_in_place(row))
+    }
+
+    /// Removes one member row from `rack` and every ancestor; the inverse
+    /// of [`add_to_path`](Self::add_to_path), exact on the same grid.
+    ///
+    /// # Errors
+    ///
+    /// As for [`add_to_path`](Self::add_to_path).
+    pub fn remove_from_path(
+        &mut self,
+        topology: &PowerTopology,
+        rack: NodeId,
+        row: &[f64],
+    ) -> Result<(), TreeError> {
+        self.update_path(topology, rack, |trace, _| trace.sub_row_in_place(row))
+    }
+
+    /// Replaces one sample of a member of `rack`, `old` by `new` at
+    /// position `pos`: `agg[pos] += new - old` on the whole path, O(path).
+    /// A node's peak is refolded (O(T)) only when its peak sample fell.
+    ///
+    /// # Errors
+    ///
+    /// As for [`add_to_path`](Self::add_to_path), plus
+    /// [`TreeError::Trace`] for a `pos` past the window.
+    pub fn shift_path_sample(
+        &mut self,
+        topology: &PowerTopology,
+        rack: NodeId,
+        pos: usize,
+        old: f64,
+        new: f64,
+    ) -> Result<(), TreeError> {
+        let delta = new - old;
+        self.update_path(topology, rack, |trace, peak| {
+            let before = trace.get(pos).unwrap_or(f64::NAN);
+            let after = before + delta;
+            trace.set_sample(pos, after)?;
+            Ok(if after > peak {
+                after
+            } else if after < before && before == peak {
+                trace.peak()
+            } else {
+                peak
+            })
+        })
+    }
+
+    /// Applies `update` to the trace of `rack` and of each of its
+    /// ancestors; `update` gets the cached peak and returns the new one.
+    fn update_path(
+        &mut self,
+        topology: &PowerTopology,
+        rack: NodeId,
+        mut update: impl FnMut(&mut PowerTrace, f64) -> Result<f64, TraceError>,
+    ) -> Result<(), TreeError> {
+        if !topology.node(rack)?.is_rack() {
+            return Err(TreeError::NotARack(rack));
+        }
+        let mut next = Some(rack);
+        while let Some(id) = next {
+            let i = id.index();
+            let trace = self.traces.get_mut(i).ok_or(TreeError::UnknownNode(id))?;
+            self.peaks[i] = update(trace, self.peaks[i])?;
+            next = topology.node(id)?.parent();
+        }
+        Ok(())
     }
 
     /// The aggregate trace at `node`.
@@ -472,6 +544,87 @@ mod tests {
         let scratch = NodeAggregates::compute(&t, &a, &after).unwrap();
         assert_peaks_cached(&inc, &t);
         assert_bit_identical(&inc, &scratch, &t);
+    }
+
+    /// `many_traces` snapped onto the exact grid.
+    fn snapped_traces(salt: f64) -> Vec<PowerTrace> {
+        many_traces(salt)
+            .iter()
+            .map(|t| {
+                PowerTrace::new(so_powertrace::snap_samples(t.samples()).unwrap(), 10).unwrap()
+            })
+            .collect()
+    }
+
+    /// `compute` over the subset `live` of `traces`.
+    fn compute_subset(t: &PowerTopology, traces: &[PowerTrace], live: &[usize]) -> NodeAggregates {
+        let a = Assignment::round_robin(t, traces.len()).unwrap();
+        let racks = live.iter().map(|&i| a.rack_of(i).unwrap()).collect();
+        let subset: Vec<PowerTrace> = live.iter().map(|&i| traces[i].clone()).collect();
+        NodeAggregates::compute(t, &Assignment::new(racks, t).unwrap(), &subset).unwrap()
+    }
+
+    #[test]
+    fn path_deltas_on_the_exact_grid_match_compute_in_any_order() {
+        let t = wide_topo();
+        let mut traces = snapped_traces(0.3);
+        let a = Assignment::round_robin(&t, traces.len()).unwrap();
+        let rack = |i: usize| a.rack_of(i).unwrap();
+        let mut inc = NodeAggregates::zeros(&t, traces[0].grid());
+        // Members arrive in descending order; `compute` adds ascending.
+        for i in (0..traces.len()).rev() {
+            inc.add_to_path(&t, rack(i), traces[i].samples()).unwrap();
+        }
+        let all: Vec<usize> = (0..traces.len()).collect();
+        assert_bit_identical(&inc, &compute_subset(&t, &traces, &all), &t);
+
+        for i in [5, 17, 30] {
+            inc.remove_from_path(&t, rack(i), traces[i].samples())
+                .unwrap();
+        }
+        let rest: Vec<usize> = all
+            .iter()
+            .copied()
+            .filter(|i| ![5, 17, 30].contains(i))
+            .collect();
+        assert_bit_identical(&inc, &compute_subset(&t, &traces, &rest), &t);
+
+        // One sample rises, one falls from a node peak: the peak cache
+        // follows both without a full refold on the rise.
+        for (i, pos, watts) in [(3usize, 1usize, 29.5), (9, 0, 0.0), (9, 3, 0.0)] {
+            let old = traces[i].samples()[pos];
+            inc.shift_path_sample(&t, rack(i), pos, old, watts).unwrap();
+            traces[i].set_sample(pos, watts).unwrap();
+            assert_bit_identical(&inc, &compute_subset(&t, &traces, &rest), &t);
+        }
+        assert_peaks_cached(&inc, &t);
+
+        for &i in &rest {
+            inc.remove_from_path(&t, rack(i), traces[i].samples())
+                .unwrap();
+        }
+        for id in t.nodes().iter().map(|n| n.id()) {
+            for v in inc.trace(id).unwrap().samples() {
+                assert_eq!(v.to_bits(), 0.0f64.to_bits(), "node {id} keeps residue");
+            }
+        }
+    }
+
+    #[test]
+    fn path_deltas_reject_bad_input_without_touching_the_rack() {
+        let t = topo();
+        let grid = traces()[0].grid();
+        let mut inc = NodeAggregates::zeros(&t, grid);
+        let rack = t.racks()[0];
+        assert!(matches!(
+            inc.add_to_path(&t, t.root(), &[1.0, 1.0]),
+            Err(TreeError::NotARack(_))
+        ));
+        assert!(inc.add_to_path(&t, rack, &[1.0]).is_err());
+        assert!(inc.remove_from_path(&t, rack, &[1.0, 1.0]).is_err());
+        assert!(inc.shift_path_sample(&t, rack, 9, 0.0, 1.0).is_err());
+        assert_eq!(inc.peak(rack).unwrap(), 0.0);
+        assert_eq!(inc.trace(t.root()).unwrap().samples(), &[0.0, 0.0]);
     }
 
     #[test]

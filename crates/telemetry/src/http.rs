@@ -33,7 +33,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::plane::LivePlane;
 
@@ -44,6 +44,10 @@ const MAX_REQUEST_LINE: usize = 2048;
 const MAX_HEAD: usize = 16 * 1024;
 /// Body cap; larger payloads are answered `413 Payload Too Large`.
 const MAX_BODY: usize = 8 * 1024 * 1024;
+/// A whole request must arrive within this long; a client trickling bytes
+/// inside the per-read timeout is answered `408 Request Timeout` here, so
+/// it cannot hold the service thread for longer.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(5);
 
 /// One parsed inbound request, as handed to an [`HttpServer`] router.
 #[derive(Debug, Clone)]
@@ -136,9 +140,9 @@ impl HttpResponse {
 pub type HttpHandler = dyn Fn(&HttpRequest) -> HttpResponse + Send + Sync;
 
 /// A running dependency-free HTTP listener. One service thread, one
-/// connection at a time, blocking I/O with 2 s read/write timeouts. A
-/// handler that panics answers that request `500` and the thread serves
-/// on.
+/// connection at a time, blocking I/O with 2 s read/write timeouts and a
+/// 5 s deadline for the whole request (`408`). A handler that panics
+/// answers that request `500` and the thread serves on.
 /// Shuts down (blocking until the service thread exits) on
 /// [`shutdown`](HttpServer::shutdown) or drop.
 pub struct HttpServer {
@@ -322,8 +326,35 @@ enum ReadOutcome {
     Closed,
 }
 
+/// A reader that fails every read once its deadline has passed.
+struct DeadlineReader<'a, R> {
+    inner: &'a mut R,
+    deadline: Instant,
+}
+
+impl<R: Read> Read for DeadlineReader<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if Instant::now() >= self.deadline {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.inner.read(buf)
+    }
+}
+
 fn handle_connection(mut stream: TcpStream, handler: &Arc<HttpHandler>) -> std::io::Result<()> {
-    let response = match read_request(&mut stream)? {
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    let outcome = read_request(&mut DeadlineReader {
+        inner: &mut stream,
+        deadline,
+    });
+    let outcome = match outcome {
+        Err(_) if Instant::now() >= deadline => ReadOutcome::Reject(HttpResponse::error(
+            408,
+            "the request did not arrive within its deadline",
+        )),
+        other => other?,
+    };
+    let response = match outcome {
         // A panicking handler costs its request a 500, not the service
         // thread; a lock it held stays poisoned for the handler to report.
         ReadOutcome::Request(req) => catch_unwind(AssertUnwindSafe(|| handler(&req)))
@@ -440,10 +471,11 @@ fn read_body(
 /// (256 KiB) and time (250 ms), so rejects close cleanly.
 fn drain_excess(stream: &mut TcpStream) {
     const DRAIN_CAP: usize = 256 * 1024;
+    let until = Instant::now() + Duration::from_millis(250);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let mut chunk = [0u8; 2048];
     let mut drained = 0;
-    while drained < DRAIN_CAP {
+    while drained < DRAIN_CAP && Instant::now() < until {
         match stream.read(&mut chunk) {
             Ok(0) | Err(_) => break,
             Ok(n) => drained += n,
@@ -472,6 +504,7 @@ fn respond(stream: &mut TcpStream, response: &HttpResponse) -> std::io::Result<(
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         413 => "Payload Too Large",
         414 => "URI Too Long",
@@ -795,6 +828,54 @@ mod tests {
         let (head, _) = get(addr, "/health");
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         drop(wedged);
+        server.shutdown();
+    }
+
+    #[test]
+    fn trickling_client_gets_408_and_cannot_stall_other_clients() {
+        let plane = test_plane();
+        let server = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&plane)).unwrap();
+        let addr = server.addr();
+
+        // One byte every 200 ms, inside the 2 s read timeout: without a
+        // whole-request deadline this 58-byte request holds the service
+        // thread for about 12 s.
+        let trickler = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_millis(1)))
+                .unwrap();
+            let mut reply = Vec::new();
+            let mut chunk = [0u8; 512];
+            for &byte in b"POST /metrics HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello" {
+                // Stop sending once the server has answered.
+                if let Ok(n) = stream.read(&mut chunk) {
+                    reply.extend_from_slice(&chunk[..n]);
+                    break;
+                }
+                if stream.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(200));
+            }
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let _ = stream.read_to_end(&mut reply);
+            String::from_utf8_lossy(&reply).into_owned()
+        });
+        std::thread::sleep(Duration::from_millis(300));
+
+        let start = Instant::now();
+        let (head, _) = get(addr, "/health");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(
+            start.elapsed() < REQUEST_DEADLINE + Duration::from_secs(2),
+            "/health waited {:?} behind the trickle",
+            start.elapsed()
+        );
+        let reply = trickler.join().unwrap();
+        assert!(reply.starts_with("HTTP/1.1 408 Request Timeout"), "{reply}");
         server.shutdown();
     }
 

@@ -2,7 +2,7 @@
 //!
 //! SmoothOperator ran as a continuous production service; this module is
 //! that service for the reproduction. One process holds the whole stack
-//! resident — [`so_core::DaemonFleet`] (power tree, columnar trace arena, canonical
+//! resident — [`so_core::DaemonFleet`] (power tree, columnar trace arena, exact
 //! aggregates, ring-buffer sample windows) plus a [`so_telemetry::LivePlane`] — and
 //! serves it over the workspace's dependency-free blocking
 //! [`so_telemetry::HttpServer`].
@@ -19,11 +19,11 @@
 //!   readings, one per line — either the plain line protocol
 //!   `<slot> <watts>` or JSONL `{"slot":N,"watts":W}`. The whole body is
 //!   parsed and validated *before* any state is touched: one malformed
-//!   line rejects the batch with `400` and zero mutation. Valid batches
-//!   land in the per-instance ring-buffer windows and settle each
-//!   touched rack path with one canonical refresh — O(batch + touched
-//!   path), bit-identical to a from-scratch recompute (the `daemon`
-//!   oracle family pins this).
+//!   line or out-of-range reading rejects the batch with `400` and zero
+//!   mutation. Valid readings are snapped onto the exact sample grid,
+//!   land in the per-instance ring-buffer windows and shift their rack
+//!   paths by delta — O(batch · path), bit-identical to a from-scratch
+//!   recompute (the `daemon` oracle family pins this).
 //! * **Background repair.** The §3.6 differential-score remap runs as a
 //!   repair loop on its own thread, one budgeted pass per interval, each
 //!   pass serialized through the same mutex.
@@ -60,7 +60,8 @@ use std::time::{Duration, Instant};
 use so_core::daemon::{DaemonFleet, SampleUpdate};
 use so_core::online::{select_decision, CommitPolicy, OnlineConfig, OnlineFleet};
 use so_parallel::ThreadContext;
-use so_powertrace::{PowerTrace, TimeGrid};
+use so_powertrace::quantile::quantile_sorted;
+use so_powertrace::{snap_samples, PowerTrace, TimeGrid, MAX_SAMPLE_WATTS};
 use so_powertree::NodeId;
 use so_telemetry::export::{json_f64, BenchObject};
 use so_telemetry::{route_plane, HttpRequest, HttpResponse, HttpServer, LivePlane};
@@ -455,11 +456,11 @@ fn asynchrony_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
 }
 
 /// Builds the constant-draw probe candidate used by `/whatif` and
-/// `/admit`.
+/// `/admit`; a draw off the exact sample range is a `400`.
 fn constant_candidate(daemon: &DaemonFleet, watts: f64) -> Result<PowerTrace, HttpResponse> {
-    if !watts.is_finite() || watts < 0.0 {
+    if snap_samples(&[watts]).is_err() {
         return Err(HttpResponse::bad_request(format!(
-            "watts must be finite and non-negative, got {watts}"
+            "watts must be finite, non-negative and at most {MAX_SAMPLE_WATTS}, got {watts}"
         )));
     }
     PowerTrace::new(
@@ -645,7 +646,8 @@ fn arrive_post(daemon: &mut DaemonFleet, body: &str) -> HttpResponse {
                 samples.len()
             ));
         }
-        match PowerTrace::new(samples, step) {
+        // Every line is range-checked before the first commit.
+        match snap_samples(&samples).and_then(|snapped| PowerTrace::new(snapped, step)) {
             Ok(trace) => candidates.push(trace),
             Err(e) => {
                 return HttpResponse::bad_request(format!(
@@ -901,13 +903,7 @@ fn run_daemon_point(
 
     let total_ms = ms_since(started);
     batch_us.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let quantile = |q: f64| -> f64 {
-        if batch_us.is_empty() {
-            return 0.0;
-        }
-        let idx = ((batch_us.len() - 1) as f64 * q).round() as usize;
-        batch_us[idx]
-    };
+    let quantile = |q: f64| quantile_sorted(&batch_us, q).unwrap_or(0.0);
     let checksum = fold_digest(&[
         mean_rack_asynchrony,
         min_rack_headroom_watts,
@@ -1216,6 +1212,67 @@ mod tests {
         assert_eq!(call("GET", "/nope"), 404);
         assert_eq!(call("POST", "/shutdown"), 200);
         assert!(stop.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn out_of_range_input_gets_400_and_changes_no_state() {
+        let config = small_config();
+        let plane = test_plane();
+        let state = Mutex::new(build_daemon(&config, plane.clone()).unwrap());
+        let policy = state.lock().unwrap().fleet().config().policy;
+        let stop = AtomicBool::new(false);
+        let call = |method: &str, target: &str, body: &str| {
+            let (path, query) = target.split_once('?').unwrap_or((target, ""));
+            let req = HttpRequest {
+                method: method.to_string(),
+                path: path.to_string(),
+                query: query.to_string(),
+                body: body.to_string(),
+            };
+            let resp = route_daemon(&state, &plane, &stop, &policy, &req);
+            (resp.status, resp.body)
+        };
+        // Two live slots on one rack.
+        let (rack, a, b) = {
+            let daemon = state.lock().unwrap();
+            let fleet = daemon.fleet();
+            let slots = fleet.live_slots();
+            slots
+                .iter()
+                .find_map(|&a| {
+                    let rack = fleet.rack_of(a);
+                    let b = slots.iter().find(|&&b| b > a && fleet.rack_of(b) == rack)?;
+                    Some((rack?.index(), a, *b))
+                })
+                .expect("some rack hosts two instances")
+        };
+        let snapshot = || ["/fleet", "/headroom", "/asynchrony"].map(|t| call("GET", t, ""));
+        let before = snapshot();
+        let flat = |watts: &str| vec![watts; config.samples_per_trace].join(",");
+        for (method, target, body) in [
+            ("POST", "/ingest", format!("{a} 1.5e308\n{b} 1.5e308")),
+            ("POST", "/ingest", format!("{a} 100.0\n{b} 2000000")),
+            (
+                "POST",
+                "/arrive",
+                format!("{}\n{}", flat("50"), flat("2000000")),
+            ),
+            (
+                "GET",
+                &format!("/whatif?rack={rack}&watts=2000000"),
+                String::new(),
+            ),
+            ("GET", "/admit?watts=2000000", String::new()),
+        ] {
+            let (status, reply) = call(method, target, &body);
+            assert_eq!(status, 400, "{method} {target}: {reply}");
+            assert_eq!(snapshot(), before, "{method} {target} changed state");
+        }
+        let (status, reply) = call("POST", "/ingest", &format!("{a} 100.0"));
+        assert_eq!(status, 200, "{reply}");
+        assert!(reply.contains("\"applied\":1"), "{reply}");
+        let (status, _) = call("GET", &format!("/whatif?rack={rack}&watts=50"), "");
+        assert_eq!(status, 200);
     }
 
     /// Text built from ingest-protocol fragments, digits, whitespace and
