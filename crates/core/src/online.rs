@@ -512,12 +512,13 @@ impl OnlineFleet {
 
     /// Sets (or clears) the reference candidate for *incremental*
     /// fragmentation accounting. While set, every path update also
-    /// re-probes the touched nodes' budgets against the reference, so
-    /// [`OnlineFleet::fragmentation_cached`] — and the per-level
+    /// re-probes the touched nodes' budgets against the reference (one
+    /// O(T) probe per touched path node per event), so
+    /// [`OnlineFleet::fragmentation_cached`] stays fresh between full
+    /// [`OnlineFleet::fragmentation`] recomputes, and
+    /// [`OnlineFleet::observe_batch`] sets the per-level
     /// `so_online_stranded_watts` / `so_online_fragmentation_ratio`
-    /// gauges, which are re-emitted on **every** commit, retirement, and
-    /// repair — stay fresh between full [`OnlineFleet::fragmentation`]
-    /// recomputes (one O(T) probe per touched path node per event).
+    /// gauges once per batch.
     ///
     /// # Errors
     ///
@@ -585,6 +586,11 @@ impl OnlineFleet {
     /// Returns the alert transitions this batch caused (empty without a
     /// plane).
     ///
+    /// This is the one place the per-level `so_online_stranded_watts` /
+    /// `so_online_fragmentation_ratio` gauges are set: whenever telemetry
+    /// is installed and a fragmentation reference is set, with or without
+    /// a plane.
+    ///
     /// # Errors
     ///
     /// Propagates tree lookups.
@@ -593,6 +599,14 @@ impl OnlineFleet {
         let rejected = self.rejected - self.last_obs_rejected;
         self.last_obs_arrivals = self.arrivals_seen;
         self.last_obs_rejected = self.rejected;
+        let fragmentation = self.fragmentation_cached()?;
+        if so_telemetry::enabled() {
+            for level in fragmentation.iter().flatten() {
+                let labels = [("level", level.level.short_name())];
+                so_telemetry::gauge_set("so_online_stranded_watts", &labels, level.stranded_watts);
+                so_telemetry::gauge_set("so_online_fragmentation_ratio", &labels, level.ratio);
+            }
+        }
         let Some(plane) = self.plane.clone() else {
             return Ok(Vec::new());
         };
@@ -622,7 +636,7 @@ impl OnlineFleet {
         if let Some(asynchrony) = self.mean_rack_asynchrony() {
             signals.push(("mean_rack_asynchrony".to_string(), asynchrony));
         }
-        if let Some(levels) = self.fragmentation_cached()? {
+        if let Some(levels) = fragmentation {
             for level in &levels {
                 let short = level.level.short_name();
                 signals.push((format!("fragmentation_ratio_{short}"), level.ratio));
@@ -847,7 +861,6 @@ impl OnlineFleet {
             so_telemetry::counter_add("so_online_arrivals_total", &[], 1);
             so_telemetry::counter_add("so_online_commits_total", &[], 1);
             so_telemetry::gauge_set("so_online_live_instances", &[], self.live as f64);
-            self.fragmentation_cached()?; // re-emits the fragmentation gauges
         }
         Ok(Some(slot))
     }
@@ -874,7 +887,6 @@ impl OnlineFleet {
         if so_telemetry::enabled() {
             so_telemetry::counter_add("so_online_retirements_total", &[], 1);
             so_telemetry::gauge_set("so_online_live_instances", &[], self.live as f64);
-            self.fragmentation_cached()?; // re-emits the fragmentation gauges
         }
         Ok(())
     }
@@ -993,7 +1005,6 @@ impl OnlineFleet {
                 &[],
                 2 * report.swaps.len() as u64,
             );
-            self.fragmentation_cached()?; // re-emits the fragmentation gauges
         }
         Ok(report)
     }
@@ -1082,10 +1093,9 @@ impl OnlineFleet {
 
     /// Per-level fragmentation of the live fleet against `reference`: at
     /// each level, headroom under nodes whose subtree cannot admit the
-    /// reference candidate is stranded. Exported as
-    /// `so_online_stranded_watts{level}` and
-    /// `so_online_fragmentation_ratio{level}` gauges when telemetry is
-    /// installed.
+    /// reference candidate is stranded. Side-effect free: the
+    /// `so_online_stranded_watts{level}` / `so_online_fragmentation_ratio{level}`
+    /// gauges are set only by [`OnlineFleet::observe_batch`].
     ///
     /// # Errors
     ///
@@ -1105,8 +1115,7 @@ impl OnlineFleet {
     /// The per-level stranded-headroom accounting shared by the full
     /// recompute ([`OnlineFleet::fragmentation`]) and the incremental
     /// path ([`OnlineFleet::fragmentation_cached`]) — one code path, so
-    /// the two agree bit-for-bit by construction. Emits the per-level
-    /// gauges when telemetry is installed.
+    /// the two agree bit-for-bit by construction.
     fn fragmentation_from_admits(
         &self,
         admits: &BTreeMap<NodeId, bool>,
@@ -1136,11 +1145,6 @@ impl OnlineFleet {
             } else {
                 0.0
             };
-            if so_telemetry::enabled() {
-                let labels = [("level", level.short_name())];
-                so_telemetry::gauge_set("so_online_stranded_watts", &labels, stranded);
-                so_telemetry::gauge_set("so_online_fragmentation_ratio", &labels, ratio);
-            }
             out.push(FragmentationLevel {
                 level,
                 headroom_watts: headroom,
@@ -1828,6 +1832,50 @@ mod tests {
         let empty = engine(CommitPolicy::WorstFit);
         let frag = empty.fragmentation(&reference).unwrap();
         assert!(frag.iter().all(|f| f.ratio == 0.0));
+    }
+
+    #[test]
+    fn only_observe_batch_sets_the_fragmentation_gauges() {
+        for with_plane in [false, true] {
+            let sink = Arc::new(so_telemetry::RecordingSink::with_virtual_clock());
+            let stranded = || sink.prometheus().contains("so_online_stranded_watts");
+            let mut fleet = OnlineFleet::new(
+                topo(),
+                grid(),
+                OnlineConfig {
+                    policy: CommitPolicy::FirstFit,
+                    repair_budget: 4,
+                    min_gain: 0.0,
+                    ..OnlineConfig::default()
+                },
+            );
+            if with_plane {
+                fleet.attach_plane(Arc::new(LivePlane::new(
+                    Arc::new(so_telemetry::RecordingSink::with_virtual_clock()),
+                    16,
+                    so_telemetry::default_online_rules(),
+                )));
+            }
+            fleet
+                .set_fragmentation_reference(Some(&trace(&[50.0; 4])))
+                .unwrap();
+            so_telemetry::with_sink(sink.clone(), || {
+                let slot = fleet.arrive(&trace(&[100.0, 0.0, 0.0, 0.0])).unwrap();
+                for _ in 0..3 {
+                    fleet.arrive(&trace(&[0.0, 0.0, 0.0, 100.0])).unwrap();
+                }
+                fleet.retire(slot.unwrap()).unwrap();
+                fleet.repair().unwrap();
+                fleet.fragmentation_cached().unwrap();
+                fleet.fragmentation(&trace(&[50.0; 4])).unwrap();
+                assert!(!stranded(), "plane attached: {with_plane}");
+                fleet.observe_batch().unwrap();
+            });
+            assert!(stranded(), "plane attached: {with_plane}");
+            assert!(sink
+                .prometheus()
+                .contains("so_online_fragmentation_ratio{level=\"RACK\"}"));
+        }
     }
 
     #[test]

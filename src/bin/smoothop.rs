@@ -15,6 +15,7 @@
 //! telemetry sink to any command and write a Prometheus snapshot / a
 //! JSON-lines event log on exit.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -24,11 +25,11 @@ use so_oracles::{run_battery, BatteryConfig, OracleFamily};
 use so_powertree::NodeAggregates;
 use so_reshape::{operate, run_scenario, LongRunConfig, ThrottleBoostPolicy};
 use so_sim::{default_config, one_week_grid, simulate_with_faults, FailSafe};
-use so_telemetry::RecordingSink;
+use so_telemetry::{LivePlane, RecordingSink};
 use so_workloads::OfferedLoad;
 
 fn main() -> ExitCode {
-    let (args, flags) = match split_flags(std::env::args().skip(1).collect()) {
+    let (args, flags) = match parse_args(std::env::args().skip(1).collect()) {
         Ok(split) => split,
         Err(e) => {
             eprintln!("error: {e}");
@@ -39,13 +40,12 @@ fn main() -> ExitCode {
 
     // A recording sink is attached when any command asked for exported
     // telemetry, always for `report` (whose output *is* the metrics), and
-    // whenever a live plane exists (`watch`, `--listen`): the plane
-    // serves `/metrics` from the same sink the engine gauges land in.
-    let wants_sink = flags.metrics_out.is_some()
-        || flags.trace_out.is_some()
-        || flags.listen.is_some()
+    // whenever a live plane exists (`serve`, a watched `online` run): the
+    // plane serves `/metrics` from the same sink the engine gauges land in.
+    let wants_sink = flags.has("--metrics-out")
+        || flags.has("--trace-out")
+        || flags.watched()
         || command == Some("report")
-        || command == Some("watch")
         || command == Some("serve");
     let sink = if wants_sink {
         let sink = Arc::new(RecordingSink::with_wall_clock());
@@ -55,7 +55,6 @@ fn main() -> ExitCode {
         None
     };
 
-    let faults = &flags.faults;
     let result = match command {
         Some("scenarios") => scenarios(),
         Some("breakdown") => with_scenario(&args, breakdown),
@@ -63,12 +62,13 @@ fn main() -> ExitCode {
         Some("pipeline") => with_scenario(&args, pipeline),
         Some("longrun") => with_scenario(&args, longrun),
         Some("dot") => with_scenario(&args, dot),
-        Some("simulate") => with_scenario(&args, |scenario, n| simulate_cmd(scenario, n, faults)),
-        Some("check") => check_cmd(&args, flags.seed),
+        Some("simulate") => fault_spec(&flags).and_then(|faults| {
+            with_scenario(&args, |scenario, n| simulate_cmd(scenario, n, &faults))
+        }),
+        Some("check") => check_cmd(&args, &flags),
         Some("scale") => scale_cmd(&flags),
         Some("plan") => plan_cmd(&flags),
         Some("online") => online_cmd(&flags, sink.as_ref()),
-        Some("watch") => watch_cmd(&flags, sink.as_ref()),
         Some("serve") => serve_cmd(&flags, sink.as_ref()),
         Some("daemon") => daemon_cmd(&flags),
         Some("gate") => gate_cmd(&args),
@@ -102,12 +102,12 @@ fn write_telemetry(sink: Option<Arc<RecordingSink>>, flags: &CliFlags) -> CliRes
         return Ok(());
     };
     so_telemetry::uninstall();
-    if let Some(path) = &flags.metrics_out {
+    if let Some(path) = flags.get("--metrics-out") {
         std::fs::write(path, sink.prometheus())
             .map_err(|e| format!("cannot write metrics to `{path}`: {e}"))?;
         eprintln!("wrote Prometheus metrics snapshot to {path}");
     }
-    if let Some(path) = &flags.trace_out {
+    if let Some(path) = flags.get("--trace-out") {
         std::fs::write(path, sink.jsonl())
             .map_err(|e| format!("cannot write trace events to `{path}`: {e}"))?;
         eprintln!("wrote JSON-lines span/event log to {path}");
@@ -143,11 +143,10 @@ fn print_usage() {
     println!("  smoothop online                   online arrival/departure rung: streams batches");
     println!("                                    through the resident engine and compares the");
     println!("                                    churned placement against a one-pass offline");
-    println!("                                    re-placement; writes BENCH_online.json");
-    println!("  smoothop watch                    live observability session: streams one fleet");
-    println!("                                    through the online engine and emits per-batch");
-    println!("                                    JSONL heartbeats, alert transitions, and");
-    println!("                                    flight-recorder dumps");
+    println!("                                    re-placement; writes BENCH_online.json. With");
+    println!("                                    --listen/--watch-out/--flight-out the run is");
+    println!("                                    watched: per-batch JSONL heartbeats, alert");
+    println!("                                    transitions, and flight-recorder dumps");
     println!(
         "  smoothop serve                    smoothopd: resident placement daemon — streaming"
     );
@@ -165,7 +164,7 @@ fn print_usage() {
     println!();
     println!("  <dc> ∈ {{dc1, dc2, dc3}}; n = fleet size, default 240");
     println!();
-    println!("OPTIONS:");
+    println!("OPTIONS (a flag the command does not read is an error):");
     println!("  --faults <spec>       inject faults into `simulate`; <spec> is comma-separated");
     println!("                        key=value pairs (seed, dropout, stuck, crash, trips,");
     println!("                        mean-steps, trip-steps, trip-severity), or `none`.");
@@ -174,14 +173,16 @@ fn print_usage() {
     println!("                        recorded during the command");
     println!("  --trace-out <path>    write the recorded span/point events as JSON lines");
     println!("  --seed <u64>          battery seed for `check` (default 7); the seed picks the");
-    println!("                        scenario and drives every randomized probe");
+    println!("                        scenario and drives every randomized probe. Also seeds");
+    println!("                        `scale`, `plan`, `online`, `serve` and `daemon`");
     println!("  --instances <list>    comma-separated ladder for `scale` (default");
-    println!("                        10000,100000,1000000) and `online` (default 10000,100000)");
-    println!("  --out <path>          output path for `scale` / `online` (defaults");
-    println!("                        BENCH_scale.json / BENCH_online.json)");
+    println!("                        10000,100000,1000000), `online` and `daemon` (default");
+    println!("                        10000,100000); `serve` takes one count (default 960)");
+    println!("  --out <path>          output path for `scale` / `plan` / `online` / `daemon`");
+    println!("                        (defaults BENCH_<command>.json)");
     println!("  --quantiles <mode>    quantile phase for `scale`: `exact` (selection, the");
     println!("                        default, bit-reproducible) or `sketch` (streaming P²,");
-    println!("                        approximate); `--exact` / `--sketch` are shorthands");
+    println!("                        approximate)");
     println!("  --chunk-rows <n>      rows per streaming chunk for `scale` (0 = default;");
     println!("                        rounded up to a multiple of the group size; never");
     println!("                        changes checksums)");
@@ -197,15 +198,16 @@ fn print_usage() {
     println!("                        {{web-mix, llm-mix}} (default both)");
     println!("  --budget <watts>      `plan` only: explicit MSB budget; by default the base");
     println!("                        fleet's StatProf requirement plus 10% headroom");
-    println!("  --batches <n>         event batches for `online` (default 8)");
-    println!("  --probes <n>          candidate racks sampled per arrival for `online`");
-    println!("                        (default 64)");
-    println!("  --repair <n>          repair swaps allowed per between-batch pass for");
-    println!("                        `online` (default 8; 0 disables repair)");
+    println!("  --batches <n>         event batches for `online` (default 8); full fleet");
+    println!("                        sweeps for `daemon` (default 3)");
+    println!("  --probes <n>          candidate racks sampled per arrival for `online`,");
+    println!("                        `serve` and `daemon` (default 64)");
+    println!("  --repair <n>          repair swaps allowed per pass for `online`, `serve` and");
+    println!("                        `daemon` (default 8; 0 disables repair)");
     println!("  --threads <n>         thread-lane budget for the parallel kernels");
     println!("  --listen <addr>       serve /metrics /health /alerts /flight?n=K over HTTP");
-    println!("                        while `online` or `watch` runs (e.g. 127.0.0.1:9184);");
-    println!("                        for `serve` this is the daemon's port (default");
+    println!("                        while `online` runs (e.g. 127.0.0.1:9184); for");
+    println!("                        `serve` this is the daemon's port (default");
     println!("                        127.0.0.1:0, an ephemeral port announced on stdout)");
     println!("  --repair-interval-ms <n>  `serve` only: run one budgeted repair pass every");
     println!("                        n milliseconds in the background (0, the default,");
@@ -213,20 +215,17 @@ fn print_usage() {
     println!("  --ttl-ms <n>          `serve` only: auto-shutdown after n milliseconds");
     println!("                        (safety net for CI smoke jobs; default: run until");
     println!("                        POST /shutdown)");
-    println!("  --watch-out <path>    buffer the `watch` JSONL stream to a file instead of");
-    println!("                        stdout (for CI smoke runs)");
+    println!("  --watch-out <path>    `online` only: write the watched run's JSONL stream to");
+    println!("                        a file instead of stdout (for CI smoke runs)");
     println!("  --flight-out <path>   dump the full flight-recorder ring as JSONL on exit");
-    println!("                        (`watch`, or `online --listen`)");
-    println!("  --flight-capacity <n> flight-recorder ring capacity (default 4096)");
-    println!("  --journal-cap <n>     compact the online event journal above this length");
-    println!("                        (0 = unbounded, the default)");
-    println!("  --plant-violation     `watch` only: inject one oversized arrival mid-run to");
+    println!("                        (`online`, `serve`)");
+    println!("  --plant-violation     `online` only: inject one oversized arrival mid-run to");
     println!("                        force a breaker-budget violation, alert, and dump");
 }
 
 /// `smoothop check [n] [--seed s]`: run the seeded oracle battery and fail
 /// the process on any violation.
-fn check_cmd(args: &[String], seed: Option<u64>) -> CliResult {
+fn check_cmd(args: &[String], flags: &CliFlags) -> CliResult {
     let instances: usize = match args.get(1) {
         Some(raw) => raw
             .parse()
@@ -237,7 +236,7 @@ fn check_cmd(args: &[String], seed: Option<u64>) -> CliResult {
         return Err("fleet size must be positive".into());
     }
     let config = BatteryConfig {
-        seed: seed.unwrap_or(7),
+        seed: flags.parse("--seed")?.unwrap_or(7),
         instances,
     };
     let outcome = run_battery(&config)?;
@@ -308,28 +307,27 @@ fn gate_cmd(args: &[String]) -> CliResult {
 /// exact|sketch] [--chunk-rows n]`: run the columnar scale ladder and
 /// write the `BENCH_scale.json` artifact.
 fn scale_cmd(flags: &CliFlags) -> CliResult {
-    use smoothoperator::scale::{run_scale, ScaleConfig};
+    use smoothoperator::scale::{run_scale, QuantileMode, ScaleConfig, ScaleWorkload};
 
     let mut config = ScaleConfig::default();
-    if let Some(seed) = flags.seed {
+    if let Some(seed) = flags.parse("--seed")? {
         config.seed = seed;
     }
-    if let Some(raw) = &flags.instances {
-        config.instances = raw
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("instance count `{part}` is not a number"))
-            })
-            .collect::<Result<Vec<usize>, String>>()?;
+    if let Some(instances) = flags.list("--instances")? {
+        config.instances = instances;
     }
-    config.quantile_mode = flags.quantile_mode;
-    config.workload = flags.scale_workload;
-    if let Some(chunk_rows) = flags.chunk_rows {
+    if let Some(raw) = flags.get("--quantiles") {
+        config.quantile_mode = QuantileMode::parse(raw)
+            .ok_or_else(|| format!("--quantiles must be `exact` or `sketch`, got `{raw}`"))?;
+    }
+    if let Some(raw) = flags.get("--workload") {
+        config.workload = ScaleWorkload::parse(raw)
+            .ok_or_else(|| format!("--workload must be `diurnal` or `llm`, got `{raw}`"))?;
+    }
+    if let Some(chunk_rows) = flags.parse("--chunk-rows")? {
         config.chunk_rows = chunk_rows;
     }
-    let path = flags.out.as_deref().unwrap_or("BENCH_scale.json");
+    let path = flags.get("--out").unwrap_or("BENCH_scale.json");
 
     println!(
         "scale ladder — {} points, {} {} samples/trace, groups of {}, seed {}, {} quantiles, {} rows/chunk, {} thread lane(s)",
@@ -374,26 +372,19 @@ fn plan_cmd(flags: &CliFlags) -> CliResult {
     use smoothoperator::plan::{run_plan, PlanConfig, PlanWorkload, PLAN_HEADROOM};
 
     let mut config = PlanConfig::default();
-    if let Some(seed) = flags.seed {
+    if let Some(seed) = flags.parse("--seed")? {
         config.seed = seed;
     }
-    if let Some(base) = flags.base {
+    if let Some(base) = flags.parse("--base")? {
         config.base_instances = base;
     }
-    if let Some(racks) = flags.racks {
+    if let Some(racks) = flags.parse("--racks")? {
         config.max_racks = racks;
     }
-    if let Some(raw) = &flags.deltas {
-        config.deltas = raw
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse::<f64>()
-                    .map_err(|_| format!("delta `{part}` is not a number"))
-            })
-            .collect::<Result<Vec<f64>, String>>()?;
+    if let Some(deltas) = flags.list("--deltas")? {
+        config.deltas = deltas;
     }
-    if let Some(raw) = &flags.workloads {
+    if let Some(raw) = flags.get("--workloads") {
         config.workloads = raw
             .split(',')
             .map(|part| {
@@ -402,10 +393,10 @@ fn plan_cmd(flags: &CliFlags) -> CliResult {
             })
             .collect::<Result<Vec<PlanWorkload>, String>>()?;
     }
-    if let Some(budget) = flags.budget {
+    if let Some(budget) = flags.parse("--budget")? {
         config.budget_watts = budget;
     }
-    let path = flags.out.as_deref().unwrap_or("BENCH_plan.json");
+    let path = flags.get("--out").unwrap_or("BENCH_plan.json");
 
     println!(
         "capacity plan — base {} instances, up to {} racks × {} slots, seed {}, {} thread lane(s)",
@@ -452,30 +443,52 @@ fn plan_cmd(flags: &CliFlags) -> CliResult {
     write_artifact(path, &report.to_json())
 }
 
-/// Builds the live plane for `watch` / `--listen` sessions over the
+/// Flight-recorder ring capacity of every CLI plane, records.
+const FLIGHT_CAPACITY: usize = 4_096;
+
+/// The live plane of `serve` or a watched `online` run, over the
 /// recording sink installed on the main thread (so engine gauges land on
-/// `/metrics`), and spawns the HTTP listener when an address was
-/// requested.
-fn live_plane(
-    flags: &CliFlags,
-    sink: Option<&Arc<RecordingSink>>,
-) -> Result<
-    (
-        Arc<so_telemetry::LivePlane>,
-        Option<so_telemetry::MetricsServer>,
-    ),
-    Box<dyn std::error::Error>,
-> {
-    let sink = sink
-        .cloned()
-        .unwrap_or_else(|| Arc::new(RecordingSink::with_wall_clock()));
-    let plane = Arc::new(so_telemetry::LivePlane::new(
-        sink,
-        flags.flight_capacity.unwrap_or(4_096),
+/// `/metrics`), with the default online alert rules.
+fn cli_plane(sink: Option<&Arc<RecordingSink>>) -> Arc<LivePlane> {
+    let sink = sink.expect("`main` installs a sink wherever a plane exists");
+    Arc::new(LivePlane::new(
+        Arc::clone(sink),
+        FLIGHT_CAPACITY,
         so_telemetry::default_online_rules(),
-    ));
-    let server = match &flags.listen {
-        Some(addr) => {
+    ))
+}
+
+/// `smoothop online [--instances n1,n2,...] [--seed s] [--out path]
+/// [--listen addr] [--watch-out path] [--flight-out path]
+/// [--plant-violation]`: run the online arrival/departure rung and write
+/// `BENCH_online.json`. Any of `--listen`, `--watch-out` or
+/// `--flight-out` watches the run through a live plane: its JSONL stream
+/// goes to stdout (or the `--watch-out` file), and `--listen` serves the
+/// plane over HTTP while the rung runs.
+fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
+    use smoothoperator::scale::{run_online_scale, OnlineScaleConfig};
+
+    let mut config = OnlineScaleConfig::default();
+    if let Some(seed) = flags.parse("--seed")? {
+        config.seed = seed;
+    }
+    if let Some(instances) = flags.list("--instances")? {
+        config.instances = instances;
+    }
+    if let Some(batches) = flags.parse("--batches")? {
+        config.batches = batches;
+    }
+    if let Some(probes) = flags.parse("--probes")? {
+        config.sample_probes = probes;
+    }
+    if let Some(repair) = flags.parse("--repair")? {
+        config.repair_budget = repair;
+    }
+    config.plant_violation = flags.has("--plant-violation");
+    let path = flags.get("--out").unwrap_or("BENCH_online.json");
+    let plane = flags.watched().then(|| cli_plane(sink));
+    let server = match (&plane, flags.get("--listen")) {
+        (Some(plane), Some(addr)) => {
             let server = so_telemetry::MetricsServer::spawn(addr, plane.clone())
                 .map_err(|e| format!("cannot listen on `{addr}`: {e}"))?;
             eprintln!(
@@ -484,47 +497,7 @@ fn live_plane(
             );
             Some(server)
         }
-        None => None,
-    };
-    Ok((plane, server))
-}
-
-/// `smoothop online [--instances n1,n2,...] [--seed s] [--out path]
-/// [--listen addr]`: run the online arrival/departure rung and write
-/// `BENCH_online.json`, optionally serving the observability plane over
-/// HTTP while the rung runs.
-fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
-    use smoothoperator::scale::{run_online_scale_with_plane, OnlineScaleConfig};
-
-    let mut config = OnlineScaleConfig::default();
-    if let Some(seed) = flags.seed {
-        config.seed = seed;
-    }
-    if let Some(raw) = &flags.instances {
-        config.instances = raw
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("instance count `{part}` is not a number"))
-            })
-            .collect::<Result<Vec<usize>, String>>()?;
-    }
-    if let Some(batches) = flags.batches {
-        config.batches = batches;
-    }
-    if let Some(probes) = flags.probes {
-        config.sample_probes = probes;
-    }
-    if let Some(repair) = flags.repair {
-        config.repair_budget = repair;
-    }
-    let path = flags.out.as_deref().unwrap_or("BENCH_online.json");
-    let (plane, server) = if flags.listen.is_some() {
-        let (plane, server) = live_plane(flags, sink)?;
-        (Some(plane), server)
-    } else {
-        (None, None)
+        _ => None,
     };
 
     println!(
@@ -550,7 +523,16 @@ fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult 
         "off-hdr W",
         "frag"
     );
-    let report = run_online_scale_with_plane(&config, plane.clone());
+    let mut watch_lines = String::new();
+    let watch_out = flags.get("--watch-out");
+    let report = run_online_scale(&config, plane.clone(), |line| {
+        if watch_out.is_some() {
+            watch_lines.push_str(line);
+            watch_lines.push('\n');
+        } else {
+            println!("{line}");
+        }
+    });
     if let Some(server) = server {
         server.shutdown();
     }
@@ -572,88 +554,14 @@ fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult 
             p.alerts_fired,
         );
     }
-    write_flight(flags, plane.as_ref())?;
+    if let Some(path) = watch_out {
+        std::fs::write(path, &watch_lines).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        eprintln!("wrote watch JSONL to {path} ({} bytes)", watch_lines.len());
+    }
+    if let Some(plane) = &plane {
+        write_flight(flags, plane)?;
+    }
     write_artifact(path, &report.to_json())
-}
-
-/// `smoothop watch [--instances n] [--batches b] [--listen addr]
-/// [--watch-out path] [--flight-out path] [--plant-violation]`: run one
-/// live watch session over the online engine, emitting per-batch JSONL
-/// heartbeats plus alert and flight-dump lines.
-fn watch_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
-    use smoothoperator::watch::{run_watch, WatchConfig};
-
-    let mut config = WatchConfig::default();
-    if let Some(seed) = flags.seed {
-        config.seed = seed;
-    }
-    if let Some(raw) = &flags.instances {
-        // Watch streams one fleet, not a ladder: take the first count.
-        let first = raw.split(',').next().unwrap_or(raw).trim();
-        config.instances = first
-            .parse()
-            .map_err(|_| format!("instance count `{first}` is not a number"))?;
-    }
-    if let Some(batches) = flags.batches {
-        config.batches = batches;
-    }
-    if let Some(probes) = flags.probes {
-        config.sample_probes = probes;
-    }
-    if let Some(repair) = flags.repair {
-        config.repair_budget = repair;
-    }
-    if let Some(cap) = flags.flight_capacity {
-        config.flight_capacity = cap;
-    }
-    if let Some(cap) = flags.journal_cap {
-        config.journal_cap = cap;
-    }
-    config.plant_violation = flags.plant_violation;
-
-    let (plane, server) = live_plane(flags, sink)?;
-    eprintln!(
-        "watch — {} instances over {} batches, seed {}, {} thread lane(s){}",
-        config.instances,
-        config.batches,
-        config.seed,
-        so_parallel::effective_lanes(),
-        if config.plant_violation {
-            ", planting one breaker-budget violation"
-        } else {
-            ""
-        },
-    );
-    let mut buffered = String::new();
-    let to_file = flags.watch_out.is_some();
-    let outcome = run_watch(&config, plane.clone(), |line| {
-        if to_file {
-            buffered.push_str(line);
-            buffered.push('\n');
-        } else {
-            println!("{line}");
-        }
-    });
-    if let Some(server) = server {
-        server.shutdown();
-    }
-    let outcome = outcome?;
-    if let Some(path) = &flags.watch_out {
-        std::fs::write(path, &buffered).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        eprintln!("wrote watch JSONL to {path} ({} bytes)", buffered.len());
-    }
-    write_flight(flags, Some(&plane))?;
-    eprintln!(
-        "watch done — {} committed, {} rejected, {} live, {} alert(s) fired, {} resolved, {} breaker violation(s), {} flight dump(s)",
-        outcome.committed,
-        outcome.rejected,
-        outcome.live_instances,
-        outcome.alerts_fired,
-        outcome.alerts_resolved,
-        outcome.breaker_violations,
-        outcome.dumps_total,
-    );
-    Ok(())
 }
 
 /// `smoothop serve [--listen addr] [--instances n] [--seed s]
@@ -664,38 +572,29 @@ fn serve_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
     use smoothoperator::serve::{run_serve, ServeConfig};
 
     let mut config = ServeConfig::default();
-    if let Some(addr) = &flags.listen {
-        config.listen = addr.clone();
+    if let Some(addr) = flags.get("--listen") {
+        config.listen = addr.to_string();
     }
-    if let Some(seed) = flags.seed {
+    if let Some(seed) = flags.parse("--seed")? {
         config.seed = seed;
     }
-    if let Some(raw) = &flags.instances {
-        // Serve hosts one resident fleet, not a ladder: take the first.
-        let first = raw.split(',').next().unwrap_or(raw).trim();
-        config.instances = first
-            .parse()
-            .map_err(|_| format!("instance count `{first}` is not a number"))?;
+    match flags.list("--instances")?.as_deref() {
+        None => {}
+        Some(&[instances]) => config.instances = instances,
+        Some(_) => return Err("`serve` hosts one fleet: --instances takes one count".into()),
     }
-    if let Some(probes) = flags.probes {
+    if let Some(probes) = flags.parse("--probes")? {
         config.sample_probes = probes;
     }
-    if let Some(repair) = flags.repair {
+    if let Some(repair) = flags.parse("--repair")? {
         config.repair_budget = repair;
     }
-    if let Some(interval) = flags.repair_interval_ms {
+    if let Some(interval) = flags.parse("--repair-interval-ms")? {
         config.repair_interval_ms = interval;
     }
-    config.ttl_ms = flags.ttl_ms;
+    config.ttl_ms = flags.parse("--ttl-ms")?;
 
-    let sink = sink
-        .cloned()
-        .unwrap_or_else(|| Arc::new(RecordingSink::with_wall_clock()));
-    let plane = Arc::new(so_telemetry::LivePlane::new(
-        sink,
-        flags.flight_capacity.unwrap_or(4_096),
-        so_telemetry::default_online_rules(),
-    ));
+    let plane = cli_plane(sink);
     eprintln!(
         "smoothopd — {} instances resident, window {}, repair budget {} every {}ms, seed {}",
         config.instances,
@@ -707,7 +606,7 @@ fn serve_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
     // The announce line goes to stdout so scripts can parse the bound
     // (possibly ephemeral) address without scraping stderr.
     let outcome = run_serve(&config, plane.clone(), |line| println!("{line}"))?;
-    write_flight(flags, Some(&plane))?;
+    write_flight(flags, &plane)?;
     eprintln!(
         "smoothopd done — {} batches / {} samples ingested ({} dropped), {} live, {} committed, {} rejected, {} retired, {} repair pass(es)",
         outcome.batches_ingested,
@@ -728,30 +627,23 @@ fn daemon_cmd(flags: &CliFlags) -> CliResult {
     use smoothoperator::serve::{run_daemon_scale, DaemonScaleConfig};
 
     let mut config = DaemonScaleConfig::default();
-    if let Some(seed) = flags.seed {
+    if let Some(seed) = flags.parse("--seed")? {
         config.seed = seed;
     }
-    if let Some(raw) = &flags.instances {
-        config.instances = raw
-            .split(',')
-            .map(|part| {
-                part.trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("instance count `{part}` is not a number"))
-            })
-            .collect::<Result<Vec<usize>, String>>()?;
+    if let Some(instances) = flags.list("--instances")? {
+        config.instances = instances;
     }
-    if let Some(sweeps) = flags.batches {
-        // The daemon rung's unit of work is one full fleet sweep.
+    // The daemon rung's unit of work is one full fleet sweep.
+    if let Some(sweeps) = flags.parse("--batches")? {
         config.sweeps = sweeps;
     }
-    if let Some(probes) = flags.probes {
+    if let Some(probes) = flags.parse("--probes")? {
         config.sample_probes = probes;
     }
-    if let Some(repair) = flags.repair {
+    if let Some(repair) = flags.parse("--repair")? {
         config.repair_budget = repair;
     }
-    let path = flags.out.as_deref().unwrap_or("BENCH_daemon.json");
+    let path = flags.get("--out").unwrap_or("BENCH_daemon.json");
 
     println!(
         "daemon rung — {} points, {} sweeps of {}-slot batches, {} samples/window, seed {}, {} thread lane(s)",
@@ -790,12 +682,9 @@ fn daemon_cmd(flags: &CliFlags) -> CliResult {
 
 /// Writes the plane's full flight ring as JSONL when `--flight-out` was
 /// requested.
-fn write_flight(flags: &CliFlags, plane: Option<&Arc<so_telemetry::LivePlane>>) -> CliResult {
-    let Some(path) = &flags.flight_out else {
+fn write_flight(flags: &CliFlags, plane: &LivePlane) -> CliResult {
+    let Some(path) = flags.get("--flight-out") else {
         return Ok(());
-    };
-    let Some(plane) = plane else {
-        return Err("--flight-out needs a live plane (use `watch` or `online --listen`)".into());
     };
     let jsonl = plane.flight_jsonl(0);
     std::fs::write(path, &jsonl).map_err(|e| format!("cannot write `{path}`: {e}"))?;
@@ -804,6 +693,16 @@ fn write_flight(flags: &CliFlags, plane: Option<&Arc<so_telemetry::LivePlane>>) 
         jsonl.len()
     );
     Ok(())
+}
+
+/// The `--faults` spec for `simulate` (none when absent), validated.
+fn fault_spec(flags: &CliFlags) -> Result<FaultSpec, Box<dyn std::error::Error>> {
+    let Some(raw) = flags.get("--faults") else {
+        return Ok(FaultSpec::none());
+    };
+    let spec = FaultSpec::parse(raw).map_err(|e| e.to_string())?;
+    spec.validate().map_err(|e| e.to_string())?;
+    Ok(spec)
 }
 
 fn with_scenario(args: &[String], f: impl FnOnce(DcScenario, usize) -> CliResult) -> CliResult {
@@ -828,188 +727,135 @@ fn with_scenario(args: &[String], f: impl FnOnce(DcScenario, usize) -> CliResult
     f(scenario, n)
 }
 
-/// Global flags shared by every subcommand.
+/// Every command and the flags it reads besides [`COMMON_FLAGS`]. A flag
+/// outside this table is unknown, and a known flag the chosen command
+/// does not read is an error rather than silently ignored.
+#[rustfmt::skip]
+const COMMANDS: [(&str, &[&str]); 16] = [
+    ("scenarios", &[]),
+    ("breakdown", &[]),
+    ("place", &[]),
+    ("pipeline", &[]),
+    ("longrun", &[]),
+    ("dot", &[]),
+    ("simulate", &["--faults"]),
+    ("report", &[]),
+    ("check", &["--seed"]),
+    ("scale", &["--instances", "--seed", "--out", "--quantiles", "--chunk-rows", "--workload"]),
+    ("plan", &["--seed", "--out", "--base", "--racks", "--deltas", "--workloads", "--budget"]),
+    ("online", &["--instances", "--seed", "--out", "--batches", "--probes", "--repair",
+                 "--listen", "--watch-out", "--flight-out", "--plant-violation"]),
+    ("serve", &["--instances", "--seed", "--probes", "--repair", "--listen", "--flight-out",
+                "--repair-interval-ms", "--ttl-ms"]),
+    ("daemon", &["--instances", "--seed", "--out", "--batches", "--probes", "--repair"]),
+    ("gate", &[]),
+    ("help", &[]),
+];
+
+/// Flags every command reads.
+const COMMON_FLAGS: [&str; 3] = ["--metrics-out", "--trace-out", "--threads"];
+
+/// The one flag that takes no value.
+const SWITCH: &str = "--plant-violation";
+
+/// The flags of one invocation, each checked against [`COMMANDS`].
 struct CliFlags {
-    faults: FaultSpec,
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
-    seed: Option<u64>,
-    instances: Option<String>,
-    out: Option<String>,
-    quantile_mode: smoothoperator::scale::QuantileMode,
-    scale_workload: smoothoperator::scale::ScaleWorkload,
-    chunk_rows: Option<usize>,
-    base: Option<usize>,
-    racks: Option<usize>,
-    deltas: Option<String>,
-    workloads: Option<String>,
-    budget: Option<f64>,
-    batches: Option<usize>,
-    probes: Option<usize>,
-    repair: Option<usize>,
-    listen: Option<String>,
-    watch_out: Option<String>,
-    flight_out: Option<String>,
-    flight_capacity: Option<usize>,
-    journal_cap: Option<usize>,
-    plant_violation: bool,
-    repair_interval_ms: Option<u64>,
-    ttl_ms: Option<u64>,
+    /// Flag name → its value (empty for [`SWITCH`]).
+    values: BTreeMap<String, String>,
 }
 
-/// Extracts `--faults`, `--metrics-out`, and `--trace-out` (in both
-/// `--flag value` and `--flag=value` spellings) from the argument list,
-/// returning the remaining positional arguments and the parsed flags.
-fn split_flags(args: Vec<String>) -> Result<(Vec<String>, CliFlags), String> {
+impl CliFlags {
+    /// The raw value of `flag`, if given.
+    fn get(&self, flag: &str) -> Option<&str> {
+        self.values.get(flag).map(String::as_str)
+    }
+
+    /// Whether `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
+    }
+
+    /// The value of `flag` parsed as a `T`, if given.
+    fn parse<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.get(flag)
+            .map(|raw| {
+                raw.parse()
+                    .map_err(|_| format!("{flag} value `{raw}` is not a number"))
+            })
+            .transpose()
+    }
+
+    /// The comma-separated list value of `flag`, if given.
+    fn list<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<Vec<T>>, String> {
+        self.get(flag)
+            .map(|raw| {
+                raw.split(',')
+                    .map(|part| {
+                        part.trim()
+                            .parse()
+                            .map_err(|_| format!("{flag} entry `{part}` is not a number"))
+                    })
+                    .collect()
+            })
+            .transpose()
+    }
+
+    /// Whether an `online` run is watched through a live plane.
+    fn watched(&self) -> bool {
+        ["--listen", "--watch-out", "--flight-out"]
+            .iter()
+            .any(|flag| self.has(flag))
+    }
+}
+
+/// Splits the arguments into positionals and flags (`--flag value` or
+/// `--flag=value`), rejects unknown flags and flags the command does not
+/// read, and applies `--threads`.
+fn parse_args(args: Vec<String>) -> Result<(Vec<String>, CliFlags), String> {
     let mut positional = Vec::with_capacity(args.len());
-    let mut flags = CliFlags {
-        faults: FaultSpec::none(),
-        metrics_out: None,
-        trace_out: None,
-        seed: None,
-        instances: None,
-        out: None,
-        quantile_mode: smoothoperator::scale::QuantileMode::Exact,
-        scale_workload: smoothoperator::scale::ScaleWorkload::Diurnal,
-        chunk_rows: None,
-        base: None,
-        racks: None,
-        deltas: None,
-        workloads: None,
-        budget: None,
-        batches: None,
-        probes: None,
-        repair: None,
-        listen: None,
-        watch_out: None,
-        flight_out: None,
-        flight_capacity: None,
-        journal_cap: None,
-        plant_violation: false,
-        repair_interval_ms: None,
-        ttl_ms: None,
-    };
+    let mut values = BTreeMap::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        let value_of = |flag: &str, arg: &str, iter: &mut dyn Iterator<Item = String>| {
-            if arg == flag {
-                iter.next()
-                    .ok_or_else(|| format!("{flag} requires a value"))
-                    .map(Some)
-            } else if let Some(rest) = arg.strip_prefix(&format!("{flag}=")) {
-                Ok(Some(rest.to_string()))
-            } else {
-                Ok(None)
-            }
-        };
-        if let Some(raw) = value_of("--faults", &arg, &mut iter)? {
-            let spec = FaultSpec::parse(&raw).map_err(|e| e.to_string())?;
-            spec.validate().map_err(|e| e.to_string())?;
-            flags.faults = spec;
-        } else if let Some(path) = value_of("--metrics-out", &arg, &mut iter)? {
-            flags.metrics_out = Some(path);
-        } else if let Some(path) = value_of("--trace-out", &arg, &mut iter)? {
-            flags.trace_out = Some(path);
-        } else if let Some(raw) = value_of("--seed", &arg, &mut iter)? {
-            flags.seed = Some(
-                raw.parse()
-                    .map_err(|_| format!("seed `{raw}` is not a number"))?,
-            );
-        } else if let Some(raw) = value_of("--instances", &arg, &mut iter)? {
-            flags.instances = Some(raw);
-        } else if let Some(path) = value_of("--out", &arg, &mut iter)? {
-            flags.out = Some(path);
-        } else if let Some(raw) = value_of("--quantiles", &arg, &mut iter)? {
-            flags.quantile_mode = smoothoperator::scale::QuantileMode::parse(&raw)
-                .ok_or_else(|| format!("--quantiles must be `exact` or `sketch`, got `{raw}`"))?;
-        } else if arg == "--exact" {
-            flags.quantile_mode = smoothoperator::scale::QuantileMode::Exact;
-        } else if arg == "--sketch" {
-            flags.quantile_mode = smoothoperator::scale::QuantileMode::Sketch;
-        } else if let Some(raw) = value_of("--chunk-rows", &arg, &mut iter)? {
-            flags.chunk_rows = Some(
-                raw.parse()
-                    .map_err(|_| format!("chunk rows `{raw}` is not a number"))?,
-            );
-        } else if let Some(raw) = value_of("--workload", &arg, &mut iter)? {
-            flags.scale_workload = smoothoperator::scale::ScaleWorkload::parse(&raw)
-                .ok_or_else(|| format!("--workload must be `diurnal` or `llm`, got `{raw}`"))?;
-        } else if let Some(raw) = value_of("--base", &arg, &mut iter)? {
-            flags.base = Some(
-                raw.parse()
-                    .map_err(|_| format!("base fleet size `{raw}` is not a number"))?,
-            );
-        } else if let Some(raw) = value_of("--racks", &arg, &mut iter)? {
-            flags.racks = Some(
-                raw.parse()
-                    .map_err(|_| format!("rack count `{raw}` is not a number"))?,
-            );
-        } else if let Some(raw) = value_of("--deltas", &arg, &mut iter)? {
-            flags.deltas = Some(raw);
-        } else if let Some(raw) = value_of("--workloads", &arg, &mut iter)? {
-            flags.workloads = Some(raw);
-        } else if let Some(raw) = value_of("--budget", &arg, &mut iter)? {
-            flags.budget = Some(
-                raw.parse()
-                    .map_err(|_| format!("budget `{raw}` is not a number"))?,
-            );
-        } else if let Some(raw) = value_of("--batches", &arg, &mut iter)? {
-            let batches: usize = raw
-                .parse()
-                .map_err(|_| format!("batch count `{raw}` is not a number"))?;
-            flags.batches = Some(batches);
-        } else if let Some(raw) = value_of("--probes", &arg, &mut iter)? {
-            let probes: usize = raw
-                .parse()
-                .map_err(|_| format!("probe count `{raw}` is not a number"))?;
-            flags.probes = Some(probes);
-        } else if let Some(raw) = value_of("--repair", &arg, &mut iter)? {
-            let repair: usize = raw
-                .parse()
-                .map_err(|_| format!("repair budget `{raw}` is not a number"))?;
-            flags.repair = Some(repair);
-        } else if let Some(addr) = value_of("--listen", &arg, &mut iter)? {
-            flags.listen = Some(addr);
-        } else if let Some(path) = value_of("--watch-out", &arg, &mut iter)? {
-            flags.watch_out = Some(path);
-        } else if let Some(path) = value_of("--flight-out", &arg, &mut iter)? {
-            flags.flight_out = Some(path);
-        } else if let Some(raw) = value_of("--flight-capacity", &arg, &mut iter)? {
-            let cap: usize = raw
-                .parse()
-                .map_err(|_| format!("flight capacity `{raw}` is not a number"))?;
-            if cap == 0 {
-                return Err("--flight-capacity must be at least 1".to_string());
-            }
-            flags.flight_capacity = Some(cap);
-        } else if let Some(raw) = value_of("--journal-cap", &arg, &mut iter)? {
-            let cap: usize = raw
-                .parse()
-                .map_err(|_| format!("journal cap `{raw}` is not a number"))?;
-            flags.journal_cap = Some(cap);
-        } else if arg == "--plant-violation" {
-            flags.plant_violation = true;
-        } else if let Some(raw) = value_of("--repair-interval-ms", &arg, &mut iter)? {
-            let interval: u64 = raw
-                .parse()
-                .map_err(|_| format!("repair interval `{raw}` is not a number"))?;
-            flags.repair_interval_ms = Some(interval);
-        } else if let Some(raw) = value_of("--ttl-ms", &arg, &mut iter)? {
-            let ttl: u64 = raw
-                .parse()
-                .map_err(|_| format!("ttl `{raw}` is not a number"))?;
-            flags.ttl_ms = Some(ttl);
-        } else if let Some(raw) = value_of("--threads", &arg, &mut iter)? {
-            let lanes: usize = raw
-                .parse()
-                .map_err(|_| format!("thread count `{raw}` is not a number"))?;
-            if lanes == 0 {
-                return Err("--threads must be at least 1".to_string());
-            }
-            so_parallel::set_thread_limit(lanes);
-        } else {
+        if !arg.starts_with("--") {
             positional.push(arg);
+            continue;
         }
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, value)) => (flag.to_string(), Some(value.to_string())),
+            None => (arg, None),
+        };
+        let known = COMMON_FLAGS.contains(&flag.as_str())
+            || COMMANDS
+                .iter()
+                .any(|(_, reads)| reads.contains(&flag.as_str()));
+        if !known {
+            return Err(format!("unknown flag `{flag}` (try `smoothop help`)"));
+        }
+        let value = match inline {
+            Some(_) if flag == SWITCH => return Err(format!("{flag} takes no value")),
+            Some(value) => value,
+            None if flag == SWITCH => String::new(),
+            None => iter
+                .next()
+                .ok_or_else(|| format!("{flag} requires a value"))?,
+        };
+        values.insert(flag, value);
+    }
+    let command = positional.first().map_or("help", String::as_str);
+    // An unknown command is reported by the dispatcher.
+    if let Some((_, reads)) = COMMANDS.iter().find(|(name, _)| *name == command) {
+        for flag in values.keys() {
+            if !COMMON_FLAGS.contains(&flag.as_str()) && !reads.contains(&flag.as_str()) {
+                return Err(format!("`{command}` does not read {flag}"));
+            }
+        }
+    }
+    let flags = CliFlags { values };
+    if let Some(lanes) = flags.parse::<usize>("--threads")? {
+        if lanes == 0 {
+            return Err("--threads must be at least 1".to_string());
+        }
+        so_parallel::set_thread_limit(lanes);
     }
     Ok((positional, flags))
 }

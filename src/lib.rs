@@ -95,18 +95,16 @@ pub use so_reshape as reshape;
 /// `so-oracles`).
 pub use so_oracles as oracles;
 
-/// Million-instance scale tier: columnar end-to-end ladder and the
-/// `BENCH_scale.json` emitter.
+/// Million-instance scale tier (columnar ladder, `BENCH_scale.json`) and
+/// the online rung: the one churn loop over the resident online engine,
+/// headless for `BENCH_online.json` or watched through a live plane
+/// (`smoothop online --listen / --watch-out / --flight-out`).
 pub mod scale;
 
 /// Capacity-planning sweep behind `smoothop plan`: racks-fit under an
 /// MSB budget, StatProf vs SmoothOperator, and the `BENCH_plan.json`
 /// emitter.
 pub mod plan;
-
-/// Live observability sessions: the `smoothop watch` runner over the
-/// online engine's flight recorder, alert engine, and scrape surface.
-pub mod watch;
 
 /// `smoothop gate`: per-phase regression and exact-field checks of one
 /// `BENCH_*.json` point against a baseline.

@@ -40,6 +40,20 @@
 //! against the committed baseline (`smoothop gate`, [`crate::gate`]);
 //! `tests/scale_golden.rs` pins the JSON schema and the determinism of
 //! the numeric fields.
+//!
+//! # The online rung
+//!
+//! [`crate::scale::run_online_scale`] is the one churn loop over the
+//! resident [`so_core::OnlineFleet`] engine. Each batch retires seeded
+//! draws from the live set, commits the next arrivals of the shared
+//! seeded stream, runs a budgeted §3.6 repair pass and ends with one
+//! [`so_core::OnlineFleet::observe_batch`] heartbeat. One constructor builds every
+//! resident engine (this rung's, its offline comparator and smoothopd's)
+//! and one function yields their arrivals. A headless point feeds
+//! `BENCH_online.json`; given a live plane the same loop is *watched*
+//! (`smoothop online --listen / --watch-out / --flight-out`) and also
+//! emits JSONL heartbeats, alert transitions and flight dumps, without
+//! changing a placement bit.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,8 +61,8 @@ use std::time::Instant;
 use so_core::{differential_score_excluding, CommitPolicy, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid, TraceArena};
 use so_powertree::{Level, PowerTopology};
-use so_telemetry::export::BenchObject;
-use so_telemetry::{default_online_rules, LivePlane, RecordingSink};
+use so_telemetry::export::{json_f64, BenchObject};
+use so_telemetry::{default_online_rules, AlertTransition, LivePlane, RecordingSink};
 
 /// How the per-row quantile phase computes p99.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -451,7 +465,7 @@ impl ScaleReport {
 }
 
 /// Rack slots of the online rung's topology (the paper's rack size).
-pub(crate) const ONLINE_RACK_SLOTS: usize = 12;
+const ONLINE_RACK_SLOTS: usize = 12;
 /// Rack budget of the online rung, watts — generous enough that capacity,
 /// not power, is the binding constraint for the synthesized waveforms
 /// (max sample ≈ 300 W × 12 slots = 3 600 W).
@@ -478,6 +492,11 @@ pub struct OnlineScaleConfig {
     pub sample_probes: usize,
     /// Remap swaps allowed per between-batch repair pass (0 disables).
     pub repair_budget: usize,
+    /// Inject one arrival drawing three rack budgets at batch
+    /// `batches / 2`, after that batch's arrivals and before its repair
+    /// pass: a breaker-budget violation while churn has left slots free,
+    /// to exercise the anomaly path (alert, postmortem dump) end to end.
+    pub plant_violation: bool,
 }
 
 impl Default for OnlineScaleConfig {
@@ -490,6 +509,7 @@ impl Default for OnlineScaleConfig {
             batches: 8,
             sample_probes: 64,
             repair_budget: 8,
+            plant_violation: false,
         }
     }
 }
@@ -566,30 +586,40 @@ pub const ONLINE_SCALE_SCHEMA_VERSION: u32 = 2;
 
 /// Runs the online-engine rung ladder described by `config`.
 ///
+/// Without a `plane` every point is headless: it gets its own
+/// virtual-clock plane, so the reported `alerts_fired`/`alerts_resolved`
+/// counts are a pure function of the config, and `emit` is never called.
+///
+/// With a `plane` every point is *watched*: its engine reports into that
+/// plane (what `smoothop online --listen` serves over HTTP while the
+/// ladder runs), keeps the rung's fragmentation reference resident so
+/// [`OnlineFleet::observe_batch`] exports the per-level fragmentation
+/// gauges each batch, and hands `emit` one JSON object per line:
+///
+/// * `{"kind":"alert","rule":"...","state":"fired"|"resolved","eval":N,"value":V}`
+///   per alert transition, in evaluation order (deterministic at any
+///   thread count);
+/// * `{"kind":"flight_dump","ordinal":N,"reason":"...","records":N}` per
+///   postmortem dump the plane captured during the batch;
+/// * `{"kind":"batch","batch":B,"arrivals":..,"committed":..,"rejected":..,
+///   "retired":..,"live":..,"root_power_watts":..,"min_rack_headroom_watts":..,
+///   "alerts_active":..,"peak_rss_bytes":N|null}` — one heartbeat per event
+///   batch, after that batch's alert and dump lines (`null` RSS where
+///   `/proc` is unavailable, never a fabricated zero);
+/// * `{"kind":"summary",...}` — the point's totals, after its last batch.
+///
+/// A shared plane carries alert state across points, so a watched
+/// ladder's alert counts reflect the whole session. Watching never
+/// changes a placement bit.
+///
 /// # Errors
 ///
 /// Returns an error when `config` is degenerate (no instance counts, zero
 /// samples/batches/probes) or an engine operation fails.
 pub fn run_online_scale(
     config: &OnlineScaleConfig,
-) -> Result<OnlineScaleReport, Box<dyn std::error::Error>> {
-    run_online_scale_with_plane(config, None)
-}
-
-/// [`run_online_scale`] with an externally owned observability plane
-/// (what `smoothop online --listen` serves HTTP from while the ladder
-/// runs). Without one, each point gets its own headless virtual-clock
-/// plane, so the reported `alerts_fired`/`alerts_resolved` counts are a
-/// pure function of the config; a shared external plane carries alert
-/// state across points, so its counts reflect the whole session instead.
-///
-/// # Errors
-///
-/// Returns an error when `config` is degenerate (no instance counts, zero
-/// samples/batches/probes) or an engine operation fails.
-pub fn run_online_scale_with_plane(
-    config: &OnlineScaleConfig,
     plane: Option<Arc<LivePlane>>,
+    mut emit: impl FnMut(&str),
 ) -> Result<OnlineScaleReport, Box<dyn std::error::Error>> {
     if config.instances.is_empty() {
         return Err("online ladder needs at least one instance count".into());
@@ -602,7 +632,7 @@ pub fn run_online_scale_with_plane(
     }
     let mut points = Vec::with_capacity(config.instances.len());
     for &n in &config.instances {
-        points.push(run_online_point(config, n, plane.clone())?);
+        points.push(run_online_point(config, n, plane.as_ref(), &mut emit)?);
     }
     Ok(OnlineScaleReport {
         config: config.clone(),
@@ -610,12 +640,23 @@ pub fn run_online_scale_with_plane(
     })
 }
 
-/// The online rung's topology: the paper's tree shape (1 suite × 2 MSB ×
-/// 2 SB × r RPP × 4 racks) sized so rack slots cover `n` instances.
-pub(crate) fn online_topology(n: usize) -> Result<PowerTopology, so_powertree::TreeError> {
-    let racks_needed = n.div_ceil(ONLINE_RACK_SLOTS).max(1);
+/// The resident engine behind every online front end (the online rung,
+/// its offline comparator and smoothopd): the paper's tree shape (1 suite
+/// × 2 MSB × 2 SB × r RPP × 4 racks) sized so rack slots cover
+/// `instances`, on a grid of `samples_per_trace` steps of `step_minutes`,
+/// under a [`CommitPolicy::Sampling`] policy salted by `seed`.
+pub(crate) fn online_fleet(
+    instances: usize,
+    samples_per_trace: usize,
+    step_minutes: u32,
+    seed: u64,
+    probes: usize,
+    repair_budget: usize,
+    journal_cap: usize,
+) -> Result<OnlineFleet, so_powertree::TreeError> {
+    let racks_needed = instances.div_ceil(ONLINE_RACK_SLOTS).max(1);
     let rpps = racks_needed.div_ceil(2 * 2 * 4).max(1);
-    PowerTopology::builder()
+    let topology = PowerTopology::builder()
         .suites(1)
         .msbs_per_suite(2)
         .sbs_per_msb(2)
@@ -624,42 +665,75 @@ pub(crate) fn online_topology(n: usize) -> Result<PowerTopology, so_powertree::T
         .rack_capacity(ONLINE_RACK_SLOTS)
         .rack_budget_watts(ONLINE_RACK_BUDGET_WATTS)
         .name("online-scale")
-        .build()
+        .build()?;
+    let config = OnlineConfig {
+        policy: CommitPolicy::Sampling { probes },
+        repair_budget,
+        min_gain: 0.02,
+        sample_salt: seed,
+        journal_cap,
+    };
+    let grid = TimeGrid::new(step_minutes, samples_per_trace);
+    Ok(OnlineFleet::new(topology, grid, config))
+}
+
+/// The seeded arrival stream every resident fleet draws from: the `i`-th
+/// trace is the diurnal row `i` of the `seed ^ 0x0E7E` waveform family.
+pub(crate) fn arrival_stream(
+    seed: u64,
+    grid: TimeGrid,
+) -> impl Iterator<Item = Result<PowerTrace, so_powertrace::TraceError>> {
+    let basis = SynthBasis::new(grid.len());
+    (0u64..).map(move |i| {
+        let mut row = vec![0.0f64; grid.len()];
+        RowWave::new(seed ^ 0x0E7E, i).fill(&basis, &mut row);
+        PowerTrace::new(row, grid.step_minutes())
+    })
 }
 
 fn run_online_point(
     config: &OnlineScaleConfig,
     n: usize,
-    plane: Option<Arc<LivePlane>>,
+    watch: Option<&Arc<LivePlane>>,
+    emit: &mut dyn FnMut(&str),
 ) -> Result<OnlineScalePoint, Box<dyn std::error::Error>> {
-    let grid = TimeGrid::new(config.step_minutes, config.samples_per_trace);
-    let topology = online_topology(n)?;
-    let basis = SynthBasis::new(config.samples_per_trace);
-    let engine_config = OnlineConfig {
-        policy: CommitPolicy::Sampling {
-            probes: config.sample_probes,
-        },
-        // Repair is driven explicitly below so its wall time lands in its
-        // own phase; the budget still controls each pass's swap cap.
-        repair_budget: config.repair_budget,
-        min_gain: 0.02,
-        sample_salt: config.seed,
-        ..OnlineConfig::default()
+    let fleet = || {
+        online_fleet(
+            n,
+            config.samples_per_trace,
+            config.step_minutes,
+            config.seed,
+            config.sample_probes,
+            config.repair_budget,
+            0,
+        )
     };
-    let mut engine = OnlineFleet::new(topology.clone(), grid, engine_config);
-    // Headless fallback: a virtual-clock plane per point keeps the alert
-    // counts deterministic in `BENCH_online.json` while exercising the
-    // full observe path the live `--listen` plane uses.
-    let plane = plane.unwrap_or_else(|| {
-        Arc::new(LivePlane::new(
+    let mut engine = fleet()?;
+    // The reference job `rack_fragmentation_ratio` is measured against.
+    let reference = PowerTrace::new(
+        vec![0.4 * ONLINE_RACK_BUDGET_WATTS; config.samples_per_trace],
+        config.step_minutes,
+    )?;
+    let plane = match watch {
+        // Only a watched point pays for keeping the reference resident
+        // (a budget re-probe per touched path node per event).
+        Some(plane) => {
+            engine.set_fragmentation_reference(Some(&reference))?;
+            Arc::clone(plane)
+        }
+        // Headless fallback: a virtual-clock plane per point keeps the
+        // alert counts deterministic in `BENCH_online.json` while
+        // exercising the full observe path a watched point uses.
+        None => Arc::new(LivePlane::new(
             Arc::new(RecordingSink::with_virtual_clock()),
             256,
             default_online_rules(),
-        ))
-    });
-    engine.attach_plane(plane);
+        )),
+    };
+    engine.attach_plane(Arc::clone(&plane));
     let mut alerts_fired = 0u64;
     let mut alerts_resolved = 0u64;
+    let mut dumps_seen = plane.dumps_total();
 
     let started = Instant::now();
     let per_batch = n.div_ceil(config.batches).max(1);
@@ -668,18 +742,15 @@ fn run_online_point(
     let mut retire_ms = 0.0f64;
     let mut repair_ms = 0.0f64;
     let mut repair_moves = 0usize;
-    let mut row = vec![0.0f64; config.samples_per_trace];
-    let mut synthesized = 0u64;
+    let mut stream = arrival_stream(config.seed, engine.grid());
 
     for b in 0..config.batches {
         // Synthesis is the scale tier's own phase; here it only feeds the
         // stream, so it counts toward total_ms but no placement phase.
-        let mut batch = Vec::with_capacity(per_batch);
-        for _ in 0..per_batch {
-            RowWave::new(config.seed ^ 0x0E7E, synthesized).fill(&basis, &mut row);
-            batch.push(PowerTrace::new(row.clone(), config.step_minutes)?);
-            synthesized += 1;
-        }
+        let batch = stream
+            .by_ref()
+            .take(per_batch)
+            .collect::<Result<Vec<_>, _>>()?;
 
         // Retirements first (none before anything arrived): deterministic
         // draws against the live snapshot, deduped ascending — the same
@@ -707,6 +778,15 @@ fn run_online_point(
         for trace in &batch {
             let _ = engine.arrive(trace)?;
         }
+        let planted = config.plant_violation && b == config.batches / 2;
+        if planted {
+            let hot = PowerTrace::new(
+                vec![3.0 * ONLINE_RACK_BUDGET_WATTS; config.samples_per_trace],
+                config.step_minutes,
+            )?;
+            let outcome = engine.arrive(&hot)?;
+            debug_assert!(outcome.is_none(), "planted arrival must be rejected");
+        }
         arrive_ms += ms_since(t0);
 
         let t0 = Instant::now();
@@ -718,22 +798,47 @@ fn run_online_point(
 
         // Observability heartbeat: one alert evaluation per batch, from
         // the serial point — deterministic at any thread count.
-        for transition in engine.observe_batch()? {
+        let transitions = engine.observe_batch()?;
+        for transition in &transitions {
             if transition.fired {
                 alerts_fired += 1;
             } else {
                 alerts_resolved += 1;
             }
         }
+        if watch.is_some() {
+            let arrivals = batch.len() + usize::from(planted);
+            emit_batch_lines(
+                &engine,
+                &plane,
+                b,
+                arrivals,
+                &transitions,
+                &mut dumps_seen,
+                emit,
+            )?;
+        }
+    }
+    if watch.is_some() {
+        emit(&format!(
+            "{{\"kind\":\"summary\",\"batches\":{},\"committed\":{},\"rejected\":{},\"retired\":{},\"live\":{},\"alerts_fired\":{},\"alerts_resolved\":{},\"breaker_violations\":{},\"flight_dumps\":{},\"journal_compactions\":{},\"total_ms\":{}}}",
+            config.batches,
+            engine.committed(),
+            engine.rejected(),
+            engine.retired(),
+            engine.live_len(),
+            alerts_fired,
+            alerts_resolved,
+            plane.breaker_violations(),
+            plane.dumps_total(),
+            engine.journal_compactions(),
+            json_f64(ms_since(started)),
+        ));
     }
 
     // Quality of the churned placement.
     let online_mean_asynchrony = engine.mean_rack_asynchrony().unwrap_or(0.0);
     let online_min_rack_headroom_watts = min_rack_headroom(&engine)?;
-    let reference = PowerTrace::new(
-        vec![0.4 * ONLINE_RACK_BUDGET_WATTS; config.samples_per_trace],
-        config.step_minutes,
-    )?;
     let rack_fragmentation_ratio = engine
         .fragmentation(&reference)?
         .iter()
@@ -743,13 +848,22 @@ fn run_online_point(
 
     // Offline comparator: the same final fleet re-placed from scratch in
     // one pass by a fresh engine — what the placement would look like
-    // with perfect foresight and no churn holes.
+    // with perfect foresight and no churn holes. It runs with telemetry
+    // off, so the session's counters count the stream alone.
     let t0 = Instant::now();
     let (final_traces, _, _) = engine.live_view()?;
-    let mut offline = OnlineFleet::new(topology, grid, engine_config);
-    for trace in &final_traces {
-        let _ = offline.arrive(trace)?;
+    let sink = so_telemetry::uninstall();
+    let offline = (|| -> Result<OnlineFleet, Box<dyn std::error::Error>> {
+        let mut offline = fleet()?;
+        for trace in &final_traces {
+            offline.arrive(trace)?;
+        }
+        Ok(offline)
+    })();
+    if let Some(sink) = sink {
+        so_telemetry::install(sink);
     }
+    let offline = offline?;
     let offline_mean_asynchrony = offline.mean_rack_asynchrony().unwrap_or(0.0);
     let offline_min_rack_headroom_watts = min_rack_headroom(&offline)?;
     let offline_ms = ms_since(t0);
@@ -792,6 +906,51 @@ fn run_online_point(
         alerts_resolved,
         checksum,
     })
+}
+
+/// A watched point's lines for batch `batch`: its alert transitions, the
+/// flight dumps the plane captured since `dumps_seen`, then the
+/// heartbeat.
+fn emit_batch_lines(
+    engine: &OnlineFleet,
+    plane: &LivePlane,
+    batch: usize,
+    arrivals: usize,
+    transitions: &[AlertTransition],
+    dumps_seen: &mut u64,
+    emit: &mut dyn FnMut(&str),
+) -> Result<(), so_core::CoreError> {
+    let rules = default_online_rules();
+    for t in transitions {
+        emit(&format!(
+            "{{\"kind\":\"alert\",\"rule\":\"{}\",\"state\":\"{}\",\"eval\":{},\"value\":{}}}",
+            rules.get(t.rule).map_or("?", |r| r.name.as_str()),
+            if t.fired { "fired" } else { "resolved" },
+            t.eval,
+            json_f64(t.value),
+        ));
+    }
+    for dump in plane.dumps().iter().filter(|d| d.ordinal >= *dumps_seen) {
+        emit(&format!(
+            "{{\"kind\":\"flight_dump\",\"ordinal\":{},\"reason\":\"{}\",\"records\":{}}}",
+            dump.ordinal, dump.reason, dump.records,
+        ));
+    }
+    *dumps_seen = plane.dumps_total();
+    emit(&format!(
+        "{{\"kind\":\"batch\",\"batch\":{},\"arrivals\":{},\"committed\":{},\"rejected\":{},\"retired\":{},\"live\":{},\"root_power_watts\":{},\"min_rack_headroom_watts\":{},\"alerts_active\":{},\"peak_rss_bytes\":{}}}",
+        batch,
+        arrivals,
+        engine.committed(),
+        engine.rejected(),
+        engine.retired(),
+        engine.live_len(),
+        json_f64(engine.aggregates().peak(engine.topology().root())?),
+        json_f64(min_rack_headroom(engine)?),
+        plane.active_alerts().len(),
+        peak_rss_bytes().map_or_else(|| "null".to_string(), |bytes| bytes.to_string()),
+    ));
+    Ok(())
 }
 
 /// Smallest per-rack headroom (budget minus resident peak), watts.
@@ -1201,14 +1360,15 @@ mod tests {
             batches: 4,
             sample_probes: 3,
             repair_budget: 2,
+            plant_violation: false,
         }
     }
 
     #[test]
     fn online_rung_is_deterministic() {
         let config = tiny_online_config();
-        let a = run_online_scale(&config).unwrap();
-        let b = run_online_scale(&config).unwrap();
+        let a = run_online_scale(&config, None, |_| {}).unwrap();
+        let b = run_online_scale(&config, None, |_| {}).unwrap();
         for (x, y) in a.points.iter().zip(&b.points) {
             assert_eq!(x.checksum.to_bits(), y.checksum.to_bits());
             assert_eq!(x.committed, y.committed);
@@ -1218,7 +1378,7 @@ mod tests {
 
     #[test]
     fn online_rung_metrics_are_sane() {
-        let report = run_online_scale(&tiny_online_config()).unwrap();
+        let report = run_online_scale(&tiny_online_config(), None, |_| {}).unwrap();
         for p in &report.points {
             assert!(p.committed > 0, "stream must commit instances");
             assert_eq!(
@@ -1238,18 +1398,18 @@ mod tests {
     fn online_rung_rejects_degenerate_configs() {
         let mut c = tiny_online_config();
         c.instances.clear();
-        assert!(run_online_scale(&c).is_err());
+        assert!(run_online_scale(&c, None, |_| {}).is_err());
         let mut c = tiny_online_config();
         c.batches = 0;
-        assert!(run_online_scale(&c).is_err());
+        assert!(run_online_scale(&c, None, |_| {}).is_err());
         let mut c = tiny_online_config();
         c.instances = vec![0];
-        assert!(run_online_scale(&c).is_err());
+        assert!(run_online_scale(&c, None, |_| {}).is_err());
     }
 
     #[test]
     fn online_report_json_carries_every_point() {
-        let report = run_online_scale(&tiny_online_config()).unwrap();
+        let report = run_online_scale(&tiny_online_config(), None, |_| {}).unwrap();
         let json = report.to_json();
         assert!(json.contains("\"benchmark\": \"online_scale\""));
         assert!(json.contains("\"schema_version\": 2"));
@@ -1272,20 +1432,194 @@ mod tests {
             64,
             default_online_rules(),
         ));
-        let with_plane = run_online_scale_with_plane(&config, Some(plane.clone())).unwrap();
+        let with_plane = run_online_scale(&config, Some(plane.clone()), |_| {}).unwrap();
         // One heartbeat per batch per point flowed through the shared
         // plane, and the engine mirrored its journal into the flight ring.
         let (held, total, _) = plane.flight_counts();
         assert!(held > 0 && total > 0, "flight ring saw journal events");
         // Deterministic alert counts: the headless per-point path yields
         // the same bits as a fresh run.
-        let headless = run_online_scale(&config).unwrap();
-        let again = run_online_scale(&config).unwrap();
+        let headless = run_online_scale(&config, None, |_| {}).unwrap();
+        let again = run_online_scale(&config, None, |_| {}).unwrap();
         for (x, y) in headless.points.iter().zip(&again.points) {
             assert_eq!(x.alerts_fired, y.alerts_fired);
             assert_eq!(x.alerts_resolved, y.alerts_resolved);
             assert_eq!(x.checksum.to_bits(), y.checksum.to_bits());
         }
         let _ = with_plane;
+    }
+
+    /// One 240-instance point in four batches: the watched-session shape.
+    fn tiny_watch_config() -> OnlineScaleConfig {
+        OnlineScaleConfig {
+            instances: vec![240],
+            samples_per_trace: 24,
+            step_minutes: 60,
+            seed: 7,
+            batches: 4,
+            sample_probes: 3,
+            repair_budget: 2,
+            plant_violation: false,
+        }
+    }
+
+    fn test_plane() -> Arc<LivePlane> {
+        Arc::new(LivePlane::new(
+            Arc::new(RecordingSink::with_virtual_clock()),
+            128,
+            default_online_rules(),
+        ))
+    }
+
+    /// Runs `config` watched through a fresh plane: its one point, the
+    /// plane, and every emitted line.
+    fn run_lines(config: &OnlineScaleConfig) -> (OnlineScalePoint, Arc<LivePlane>, Vec<String>) {
+        let plane = test_plane();
+        let mut lines = Vec::new();
+        let mut report = run_online_scale(config, Some(plane.clone()), |l| {
+            lines.push(l.to_string());
+        })
+        .unwrap();
+        (report.points.remove(0), plane, lines)
+    }
+
+    #[test]
+    fn watch_emits_batch_heartbeats_and_a_summary() {
+        let config = tiny_watch_config();
+        let (outcome, _, lines) = run_lines(&config);
+        assert_eq!(
+            lines
+                .iter()
+                .filter(|l| l.starts_with("{\"kind\":\"batch\""))
+                .count(),
+            config.batches
+        );
+        let last = lines.last().unwrap();
+        assert!(last.starts_with("{\"kind\":\"summary\""));
+        assert!(last.contains(&format!("\"committed\":{}", outcome.committed)));
+        assert!(outcome.committed > 0);
+        // peak_rss_bytes keeps the Option contract: a number on Linux,
+        // the JSON null literal elsewhere — never a fabricated zero.
+        let heartbeat = &lines[0];
+        match peak_rss_bytes() {
+            Some(_) => assert!(!heartbeat.contains("\"peak_rss_bytes\":null")),
+            None => assert!(heartbeat.contains("\"peak_rss_bytes\":null")),
+        }
+    }
+
+    #[test]
+    fn planted_violation_fires_and_dumps() {
+        let mut config = tiny_watch_config();
+        config.plant_violation = true;
+        let (_, plane, lines) = run_lines(&config);
+        assert_eq!(plane.breaker_violations(), 1);
+        let fired: Vec<&String> = lines
+            .iter()
+            .filter(|l| {
+                l.contains("\"kind\":\"alert\"")
+                    && l.contains("\"rule\":\"breaker_budget_violation\"")
+                    && l.contains("\"state\":\"fired\"")
+            })
+            .collect();
+        assert_eq!(fired.len(), 1, "exactly one breaker fire: {lines:#?}");
+        assert!(
+            lines.iter().any(|l| l.contains("\"kind\":\"flight_dump\"")
+                && l.contains("breaker-budget violation")),
+            "violation captures a postmortem dump"
+        );
+        // The stream goes clean afterwards, so the alert resolves.
+        assert!(lines.iter().any(|l| {
+            l.contains("\"rule\":\"breaker_budget_violation\"")
+                && l.contains("\"state\":\"resolved\"")
+        }));
+    }
+
+    #[test]
+    fn clean_watch_plants_nothing() {
+        let (_, plane, lines) = run_lines(&tiny_watch_config());
+        assert_eq!(plane.breaker_violations(), 0);
+        assert!(!lines
+            .iter()
+            .any(|l| l.contains("\"rule\":\"breaker_budget_violation\"")
+                && l.contains("\"state\":\"fired\"")));
+    }
+
+    #[test]
+    fn degenerate_watch_configs_are_rejected() {
+        for broken in [
+            OnlineScaleConfig {
+                instances: vec![0],
+                ..tiny_watch_config()
+            },
+            OnlineScaleConfig {
+                batches: 0,
+                ..tiny_watch_config()
+            },
+            OnlineScaleConfig {
+                sample_probes: 0,
+                ..tiny_watch_config()
+            },
+        ] {
+            assert!(run_online_scale(&broken, Some(test_plane()), |_| {}).is_err());
+        }
+    }
+
+    #[test]
+    fn watching_does_not_change_the_rung() {
+        let config = tiny_watch_config();
+        let headless = &run_online_scale(&config, None, |_| {}).unwrap().points[0];
+        let (watched, _, lines) = run_lines(&config);
+        assert!(!lines.is_empty());
+        assert_eq!(headless.committed, watched.committed);
+        assert_eq!(headless.rejected, watched.rejected);
+        assert_eq!(headless.retired, watched.retired);
+        assert_eq!(headless.live_instances, watched.live_instances);
+        assert_eq!(headless.repair_moves, watched.repair_moves);
+        for (name, a, b) in [
+            (
+                "online_mean_asynchrony",
+                headless.online_mean_asynchrony,
+                watched.online_mean_asynchrony,
+            ),
+            (
+                "offline_mean_asynchrony",
+                headless.offline_mean_asynchrony,
+                watched.offline_mean_asynchrony,
+            ),
+            (
+                "online_min_rack_headroom_watts",
+                headless.online_min_rack_headroom_watts,
+                watched.online_min_rack_headroom_watts,
+            ),
+            (
+                "offline_min_rack_headroom_watts",
+                headless.offline_min_rack_headroom_watts,
+                watched.offline_min_rack_headroom_watts,
+            ),
+            (
+                "rack_fragmentation_ratio",
+                headless.rack_fragmentation_ratio,
+                watched.rack_fragmentation_ratio,
+            ),
+        ] {
+            assert_eq!(a.to_bits(), b.to_bits(), "{name}");
+        }
+    }
+
+    #[test]
+    fn the_offline_comparator_stays_out_of_the_telemetry() {
+        let mut config = tiny_watch_config();
+        config.plant_violation = true;
+        let sink = Arc::new(RecordingSink::with_virtual_clock());
+        let report =
+            so_telemetry::with_sink(sink.clone(), || run_online_scale(&config, None, |_| {}))
+                .unwrap();
+        let point = &report.points[0];
+        let prometheus = sink.prometheus();
+        let arrivals = format!(
+            "\nso_online_arrivals_total {}\n",
+            point.committed + point.rejected
+        );
+        assert!(prometheus.contains(&arrivals), "{prometheus}");
     }
 }

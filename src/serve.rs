@@ -58,17 +58,16 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use so_core::daemon::{DaemonFleet, SampleUpdate};
-use so_core::online::{select_decision, CommitPolicy, OnlineConfig, OnlineFleet};
+use so_core::online::{select_decision, CommitPolicy};
 use so_parallel::ThreadContext;
 use so_powertrace::quantile::quantile_sorted;
-use so_powertrace::{snap_samples, PowerTrace, TimeGrid, MAX_SAMPLE_WATTS};
+use so_powertrace::{snap_samples, PowerTrace, MAX_SAMPLE_WATTS};
 use so_powertree::NodeId;
 use so_telemetry::export::{json_f64, BenchObject};
 use so_telemetry::{route_plane, HttpRequest, HttpResponse, HttpServer, LivePlane};
 
 use crate::scale::{
-    fold_digest, min_rack_headroom, mix, ms_since, online_topology, peak_rss_bytes, RowWave,
-    SynthBasis,
+    arrival_stream, fold_digest, min_rack_headroom, mix, ms_since, online_fleet, peak_rss_bytes,
 };
 
 /// Parameters of one `smoothop serve` session.
@@ -133,9 +132,9 @@ pub struct ServeOutcome {
     pub repair_passes: u64,
 }
 
-/// Builds the resident daemon for `config`: the online topology sized to
-/// the seed fleet, a [`CommitPolicy::Sampling`] engine with the plane
-/// attached, and the synthesized seed arrivals committed.
+/// Builds the resident daemon for `config`: the online rung's engine
+/// sized to the seed fleet, with the plane attached and the first
+/// `instances` traces of the shared arrival stream committed.
 ///
 /// # Errors
 ///
@@ -144,27 +143,21 @@ pub fn build_daemon(
     config: &ServeConfig,
     plane: Arc<LivePlane>,
 ) -> Result<DaemonFleet, Box<dyn std::error::Error>> {
-    let grid = TimeGrid::new(config.step_minutes, config.samples_per_trace);
-    let topology = online_topology(config.instances.max(1))?;
-    let engine_config = OnlineConfig {
-        policy: CommitPolicy::Sampling {
-            probes: config.sample_probes,
-        },
-        repair_budget: config.repair_budget,
-        min_gain: 0.02,
-        sample_salt: config.seed,
+    let mut engine = online_fleet(
+        config.instances.max(1),
+        config.samples_per_trace,
+        config.step_minutes,
+        config.seed,
+        config.sample_probes,
+        config.repair_budget,
         // Resident process: bound the event journal by the live fleet.
-        journal_cap: 2 * config.instances.max(1),
-    };
-    let mut engine = OnlineFleet::new(topology, grid, engine_config);
+        2 * config.instances.max(1),
+    )?;
+    let stream = arrival_stream(config.seed, engine.grid());
     engine.attach_plane(plane);
     let mut daemon = DaemonFleet::new(engine);
-    let basis = SynthBasis::new(config.samples_per_trace);
-    let mut row = vec![0.0f64; config.samples_per_trace];
-    for i in 0..config.instances {
-        RowWave::new(config.seed ^ 0x0E7E, i as u64).fill(&basis, &mut row);
-        let trace = PowerTrace::new(row.clone(), config.step_minutes)?;
-        daemon.arrive(&trace)?;
+    for trace in stream.take(config.instances) {
+        daemon.arrive(&trace?)?;
     }
     Ok(daemon)
 }

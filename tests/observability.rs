@@ -13,40 +13,55 @@ use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
 use std::sync::Arc;
 
-use smoothoperator::watch::{run_watch, watch_plane, WatchConfig, WatchOutcome};
+use smoothoperator::scale::{run_online_scale, OnlineScaleConfig};
 use so_core::{CommitPolicy, EventRecord, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_telemetry::{
     default_online_rules, render_report, FlightKind, LivePlane, MetricsServer, RecordingSink,
 };
 
-fn small_watch() -> WatchConfig {
-    WatchConfig {
-        instances: 480,
+fn small_watch() -> OnlineScaleConfig {
+    OnlineScaleConfig {
+        instances: vec![480],
         batches: 6,
         samples_per_trace: 24,
         step_minutes: 60,
         seed: 7,
         sample_probes: 4,
         repair_budget: 2,
-        flight_capacity: 256,
-        journal_cap: 0,
         plant_violation: true,
     }
 }
 
-/// Runs one watch session on a virtual-clock plane, returning the outcome
-/// and only the deterministic lines (alert transitions and flight dumps —
-/// batch heartbeats carry host-dependent RSS readings).
-fn deterministic_lines(config: &WatchConfig) -> (WatchOutcome, Vec<String>) {
-    let plane = watch_plane(Arc::new(RecordingSink::with_virtual_clock()), config);
+fn watch_plane(sink: Arc<RecordingSink>) -> Arc<LivePlane> {
+    Arc::new(LivePlane::new(sink, 256, default_online_rules()))
+}
+
+/// Runs one watched online point on a virtual-clock plane, returning its
+/// deterministic counters, checksum bits and plane counts, and only the
+/// deterministic lines (alert transitions and flight dumps — batch
+/// heartbeats carry host-dependent RSS readings).
+fn deterministic_lines(config: &OnlineScaleConfig) -> ([u64; 9], Vec<String>) {
+    let plane = watch_plane(Arc::new(RecordingSink::with_virtual_clock()));
     let mut lines = Vec::new();
-    let outcome = run_watch(config, plane, |l| {
+    let report = run_online_scale(config, Some(plane.clone()), |l| {
         if l.starts_with("{\"kind\":\"alert\"") || l.starts_with("{\"kind\":\"flight_dump\"") {
             lines.push(l.to_string());
         }
     })
     .unwrap();
+    let p = &report.points[0];
+    let outcome = [
+        p.committed,
+        p.rejected,
+        p.retired,
+        p.live_instances as u64,
+        p.alerts_fired,
+        p.alerts_resolved,
+        p.checksum.to_bits(),
+        plane.breaker_violations(),
+        plane.dumps_total(),
+    ];
     (outcome, lines)
 }
 
@@ -206,21 +221,21 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
 #[test]
 fn http_surface_serves_all_four_endpoints_during_a_live_run() {
     // Install the sink on the engine's thread so its gauges land on
-    // /metrics, exactly as `smoothop watch --listen` wires it.
+    // /metrics, exactly as `smoothop online --listen` wires it.
     let sink = Arc::new(RecordingSink::with_wall_clock());
     so_telemetry::install(sink.clone());
-    let config = WatchConfig {
+    let config = OnlineScaleConfig {
         plant_violation: false,
         ..small_watch()
     };
-    let plane = watch_plane(sink, &config);
+    let plane = watch_plane(sink);
     let server = MetricsServer::spawn("127.0.0.1:0", plane.clone()).unwrap();
     let addr = server.addr();
 
     // Scrape mid-run from inside the emit callback: the surface must be
     // live *while* the engine streams, not only after it finishes.
     let mut scraped_midrun = false;
-    let outcome = run_watch(&config, plane, |line| {
+    let report = run_online_scale(&config, Some(plane), |line| {
         if !scraped_midrun && line.starts_with("{\"kind\":\"batch\",\"batch\":2") {
             scraped_midrun = true;
             let metrics = http_get(addr, "/metrics");
@@ -231,7 +246,7 @@ fn http_surface_serves_all_four_endpoints_during_a_live_run() {
     .unwrap();
     so_telemetry::uninstall();
     assert!(scraped_midrun, "mid-run scrape never happened");
-    assert!(outcome.committed > 0);
+    assert!(report.points[0].committed > 0);
 
     let health = http_get(addr, "/health");
     assert!(health.starts_with("HTTP/1.1 200"), "{health}");
@@ -256,7 +271,7 @@ fn online_gauges_reach_the_prometheus_exporter_and_the_report_renderer() {
     so_telemetry::install(sink.clone());
     let mut engine = micro_fleet();
     // A fragmentation reference turns on the per-level labeled gauges,
-    // re-emitted on every commit and retirement.
+    // set once per batch by `observe_batch`.
     engine
         .set_fragmentation_reference(Some(&flat(50.0)))
         .unwrap();
