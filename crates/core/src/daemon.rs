@@ -31,11 +31,13 @@
 //! Sums on the grid are exact, so the resident aggregates after **any**
 //! ingest stream are bit-identical to a
 //! [`compute`](so_powertree::NodeAggregates::compute) of the final
-//! windows — the invariant the `daemon` oracle family pins. Per-slot
-//! window peaks are cached the same way (a row is refolded only when its
-//! peak sample fell), so asynchrony queries are O(members) sums over
-//! cached peaks, bit-identical to the fused
-//! [`OnlineFleet::rack_asynchrony`] recompute.
+//! windows — the invariant the `daemon` oracle family pins. Each write
+//! goes through the engine, which also keeps the slot's window peak and
+//! its rack's exact peak sum current (a row is refolded only when its
+//! peak sample fell), so an asynchrony query is
+//! O(1) per rack and bit-identical to
+//! [`asynchrony_score`](crate::asynchrony_score) over the materialized
+//! member windows.
 //!
 //! # Serial commits
 //!
@@ -45,7 +47,7 @@
 //! connection order. Determinism then follows from the engine's own
 //! guarantees — no mutation interleaves mid-batch.
 
-use so_powertrace::{peak_of_samples, snap_samples, PowerTrace};
+use so_powertrace::{snap_samples, PowerTrace};
 use so_powertree::NodeId;
 use so_telemetry::AlertTransition;
 
@@ -75,17 +77,13 @@ pub struct IngestReport {
 }
 
 /// A resident [`OnlineFleet`] plus streaming-ingest state: per-slot ring
-/// cursors and cached window peaks. See the module docs for the
-/// ring-buffer and bit-identity contracts.
+/// cursors. See the module docs for the ring-buffer and bit-identity
+/// contracts.
 #[derive(Debug, Clone)]
 pub struct DaemonFleet {
     fleet: OnlineFleet,
     /// Next ring write position per slot (column index into the window).
     cursor: Vec<usize>,
-    /// Cached [`peak_of_samples`] of each slot's resident window,
-    /// kept current by every write that touches the slot. Stale for
-    /// retired slots, which no live query reads.
-    row_peak: Vec<f64>,
     /// Per rack, the last ingest call that touched it: counts distinct
     /// racks without a touched set.
     rack_stamp: Vec<u64>,
@@ -95,15 +93,13 @@ pub struct DaemonFleet {
 }
 
 impl DaemonFleet {
-    /// Wraps `fleet`, priming ring cursors (position 0) and the window
-    /// peak cache from the resident rows.
+    /// Wraps `fleet`, priming ring cursors at position 0.
     #[must_use]
     pub fn new(fleet: OnlineFleet) -> Self {
         let mut daemon = Self {
             rack_stamp: vec![0; fleet.topology().len()],
             fleet,
             cursor: Vec::new(),
-            row_peak: Vec::new(),
             samples_ingested: 0,
             samples_dropped: 0,
             batches_ingested: 0,
@@ -170,13 +166,8 @@ impl DaemonFleet {
                 continue;
             };
             let pos = self.cursor[slot];
-            let old = self.fleet.write_window_sample(slot, pos, watts)?;
+            self.fleet.write_window_sample(slot, pos, watts)?;
             self.cursor[slot] = (pos + 1) % window;
-            if watts > self.row_peak[slot] {
-                self.row_peak[slot] = watts;
-            } else if watts < old && old == self.row_peak[slot] {
-                self.row_peak[slot] = peak_of_samples(self.fleet.row(slot));
-            }
             if std::mem::replace(&mut self.rack_stamp[rack.index()], stamp) != stamp {
                 report.racks_touched += 1;
             }
@@ -202,8 +193,7 @@ impl DaemonFleet {
     }
 
     /// Commits an arrival through the engine (see
-    /// [`OnlineFleet::arrive`]) and primes the new slot's ring cursor
-    /// and peak cache.
+    /// [`OnlineFleet::arrive`]) and primes the new slot's ring cursor.
     ///
     /// # Errors
     ///
@@ -214,9 +204,8 @@ impl DaemonFleet {
         Ok(committed)
     }
 
-    /// Retires a live slot (see [`OnlineFleet::retire`]). The slot's
-    /// cached peak goes stale, which is fine — no live query reads it,
-    /// and slots are never reused.
+    /// Retires a live slot (see [`OnlineFleet::retire`]). Slots are never
+    /// reused, so the retired slot's cursor is never read again.
     ///
     /// # Errors
     ///
@@ -225,9 +214,9 @@ impl DaemonFleet {
         self.fleet.retire(slot)
     }
 
-    /// Runs one budgeted §3.6 differential-score repair pass (see
-    /// [`OnlineFleet::repair`]). Moves swap instances between racks
-    /// without touching window contents, so the peak cache stays valid.
+    /// Runs one budgeted §3.6 differential-score repair pass on the
+    /// resident racks (see [`OnlineFleet::repair`]). Moves swap instances
+    /// between racks without touching window contents or cursors.
     ///
     /// # Errors
     ///
@@ -246,53 +235,26 @@ impl DaemonFleet {
         self.fleet.observe_batch()
     }
 
-    /// Rack asynchrony from the cached window peaks: the (exact) sum of
-    /// member peaks over the resident aggregate peak — O(members), no
-    /// window scan, bit-identical to [`OnlineFleet::rack_asynchrony`].
+    /// Rack asynchrony, O(1) (see [`OnlineFleet::rack_asynchrony`]).
     ///
     /// # Errors
     ///
     /// [`CoreError::EmptySet`] for an empty rack; propagates tree
     /// lookups.
     pub fn rack_asynchrony(&self, rack: NodeId) -> Result<f64, CoreError> {
-        let members = self.fleet.members_of(rack);
-        if members.is_empty() {
-            return Err(CoreError::EmptySet);
-        }
-        let peak_sum: f64 = members.iter().map(|&s| self.row_peak[s]).sum();
-        let aggregate_peak = self.fleet.aggregates().peak(rack)?;
-        if aggregate_peak == 0.0 {
-            return Ok(members.len() as f64);
-        }
-        Ok(peak_sum / aggregate_peak)
+        self.fleet.rack_asynchrony(rack)
     }
 
-    /// Mean rack asynchrony over non-empty racks from the cached peaks
-    /// (ascending rack order), or `None` for an empty fleet.
-    /// Bit-identical to [`OnlineFleet::mean_rack_asynchrony`].
+    /// Mean rack asynchrony over non-empty racks, or `None` for an empty
+    /// fleet (see [`OnlineFleet::mean_rack_asynchrony`]).
     #[must_use]
     pub fn mean_rack_asynchrony(&self) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for &rack in self.fleet.topology().racks() {
-            if !self.fleet.members_of(rack).is_empty() {
-                sum += self
-                    .rack_asynchrony(rack)
-                    .expect("non-empty rack always scores");
-                count += 1;
-            }
-        }
-        (count > 0).then(|| sum / count as f64)
+        self.fleet.mean_rack_asynchrony()
     }
 
-    /// Grows the per-slot caches to cover newly committed slots.
+    /// Grows the ring cursors to cover newly committed slots.
     fn sync_slots(&mut self) {
-        let slots = self.fleet.slot_count();
-        while self.cursor.len() < slots {
-            let slot = self.cursor.len();
-            self.cursor.push(0);
-            self.row_peak.push(peak_of_samples(self.fleet.row(slot)));
-        }
+        self.cursor.resize(self.fleet.slot_count(), 0);
     }
 }
 
@@ -390,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_asynchrony_matches_fused_recompute() {
+    fn asynchrony_after_ingest_matches_materialized_score() {
         let mut daemon = seeded_daemon(6);
         let updates: Vec<SampleUpdate> = (0..6)
             .map(|slot| SampleUpdate {
@@ -398,20 +360,23 @@ mod tests {
                 watts: (slot as f64 + 1.0) * 3.25,
             })
             .collect();
+        // Eleven rounds wrap the 8-sample windows, so old peaks fall out
+        // and rows are refolded.
         for _ in 0..11 {
             daemon.ingest_batch(&updates).unwrap();
         }
-        for &rack in daemon.fleet().topology().racks() {
-            if daemon.fleet().members_of(rack).is_empty() {
-                continue;
-            }
-            let cached = daemon.rack_asynchrony(rack).unwrap();
-            let fused = daemon.fleet().rack_asynchrony(rack).unwrap();
-            assert_eq!(cached.to_bits(), fused.to_bits(), "rack {rack}");
+        let (traces, assignment, _) = daemon.fleet().live_view().unwrap();
+        let mut scores = Vec::new();
+        for (rack, members) in assignment.by_rack() {
+            let want = crate::asynchrony_score(members.iter().map(|&i| &traces[i])).unwrap();
+            let got = daemon.rack_asynchrony(rack).unwrap();
+            assert_eq!(got.to_bits(), want.to_bits(), "rack {rack}");
+            scores.push(want);
         }
+        let mean = scores.iter().sum::<f64>() / scores.len() as f64;
         assert_eq!(
             daemon.mean_rack_asynchrony().map(f64::to_bits),
-            daemon.fleet().mean_rack_asynchrony().map(f64::to_bits),
+            Some(mean.to_bits())
         );
     }
 

@@ -61,7 +61,6 @@ pub mod online;
 mod placement;
 mod remap;
 mod score;
-mod source;
 mod straces;
 
 pub use admission::{admission_decisions, best_rack_for, AdmissionDecision};
@@ -82,12 +81,10 @@ pub use online::{
 };
 pub use placement::{PlacementConfig, SmoothPlacer};
 pub use remap::{
-    remap, remap_arena, remap_degraded, remap_traces, worst_node, RemapConfig, RemapReport,
-    SwapRecord,
+    remap, remap_degraded, remap_traces, worst_node, RemapConfig, RemapReport, SwapRecord,
 };
 pub use score::{
     asynchrony_score, averaged_peer_trace, differential_score, differential_score_excluding,
     instance_to_service_score, pairwise_score, pairwise_score_samples, peak_of_sum_samples,
 };
-pub use source::SampleSource;
 pub use straces::ServiceTraces;

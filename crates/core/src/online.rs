@@ -15,8 +15,9 @@
 //!   of the probed racks, usually O(1) (see [`OnlineFleet::evaluate`]);
 //! * every **retirement** releases its slot and subtracts its row from
 //!   the touched power path;
-//! * a configurable **repair budget** amortizes cleanup through the
-//!   offline differential-score remap ([`remap_arena`]) between batches.
+//! * a configurable **repair budget** amortizes cleanup between batches
+//!   through the §3.6 swap search, run on the resident racks in place
+//!   ([`OnlineFleet::repair`]).
 //!
 //! # Exact resident aggregates
 //!
@@ -31,6 +32,10 @@
 //! order of addition; the `online` oracle family pins this, with
 //! [`NodeAggregates::refresh_rack`] and `refresh_ancestors` kept as the
 //! reference recompute.
+//!
+//! The engine also keeps every slot's window peak and each rack's exact
+//! sum of member peaks, so rack asynchrony is O(1) and a repair pass
+//! ranks racks without reading a trace.
 //!
 //! Policies break ties deterministically (ascending rack id last), events
 //! within a batch are canonically ordered by [`OnlineFleet::apply`], and
@@ -50,8 +55,10 @@ use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology, Tre
 use so_telemetry::{AlertTransition, FlightKind, LivePlane};
 
 use crate::error::CoreError;
-use crate::remap::{remap_arena, RemapConfig, RemapReport};
-use crate::score::{pairwise_score, pairwise_score_from_peaks, peak_of_sum_samples};
+use crate::remap::{remap_nodes, RemapConfig, RemapNodes, RemapReport, SwapRecord};
+use crate::score::{
+    asynchrony_from_peaks, pairwise_score, pairwise_score_from_peaks, peak_of_sum_samples,
+};
 
 /// Fewest racks a lane of an all-rack probe scan is given: spawning one OS
 /// thread costs on the order of a hundred O(T) rack probes.
@@ -312,10 +319,19 @@ pub struct OnlineFleet {
     /// One row per instance ever committed; retired rows stay (tombstoned
     /// via `rack_of`) so slots are stable identifiers.
     arena: TraceArena,
+    /// [`peak_of_samples`] of every slot's row, kept current by each write.
+    peaks: Vec<f64>,
     /// Hosting rack per slot; `None` once retired.
     rack_of: Vec<Option<NodeId>>,
     /// Live member slots per rack (ascending), indexed by node id.
     members: Vec<Vec<usize>>,
+    /// Per rack (by node id), the sum of its live members' `peaks`,
+    /// shifted by every change to a member or a member's peak. Exact: each
+    /// peak is a sample on the 2^-10 W grid of at most 2^20 W, and a rack
+    /// sums at most [`MAX_EXACT_SLOTS`] of them, so every partial sum is a
+    /// multiple of 2^-10 below 2^43 W and has the bits of a fresh sum in
+    /// any order of addition.
+    peak_sums: Vec<f64>,
     aggregates: NodeAggregates,
     live: usize,
     arrivals_seen: u64,
@@ -362,14 +378,17 @@ impl OnlineFleet {
         let budgets = topology.nodes().iter().map(|n| n.budget_watts()).collect();
         let aggregates = NodeAggregates::zeros(&topology, grid);
         let members = vec![Vec::new(); topology.len()];
+        let peak_sums = vec![0.0; topology.len()];
         Self {
             topology,
             budgets,
             config,
             grid,
             arena: TraceArena::new(grid),
+            peaks: Vec::new(),
             rack_of: Vec::new(),
             members,
+            peak_sums,
             aggregates,
             live: 0,
             arrivals_seen: 0,
@@ -472,6 +491,15 @@ impl OnlineFleet {
     /// Panics when `slot` was never committed.
     pub fn row(&self, slot: usize) -> &[f64] {
         self.arena.row(slot)
+    }
+
+    /// The exact sum of `rack`'s live members' window peaks.
+    ///
+    /// # Panics
+    ///
+    /// Panics for a node id outside the topology.
+    pub fn peak_sum(&self, rack: NodeId) -> f64 {
+        self.peak_sums[rack.index()]
     }
 
     /// The resident per-node aggregates — exact, so bit-identical to
@@ -848,6 +876,7 @@ impl OnlineFleet {
 
         let rack = best.rack;
         let slot = self.arena.push_samples(&row)?;
+        self.peaks.push(peak_of_samples(&row));
         self.rack_of.push(Some(rack));
         self.place(slot, rack)?;
         self.live += 1;
@@ -951,15 +980,27 @@ impl OnlineFleet {
         })
     }
 
-    /// Runs one repair pass: the live fleet is compacted into a dense view
-    /// and handed to the offline differential-score remap with
-    /// `max_swaps = repair_budget`; each resulting move is applied back to
-    /// the resident state as a retirement from one path and a commit to
-    /// the other (journaled as [`EventRecord::Moved`]).
+    /// Runs one §3.6 repair pass with `max_swaps = repair_budget`: the
+    /// swap search of [`crate::remap_traces`] on the resident racks in
+    /// place. Rows are read from the arena, and each accepted swap moves
+    /// two rows along the resident paths by delta, so a pass allocates
+    /// O(live + racks). Swap records name arena slots. Every resident sum
+    /// is exact, so swaps and scores are bit-identical to the offline
+    /// remap of the materialized live fleet.
+    ///
+    /// Then each slot whose rack changed over the pass is journaled once
+    /// ([`EventRecord::Moved`]), in ascending slot order, and its
+    /// `rack_of` entry is written with its record, so a compaction that
+    /// fires part-way snapshots the occupancy the journal has reached.
     ///
     /// # Errors
     ///
-    /// Propagates remap and refresh errors.
+    /// A pass fails before its first swap or not at all, leaving the
+    /// engine unchanged: the search scores every member of every rack
+    /// before its first round, which checks every row and sum a later
+    /// round reads, and moving member rows between racks on the exact
+    /// grid cannot fail on a coherent state. Should a later step fail
+    /// anyway, the moves applied before it are journaled first.
     pub fn repair(&mut self) -> Result<RemapReport, CoreError> {
         let trivial = RemapReport {
             swaps: Vec::new(),
@@ -969,36 +1010,23 @@ impl OnlineFleet {
         if self.config.repair_budget == 0 || self.live < 2 {
             return Ok(trivial);
         }
-        let slots = self.live_slots();
-        let mut compact = TraceArena::with_capacity(self.grid, slots.len());
-        let mut racks = Vec::with_capacity(slots.len());
-        for &s in &slots {
-            compact.push_samples(self.arena.row(s))?;
-            racks.push(self.rack_of[s].expect("live slot has a rack"));
-        }
-        let mut assignment = Assignment::new(racks, &self.topology).map_err(CoreError::Tree)?;
         let config = RemapConfig {
-            level: Level::Rack,
             max_swaps: self.config.repair_budget,
-            nodes_per_round: 4,
             min_gain: self.config.min_gain,
+            ..RemapConfig::default()
         };
-        let report = remap_arena(&compact, &self.topology, &mut assignment, config)?;
-
-        for (dense, &slot) in slots.iter().enumerate() {
-            let new_rack = assignment.rack_of(dense)?;
-            let old_rack = self.rack_of[slot].expect("live slot has a rack");
-            if new_rack != old_rack {
-                self.unplace(slot, old_rack)?;
-                self.place(slot, new_rack)?;
-                self.rack_of[slot] = Some(new_rack);
-                self.push_journal(EventRecord::Moved {
-                    slot,
-                    from: old_rack,
-                    to: new_rack,
-                });
+        let mut racks = ResidentRacks {
+            fleet: self,
+            moves: BTreeMap::new(),
+        };
+        let outcome = remap_nodes(&mut racks, &config);
+        for (slot, (from, to)) in racks.moves {
+            if from != to {
+                self.rack_of[slot] = Some(to);
+                self.push_journal(EventRecord::Moved { slot, from, to });
             }
         }
+        let report = outcome?;
         if so_telemetry::enabled() {
             so_telemetry::counter_add(
                 "so_online_repair_moves_total",
@@ -1009,10 +1037,10 @@ impl OnlineFleet {
         Ok(report)
     }
 
-    /// The asynchrony score (§3.4) of one rack's live members, fused over
-    /// arena rows — bit-identical to [`asynchrony_score`] on the members'
-    /// materialized traces (the resident rack aggregate *is* their exact
-    /// sum).
+    /// The asynchrony score (§3.4) of one rack's live members from its
+    /// peak sum and resident aggregate peak, O(1) — bit-identical to
+    /// [`asynchrony_score`] on the members' materialized traces, since
+    /// both sums are exact.
     ///
     /// [`asynchrony_score`]: crate::asynchrony_score
     ///
@@ -1021,19 +1049,16 @@ impl OnlineFleet {
     /// Returns [`CoreError::EmptySet`] for an empty rack and propagates
     /// tree lookups.
     pub fn rack_asynchrony(&self, rack: NodeId) -> Result<f64, CoreError> {
-        let members = &self.members[rack.index()];
-        if members.is_empty() {
+        let count = self.members[rack.index()].len();
+        if count == 0 {
             return Err(CoreError::EmptySet);
         }
-        let peak_sum: f64 = members
-            .iter()
-            .map(|&s| peak_of_samples(self.arena.row(s)))
-            .sum();
         let aggregate_peak = self.aggregates.peak(rack)?;
-        if aggregate_peak == 0.0 {
-            return Ok(members.len() as f64);
-        }
-        Ok(peak_sum / aggregate_peak)
+        Ok(asynchrony_from_peaks(
+            self.peak_sums[rack.index()],
+            aggregate_peak,
+            count,
+        ))
     }
 
     /// Mean rack asynchrony over non-empty racks (ascending rack order —
@@ -1052,16 +1077,12 @@ impl OnlineFleet {
         (count > 0).then(|| sum / count as f64)
     }
 
-    /// Live member slots of `rack`. Empty for non-rack nodes and empty
-    /// racks.
-    pub(crate) fn members_of(&self, rack: NodeId) -> &[usize] {
-        &self.members[rack.index()]
-    }
-
     /// Overwrites one sample of a live slot's resident window with
     /// `watts`, which must already lie on the exact grid (the daemon snaps
     /// each batch whole), and shifts the slot's rack path by the
-    /// difference, O(path). Returns the overwritten sample.
+    /// difference, O(path). A higher sample raises the slot's peak; the
+    /// row is refolded (O(T)) only when the peak sample itself fell.
+    /// Returns the overwritten sample.
     ///
     /// # Errors
     ///
@@ -1087,6 +1108,16 @@ impl OnlineFleet {
         self.aggregates
             .shift_path_sample(&self.topology, rack, pos, old, watts)?;
         self.arena.view_mut(slot).samples_mut()[pos] = watts;
+        let peak = self.peaks[slot];
+        let new_peak = if watts > peak {
+            watts
+        } else if watts < old && old == peak {
+            peak_of_samples(self.arena.row(slot))
+        } else {
+            peak
+        };
+        self.peaks[slot] = new_peak;
+        self.peak_sums[rack.index()] += new_peak - peak;
         self.refresh_path_fits(rack)?;
         Ok(old)
     }
@@ -1155,21 +1186,25 @@ impl OnlineFleet {
         Ok(out)
     }
 
-    /// Adds live `slot` to `rack`'s members and its row to the rack path.
+    /// Adds live `slot` to `rack`'s members, its peak to the rack's peak
+    /// sum and its row to the rack path.
     fn place(&mut self, slot: usize, rack: NodeId) -> Result<(), CoreError> {
         let members = &mut self.members[rack.index()];
         members.insert(members.partition_point(|&s| s < slot), slot);
+        self.peak_sums[rack.index()] += self.peaks[slot];
         self.aggregates
             .add_to_path(&self.topology, rack, self.arena.row(slot))?;
         self.refresh_path_fits(rack)
     }
 
-    /// Removes `slot` from `rack`'s members and its row from the rack path.
+    /// Removes `slot` from `rack`'s members, its peak from the rack's peak
+    /// sum and its row from the rack path.
     fn unplace(&mut self, slot: usize, rack: NodeId) -> Result<(), CoreError> {
         let members = &mut self.members[rack.index()];
         let pos = members.partition_point(|&s| s < slot);
         debug_assert_eq!(members.get(pos), Some(&slot));
         members.remove(pos);
+        self.peak_sums[rack.index()] -= self.peaks[slot];
         self.aggregates
             .remove_from_path(&self.topology, rack, self.arena.row(slot))?;
         self.refresh_path_fits(rack)
@@ -1246,6 +1281,63 @@ impl OnlineFleet {
                 left: self.grid.step_minutes(),
                 right: trace.step_minutes(),
             }));
+        }
+        Ok(())
+    }
+}
+
+/// The resident racks as the swap search's node state: racks in
+/// [`PowerTopology::racks`] order, instances by arena slot.
+struct ResidentRacks<'a> {
+    fleet: &'a mut OnlineFleet,
+    /// `(rack at the start of the pass, current rack)` of every slot a
+    /// swap moved; `rack_of` is written when the move is journaled.
+    moves: BTreeMap<usize, (NodeId, NodeId)>,
+}
+
+impl RemapNodes for ResidentRacks<'_> {
+    fn node_count(&self) -> usize {
+        self.fleet.topology.racks().len()
+    }
+
+    fn node(&self, n: usize) -> NodeId {
+        self.fleet.topology.racks()[n]
+    }
+
+    fn members(&self, n: usize) -> &[usize] {
+        &self.fleet.members[self.node(n).index()]
+    }
+
+    fn sum(&self, n: usize) -> &[f64] {
+        let trace = self.fleet.aggregates.trace(self.node(n));
+        trace.expect("every rack has an aggregate").samples()
+    }
+
+    fn peak(&self, n: usize) -> f64 {
+        let peak = self.fleet.aggregates.peak(self.node(n));
+        peak.expect("every rack has an aggregate")
+    }
+
+    fn peak_sum(&self, n: usize) -> f64 {
+        self.fleet.peak_sums[self.node(n).index()]
+    }
+
+    fn row(&self, slot: usize) -> &[f64] {
+        self.fleet.arena.row(slot)
+    }
+
+    /// Both rows leave before either joins, so no rack exceeds capacity.
+    fn apply_swap(&mut self, swap: &SwapRecord, _: usize, _: usize) -> Result<(), CoreError> {
+        let (out, inn) = (swap.instance_out, swap.instance_in);
+        self.fleet.unplace(out, swap.node)?;
+        self.fleet.unplace(inn, swap.partner)?;
+        self.fleet.place(out, swap.partner)?;
+        self.fleet.place(inn, swap.node)?;
+        for (slot, from, to) in [
+            (out, swap.node, swap.partner),
+            (inn, swap.partner, swap.node),
+        ] {
+            self.moves.entry(slot).or_insert((from, to)).1 = to;
         }
         Ok(())
     }
@@ -1708,6 +1800,117 @@ mod tests {
             .filter(|e| matches!(e, EventRecord::Moved { .. }))
             .count();
         assert_eq!(moves, 2 * repair.swaps.len());
+    }
+
+    /// A first-fit engine over `topo()` that piles synchronous traces onto
+    /// the first racks, with slot 1 retired so slots and dense positions
+    /// differ.
+    fn fragmented() -> OnlineFleet {
+        let mut fleet = OnlineFleet::new(
+            topo(),
+            grid(),
+            OnlineConfig {
+                policy: CommitPolicy::FirstFit,
+                repair_budget: 4,
+                min_gain: 0.0,
+                ..OnlineConfig::default()
+            },
+        );
+        for samples in [
+            [100.0, 0.0, 0.0, 0.0],
+            [90.0, 0.0, 0.0, 10.0],
+            [100.0, 0.0, 0.0, 0.0],
+            [80.0, 10.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 100.0],
+            [0.0, 0.0, 10.0, 90.0],
+            [0.0, 10.0, 0.0, 80.0],
+        ] {
+            fleet.arrive(&trace(&samples)).unwrap().unwrap();
+        }
+        fleet.retire(1).unwrap();
+        fleet
+    }
+
+    #[test]
+    fn resident_repair_matches_offline_remap_of_the_live_view() {
+        let mut fleet = fragmented();
+        let (traces, mut assignment, slots) = fleet.live_view().unwrap();
+        let before = assignment.clone();
+        let config = RemapConfig {
+            max_swaps: 4,
+            min_gain: 0.0,
+            ..RemapConfig::default()
+        };
+        let offline =
+            crate::remap_traces(&traces, fleet.topology(), &mut assignment, config).unwrap();
+        assert!(!offline.swaps.is_empty(), "the fixture must swap");
+        let journaled = fleet.journal().len();
+        let resident = fleet.repair().unwrap();
+
+        // The same swaps, with dense positions named by their slots.
+        let key = |s: &SwapRecord| {
+            (
+                s.instance_out,
+                s.instance_in,
+                s.node,
+                s.partner,
+                s.gain_node.to_bits(),
+                s.gain_partner.to_bits(),
+            )
+        };
+        let want: Vec<_> = offline
+            .swaps
+            .iter()
+            .map(|s| {
+                key(&SwapRecord {
+                    instance_out: slots[s.instance_out],
+                    instance_in: slots[s.instance_in],
+                    ..*s
+                })
+            })
+            .collect();
+        assert_eq!(resident.swaps.iter().map(key).collect::<Vec<_>>(), want);
+        assert_eq!(
+            resident.initial_worst_score.to_bits(),
+            offline.initial_worst_score.to_bits()
+        );
+        assert_eq!(
+            resident.final_worst_score.to_bits(),
+            offline.final_worst_score.to_bits()
+        );
+
+        // One move per slot whose rack changed, in ascending slot order.
+        let mut moves = Vec::new();
+        for (i, &slot) in slots.iter().enumerate() {
+            let (from, to) = (before.rack_of(i).unwrap(), assignment.rack_of(i).unwrap());
+            assert_eq!(fleet.rack_of(slot), Some(to));
+            if from != to {
+                moves.push(EventRecord::Moved { slot, from, to });
+            }
+        }
+        assert_eq!(&fleet.journal()[journaled..], moves.as_slice());
+    }
+
+    #[test]
+    fn a_failing_repair_pass_changes_nothing() {
+        let mut fleet = fragmented();
+        // Rack sums one sample short of the rows: the pass's first scoring
+        // step rejects them, before any swap.
+        fleet.aggregates = NodeAggregates::zeros(&fleet.topology, TimeGrid::new(60, 3));
+        let journal = fleet.journal().to_vec();
+        let (members, rack_of, peak_sums) = (
+            fleet.members.clone(),
+            fleet.rack_of.clone(),
+            fleet.peak_sums.clone(),
+        );
+        assert!(matches!(
+            fleet.repair(),
+            Err(CoreError::Trace(TraceError::LengthMismatch { .. }))
+        ));
+        assert_eq!(fleet.journal(), journal.as_slice());
+        assert_eq!(fleet.members, members);
+        assert_eq!(fleet.rack_of, rack_of);
+        assert_eq!(fleet.peak_sums, peak_sums);
     }
 
     #[test]

@@ -8,34 +8,28 @@
 //!
 //! # Cost model
 //!
-//! The engine keeps one [`NodeAggregate`] per power node: member sums are
-//! maintained incrementally across swaps and candidate evaluation never
-//! re-sums a node. Differential scores are *fused* over the cached sum
-//! ([`differential_score_excluding`]) — no peer-mean trace is ever
-//! materialized, so one candidate costs `O(T)` with **zero allocations**
-//! instead of the naive `O(|node| · T)` plus a temporary per candidate.
+//! The round loop and the swap search ([`remap_nodes`]) read node state
+//! through [`RemapNodes`]: an [`Assignment`] over a trace slice with one
+//! incrementally updated [`NodeAggregate`] per node (the offline entry
+//! points), or the online engine's resident racks (`OnlineFleet::repair`,
+//! rows read from its arena in place). No node is re-summed during a run.
+//! Differential scores are *fused* over the node sum
+//! ([`differential_score_excluding`]): one candidate costs `O(T)` with
+//! **zero allocations**. Each member's score in its own node is computed
+//! once per run and again only for the two nodes a swap touches.
 //! Candidate partners are scanned in parallel; the reduction keeps the
 //! first best candidate in (node, member) order, so the chosen swap is
 //! identical to the serial scan's.
-//!
-//! # Storage layouts
-//!
-//! The engine is generic over [`SampleSource`], so it runs unchanged — and
-//! bit-identically, as the `arena` oracle family pins — over
-//! `Vec<PowerTrace>` fleets ([`remap_traces`]) and columnar
-//! [`TraceArena`]s ([`remap_arena`]), the layout that scales to
-//! million-instance fleets.
 
 use std::collections::BTreeMap;
 
 use so_parallel::par_map;
-use so_powertrace::{peak_of_samples, NodeAggregate, PowerTrace, TraceArena};
+use so_powertrace::{peak_of_samples, NodeAggregate, PowerTrace, TimeGrid};
 use so_powertree::{Assignment, Level, NodeId, PowerTopology, TreeError};
 use so_workloads::Fleet;
 
 use crate::error::CoreError;
-use crate::score::differential_score_excluding;
-use crate::source::SampleSource;
+use crate::score::{asynchrony_from_peaks, differential_score_excluding};
 
 /// Time-axis block width for the allocation-free aggregate-peak kernel in
 /// node scoring. Performance-only: per-element float association is
@@ -68,7 +62,8 @@ impl Default for RemapConfig {
     }
 }
 
-/// One accepted swap.
+/// One accepted swap. Instances are indices into the remapped trace slice,
+/// or arena slots for the online engine's repair.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwapRecord {
     /// Instance moved out of the fragmented node.
@@ -127,105 +122,8 @@ pub fn remap_traces(
     assignment: &mut Assignment,
     config: RemapConfig,
 ) -> Result<RemapReport, CoreError> {
-    remap_source(traces, topology, assignment, config)
-}
-
-/// Runs swap-based remapping on `assignment` in place against a columnar
-/// [`TraceArena`] (row `i` is instance `i`'s averaged I-trace).
-///
-/// Decisions, report, and final assignment are **bit-identical** to
-/// [`remap_traces`] over the materialized rows — the engine performs the
-/// same float work in the same order regardless of storage layout.
-///
-/// # Errors
-///
-/// Propagates trace and tree errors.
-pub fn remap_arena(
-    arena: &TraceArena,
-    topology: &PowerTopology,
-    assignment: &mut Assignment,
-    config: RemapConfig,
-) -> Result<RemapReport, CoreError> {
-    remap_source(arena, topology, assignment, config)
-}
-
-/// The storage-agnostic remap engine behind [`remap_traces`] and
-/// [`remap_arena`].
-fn remap_source<S: SampleSource + ?Sized>(
-    source: &S,
-    topology: &PowerTopology,
-    assignment: &mut Assignment,
-    config: RemapConfig,
-) -> Result<RemapReport, CoreError> {
-    // Serial orchestration point: the span, gauges, and round counter live
-    // here; the parallel scans inside `best_swap` batch commutative
-    // counters only.
-    let _span = so_telemetry::span("remap");
-    let initial_worst_score = worst_node_source(topology, assignment, source, config.level)?
-        .map(|(_, s)| s)
-        .unwrap_or(f64::INFINITY);
-
-    // Each instance's peak, computed once up front (pure per-instance map).
-    let indices: Vec<usize> = (0..source.count()).collect();
-    let peaks = par_map(&indices, 64, |_, &i| peak_of_samples(source.samples(i)));
-    let mut states = build_states(topology, assignment, source, config.level)?;
-
-    let mut swaps = Vec::new();
-    'outer: while swaps.len() < config.max_swaps {
-        so_telemetry::counter_add("so_remap_rounds_total", &[], 1);
-        // Rank this level's nodes by ascending asynchrony score. Peak sums
-        // are recomputed from the cached per-instance peaks and aggregate
-        // peaks come from the cached sums — O(nodes · |node|), no trace
-        // scans.
-        let mut scored: Vec<(usize, f64)> = states
-            .iter()
-            .enumerate()
-            .filter_map(|(si, state)| state.score(&peaks).map(|s| (si, s)))
-            .collect();
-        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are finite"));
-
-        for &(si, _) in scored.iter().take(config.nodes_per_round) {
-            if let Some(record) = best_swap(si, &states, source, &config)? {
-                assignment.swap(record.instance_out, record.instance_in)?;
-                let pi = states
-                    .iter()
-                    .position(|s| s.node == record.partner)
-                    .expect("partner came from the state list");
-                states[si].replace_member(record.instance_out, record.instance_in, source)?;
-                states[pi].replace_member(record.instance_in, record.instance_out, source)?;
-                if so_telemetry::enabled() {
-                    so_telemetry::counter_add("so_remap_swaps_accepted_total", &[], 1);
-                    so_telemetry::observe(
-                        "so_remap_swap_gain",
-                        &[],
-                        record.gain_node + record.gain_partner,
-                    );
-                }
-                swaps.push(record);
-                continue 'outer;
-            }
-        }
-        break; // No improving swap among the most fragmented nodes.
-    }
-
-    let final_worst_score = worst_node_source(topology, assignment, source, config.level)?
-        .map(|(_, s)| s)
-        .unwrap_or(f64::INFINITY);
-    if so_telemetry::enabled() {
-        so_telemetry::counter_add("so_remap_runs_total", &[], 1);
-        so_telemetry::gauge_set("so_remap_initial_worst_score", &[], initial_worst_score);
-        so_telemetry::gauge_set("so_remap_final_worst_score", &[], final_worst_score);
-        so_telemetry::gauge_set(
-            "so_remap_worst_score_improvement",
-            &[],
-            final_worst_score - initial_worst_score,
-        );
-    }
-    Ok(RemapReport {
-        swaps,
-        initial_worst_score,
-        final_worst_score,
-    })
+    let mut nodes = AssignmentNodes::new(traces, topology, assignment, config.level)?;
+    remap_nodes(&mut nodes, &config)
 }
 
 /// Degraded-mode remapping: completes partial traces from service-level
@@ -251,7 +149,306 @@ pub fn remap_degraded(
     Ok((report, degraded))
 }
 
-/// Cached per-node remapping state: the member list (sorted ascending, as
+/// The node state the swap search reads and updates: nodes by position
+/// `0..node_count()` in scan order, instances by the ids
+/// [`row`](Self::row) takes.
+pub(crate) trait RemapNodes: Sync {
+    /// Number of nodes at the remapped level.
+    fn node_count(&self) -> usize;
+    /// The power node at position `n`.
+    fn node(&self, n: usize) -> NodeId;
+    /// The instances node `n` hosts, ascending.
+    fn members(&self, n: usize) -> &[usize];
+    /// The element-wise sum of node `n`'s member rows.
+    fn sum(&self, n: usize) -> &[f64];
+    /// The peak of node `n`'s member sum.
+    fn peak(&self, n: usize) -> f64;
+    /// The sum of node `n`'s member peaks.
+    fn peak_sum(&self, n: usize) -> f64;
+    /// The sample row of instance `i`.
+    fn row(&self, i: usize) -> &[f64];
+    /// Moves `swap.instance_out` from node `n` (`swap.node`) to node `p`
+    /// (`swap.partner`) and `swap.instance_in` the other way.
+    fn apply_swap(&mut self, swap: &SwapRecord, n: usize, p: usize) -> Result<(), CoreError>;
+    /// The lowest asynchrony score among nodes with at least two members,
+    /// or `INFINITY` when there is none.
+    fn worst_score(&self) -> Result<f64, CoreError> {
+        Ok((0..self.node_count())
+            .filter_map(|n| node_score(self, n))
+            .min_by(|a, b| a.partial_cmp(b).expect("scores are finite"))
+            .unwrap_or(f64::INFINITY))
+    }
+}
+
+/// A node's asynchrony score from its peak and peak sum, or `None` for a
+/// node with fewer than two members (remapping leaves those alone).
+fn node_score<N: RemapNodes + ?Sized>(nodes: &N, n: usize) -> Option<f64> {
+    let count = nodes.members(n).len();
+    (count >= 2).then(|| asynchrony_from_peaks(nodes.peak_sum(n), nodes.peak(n), count))
+}
+
+/// The swap search: each round ranks the nodes by ascending asynchrony
+/// score and applies the best admissible swap of the first of the
+/// `nodes_per_round` worst nodes that has one, until a round finds none
+/// or `max_swaps` swaps are accepted.
+pub(crate) fn remap_nodes<N: RemapNodes>(
+    nodes: &mut N,
+    config: &RemapConfig,
+) -> Result<RemapReport, CoreError> {
+    // Serial orchestration point: the span, gauges, and round counter live
+    // here; the parallel scans inside `best_swap` batch commutative
+    // counters only.
+    let _span = so_telemetry::span("remap");
+    let initial_worst_score = nodes.worst_score()?;
+    let positions: Vec<usize> = (0..nodes.node_count()).collect();
+    // Every member's AD in its own node, once per run: a swap changes it
+    // only in the two nodes the swap touches.
+    let mut ads = {
+        let nodes = &*nodes;
+        par_map(&positions, 1, |_, &n| member_ads(nodes, n))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?
+    };
+
+    let mut swaps = Vec::new();
+    'outer: while swaps.len() < config.max_swaps {
+        so_telemetry::counter_add("so_remap_rounds_total", &[], 1);
+        // Rank the nodes by ascending asynchrony score (a stable sort, so
+        // ties keep scan order). Scores come from the peaks and peak sums
+        // the node state holds: no trace is read.
+        let mut scored: Vec<(usize, f64)> = positions
+            .iter()
+            .filter_map(|&n| node_score(&*nodes, n).map(|s| (n, s)))
+            .collect();
+        scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are finite"));
+
+        for &(n, _) in scored.iter().take(config.nodes_per_round) {
+            if let Some((p, record)) = best_swap(n, &*nodes, &ads, config)? {
+                nodes.apply_swap(&record, n, p)?;
+                ads[n] = member_ads(&*nodes, n)?;
+                ads[p] = member_ads(&*nodes, p)?;
+                if so_telemetry::enabled() {
+                    so_telemetry::counter_add("so_remap_swaps_accepted_total", &[], 1);
+                    so_telemetry::observe(
+                        "so_remap_swap_gain",
+                        &[],
+                        record.gain_node + record.gain_partner,
+                    );
+                }
+                swaps.push(record);
+                continue 'outer;
+            }
+        }
+        break; // No improving swap among the most fragmented nodes.
+    }
+
+    let final_worst_score = nodes.worst_score()?;
+    if so_telemetry::enabled() {
+        so_telemetry::counter_add("so_remap_runs_total", &[], 1);
+        so_telemetry::gauge_set("so_remap_initial_worst_score", &[], initial_worst_score);
+        so_telemetry::gauge_set("so_remap_final_worst_score", &[], final_worst_score);
+        so_telemetry::gauge_set(
+            "so_remap_worst_score_improvement",
+            &[],
+            final_worst_score - initial_worst_score,
+        );
+    }
+    Ok(RemapReport {
+        swaps,
+        initial_worst_score,
+        final_worst_score,
+    })
+}
+
+/// `AD(i, N)` of every member `i` of node `n` in member order, or nothing
+/// for a node with fewer than two members.
+fn member_ads<N: RemapNodes + ?Sized>(nodes: &N, n: usize) -> Result<Vec<f64>, CoreError> {
+    let members = nodes.members(n);
+    if members.len() < 2 {
+        return Ok(Vec::new());
+    }
+    let sum = nodes.sum(n);
+    members
+        .iter()
+        .map(|&i| differential_score_excluding(nodes.row(i), sum, nodes.row(i), members.len()))
+        .collect()
+}
+
+/// Finds the best admissible swap for node `n`: take its lowest-`AD`
+/// member and scan all members of the other nodes, requiring both nodes'
+/// differential scores to rise. Returns the partner's position with the
+/// swap.
+///
+/// `ads[p]` holds every member's `AD` in its own node `p`, so each
+/// candidate costs two fused `O(T)` passes over node sums
+/// ([`differential_score_excluding`]) and no allocation. Partner nodes are
+/// scanned in parallel; ties resolve to the first candidate in (partner,
+/// member) order, exactly as a serial scan would.
+fn best_swap<N: RemapNodes + ?Sized>(
+    n: usize,
+    nodes: &N,
+    ads: &[Vec<f64>],
+    config: &RemapConfig,
+) -> Result<Option<(usize, SwapRecord)>, CoreError> {
+    let members = nodes.members(n);
+    if members.len() < 2 {
+        return Ok(None);
+    }
+    // Worst-fitting member by differential score (first wins ties).
+    let mut worst: Option<(usize, f64)> = None;
+    for (&i, &ad) in members.iter().zip(&ads[n]) {
+        if worst.map_or(true, |(_, w)| ad < w) {
+            worst = Some((i, ad));
+        }
+    }
+    let (out_instance, out_score) = worst.expect("node has at least two members");
+    let out_samples = nodes.row(out_instance);
+    let sum = nodes.sum(n);
+
+    // One parallel task per candidate partner; each returns its own best
+    // admissible candidate in member order.
+    let candidates = par_map(
+        ads,
+        1,
+        |p, partner_ads| -> Result<Option<SwapRecord>, CoreError> {
+            let partner = nodes.members(p);
+            if p == n || partner.len() < 2 {
+                return Ok(None);
+            }
+            // Batched: one commutative add per partner, not per candidate,
+            // keeps the parallel scan free of sink contention.
+            so_telemetry::counter_add("so_remap_swap_evals_total", &[], partner.len() as u64);
+            let partner_sum = nodes.sum(p);
+            let mut best: Option<SwapRecord> = None;
+            for (&j, &ad_j_before) in partner.iter().zip(partner_ads) {
+                let j_samples = nodes.row(j);
+                let ad_j_at_node =
+                    differential_score_excluding(j_samples, sum, out_samples, members.len())?;
+                let ad_i_at_partner = differential_score_excluding(
+                    out_samples,
+                    partner_sum,
+                    j_samples,
+                    partner.len(),
+                )?;
+                let gain_node = ad_j_at_node - out_score;
+                let gain_partner = ad_i_at_partner - ad_j_before;
+                if gain_node > config.min_gain && gain_partner > config.min_gain {
+                    let combined = gain_node + gain_partner;
+                    if best
+                        .as_ref()
+                        .map_or(true, |b| combined > b.gain_node + b.gain_partner)
+                    {
+                        best = Some(SwapRecord {
+                            instance_out: out_instance,
+                            instance_in: j,
+                            node: nodes.node(n),
+                            partner: nodes.node(p),
+                            gain_node,
+                            gain_partner,
+                        });
+                    }
+                }
+            }
+            Ok(best)
+        },
+    );
+
+    // Strict `>` keeps the earliest best across partners, matching the
+    // serial scan's tie-breaking.
+    let mut best: Option<(usize, SwapRecord)> = None;
+    for (p, candidate) in candidates.into_iter().enumerate() {
+        if let Some(candidate) = candidate? {
+            if best.as_ref().map_or(true, |(_, b)| {
+                candidate.gain_node + candidate.gain_partner > b.gain_node + b.gain_partner
+            }) {
+                best = Some((p, candidate));
+            }
+        }
+    }
+    Ok(best)
+}
+
+/// The offline node state: an [`Assignment`] over a trace slice, with the
+/// nodes of one level in [`PowerTopology::nodes_at_level`] order.
+struct AssignmentNodes<'a> {
+    traces: &'a [PowerTrace],
+    topology: &'a PowerTopology,
+    assignment: &'a mut Assignment,
+    level: Level,
+    /// Each instance's peak, computed once per run.
+    peaks: Vec<f64>,
+    states: Vec<NodeState>,
+}
+
+impl<'a> AssignmentNodes<'a> {
+    fn new(
+        traces: &'a [PowerTrace],
+        topology: &'a PowerTopology,
+        assignment: &'a mut Assignment,
+        level: Level,
+    ) -> Result<Self, CoreError> {
+        let peaks = par_map(traces, 64, |_, t| peak_of_samples(t.samples()));
+        let states = build_states(topology, assignment, traces, level)?;
+        Ok(Self {
+            traces,
+            topology,
+            assignment,
+            level,
+            peaks,
+            states,
+        })
+    }
+}
+
+impl RemapNodes for AssignmentNodes<'_> {
+    fn node_count(&self) -> usize {
+        self.states.len()
+    }
+
+    fn node(&self, n: usize) -> NodeId {
+        self.states[n].node
+    }
+
+    fn members(&self, n: usize) -> &[usize] {
+        &self.states[n].members
+    }
+
+    fn sum(&self, n: usize) -> &[f64] {
+        self.states[n].agg.sum_samples()
+    }
+
+    fn peak(&self, n: usize) -> f64 {
+        self.states[n].agg.peak()
+    }
+
+    /// Re-added in member order on every call: raw traces are off the
+    /// exact grid, so a running peak sum could drift from this one.
+    fn peak_sum(&self, n: usize) -> f64 {
+        self.states[n].members.iter().map(|&i| self.peaks[i]).sum()
+    }
+
+    fn row(&self, i: usize) -> &[f64] {
+        self.traces[i].samples()
+    }
+
+    fn apply_swap(&mut self, swap: &SwapRecord, n: usize, p: usize) -> Result<(), CoreError> {
+        self.assignment.swap(swap.instance_out, swap.instance_in)?;
+        self.states[n].replace_member(swap.instance_out, swap.instance_in, self.traces)?;
+        self.states[p].replace_member(swap.instance_in, swap.instance_out, self.traces)
+    }
+
+    /// Re-sums every node from the assignment, as [`worst_node`] does: the
+    /// incrementally updated sums of raw traces may differ from a fresh
+    /// sum in the last bits.
+    fn worst_score(&self) -> Result<f64, CoreError> {
+        Ok(
+            worst_node(self.topology, self.assignment, self.traces, self.level)?
+                .map_or(f64::INFINITY, |(_, s)| s),
+        )
+    }
+}
+
+/// One node of [`AssignmentNodes`]: its member list (ascending, as
 /// [`Assignment::instances_under`] reports it) and the incrementally
 /// maintained aggregate of the members' traces.
 #[derive(Debug, Clone)]
@@ -262,26 +459,12 @@ struct NodeState {
 }
 
 impl NodeState {
-    /// Asynchrony score from cached state, or `None` for nodes with fewer
-    /// than two members (ineligible, as in [`scored_nodes_source`]).
-    fn score(&self, peaks: &[f64]) -> Option<f64> {
-        if self.members.len() < 2 {
-            return None;
-        }
-        let aggregate_peak = self.agg.peak();
-        if aggregate_peak == 0.0 {
-            return Some(self.members.len() as f64);
-        }
-        let peak_sum: f64 = self.members.iter().map(|&i| peaks[i]).sum();
-        Some(peak_sum / aggregate_peak)
-    }
-
     /// Applies one side of an accepted swap: `out` leaves, `inn` arrives.
-    fn replace_member<S: SampleSource + ?Sized>(
+    fn replace_member(
         &mut self,
         out: usize,
         inn: usize,
-        source: &S,
+        traces: &[PowerTrace],
     ) -> Result<(), CoreError> {
         let pos = self
             .members
@@ -293,19 +476,22 @@ impl NodeState {
             .binary_search(&inn)
             .expect_err("arriving instance is not yet a member");
         self.members.insert(pos, inn);
-        self.agg.remove_samples(source.samples(out))?;
-        self.agg.add_samples(source.samples(inn))?;
+        self.agg.remove_samples(traces[out].samples())?;
+        self.agg.add_samples(traces[inn].samples())?;
         Ok(())
     }
+}
+
+/// The grid of a trace slice; a 1-sample placeholder for an empty slice.
+fn grid_of(traces: &[PowerTrace]) -> TimeGrid {
+    traces.first().map_or(TimeGrid::new(1, 1), PowerTrace::grid)
 }
 
 /// Member instances under `node`, resolved against a pre-grouped rack map
 /// — same contents and ascending order as [`Assignment::instances_under`],
 /// without rebuilding the grouping per node. Hoisting the `by_rack` map
 /// out of the per-node loops turns the state/score sweeps from
-/// `O(nodes · instances)` into `O(instances)` per remap call, which is
-/// what keeps the online engine's per-batch repair affordable at 100k
-/// instances.
+/// `O(nodes · instances)` into `O(instances)` per remap call.
 fn members_under(
     topology: &PowerTopology,
     by_rack: &BTreeMap<NodeId, Vec<usize>>,
@@ -323,13 +509,13 @@ fn members_under(
 
 /// Builds the cached state of every node at `level`, one node per parallel
 /// task (each task sums that node's member traces once).
-fn build_states<S: SampleSource + ?Sized>(
+fn build_states(
     topology: &PowerTopology,
     assignment: &Assignment,
-    source: &S,
+    traces: &[PowerTrace],
     level: Level,
 ) -> Result<Vec<NodeState>, CoreError> {
-    let grid = source.grid();
+    let grid = grid_of(traces);
     let by_rack = assignment.by_rack();
     par_map(
         topology.nodes_at_level(level),
@@ -337,7 +523,7 @@ fn build_states<S: SampleSource + ?Sized>(
         |_, &node| -> Result<NodeState, CoreError> {
             let members = members_under(topology, &by_rack, node)?;
             let agg =
-                NodeAggregate::from_samples(grid, members.iter().map(|&i| source.samples(i)))?;
+                NodeAggregate::from_samples(grid, members.iter().map(|&i| traces[i].samples()))?;
             Ok(NodeState { node, members, agg })
         },
     )
@@ -350,8 +536,8 @@ fn build_states<S: SampleSource + ?Sized>(
 /// accumulated member-by-member in slice order — per-element float
 /// association identical to `PowerTrace::sum_of` + `peak()`, so the result
 /// is bit-identical to the materializing path.
-fn peak_of_member_sum<S: SampleSource + ?Sized>(source: &S, members: &[usize]) -> f64 {
-    let t_len = source.grid().len();
+fn peak_of_member_sum(traces: &[PowerTrace], members: &[usize]) -> f64 {
+    let t_len = grid_of(traces).len();
     let mut block = [0.0f64; TIME_BLOCK];
     let mut peak = f64::MIN;
     let mut start = 0;
@@ -359,7 +545,7 @@ fn peak_of_member_sum<S: SampleSource + ?Sized>(source: &S, members: &[usize]) -
         let width = TIME_BLOCK.min(t_len - start);
         block[..width].fill(0.0);
         for &m in members {
-            let row = &source.samples(m)[start..start + width];
+            let row = &traces[m].samples()[start..start + width];
             for (acc, &v) in block[..width].iter_mut().zip(row) {
                 *acc += v;
             }
@@ -372,20 +558,17 @@ fn peak_of_member_sum<S: SampleSource + ?Sized>(source: &S, members: &[usize]) -
     peak
 }
 
-/// [`crate::asynchrony_score`] over member rows of a sample source, fused:
-/// peak sum accumulated in member order, aggregate peak via the
-/// allocation-free blocked kernel. Bit-identical to the trace-slice path.
-fn asynchrony_score_members<S: SampleSource + ?Sized>(
-    source: &S,
-    members: &[usize],
-) -> Result<f64, CoreError> {
+/// [`crate::asynchrony_score`] over member traces, fused: peak sum
+/// accumulated in member order, aggregate peak via the allocation-free
+/// blocked kernel. Bit-identical to the materializing path.
+fn asynchrony_score_members(traces: &[PowerTrace], members: &[usize]) -> Result<f64, CoreError> {
     if members.is_empty() {
         return Err(CoreError::EmptySet);
     }
-    let t_len = source.grid().len();
+    let t_len = grid_of(traces).len();
     let mut peak_sum = 0.0;
     for &i in members {
-        let row = source.samples(i);
+        let row = traces[i].samples();
         if row.len() != t_len {
             return Err(CoreError::Trace(
                 so_powertrace::TraceError::LengthMismatch {
@@ -396,21 +579,26 @@ fn asynchrony_score_members<S: SampleSource + ?Sized>(
         }
         peak_sum += peak_of_samples(row);
     }
-    let aggregate_peak = peak_of_member_sum(source, members);
-    if aggregate_peak == 0.0 {
-        return Ok(members.len() as f64);
-    }
-    Ok(peak_sum / aggregate_peak)
+    let aggregate_peak = peak_of_member_sum(traces, members);
+    Ok(asynchrony_from_peaks(
+        peak_sum,
+        aggregate_peak,
+        members.len(),
+    ))
 }
 
-/// Asynchrony score of every node at `level` that hosts at least two
-/// instances.
-fn scored_nodes_source<S: SampleSource + ?Sized>(
+/// The node with the lowest asynchrony score at `level` among the nodes
+/// that host at least two instances.
+///
+/// # Errors
+///
+/// Propagates tree lookups and trace-length mismatches.
+pub fn worst_node(
     topology: &PowerTopology,
     assignment: &Assignment,
-    source: &S,
+    traces: &[PowerTrace],
     level: Level,
-) -> Result<Vec<(NodeId, f64)>, CoreError> {
+) -> Result<Option<(NodeId, f64)>, CoreError> {
     // One node per parallel task; each node's score is computed exactly as
     // the serial loop would, and the results keep node order.
     let by_rack = assignment.by_rack();
@@ -422,154 +610,18 @@ fn scored_nodes_source<S: SampleSource + ?Sized>(
             if members.len() < 2 {
                 return Ok(None);
             }
-            let score = asynchrony_score_members(source, &members)?;
-            Ok(Some((node, score)))
+            Ok(Some((node, asynchrony_score_members(traces, &members)?)))
         },
     );
-    let mut out = Vec::new();
+    let mut worst: Option<(NodeId, f64)> = None;
     for entry in scores {
-        if let Some(scored) = entry? {
-            out.push(scored);
-        }
-    }
-    Ok(out)
-}
-
-/// The node with the lowest asynchrony score at `level`.
-pub fn worst_node(
-    topology: &PowerTopology,
-    assignment: &Assignment,
-    traces: &[PowerTrace],
-    level: Level,
-) -> Result<Option<(NodeId, f64)>, CoreError> {
-    worst_node_source(topology, assignment, traces, level)
-}
-
-/// [`worst_node`] over any sample source (used by the arena pipeline).
-fn worst_node_source<S: SampleSource + ?Sized>(
-    topology: &PowerTopology,
-    assignment: &Assignment,
-    source: &S,
-    level: Level,
-) -> Result<Option<(NodeId, f64)>, CoreError> {
-    Ok(scored_nodes_source(topology, assignment, source, level)?
-        .into_iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are finite")))
-}
-
-/// Finds the best admissible swap for the node at state index `si`: take
-/// its lowest-`AD` instance and scan all instances of other nodes at the
-/// same level, requiring both nodes' differential scores to rise.
-///
-/// Every differential score is a fused `O(T)` pass over the cached node
-/// sum ([`differential_score_excluding`]) — no peer-mean trace and no
-/// temporary allocation per candidate. Partner nodes are scanned in
-/// parallel; ties resolve to the first candidate in (partner, member)
-/// order, exactly as a serial scan would.
-fn best_swap<S: SampleSource + ?Sized>(
-    si: usize,
-    states: &[NodeState],
-    source: &S,
-    config: &RemapConfig,
-) -> Result<Option<SwapRecord>, CoreError> {
-    let state = &states[si];
-    if state.members.len() < 2 {
-        return Ok(None);
-    }
-
-    // Worst-fitting instance of the node by differential score. The map is
-    // positional, the reduction serial in member order (first wins ties).
-    let ads = par_map(&state.members, 8, |_, &i| -> Result<f64, CoreError> {
-        differential_score_excluding(
-            source.samples(i),
-            state.agg.sum_samples(),
-            source.samples(i),
-            state.agg.count(),
-        )
-    });
-    let mut worst: Option<(usize, f64)> = None;
-    for (&i, ad) in state.members.iter().zip(ads) {
-        let ad = ad?;
-        if worst.map_or(true, |(_, w)| ad < w) {
-            worst = Some((i, ad));
-        }
-    }
-    let (out_instance, out_score) = worst.expect("node has at least two members");
-    let out_samples = source.samples(out_instance);
-
-    // One parallel task per candidate partner; each returns its own best
-    // admissible candidate in member order.
-    let candidates = par_map(
-        states,
-        1,
-        |sj, partner| -> Result<Option<SwapRecord>, CoreError> {
-            if sj == si || partner.members.len() < 2 {
-                return Ok(None);
-            }
-            // Batched: one commutative add per partner, not per candidate,
-            // keeps the parallel scan free of sink contention.
-            so_telemetry::counter_add(
-                "so_remap_swap_evals_total",
-                &[],
-                partner.members.len() as u64,
-            );
-            let mut best: Option<SwapRecord> = None;
-            for &j in &partner.members {
-                let j_samples = source.samples(j);
-                let ad_j_before = differential_score_excluding(
-                    j_samples,
-                    partner.agg.sum_samples(),
-                    j_samples,
-                    partner.agg.count(),
-                )?;
-                let ad_j_at_node = differential_score_excluding(
-                    j_samples,
-                    state.agg.sum_samples(),
-                    out_samples,
-                    state.agg.count(),
-                )?;
-                let ad_i_at_partner = differential_score_excluding(
-                    out_samples,
-                    partner.agg.sum_samples(),
-                    j_samples,
-                    partner.agg.count(),
-                )?;
-                let gain_node = ad_j_at_node - out_score;
-                let gain_partner = ad_i_at_partner - ad_j_before;
-                if gain_node > config.min_gain && gain_partner > config.min_gain {
-                    let combined = gain_node + gain_partner;
-                    if best
-                        .as_ref()
-                        .map_or(true, |b| combined > b.gain_node + b.gain_partner)
-                    {
-                        best = Some(SwapRecord {
-                            instance_out: out_instance,
-                            instance_in: j,
-                            node: state.node,
-                            partner: partner.node,
-                            gain_node,
-                            gain_partner,
-                        });
-                    }
-                }
-            }
-            Ok(best)
-        },
-    );
-
-    // Strict `>` keeps the earliest best across partners, matching the
-    // serial scan's tie-breaking.
-    let mut best: Option<SwapRecord> = None;
-    for candidate in candidates {
-        if let Some(candidate) = candidate? {
-            if best.as_ref().map_or(true, |b| {
-                candidate.gain_node + candidate.gain_partner > b.gain_node + b.gain_partner
-            }) {
-                best = Some(candidate);
+        if let Some((node, score)) = entry? {
+            if worst.map_or(true, |(_, w)| score < w) {
+                worst = Some((node, score));
             }
         }
     }
-    Ok(best)
+    Ok(worst)
 }
 
 #[cfg(test)]
@@ -652,29 +704,6 @@ mod tests {
         };
         let report = remap(&fleet, &topo, &mut assignment, config).unwrap();
         assert!(report.swaps.is_empty());
-    }
-
-    #[test]
-    fn arena_remap_is_bit_identical_to_trace_remap() {
-        let topo = topo();
-        let fleet = fleet();
-        let racks = topo.racks();
-        let placement = vec![racks[0], racks[0], racks[1], racks[1]];
-
-        let mut vec_assignment = Assignment::new(placement.clone(), &topo).unwrap();
-        let vec_report = remap(&fleet, &topo, &mut vec_assignment, RemapConfig::default()).unwrap();
-
-        let arena = TraceArena::from_traces(fleet.averaged_traces()).unwrap();
-        let mut arena_assignment = Assignment::new(placement, &topo).unwrap();
-        let arena_report =
-            remap_arena(&arena, &topo, &mut arena_assignment, RemapConfig::default()).unwrap();
-
-        assert_eq!(arena_report, vec_report);
-        assert_eq!(arena_assignment, vec_assignment);
-        assert_eq!(
-            arena_report.final_worst_score.to_bits(),
-            vec_report.final_worst_score.to_bits()
-        );
     }
 
     #[test]

@@ -51,11 +51,20 @@ pub fn asynchrony_score<'a>(
         return Err(CoreError::EmptySet);
     }
     let aggregate = PowerTrace::sum_of(traces)?;
-    let aggregate_peak = aggregate.peak();
+    Ok(asynchrony_from_peaks(peak_sum, aggregate.peak(), count))
+}
+
+/// The asynchrony score of `count` members from their peak sum and their
+/// aggregate's peak: `peak_sum / aggregate_peak`, and `count` for a zero
+/// aggregate. Every asynchrony score in the workspace ends here, so a
+/// caller that holds the two peaks (remap's node states, the online
+/// engine's resident racks) gets the bits of [`asynchrony_score`] without
+/// reading a trace.
+pub(crate) fn asynchrony_from_peaks(peak_sum: f64, aggregate_peak: f64, count: usize) -> f64 {
     if aggregate_peak == 0.0 {
-        return Ok(count as f64);
+        return count as f64;
     }
-    Ok(peak_sum / aggregate_peak)
+    peak_sum / aggregate_peak
 }
 
 /// Pairwise asynchrony score between two traces (Eq. 7).

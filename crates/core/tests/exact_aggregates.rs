@@ -1,15 +1,17 @@
 //! Exact resident aggregates: raw (unsnapped) random input driven through
 //! random interleavings of arrive, retire, ingest and repair must leave
 //! every node's aggregate and cached peak bit-identical to a from-scratch
-//! [`NodeAggregates::compute`] of the live view after every event.
-//! Retiring everything must leave `+0.0` bits at every node, and the
-//! snapped aggregates must stay within `n · 2^-11` W, plus the rounding
-//! of the unsnapped sum itself, of a recompute from the raw inputs.
+//! [`NodeAggregates::compute`] of the live view after every event, and
+//! every rack's peak sum bit-identical to a fresh sum of its members' row
+//! peaks. Retiring everything must leave `+0.0` bits at every node and in
+//! every rack's peak sum, and the snapped aggregates must stay within
+//! `n · 2^-11` W, plus the rounding of the unsnapped sum itself, of a
+//! recompute from the raw inputs.
 
 use proptest::prelude::*;
 use so_core::daemon::{DaemonFleet, SampleUpdate};
 use so_core::{CommitPolicy, OnlineConfig, OnlineFleet};
-use so_powertrace::{PowerTrace, TimeGrid, SAMPLE_QUANTUM_WATTS};
+use so_powertrace::{peak_of_samples, PowerTrace, TimeGrid, SAMPLE_QUANTUM_WATTS};
 use so_powertree::{NodeAggregates, PowerTopology};
 
 /// Samples per window.
@@ -69,6 +71,20 @@ fn recompute(fleet: &OnlineFleet, rows: impl Fn(usize) -> Vec<f64>) -> NodeAggre
         .map(|&s| PowerTrace::new(rows(s), 60).unwrap())
         .collect();
     NodeAggregates::compute(fleet.topology(), &assignment, &traces).unwrap()
+}
+
+/// Every rack's peak sum, and a fresh sum of its members' row peaks.
+fn peak_sum_bits(fleet: &OnlineFleet) -> (Vec<u64>, Vec<u64>) {
+    let mut fresh = vec![0.0f64; fleet.topology().len()];
+    for slot in fleet.live_slots() {
+        let rack = fleet.rack_of(slot).unwrap();
+        fresh[rack.index()] += peak_of_samples(fleet.row(slot));
+    }
+    let racks = fleet.topology().racks();
+    (
+        racks.iter().map(|&r| fleet.peak_sum(r).to_bits()).collect(),
+        racks.iter().map(|r| fresh[r.index()].to_bits()).collect(),
+    )
 }
 
 fn bits(agg: &NodeAggregates, fleet: &OnlineFleet) -> Vec<(Vec<u64>, u64)> {
@@ -140,6 +156,8 @@ proptest! {
             let fleet = daemon.fleet();
             let want = recompute(fleet, |s| fleet.row(s).to_vec());
             prop_assert_eq!(bits(fleet.aggregates(), fleet), bits(&want, fleet));
+            let (resident, fresh) = peak_sum_bits(fleet);
+            prop_assert_eq!(resident, fresh);
         }
 
         // Snapped vs raw: each node sums `n` live rows, each moved by at
@@ -172,6 +190,9 @@ proptest! {
             let agg = daemon.fleet().aggregates();
             prop_assert!(agg.trace(node).unwrap().samples().iter().all(|v| v.to_bits() == 0));
             prop_assert_eq!(agg.peak(node).unwrap().to_bits(), 0);
+        }
+        for &rack in topology.racks() {
+            prop_assert_eq!(daemon.fleet().peak_sum(rack).to_bits(), 0);
         }
     }
 }

@@ -7,7 +7,6 @@
 //! | `arena_sum_kernel_matches_trace_sum` | `TraceArena::sum_into` vs `PowerTrace::sum_of` per rack | bit-identical samples |
 //! | `arena_peak_kernel_matches_trace_peak` | `TraceArena::peak_of_sum` vs materialized sum's peak | bit-identical |
 //! | `arena_embedding_matches_trace_embedding` | `score_vectors_arena` vs `score_vectors_from_traces` | bit-identical vectors |
-//! | `arena_remap_matches_trace_remap` | `remap_arena` vs `remap_traces` | identical report & assignment |
 //! | `arena_quantiles_match_trace_quantiles` | `quantile_of_row`/`row_quantiles` vs `PowerTrace::quantile` | bit-identical |
 //! | `arena_statprof_is_bit_identical` | `statprof_required_budget` over round-tripped traces vs originals | `ProvisioningReport ==` |
 //! | `arena_axpy_matches_scalar_loop` | `TraceArena::axpy_into` vs an element-order scalar loop | bit-identical |
@@ -18,16 +17,15 @@
 //! derived `==`): the arena kernels are documented to perform the same
 //! float operations in the same order as the trace-based paths, so any
 //! ULP of drift is a bug, not a tolerance question. This is what lets the
-//! scale tier and the remap hot path swap storage layouts without
-//! re-validating numerics. The P² sketch is the one documented
+//! scale tier swap storage layouts without re-validating numerics (the
+//! online engine's repair, which reads arena rows in place, is held
+//! against a materializing reference by the `online` and `daemon`
+//! families). The P² sketch is the one documented
 //! approximation, and its oracle gates the documented empirical rank-error
 //! bound instead of bits.
 
 use so_baselines::{statprof_required_budget, ProvisioningDegrees};
-use so_core::{
-    remap_arena, remap_traces, score_vectors_arena, score_vectors_from_traces, RemapConfig,
-    ServiceTraces,
-};
+use so_core::{score_vectors_arena, score_vectors_from_traces, ServiceTraces};
 use so_powertrace::{sketch, PowerTrace, TraceArena, P2_RANK_ERROR_BOUND};
 use so_powertree::Level;
 
@@ -51,7 +49,6 @@ pub fn run(fixture: &Fixture, report: &mut OracleReport) -> Result<(), OracleErr
     round_trip(traces, &arena, report)?;
     sum_kernels(fixture, &arena, report)?;
     embedding(fixture, &arena, report)?;
-    remap(fixture, &arena, report)?;
     quantiles(traces, &arena, report)?;
     statprof(fixture, &arena, report)?;
     axpy(traces, &arena, report)?;
@@ -99,8 +96,7 @@ fn round_trip(
 }
 
 /// Batch sum/peak kernels vs the trace layer's `sum_of`, per rack
-/// membership of the fixture placement — the member sets the remap hot
-/// path actually aggregates over.
+/// membership of the fixture placement.
 fn sum_kernels(
     fixture: &Fixture,
     arena: &TraceArena,
@@ -155,45 +151,6 @@ fn embedding(
             || format!("embedding row {row} diverges between arena and trace paths"),
         );
     }
-    Ok(())
-}
-
-/// The whole remap loop — peaks, node scores, fused swap evaluation, swap
-/// commits — run once over traces and once over the arena. Reports and
-/// final assignments carry every score the loop computed, so `==` here
-/// pins the entire hot path.
-fn remap(
-    fixture: &Fixture,
-    arena: &TraceArena,
-    report: &mut OracleReport,
-) -> Result<(), OracleError> {
-    let config = RemapConfig {
-        max_swaps: 8,
-        ..RemapConfig::default()
-    };
-    let mut trace_assignment = fixture.assignment.clone();
-    let trace_report = remap_traces(
-        fixture.traces(),
-        &fixture.topology,
-        &mut trace_assignment,
-        config,
-    )?;
-    let mut arena_assignment = fixture.assignment.clone();
-    let arena_report = remap_arena(arena, &fixture.topology, &mut arena_assignment, config)?;
-    report.check(
-        FAMILY,
-        "arena_remap_matches_trace_remap",
-        trace_report == arena_report && trace_assignment == arena_assignment,
-        || {
-            format!(
-                "trace remap ({} swaps, final worst {}) != arena remap ({} swaps, final worst {})",
-                trace_report.swaps.len(),
-                trace_report.final_worst_score,
-                arena_report.swaps.len(),
-                arena_report.final_worst_score
-            )
-        },
-    );
     Ok(())
 }
 

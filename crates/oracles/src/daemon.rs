@@ -7,9 +7,9 @@
 //! | `ingest_aggregates_match_batch_recompute` | resident aggregates after ingest vs [`NodeAggregates::compute`] on the materialized windows | bit-identical samples |
 //! | `ingest_peaks_match_batch_recompute` | resident per-node peaks vs the recomputed aggregates' peaks | bit-identical |
 //! | `aggregates_match_shuffled_recompute` | resident aggregates and peaks vs a recompute adding live rows and children in a seeded random order | bit-identical |
-//! | `cached_asynchrony_matches_fused_score` | cached-peak [`DaemonFleet::rack_asynchrony`] vs the fused [`OnlineFleet::rack_asynchrony`] recompute | bit-identical |
-//! | `cached_asynchrony_matches_materialized_score` | cached-peak scores vs [`asynchrony_score`] over materialized member traces | bit-identical |
-//! | `cached_mean_asynchrony_matches_fused` | [`DaemonFleet::mean_rack_asynchrony`] vs the engine's recompute | bit-identical |
+//! | `rack_asynchrony_matches_materialized_score` | [`DaemonFleet::rack_asynchrony`] from the resident peak sums vs [`asynchrony_score`](so_core::asynchrony_score) over the materialized member windows | bit-identical |
+//! | `mean_rack_asynchrony_matches_materialized` | [`DaemonFleet::mean_rack_asynchrony`] vs the mean of the materialized scores in rack order | bit-identical |
+//! | `resident_repair_matches_reference` | [`DaemonFleet::repair`] after ingest rewrote rows in place vs [`reference_repair`] on the materialized windows | same swaps, worst-score bits and final occupancy |
 //! | `empty_ingest_is_identity` | root aggregate bits before vs after an empty batch | bit-identical |
 //! | `malformed_batch_rejects_without_mutation` | root aggregate bits around a NaN-bearing batch | rejected + bit-identical |
 //! | `ingest_accounting_is_exact` | per-batch applied/dropped vs the submitted updates and lifetime counters | exact |
@@ -22,15 +22,17 @@
 //! snaps its inputs with the same function. [`check_daemon_state`] is
 //! exported so mutation tests can feed deliberately broken daemons
 //! through the same checker the battery runs.
+//!
+//! [`reference_repair`]: crate::online::reference_repair
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use so_core::asynchrony_score;
 use so_core::daemon::{DaemonFleet, SampleUpdate};
 use so_core::online::{CommitPolicy, OnlineConfig, OnlineFleet};
 use so_powertrace::{snap_samples, PowerTrace};
-use so_powertree::NodeAggregates;
+use so_powertree::{NodeAggregates, NodeId};
 
+use crate::online::{check_rack_asynchrony, check_repair, occupancy, reference_pass};
 use crate::{Fixture, OracleError, OracleFamily, OracleReport};
 
 const FAMILY: OracleFamily = OracleFamily::Daemon;
@@ -44,7 +46,9 @@ const ROUNDS: usize = 6;
 /// exercise distinct streams) interleaved with retirement/arrival churn
 /// and a repair pass, while an independent ring-replay model shadows
 /// every window write. The resident state is then held against batch
-/// recomputes after every round.
+/// recomputes after every round, and the mid-stream repair pass, which
+/// reads the rewritten rows in place, against the materializing
+/// reference repair.
 ///
 /// # Errors
 ///
@@ -125,8 +129,9 @@ pub fn run(
 
         if round == ROUNDS / 2 {
             // Interleave churn mid-stream: retire a random live slot,
-            // commit a fresh arrival, run one repair pass. None of it
-            // may disturb the bit-identity of later recomputes.
+            // commit a fresh arrival, run one repair pass. The pass must
+            // take the reference's swaps, and none of it may disturb the
+            // bit-identity of later recomputes.
             let live = daemon.fleet().live_slots();
             let victim = live[rng.gen_range(0..live.len())];
             daemon.retire(victim).map_err(OracleError::Core)?;
@@ -135,7 +140,10 @@ pub fn run(
                 debug_assert_eq!(slot, model.len());
                 model.push((snap_samples(fresh.samples())?, 0));
             }
-            daemon.repair().map_err(OracleError::Core)?;
+            let (want, want_occupancy) = reference_pass(daemon.fleet())?;
+            let got = daemon.repair()?;
+            let got_occupancy = occupancy(daemon.fleet());
+            check_repair(FAMILY, &got, &got_occupancy, &want, &want_occupancy, report);
         }
 
         check_ring_replay(&daemon, &model, report);
@@ -171,8 +179,8 @@ fn check_ring_replay(daemon: &DaemonFleet, model: &[(Vec<f64>, usize)], report: 
 
 /// Diffs a daemon's incrementally maintained state against batch
 /// recomputes: aggregates and peaks vs [`NodeAggregates::compute`] of
-/// the materialized windows, cached asynchrony vs both the fused engine
-/// recompute and [`asynchrony_score`] over materialized member traces.
+/// the materialized windows, rack and mean asynchrony vs
+/// [`asynchrony_score`](so_core::asynchrony_score) over the materialized member windows.
 /// Exported so mutation tests can present deliberately stale daemons to
 /// the same checker the battery runs.
 ///
@@ -211,38 +219,18 @@ pub fn check_daemon_state(
             offline.peak(node)?,
         );
     }
-    if !traces.is_empty() {
-        for (rack, members) in assignment.by_rack() {
-            if members.is_empty() {
-                continue;
-            }
-            let cached = daemon.rack_asynchrony(rack).map_err(OracleError::Core)?;
-            let fused = engine.rack_asynchrony(rack).map_err(OracleError::Core)?;
-            let materialized =
-                asynchrony_score(members.iter().map(|&i| &traces[i])).map_err(OracleError::Core)?;
-            report.check_exact(
-                FAMILY,
-                "cached_asynchrony_matches_fused_score",
-                cached,
-                fused,
-            );
-            report.check_exact(
-                FAMILY,
-                "cached_asynchrony_matches_materialized_score",
-                cached,
-                materialized,
-            );
-        }
-        let got_mean = daemon.mean_rack_asynchrony();
-        let want_mean = engine.mean_rack_asynchrony();
-        report.check(
-            FAMILY,
-            "cached_mean_asynchrony_matches_fused",
-            got_mean.map(f64::to_bits) == want_mean.map(f64::to_bits),
-            || format!("cached mean {got_mean:?} vs fused mean {want_mean:?}"),
-        );
-    }
-    Ok(())
+    let racks: Vec<NodeId> = (0..traces.len())
+        .map(|i| assignment.rack_of(i))
+        .collect::<Result<_, _>>()?;
+    check_rack_asynchrony(
+        FAMILY,
+        engine.topology(),
+        &traces,
+        &racks,
+        |rack| daemon.rack_asynchrony(rack),
+        daemon.mean_rack_asynchrony(),
+        report,
+    )
 }
 
 /// An empty batch must be a perfect no-op on the resident aggregates.

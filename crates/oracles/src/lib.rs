@@ -25,15 +25,17 @@
 //!   (bit-exact for power-of-two factors), circular time shifts.
 //! * **Arena** ([`arena`]) — the columnar [`so_powertrace::TraceArena`]
 //!   pipelines vs their `Vec<PowerTrace>` twins: round-trips, batch sum
-//!   and peak kernels, embeddings, remap, and per-row quantiles (the
-//!   StatProf kernel) must all be *bit-identical* — the contract the
+//!   and peak kernels, embeddings, and per-row quantiles (the StatProf
+//!   kernel) must all be *bit-identical* — the contract the
 //!   allocation-free hot paths rely on.
 //! * **Online** ([`online`]) — the resident [`so_core::online::OnlineFleet`]
 //!   engine vs offline recomputes: after any event sequence its aggregates,
 //!   peaks, and asynchrony scores must be bit-identical to a from-scratch
-//!   [`so_powertree::NodeAggregates::compute`] of the final fleet, and every
+//!   [`so_powertree::NodeAggregates::compute`] of the final fleet, every
 //!   journaled commit/reject must match an independent materialized replay
-//!   of the commit policy.
+//!   of the commit policy, and every repair pass, which reads arena rows
+//!   in place, must take exactly the swaps of
+//!   [`online::reference_repair`] over materialized traces.
 //! * **Observability** ([`observability`]) — the live plane must tell the
 //!   truth: the flight recorder's journal-event suffix is bit-identical to
 //!   the engine journal's suffix, a clean stream fires no violation-class
@@ -44,7 +46,7 @@
 //! * **Daemon** ([`daemon`]) — the resident [`so_core::daemon::DaemonFleet`]
 //!   ingest path vs batch recomputes: after *any* streamed sample sequence
 //!   (including ring wrap-around and interleaved arrival/retirement churn)
-//!   the incrementally maintained aggregates, window peaks, and cached
+//!   the incrementally maintained aggregates, window peaks, and
 //!   asynchrony scores must be bit-identical to a from-scratch
 //!   [`so_powertree::NodeAggregates::compute`] of the materialized windows,
 //!   and an independent ring-replay model must agree on every window cell.

@@ -6,7 +6,9 @@
 //! | `resident_aggregates_match_offline_recompute` | engine aggregates after an event stream vs [`NodeAggregates::compute`] on the final live fleet | bit-identical samples |
 //! | `resident_peaks_match_offline_recompute` | cached per-node peaks vs the recomputed aggregates' peaks | bit-identical |
 //! | `aggregates_match_shuffled_recompute` | engine aggregates and peaks vs a recompute adding live rows and children in a seeded random order | bit-identical |
-//! | `rack_asynchrony_matches_materialized_score` | fused [`OnlineFleet::rack_asynchrony`] vs [`asynchrony_score`] over materialized member traces | bit-identical |
+//! | `rack_asynchrony_matches_materialized_score` | O(1) [`OnlineFleet::rack_asynchrony`] vs [`asynchrony_score`] over materialized member traces | bit-identical |
+//! | `mean_rack_asynchrony_matches_materialized` | [`OnlineFleet::mean_rack_asynchrony`] vs the mean of the materialized scores in rack order | bit-identical |
+//! | `resident_repair_matches_reference` | [`OnlineFleet::repair`] on the resident state vs [`reference_repair`] on materialized traces, for every policy with repair enabled | same swaps (slots, racks, gain bits), worst-score bits and final occupancy |
 //! | `journal_commit_matches_offline_choice` | each journaled commit vs [`offline_choose`] replayed against the reconstructed pre-state | same rack |
 //! | `journal_retirement_names_the_hosting_rack` | journal replay occupancy at each `Retired`/`Moved` event | exact |
 //! | `journal_replay_reconstructs_the_live_set` | final replayed occupancy vs [`OnlineFleet::live_view`] | exact |
@@ -21,9 +23,10 @@
 //! sit on the exact grid of [`so_powertrace::snap_samples`], where every
 //! order of addition gives the same bits, and the fused probes perform
 //! the same float operations as the offline paths, so any ULP of drift
-//! is a bug. [`check_resident_aggregates`], [`check_shuffled_recompute`]
-//! and [`check_commit_decision`] are exported so mutation tests can feed
-//! deliberately broken states through the same checkers the battery runs.
+//! is a bug. [`check_resident_aggregates`], [`check_shuffled_recompute`],
+//! [`check_commit_decision`], [`check_rack_asynchrony`] and
+//! [`check_repair`] are exported so mutation tests can feed deliberately
+//! broken states through the same checkers the battery runs.
 
 use std::collections::BTreeMap;
 
@@ -31,10 +34,10 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use so_core::{
-    admission_decisions, asynchrony_score, offline_choose, CommitPolicy, EventRecord, OnlineConfig,
-    OnlineFleet,
+    admission_decisions, asynchrony_score, differential_score, offline_choose, CommitPolicy,
+    CoreError, EventRecord, OnlineConfig, OnlineFleet, RemapConfig, RemapReport, SwapRecord,
 };
-use so_powertrace::{peak_of_samples, PowerTrace, TimeGrid, MAX_SAMPLE_WATTS};
+use so_powertrace::{peak_of_samples, NodeAggregate, PowerTrace, TimeGrid, MAX_SAMPLE_WATTS};
 use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology};
 
 use crate::{Fixture, OracleError, OracleFamily, OracleReport};
@@ -50,7 +53,9 @@ const MAX_COMMIT_REPLAYS: usize = 48;
 /// policy is driven through the same batched arrival/retirement stream
 /// (retirement draws come from `rng`, so distinct battery seeds exercise
 /// distinct churn), then each engine's resident state, journal, and fused
-/// decisions are held against offline recomputes.
+/// decisions are held against offline recomputes. After every batch, a
+/// repairing policy's next repair pass (on a clone) is held against the
+/// reference pass.
 ///
 /// # Errors
 ///
@@ -88,6 +93,19 @@ pub fn run(
         for batch in traces.chunks(chunk) {
             let retires: Vec<u64> = (0..batch.len() / 4).map(|_| rng.gen()).collect();
             engine.apply(batch, &retires).map_err(OracleError::Core)?;
+            if repair_budget > 0 && engine.live_len() >= 2 {
+                let mut probe = engine.clone();
+                let (want, want_occupancy) = reference_pass(&probe)?;
+                let got = probe.repair()?;
+                check_repair(
+                    FAMILY,
+                    &got,
+                    &occupancy(&probe),
+                    &want,
+                    &want_occupancy,
+                    report,
+                );
+            }
         }
         state_matches_offline(&engine, report)?;
         shuffled_recompute_matches(FAMILY, &engine, rng, report)?;
@@ -320,31 +338,297 @@ pub(crate) fn shuffled_recompute_matches(
     )
 }
 
-/// Fused per-rack asynchrony vs [`asynchrony_score`] over the
-/// materialized member traces.
+/// The engine's per-rack and mean asynchrony vs [`check_rack_asynchrony`]
+/// over its own live view.
 fn asynchrony_matches_materialized(
     engine: &OnlineFleet,
     report: &mut OracleReport,
 ) -> Result<(), OracleError> {
-    let (traces, assignment, _) = engine.live_view().map_err(OracleError::Core)?;
-    if traces.is_empty() {
-        return Ok(());
-    }
-    for (rack, members) in assignment.by_rack() {
+    let (traces, assignment, _) = engine.live_view()?;
+    let racks: Vec<NodeId> = (0..traces.len())
+        .map(|i| assignment.rack_of(i))
+        .collect::<Result<_, _>>()?;
+    check_rack_asynchrony(
+        FAMILY,
+        engine.topology(),
+        &traces,
+        &racks,
+        |rack| engine.rack_asynchrony(rack),
+        engine.mean_rack_asynchrony(),
+        report,
+    )
+}
+
+/// Holds claimed rack asynchrony scores against [`asynchrony_score`] over
+/// the materialized member traces of a live view (`traces[i]` hosted on
+/// `racks[i]`): `claimed(rack)` for every non-empty rack, and
+/// `claimed_mean` against the mean of those scores in rack order, bit for
+/// bit. Exported so mutation tests can present off-by-one-ULP scores to
+/// the checker the battery runs.
+///
+/// # Errors
+///
+/// Propagates scoring errors on either side.
+pub fn check_rack_asynchrony(
+    family: OracleFamily,
+    topology: &PowerTopology,
+    traces: &[PowerTrace],
+    racks: &[NodeId],
+    claimed: impl Fn(NodeId) -> Result<f64, CoreError>,
+    claimed_mean: Option<f64>,
+    report: &mut OracleReport,
+) -> Result<(), OracleError> {
+    let mut sum = 0.0;
+    let mut count = 0usize;
+    for &rack in topology.racks() {
+        let members: Vec<&PowerTrace> = traces
+            .iter()
+            .zip(racks)
+            .filter(|&(_, &r)| r == rack)
+            .map(|(t, _)| t)
+            .collect();
         if members.is_empty() {
             continue;
         }
-        let want =
-            asynchrony_score(members.iter().map(|&i| &traces[i])).map_err(OracleError::Core)?;
-        let got = engine.rack_asynchrony(rack).map_err(OracleError::Core)?;
+        let want = asynchrony_score(members)?;
         report.check_exact(
-            FAMILY,
+            family,
             "rack_asynchrony_matches_materialized_score",
-            got,
+            claimed(rack)?,
             want,
         );
+        sum += want;
+        count += 1;
     }
+    let want_mean = (count > 0).then(|| sum / count as f64);
+    report.check(
+        family,
+        "mean_rack_asynchrony_matches_materialized",
+        claimed_mean.map(f64::to_bits) == want_mean.map(f64::to_bits),
+        || format!("claimed mean {claimed_mean:?}, materialized mean {want_mean:?}"),
+    );
     Ok(())
+}
+
+/// The live occupancy of `engine`: slot → hosting rack.
+pub(crate) fn occupancy(engine: &OnlineFleet) -> BTreeMap<usize, NodeId> {
+    engine
+        .live_slots()
+        .into_iter()
+        .filter_map(|s| engine.rack_of(s).map(|rack| (s, rack)))
+        .collect()
+}
+
+/// [`reference_repair`] of `engine`'s live fleet under its own repair
+/// budget and minimum gain: the reference report and the occupancy the
+/// reference's swaps leave.
+///
+/// # Errors
+///
+/// Propagates materialization and scoring errors.
+pub(crate) fn reference_pass(
+    engine: &OnlineFleet,
+) -> Result<(RemapReport, BTreeMap<usize, NodeId>), OracleError> {
+    let mut occupancy = occupancy(engine);
+    let step = engine.grid().step_minutes();
+    let traces = occupancy
+        .keys()
+        .map(|&s| Ok((s, PowerTrace::new(engine.row(s).to_vec(), step)?)))
+        .collect::<Result<BTreeMap<_, _>, OracleError>>()?;
+    let config = RemapConfig {
+        max_swaps: engine.config().repair_budget,
+        min_gain: engine.config().min_gain,
+        ..RemapConfig::default()
+    };
+    let report = reference_repair(engine.topology(), &traces, &mut occupancy, &config)?;
+    Ok((report, occupancy))
+}
+
+/// The §3.6 repair pass written plainly over materialized traces — the
+/// reference [`OnlineFleet::repair`] is held against. `traces` maps each
+/// live slot to its trace and `occupancy` each live slot to its rack;
+/// accepted swaps are applied to `occupancy`. Swap records name slots.
+///
+/// Each round re-derives everything from `occupancy`: racks with at least
+/// two members are ranked by [`asynchrony_score`] over their member
+/// traces (a stable sort, in [`PowerTopology::racks`] order), and for each
+/// of the `nodes_per_round` worst, every candidate is scored with
+/// `differential_score(instance, &agg.mean_excluding(excluded)?)` over a
+/// fresh [`NodeAggregate`] of the rack's members — the materializing path
+/// that the engine's fused `differential_score_excluding` is documented
+/// bit-identical to. The first rack with an admissible swap takes its
+/// best one (the first largest combined gain in (partner, member) order).
+///
+/// # Errors
+///
+/// Propagates aggregation and scoring errors.
+pub fn reference_repair(
+    topology: &PowerTopology,
+    traces: &BTreeMap<usize, PowerTrace>,
+    occupancy: &mut BTreeMap<usize, NodeId>,
+    config: &RemapConfig,
+) -> Result<RemapReport, OracleError> {
+    let initial_worst_score = reference_worst(traces, occupancy)?;
+    let mut swaps = Vec::new();
+    'rounds: while swaps.len() < config.max_swaps {
+        let members = rack_members(occupancy);
+        let mut ranked = Vec::new();
+        for &rack in topology.racks() {
+            if let Some(slots) = members.get(&rack).filter(|s| s.len() >= 2) {
+                ranked.push((rack, asynchrony_score(slots.iter().map(|s| &traces[s]))?));
+            }
+        }
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
+        for &(rack, _) in ranked.iter().take(config.nodes_per_round) {
+            if let Some(swap) = reference_swap(topology, traces, &members, rack, config.min_gain)? {
+                occupancy.insert(swap.instance_out, swap.partner);
+                occupancy.insert(swap.instance_in, swap.node);
+                swaps.push(swap);
+                continue 'rounds;
+            }
+        }
+        break;
+    }
+    Ok(RemapReport {
+        swaps,
+        initial_worst_score,
+        final_worst_score: reference_worst(traces, occupancy)?,
+    })
+}
+
+/// Live slots per rack, ascending.
+fn rack_members(occupancy: &BTreeMap<usize, NodeId>) -> BTreeMap<NodeId, Vec<usize>> {
+    let mut members: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+    for (&slot, &rack) in occupancy {
+        members.entry(rack).or_default().push(slot);
+    }
+    members
+}
+
+/// The lowest [`asynchrony_score`] of a rack with at least two members,
+/// or `INFINITY`.
+fn reference_worst(
+    traces: &BTreeMap<usize, PowerTrace>,
+    occupancy: &BTreeMap<usize, NodeId>,
+) -> Result<f64, OracleError> {
+    let mut worst = f64::INFINITY;
+    for slots in rack_members(occupancy).values() {
+        if slots.len() >= 2 {
+            worst = worst.min(asynchrony_score(slots.iter().map(|s| &traces[s]))?);
+        }
+    }
+    Ok(worst)
+}
+
+/// The best admissible swap out of `rack`, or `None`.
+fn reference_swap(
+    topology: &PowerTopology,
+    traces: &BTreeMap<usize, PowerTrace>,
+    members: &BTreeMap<NodeId, Vec<usize>>,
+    rack: NodeId,
+    min_gain: f64,
+) -> Result<Option<SwapRecord>, OracleError> {
+    let aggregate = |slots: &[usize]| -> Result<NodeAggregate, OracleError> {
+        let grid = traces[&slots[0]].grid();
+        Ok(NodeAggregate::from_traces(
+            grid,
+            slots.iter().map(|s| &traces[s]),
+        )?)
+    };
+    // AD(slot, N) against the members of N other than `excluded`.
+    let ad = |slot: usize, node: &NodeAggregate, excluded: usize| -> Result<f64, OracleError> {
+        let peers = node.mean_excluding(&traces[&excluded])?;
+        Ok(differential_score(&traces[&slot], &peers)?)
+    };
+    let own = &members[&rack];
+    let here = aggregate(own)?;
+    let mut worst: Option<(usize, f64)> = None;
+    for &i in own {
+        let score = ad(i, &here, i)?;
+        if worst.map_or(true, |(_, w)| score < w) {
+            worst = Some((i, score));
+        }
+    }
+    let Some((out, out_score)) = worst else {
+        return Ok(None);
+    };
+    let mut best: Option<SwapRecord> = None;
+    for &partner in topology.racks() {
+        let Some(theirs) = members.get(&partner).filter(|s| s.len() >= 2) else {
+            continue;
+        };
+        if partner == rack {
+            continue;
+        }
+        let there = aggregate(theirs)?;
+        for &j in theirs {
+            let gain_node = ad(j, &here, out)? - out_score;
+            let gain_partner = ad(out, &there, j)? - ad(j, &there, j)?;
+            let better = best.map_or(true, |b| {
+                gain_node + gain_partner > b.gain_node + b.gain_partner
+            });
+            if gain_node > min_gain && gain_partner > min_gain && better {
+                best = Some(SwapRecord {
+                    instance_out: out,
+                    instance_in: j,
+                    node: rack,
+                    partner,
+                    gain_node,
+                    gain_partner,
+                });
+            }
+        }
+    }
+    Ok(best)
+}
+
+/// Holds a claimed repair pass against the reference: the same swaps in
+/// the same order (slots, racks and both gains' bits), the same initial
+/// and final worst-score bits, and the same final slot → rack occupancy.
+/// Exported so mutation tests can present tampered reports to the checker
+/// the battery runs.
+pub fn check_repair(
+    family: OracleFamily,
+    claimed: &RemapReport,
+    claimed_occupancy: &BTreeMap<usize, NodeId>,
+    want: &RemapReport,
+    want_occupancy: &BTreeMap<usize, NodeId>,
+    report: &mut OracleReport,
+) {
+    let key = |s: &SwapRecord| {
+        (
+            s.instance_out,
+            s.instance_in,
+            s.node,
+            s.partner,
+            s.gain_node.to_bits(),
+            s.gain_partner.to_bits(),
+        )
+    };
+    report.check(
+        family,
+        "resident_repair_matches_reference",
+        claimed.swaps.iter().map(key).eq(want.swaps.iter().map(key)),
+        || format!("swaps {:?}, reference {:?}", claimed.swaps, want.swaps),
+    );
+    report.check_exact(
+        family,
+        "resident_repair_matches_reference",
+        claimed.initial_worst_score,
+        want.initial_worst_score,
+    );
+    report.check_exact(
+        family,
+        "resident_repair_matches_reference",
+        claimed.final_worst_score,
+        want.final_worst_score,
+    );
+    report.check(
+        family,
+        "resident_repair_matches_reference",
+        claimed_occupancy == want_occupancy,
+        || "the pass leaves a different occupancy than the reference".to_string(),
+    );
 }
 
 /// Walks the journal front to back, maintaining an independent slot→rack

@@ -2,15 +2,19 @@
 //! deliberately broken implementation actually trips it. Each test plants
 //! a classic bug — quantile convention drift, a stale online aggregate, a
 //! path delta that stops at the rack, an ingest write that skips the
-//! snap, a wrong-leaf commit — and asserts at least one oracle objects;
-//! the production implementations pass the same probes untouched.
+//! snap, a wrong-leaf commit, a repair swap with the wrong partner, a rack
+//! asynchrony one ULP off — and asserts at least one oracle objects; the
+//! production implementations pass the same probes untouched.
+
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use so_core::{CommitPolicy, OnlineConfig, OnlineFleet};
+use so_core::{CommitPolicy, OnlineConfig, OnlineFleet, RemapConfig};
 use so_oracles::differential::quantile_matches_reference;
 use so_oracles::online::{
-    check_commit_decision, check_resident_aggregates, check_shuffled_recompute,
+    check_commit_decision, check_rack_asynchrony, check_repair, check_resident_aggregates,
+    check_shuffled_recompute, reference_repair,
 };
 use so_oracles::{Fixture, OracleFamily, OracleReport};
 use so_powertrace::PowerTrace;
@@ -301,6 +305,133 @@ fn wrong_leaf_commit_is_caught() {
         engine.config().sample_salt,
         engine.arrivals_seen(),
         Some(best),
+        &mut clean,
+    )
+    .unwrap();
+    assert!(clean.is_clean(), "{:#?}", clean.violations());
+}
+
+/// A first-fit engine with every fixture trace committed and no repair
+/// run yet: first fit packs synchronous neighbours together, so its next
+/// repair pass swaps.
+fn fragmented_engine() -> OnlineFleet {
+    let fixture = Fixture::generate(&DcScenario::dc1(), 16, 9).unwrap();
+    let traces = fixture.traces();
+    let cap = traces.iter().map(PowerTrace::peak).sum::<f64>() * 2.0 + 100.0;
+    let mut engine = OnlineFleet::new(
+        fixture.topology.clone(),
+        traces[0].grid(),
+        OnlineConfig {
+            policy: CommitPolicy::FirstFit,
+            repair_budget: 4,
+            min_gain: 0.0,
+            ..OnlineConfig::default()
+        },
+    )
+    .with_budgets(vec![cap; fixture.topology.len()])
+    .unwrap();
+    for trace in traces {
+        engine.arrive(trace).unwrap().expect("admissible");
+    }
+    engine
+}
+
+fn occupancy(engine: &OnlineFleet) -> BTreeMap<usize, NodeId> {
+    engine
+        .live_slots()
+        .into_iter()
+        .map(|s| (s, engine.rack_of(s).unwrap()))
+        .collect()
+}
+
+#[test]
+fn repair_swap_with_a_wrong_partner_is_caught() {
+    // Bug: a repair pass that reports (and journals) a partner rack other
+    // than the one the swap search chose — modeled by running the real
+    // pass and rewriting the first swap's partner in its report.
+    let mut engine = fragmented_engine();
+    let mut want_occupancy = occupancy(&engine);
+    let traces: BTreeMap<usize, PowerTrace> = want_occupancy
+        .keys()
+        .map(|&s| (s, PowerTrace::new(engine.row(s).to_vec(), 60).unwrap()))
+        .collect();
+    let config = RemapConfig {
+        max_swaps: engine.config().repair_budget,
+        min_gain: engine.config().min_gain,
+        ..RemapConfig::default()
+    };
+    let want = reference_repair(engine.topology(), &traces, &mut want_occupancy, &config).unwrap();
+    let got = engine.repair().unwrap();
+    assert!(!got.swaps.is_empty(), "the fragmented engine must swap");
+
+    let mut clean = OracleReport::new();
+    check_repair(
+        OracleFamily::Online,
+        &got,
+        &occupancy(&engine),
+        &want,
+        &want_occupancy,
+        &mut clean,
+    );
+    assert!(clean.is_clean(), "{:#?}", clean.violations());
+
+    let mut broken = got.clone();
+    let first = &mut broken.swaps[0];
+    first.partner = *engine
+        .topology()
+        .racks()
+        .iter()
+        .find(|&&r| r != first.partner && r != first.node)
+        .unwrap();
+    let mut report = OracleReport::new();
+    check_repair(
+        OracleFamily::Online,
+        &broken,
+        &occupancy(&engine),
+        &want,
+        &want_occupancy,
+        &mut report,
+    );
+    assert_eq!(report.violations_in(OracleFamily::Online), 1);
+}
+
+#[test]
+fn rack_asynchrony_off_by_one_ulp_is_caught() {
+    // Bug: a peak sum that drifts by one ULP (an inexact running sum) —
+    // modeled by nudging one rack's O(1) score to the next float.
+    let (engine, _) = driven_engine();
+    let (traces, _, _) = engine.live_view().unwrap();
+    let racks = live_racks(&engine);
+    let nudged = racks[0];
+    let claimed = |rack: NodeId| {
+        let score = engine.rack_asynchrony(rack)?;
+        Ok(if rack == nudged {
+            f64::from_bits(score.to_bits() + 1)
+        } else {
+            score
+        })
+    };
+    let mut report = OracleReport::new();
+    check_rack_asynchrony(
+        OracleFamily::Daemon,
+        engine.topology(),
+        &traces,
+        &racks,
+        claimed,
+        engine.mean_rack_asynchrony(),
+        &mut report,
+    )
+    .unwrap();
+    assert_eq!(report.violations_in(OracleFamily::Daemon), 1);
+
+    let mut clean = OracleReport::new();
+    check_rack_asynchrony(
+        OracleFamily::Daemon,
+        engine.topology(),
+        &traces,
+        &racks,
+        |rack| engine.rack_asynchrony(rack),
+        engine.mean_rack_asynchrony(),
         &mut clean,
     )
     .unwrap();

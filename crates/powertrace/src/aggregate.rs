@@ -1,13 +1,13 @@
 //! [`NodeAggregate`]: a running element-wise sum of member traces with a
 //! lazily cached peak.
 //!
-//! Remapping (§3.4) repeatedly asks "what is this power node's aggregate
-//! trace / peak if instance *i* leaves and instance *j* arrives?". Summing
-//! the node's members from scratch costs `O(|node| · T)` per question; a
-//! `NodeAggregate` answers in `O(T)` by maintaining the sum incrementally
+//! Remapping (§3.6) repeatedly scores instances against a power node's
+//! aggregate while members leave and arrive. Summing the node's members
+//! from scratch costs `O(|node| · T)` per change; a `NodeAggregate`
+//! maintains the sum incrementally in `O(T)`
 //! ([`add`](NodeAggregate::add) / [`remove`](NodeAggregate::remove)) and
-//! evaluating hypothetical swaps against it without mutation
-//! ([`peak_with_swap`](NodeAggregate::peak_with_swap)).
+//! exposes it ([`sum_samples`](NodeAggregate::sum_samples)) to the fused
+//! scoring kernels.
 //!
 //! The cached peak is invalidated on every mutation and recomputed on the
 //! next [`peak`](NodeAggregate::peak) call.
@@ -66,10 +66,6 @@ pub fn peak_of_samples(samples: &[f64]) -> f64 {
 /// let mut node = NodeAggregate::new(a.grid());
 /// node.add(&a)?;
 /// node.add(&b)?;
-/// assert_eq!(node.peak(), 4.0);
-/// // What if `a` left and a synchronous twin of `b` arrived?
-/// assert_eq!(node.peak_with_swap(&a, &b)?, 8.0);
-/// // The probe did not mutate the aggregate:
 /// assert_eq!(node.peak(), 4.0);
 /// node.remove(&a)?;
 /// assert_eq!(node.to_trace()?.samples(), &[0.0, 4.0]);
@@ -255,62 +251,6 @@ impl NodeAggregate {
         })
     }
 
-    /// Peak of the hypothetical aggregate with `leaving` removed and
-    /// `arriving` added — the remap engine's swap probe. `O(T)`, allocates
-    /// nothing, and does **not** mutate the aggregate, so any number of
-    /// candidate swaps can be evaluated concurrently against one node.
-    ///
-    /// # Errors
-    ///
-    /// Returns a mismatch error when either trace is not on the aggregate's
-    /// grid.
-    pub fn peak_with_swap(
-        &self,
-        leaving: &PowerTrace,
-        arriving: &PowerTrace,
-    ) -> Result<f64, TraceError> {
-        self.check_compatible(leaving)?;
-        self.check_compatible(arriving)?;
-        let mut peak = f64::MIN;
-        for ((&acc, &out), &inn) in self
-            .sum
-            .iter()
-            .zip(leaving.samples())
-            .zip(arriving.samples())
-        {
-            peak = peak.max((acc - out + inn).max(0.0));
-        }
-        Ok(peak)
-    }
-
-    /// [`peak_with_swap`](Self::peak_with_swap) for raw sample rows (e.g.
-    /// arena rows): identical loop, identical result bits for the same
-    /// samples.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::LengthMismatch`] when either row is not one
-    /// grid row long.
-    pub fn peak_with_swap_samples(
-        &self,
-        leaving: &[f64],
-        arriving: &[f64],
-    ) -> Result<f64, TraceError> {
-        for row in [leaving, arriving] {
-            if row.len() != self.sum.len() {
-                return Err(TraceError::LengthMismatch {
-                    left: self.sum.len(),
-                    right: row.len(),
-                });
-            }
-        }
-        let mut peak = f64::MIN;
-        for ((&acc, &out), &inn) in self.sum.iter().zip(leaving).zip(arriving) {
-            peak = peak.max((acc - out + inn).max(0.0));
-        }
-        Ok(peak)
-    }
-
     /// Materializes the aggregate as a [`PowerTrace`] (clamped at zero).
     ///
     /// # Errors
@@ -411,16 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_probe_does_not_mutate() {
-        let a = trace(&[4.0, 0.0]);
-        let b = trace(&[0.0, 4.0]);
-        let agg = NodeAggregate::from_traces(a.grid(), [&a, &b]).unwrap();
-        assert_eq!(agg.peak_with_swap(&a, &b).unwrap(), 8.0);
-        assert_eq!(agg.peak(), 4.0);
-        assert_eq!(agg.count(), 2);
-    }
-
-    #[test]
     fn mean_excluding_matches_peer_mean() {
         let members = [trace(&[1.0, 2.0]), trace(&[3.0, 4.0]), trace(&[5.0, 6.0])];
         let agg = NodeAggregate::from_traces(members[0].grid(), &members).unwrap();
@@ -474,12 +404,6 @@ mod tests {
         assert_eq!(via_samples.count(), via_traces.count());
         assert_eq!(via_samples.sum_samples(), via_traces.sum_samples());
         assert_eq!(via_samples.peak(), via_traces.peak());
-        assert_eq!(
-            via_samples
-                .peak_with_swap_samples(members[0].samples(), members[1].samples())
-                .unwrap(),
-            via_traces.peak_with_swap(&members[0], &members[1]).unwrap()
-        );
 
         let mut a = via_traces.clone();
         let mut b = via_samples.clone();
@@ -495,9 +419,6 @@ mod tests {
             empty.remove_samples(members[0].samples()),
             Err(TraceError::Empty)
         ));
-        assert!(empty
-            .peak_with_swap_samples(&[1.0], members[0].samples())
-            .is_err());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! `smoothop gate`: checks one point of a fresh `BENCH_*.json` artifact
-//! against a baseline (the committed file, or a second run). Each listed
-//! phase may grow by at most the tolerance; one whose baseline is under
+//! against a baseline (the committed file, or a second run). A phase is
+//! any number that must not grow: a timing such as `repair_ms`, or a size
+//! such as `peak_rss_bytes`. Each listed phase may grow by at most the
+//! tolerance; one whose baseline is under
 //! [`MIN_GATED_MS`](crate::gate::MIN_GATED_MS) is only reported (a 35%
 //! swing on a 10 ms phase is scheduler jitter), except `total_ms`. Each
 //! exact field must read the same text at every occurrence in the point,

@@ -863,8 +863,8 @@ fn run_daemon_point(
     }
     let ingest_ms = ms_since(t0);
 
-    // Query phase: a full per-rack asynchrony sweep off the peak cache,
-    // the fleet-wide headroom scan, and admission probes.
+    // Query phase: a full per-rack asynchrony sweep off the resident peak
+    // sums, the fleet-wide headroom scan, and admission probes.
     let t0 = Instant::now();
     let mut asynchrony_sum = 0.0f64;
     let mut scored_racks = 0u64;
