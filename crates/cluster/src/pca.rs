@@ -77,11 +77,6 @@ impl Pca {
         })
     }
 
-    /// Number of fitted components.
-    pub fn n_components(&self) -> usize {
-        self.components.len()
-    }
-
     /// Variance explained by each component, most significant first.
     pub fn explained_variance(&self) -> &[f64] {
         &self.explained

@@ -49,7 +49,6 @@
 
 use so_powertrace::{snap_samples, PowerTrace};
 use so_powertree::NodeId;
-use so_telemetry::AlertTransition;
 
 use crate::error::CoreError;
 use crate::online::OnlineFleet;
@@ -223,16 +222,6 @@ impl DaemonFleet {
     /// Propagates engine errors.
     pub fn repair(&mut self) -> Result<RemapReport, CoreError> {
         self.fleet.repair()
-    }
-
-    /// Publishes engine gauges and evaluates alert rules on the attached
-    /// plane (see [`OnlineFleet::observe_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn observe_batch(&mut self) -> Result<Vec<AlertTransition>, CoreError> {
-        self.fleet.observe_batch()
     }
 
     /// Rack asynchrony, O(1) (see [`OnlineFleet::rack_asynchrony`]).

@@ -56,14 +56,6 @@ impl DegradedReport {
             .count()
     }
 
-    /// Instances replaced by the prior wholesale.
-    pub fn prior_only(&self) -> usize {
-        self.sources
-            .iter()
-            .filter(|s| matches!(s, TraceSource::PriorOnly))
-            .count()
-    }
-
     /// True when every instance was fully measured.
     pub fn is_clean(&self) -> bool {
         self.measured() == self.sources.len()
@@ -312,7 +304,6 @@ mod tests {
         assert_eq!(report.sources[2], TraceSource::PriorOnly);
         assert_eq!(report.measured(), 2);
         assert_eq!(report.filled(), 1);
-        assert_eq!(report.prior_only(), 1);
         assert!(!report.is_clean());
         // Measured traces pass through bit-for-bit.
         assert_eq!(traces[0].samples(), &[10.0, 20.0, 30.0]);

@@ -221,7 +221,7 @@ pub enum EventRecord {
 impl EventRecord {
     /// Encodes the event for the telemetry flight recorder's generic
     /// `(kind, a, b, c)` payload. Inverse of [`EventRecord::from_flight`].
-    pub fn flight_encoding(&self) -> (FlightKind, u64, u64, u64) {
+    fn flight_encoding(&self) -> (FlightKind, u64, u64, u64) {
         match *self {
             EventRecord::Committed {
                 slot,
@@ -346,15 +346,6 @@ pub struct OnlineFleet {
     /// The attached live observability plane, if any. `Clone` shares the
     /// plane: probe clones report into the same flight ring.
     plane: Option<Arc<LivePlane>>,
-    /// Reference-candidate samples for incremental fragmentation
-    /// accounting (see [`OnlineFleet::set_fragmentation_reference`]).
-    frag_reference: Option<Vec<f64>>,
-    /// Per-node "the reference candidate fits under this node's budget"
-    /// bits, maintained alongside every path update while
-    /// `frag_reference` is set. Same arithmetic as
-    /// [`OnlineFleet::evaluate`]'s budget probes, so the cached
-    /// fragmentation is bit-identical to the full recompute.
-    fits_node: Vec<bool>,
     /// Counter snapshots at the previous [`OnlineFleet::observe_batch`],
     /// for per-batch rate signals.
     last_obs_arrivals: u64,
@@ -399,8 +390,6 @@ impl OnlineFleet {
             journal_dropped: 0,
             journal_compactions: 0,
             plane: None,
-            frag_reference: None,
-            fits_node: Vec::new(),
             last_obs_arrivals: 0,
             last_obs_rejected: 0,
         }
@@ -538,74 +527,6 @@ impl OnlineFleet {
         self.plane.as_ref()
     }
 
-    /// Sets (or clears) the reference candidate for *incremental*
-    /// fragmentation accounting. While set, every path update also
-    /// re-probes the touched nodes' budgets against the reference (one
-    /// O(T) probe per touched path node per event), so
-    /// [`OnlineFleet::fragmentation_cached`] stays fresh between full
-    /// [`OnlineFleet::fragmentation`] recomputes, and
-    /// [`OnlineFleet::observe_batch`] sets the per-level
-    /// `so_online_stranded_watts` / `so_online_fragmentation_ratio`
-    /// gauges once per batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Trace`] for a grid mismatch or a sample off
-    /// the exact range.
-    pub fn set_fragmentation_reference(
-        &mut self,
-        reference: Option<&PowerTrace>,
-    ) -> Result<(), CoreError> {
-        let Some(reference) = reference else {
-            self.frag_reference = None;
-            self.fits_node = Vec::new();
-            return Ok(());
-        };
-        self.check_grid(reference)?;
-        self.frag_reference = Some(snap_samples(reference.samples())?);
-        self.fits_node = vec![false; self.topology.len()];
-        for rack in self.topology.racks().to_vec() {
-            self.refresh_path_fits(rack)?;
-        }
-        Ok(())
-    }
-
-    /// Per-level fragmentation from the incrementally maintained budget
-    /// probes — bit-identical to [`OnlineFleet::fragmentation`] against
-    /// the configured reference (the `observability` oracle family pins
-    /// this), or `None` when no reference is set. O(nodes) scalar work;
-    /// no trace arithmetic.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tree lookups.
-    pub fn fragmentation_cached(&self) -> Result<Option<Vec<FragmentationLevel>>, CoreError> {
-        if self.frag_reference.is_none() {
-            return Ok(None);
-        }
-        let mut admits = BTreeMap::new();
-        for &rack in self.topology.racks() {
-            admits.insert(rack, self.reference_admits(rack)?);
-        }
-        Ok(Some(self.fragmentation_from_admits(&admits)?))
-    }
-
-    /// Whether the reference candidate is admissible on `rack` according
-    /// to the cached per-node budget probes: a free slot, and every path
-    /// node's budget holds.
-    fn reference_admits(&self, rack: NodeId) -> Result<bool, CoreError> {
-        let capacity = self.topology.rack_capacity();
-        if self.members[rack.index()].len() >= capacity || !self.fits_node[rack.index()] {
-            return Ok(false);
-        }
-        for ancestor in self.topology.ancestors(rack).map_err(CoreError::Tree)? {
-            if !self.fits_node[ancestor.index()] {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-
     /// One observability heartbeat, called from the serial point at the
     /// end of each event batch: publishes batch-level gauges, computes
     /// the alert signal snapshot from resident state (all quantities are
@@ -614,20 +535,28 @@ impl OnlineFleet {
     /// Returns the alert transitions this batch caused (empty without a
     /// plane).
     ///
-    /// This is the one place the per-level `so_online_stranded_watts` /
-    /// `so_online_fragmentation_ratio` gauges are set: whenever telemetry
-    /// is installed and a fragmentation reference is set, with or without
-    /// a plane.
+    /// With a `reference` candidate, the batch's [`fragmentation`]
+    /// against it is recomputed once, feeds the per-level alert signals,
+    /// and sets the per-level `so_online_stranded_watts` /
+    /// `so_online_fragmentation_ratio` gauges whenever telemetry is
+    /// installed, with or without a plane. This is the one place those
+    /// gauges are set.
+    ///
+    /// [`fragmentation`]: Self::fragmentation
     ///
     /// # Errors
     ///
-    /// Propagates tree lookups.
-    pub fn observe_batch(&mut self) -> Result<Vec<AlertTransition>, CoreError> {
+    /// Returns [`CoreError::Trace`] for a reference off the engine's grid
+    /// or the exact sample range; propagates tree lookups.
+    pub fn observe_batch(
+        &mut self,
+        reference: Option<&PowerTrace>,
+    ) -> Result<Vec<AlertTransition>, CoreError> {
         let arrivals = self.arrivals_seen - self.last_obs_arrivals;
         let rejected = self.rejected - self.last_obs_rejected;
         self.last_obs_arrivals = self.arrivals_seen;
         self.last_obs_rejected = self.rejected;
-        let fragmentation = self.fragmentation_cached()?;
+        let fragmentation = reference.map(|r| self.fragmentation(r)).transpose()?;
         if so_telemetry::enabled() {
             for level in fragmentation.iter().flatten() {
                 let labels = [("level", level.level.short_name())];
@@ -1118,7 +1047,6 @@ impl OnlineFleet {
         };
         self.peaks[slot] = new_peak;
         self.peak_sums[rack.index()] += new_peak - peak;
-        self.refresh_path_fits(rack)?;
         Ok(old)
     }
 
@@ -1140,17 +1068,6 @@ impl OnlineFleet {
             .iter()
             .map(|d| (d.rack, d.fits))
             .collect();
-        self.fragmentation_from_admits(&admits)
-    }
-
-    /// The per-level stranded-headroom accounting shared by the full
-    /// recompute ([`OnlineFleet::fragmentation`]) and the incremental
-    /// path ([`OnlineFleet::fragmentation_cached`]) — one code path, so
-    /// the two agree bit-for-bit by construction.
-    fn fragmentation_from_admits(
-        &self,
-        admits: &BTreeMap<NodeId, bool>,
-    ) -> Result<Vec<FragmentationLevel>, CoreError> {
         let levels = [
             Level::Datacenter,
             Level::Suite,
@@ -1194,7 +1111,7 @@ impl OnlineFleet {
         self.peak_sums[rack.index()] += self.peaks[slot];
         self.aggregates
             .add_to_path(&self.topology, rack, self.arena.row(slot))?;
-        self.refresh_path_fits(rack)
+        Ok(())
     }
 
     /// Removes `slot` from `rack`'s members, its peak from the rack's peak
@@ -1207,24 +1124,6 @@ impl OnlineFleet {
         self.peak_sums[rack.index()] -= self.peaks[slot];
         self.aggregates
             .remove_from_path(&self.topology, rack, self.arena.row(slot))?;
-        self.refresh_path_fits(rack)
-    }
-
-    /// Recomputes the cached reference-fit bit of `rack` and each of its
-    /// ancestors (a no-op without a reference): one [`budget_holds`] check
-    /// per node, O(1) unless the node is near its budget.
-    fn refresh_path_fits(&mut self, rack: NodeId) -> Result<(), CoreError> {
-        let Some(reference) = &self.frag_reference else {
-            return Ok(());
-        };
-        let reference_peak = peak_of_samples(reference);
-        let mut next = Some(rack);
-        while let Some(node) = next {
-            let budget = self.budgets[node.index()];
-            self.fits_node[node.index()] =
-                budget_holds(&self.aggregates, node, budget, reference, reference_peak)?;
-            next = self.topology.node(node)?.parent();
-        }
         Ok(())
     }
 
@@ -2059,9 +1958,6 @@ mod tests {
                     so_telemetry::default_online_rules(),
                 )));
             }
-            fleet
-                .set_fragmentation_reference(Some(&trace(&[50.0; 4])))
-                .unwrap();
             so_telemetry::with_sink(sink.clone(), || {
                 let slot = fleet.arrive(&trace(&[100.0, 0.0, 0.0, 0.0])).unwrap();
                 for _ in 0..3 {
@@ -2069,10 +1965,10 @@ mod tests {
                 }
                 fleet.retire(slot.unwrap()).unwrap();
                 fleet.repair().unwrap();
-                fleet.fragmentation_cached().unwrap();
                 fleet.fragmentation(&trace(&[50.0; 4])).unwrap();
+                fleet.observe_batch(None).unwrap();
                 assert!(!stranded(), "plane attached: {with_plane}");
-                fleet.observe_batch().unwrap();
+                fleet.observe_batch(Some(&trace(&[50.0; 4]))).unwrap();
             });
             assert!(stranded(), "plane attached: {with_plane}");
             assert!(sink

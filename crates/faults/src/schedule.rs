@@ -203,11 +203,6 @@ impl FaultTimeline {
     pub fn is_empty(&self) -> bool {
         self.active_faults.is_empty()
     }
-
-    /// Whether any fault is active anywhere in the window.
-    pub fn any_faults(&self) -> bool {
-        self.active_faults.iter().any(|&c| c > 0)
-    }
 }
 
 #[cfg(test)]
@@ -277,7 +272,6 @@ mod tests {
         let schedule = FaultSchedule::generate(&busy_spec(), 150, 20);
         let timeline = schedule.timeline();
         assert_eq!(timeline.len(), 150);
-        assert!(timeline.any_faults());
         for t in 0..150 {
             for frac in [
                 timeline.dropout_frac[t],
@@ -302,7 +296,6 @@ mod tests {
         let schedule = FaultSchedule::empty(10, 5);
         assert!(schedule.events().is_empty());
         let timeline = schedule.timeline();
-        assert!(!timeline.any_faults());
         assert_eq!(timeline.len(), 10);
         // Zero-step and zero-instance windows do not panic.
         let degenerate = FaultSchedule::generate(&busy_spec(), 0, 5);

@@ -19,9 +19,7 @@
 //! the resident state after any stream — including ring wrap-around and
 //! interleaved arrival/retirement churn — must match a from-scratch
 //! recompute, in any order of addition, to the bit. The ring-replay model
-//! snaps its inputs with the same function. [`check_daemon_state`] is
-//! exported so mutation tests can feed deliberately broken daemons
-//! through the same checker the battery runs.
+//! snaps its inputs with the same function.
 //!
 //! [`reference_repair`]: crate::online::reference_repair
 
@@ -181,17 +179,12 @@ fn check_ring_replay(daemon: &DaemonFleet, model: &[(Vec<f64>, usize)], report: 
 /// recomputes: aggregates and peaks vs [`NodeAggregates::compute`] of
 /// the materialized windows, rack and mean asynchrony vs
 /// [`asynchrony_score`](so_core::asynchrony_score) over the materialized member windows.
-/// Exported so mutation tests can present deliberately stale daemons to
-/// the same checker the battery runs.
 ///
 /// # Errors
 ///
 /// Propagates assignment/aggregation errors (the *claimed* side is only
 /// read, never validated).
-pub fn check_daemon_state(
-    daemon: &DaemonFleet,
-    report: &mut OracleReport,
-) -> Result<(), OracleError> {
+fn check_daemon_state(daemon: &DaemonFleet, report: &mut OracleReport) -> Result<(), OracleError> {
     let engine = daemon.fleet();
     let (traces, assignment, _) = engine.live_view().map_err(OracleError::Core)?;
     let offline = if traces.is_empty() {

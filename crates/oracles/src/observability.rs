@@ -7,7 +7,6 @@
 //! | `clean_stream_fires_no_violation_alert` | a power-admissible stream vs the breaker-budget alert rule | zero fires, zero violations |
 //! | `planted_violation_fires_exactly_once` | a deliberate breaker-budget breach vs the alert journal | exactly one `AlertFired` per excursion, with a postmortem dump |
 //! | `alert_hysteresis_resolves_and_refires` | alert state across breach → clear → breach | one resolve, then one new fire |
-//! | `fragmentation_cached_matches_full_recompute` | [`OnlineFleet::fragmentation_cached`] vs [`OnlineFleet::fragmentation`] | bit-identical per level |
 //! | `compaction_bounds_journal_length` | journal length after churn vs `max(cap, 2·live)` | bound holds, compactions happened |
 //! | `compacted_journal_replays_offline` | the checkpoint-based journal vs the online replay oracle | live set reconstructed |
 //!
@@ -34,7 +33,7 @@ const FAMILY: OracleFamily = OracleFamily::Observability;
 const FLIGHT_CAPACITY: usize = 48;
 
 /// Runs every observability oracle: the fixture stream drives a
-/// plane-attached engine for the suffix/fragmentation checks, then two
+/// plane-attached engine for the suffix and alert-silence checks, then two
 /// dedicated micro-fleets exercise the planted breaker-budget violation
 /// (alert exactness + hysteresis) and journal compaction under churn.
 ///
@@ -71,8 +70,7 @@ fn rule_index(name: &str) -> usize {
 }
 
 /// Drives a plane-attached engine through the fixture stream, then checks
-/// the flight suffix, the clean-stream alert silence, and the cached
-/// fragmentation path.
+/// the flight suffix and the clean-stream alert silence.
 fn fixture_stream_oracles(
     fixture: &Fixture,
     rng: &mut StdRng,
@@ -98,14 +96,13 @@ fn fixture_stream_oracles(
     .map_err(OracleError::Core)?;
     let plane = fresh_plane();
     engine.attach_plane(plane.clone());
-    engine
-        .set_fragmentation_reference(Some(&traces[0]))
-        .map_err(OracleError::Core)?;
     let chunk = traces.len().div_ceil(3).max(1);
     for batch in traces.chunks(chunk) {
         let retires: Vec<u64> = (0..batch.len() / 4).map(|_| rng.gen()).collect();
         engine.apply(batch, &retires).map_err(OracleError::Core)?;
-        engine.observe_batch().map_err(OracleError::Core)?;
+        engine
+            .observe_batch(Some(&traces[0]))
+            .map_err(OracleError::Core)?;
     }
 
     flight_suffix_matches_journal(&engine, report);
@@ -128,8 +125,6 @@ fn fixture_stream_oracles(
             )
         },
     );
-
-    fragmentation_cached_matches(&mut engine, &traces[0], report)?;
     Ok(())
 }
 
@@ -162,49 +157,6 @@ pub(crate) fn flight_suffix_matches_journal(engine: &OnlineFleet, report: &mut O
             journal.len()
         )
     });
-}
-
-/// The cached (incrementally maintained) fragmentation path must be
-/// bit-identical to the full recompute against the same reference.
-fn fragmentation_cached_matches(
-    engine: &mut OnlineFleet,
-    reference: &PowerTrace,
-    report: &mut OracleReport,
-) -> Result<(), OracleError> {
-    let cached = engine
-        .fragmentation_cached()
-        .map_err(OracleError::Core)?
-        .expect("reference was set");
-    let full = engine.fragmentation(reference).map_err(OracleError::Core)?;
-    report.check(
-        FAMILY,
-        "fragmentation_cached_matches_full_recompute",
-        cached.len() == full.len(),
-        || format!("cached {} levels vs full {}", cached.len(), full.len()),
-    );
-    for (c, f) in cached.iter().zip(&full) {
-        report.check(
-            FAMILY,
-            "fragmentation_cached_matches_full_recompute",
-            c.level == f.level
-                && c.stranded_watts.to_bits() == f.stranded_watts.to_bits()
-                && c.headroom_watts.to_bits() == f.headroom_watts.to_bits()
-                && c.ratio.to_bits() == f.ratio.to_bits(),
-            || {
-                format!(
-                    "level {:?}: cached ({}, {}, {}) vs full ({}, {}, {})",
-                    c.level,
-                    c.stranded_watts,
-                    c.headroom_watts,
-                    c.ratio,
-                    f.stranded_watts,
-                    f.headroom_watts,
-                    f.ratio
-                )
-            },
-        );
-    }
-    Ok(())
 }
 
 /// A 2-rack micro-fleet whose racks have free *slots* but no free
@@ -285,7 +237,7 @@ fn planted_violation_oracles(report: &mut OracleReport) -> Result<(), OracleErro
             || "warm-up arrival unexpectedly rejected".to_string(),
         );
     }
-    let clean = engine.observe_batch().map_err(OracleError::Core)?;
+    let clean = engine.observe_batch(None).map_err(OracleError::Core)?;
     report.check(
         FAMILY,
         "clean_stream_fires_no_violation_alert",
@@ -296,7 +248,7 @@ fn planted_violation_oracles(report: &mut OracleReport) -> Result<(), OracleErro
     // First excursion: the 200 W candidate fits a slot on both racks but
     // breaches both 400 W budgets — rejected, and flagged as a violation.
     let outcome = engine.arrive(&flat(200.0)?).map_err(OracleError::Core)?;
-    let first = engine.observe_batch().map_err(OracleError::Core)?;
+    let first = engine.observe_batch(None).map_err(OracleError::Core)?;
     report.check(
         FAMILY,
         "planted_violation_fires_exactly_once",
@@ -326,7 +278,7 @@ fn planted_violation_oracles(report: &mut OracleReport) -> Result<(), OracleErro
     );
 
     // Clear batch: the delta signal drops to zero, the alert resolves.
-    let cleared = engine.observe_batch().map_err(OracleError::Core)?;
+    let cleared = engine.observe_batch(None).map_err(OracleError::Core)?;
     report.check(
         FAMILY,
         "alert_hysteresis_resolves_and_refires",
@@ -343,9 +295,9 @@ fn planted_violation_oracles(report: &mut OracleReport) -> Result<(), OracleErro
     // Second excursion across two consecutive breach batches: fires once
     // on entry, stays active (no re-fire) while the breach persists.
     engine.arrive(&flat(200.0)?).map_err(OracleError::Core)?;
-    let refire = engine.observe_batch().map_err(OracleError::Core)?;
+    let refire = engine.observe_batch(None).map_err(OracleError::Core)?;
     engine.arrive(&flat(200.0)?).map_err(OracleError::Core)?;
-    let held = engine.observe_batch().map_err(OracleError::Core)?;
+    let held = engine.observe_batch(None).map_err(OracleError::Core)?;
     report.check(
         FAMILY,
         "alert_hysteresis_resolves_and_refires",

@@ -100,7 +100,7 @@ impl ThreadContext {
 }
 
 /// True when the current thread is inside a [`serial_scope`].
-pub fn is_serial() -> bool {
+fn is_serial() -> bool {
     SERIAL_DEPTH.with(|depth| depth.get() > 0)
 }
 

@@ -146,7 +146,7 @@ impl TraceArena {
     /// # Errors
     ///
     /// Returns a mismatch error when `trace` is not on the arena's grid.
-    pub fn push_trace(&mut self, trace: &PowerTrace) -> Result<usize, TraceError> {
+    fn push_trace(&mut self, trace: &PowerTrace) -> Result<usize, TraceError> {
         if trace.step_minutes() != self.step_minutes {
             return Err(TraceError::StepMismatch {
                 left: self.step_minutes,
@@ -293,7 +293,7 @@ impl TraceArena {
     /// # Errors
     ///
     /// Returns [`TraceError::OutOfBounds`] when `i >= len`.
-    pub fn try_view(&self, i: usize) -> Result<TraceView<'_>, TraceError> {
+    fn try_view(&self, i: usize) -> Result<TraceView<'_>, TraceError> {
         if i >= self.len() {
             return Err(TraceError::OutOfBounds {
                 requested: i,
@@ -722,28 +722,6 @@ impl TraceViewMut<'_> {
             *v *= factor;
         }
     }
-
-    /// Overwrite the row from a slice, validating like [`PowerTrace::new`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::LengthMismatch`] for a wrong-length source and
-    /// [`TraceError::InvalidSample`] for NaN/infinite/negative samples.
-    pub fn copy_from(&mut self, samples: &[f64]) -> Result<(), TraceError> {
-        if samples.len() != self.samples.len() {
-            return Err(TraceError::LengthMismatch {
-                left: self.samples.len(),
-                right: samples.len(),
-            });
-        }
-        for (index, &value) in samples.iter().enumerate() {
-            if !value.is_finite() || value < 0.0 {
-                return Err(TraceError::InvalidSample { index, value });
-            }
-        }
-        self.samples.copy_from_slice(samples);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -942,10 +920,6 @@ mod tests {
         let mut arena = arena3();
         arena.view_mut(1).scale(2.0);
         assert_eq!(arena.view(1).samples(), &[6.0, 0.0, 10.0]);
-        arena.view_mut(1).copy_from(&[1.0, 1.0, 1.0]).unwrap();
-        assert_eq!(arena.view(1).samples(), &[1.0, 1.0, 1.0]);
-        assert!(arena.view_mut(1).copy_from(&[1.0]).is_err());
-        assert!(arena.view_mut(1).copy_from(&[1.0, -2.0, 0.0]).is_err());
     }
 
     #[test]

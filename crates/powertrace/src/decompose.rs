@@ -83,15 +83,6 @@ impl SeasonalDecomposition {
         }
     }
 
-    /// The denoised trace: mean + repeated template, clamped at zero.
-    pub fn denoised(&self) -> PowerTrace {
-        let per_day = self.daily_template.len();
-        let samples: Vec<f64> = (0..self.residual.len())
-            .map(|i| (self.mean + self.daily_template[i % per_day]).max(0.0))
-            .collect();
-        PowerTrace::new(samples, self.step_minutes).expect("clamped samples are valid")
-    }
-
     /// Minute-of-day at which the template peaks.
     pub fn peak_minute_of_day(&self) -> u32 {
         let idx = self
@@ -130,11 +121,6 @@ mod tests {
         for (i, &v) in t.samples().iter().enumerate() {
             let rec = d.mean + d.daily_template[i % per_day] + d.residual[i];
             assert!((rec - v).abs() < 1e-9);
-        }
-        // Denoised equals the original for a noise-free input.
-        let den = d.denoised();
-        for (a, b) in den.samples().iter().zip(t.samples()) {
-            assert!((a - b).abs() < 1e-9);
         }
     }
 

@@ -109,18 +109,13 @@ impl TimeGrid {
     }
 
     /// Day index (0-based, day 0 is a Monday by convention) of sample `i`.
-    pub fn day_of(&self, i: usize) -> u32 {
+    fn day_of(&self, i: usize) -> u32 {
         (self.minute_of(i) / MINUTES_PER_DAY as u64) as u32
     }
 
     /// Day-of-week (0 = Monday .. 6 = Sunday) of sample `i`.
     pub fn day_of_week(&self, i: usize) -> u32 {
         self.day_of(i) % 7
-    }
-
-    /// Whether sample `i` falls on a weekend day (Saturday or Sunday).
-    pub fn is_weekend(&self, i: usize) -> bool {
-        self.day_of_week(i) >= 5
     }
 
     /// Samples per day on this grid.
@@ -163,9 +158,6 @@ mod tests {
         let g = TimeGrid::one_week(60);
         assert_eq!(g.day_of_week(0), 0);
         assert_eq!(g.day_of_week(24 * 5), 5);
-        assert!(g.is_weekend(24 * 5));
-        assert!(g.is_weekend(24 * 6 + 3));
-        assert!(!g.is_weekend(24 * 4 + 23));
     }
 
     #[test]

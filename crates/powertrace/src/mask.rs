@@ -235,25 +235,6 @@ impl MaskedTrace {
             .collect();
         PowerTrace::new(filled, self.step_minutes)
     }
-
-    /// Fills masked positions with a constant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidSample`] for a non-finite or negative
-    /// fill value.
-    pub fn fill_constant(&self, value: f64) -> Result<PowerTrace, TraceError> {
-        if !value.is_finite() || value < 0.0 {
-            return Err(TraceError::InvalidSample { index: 0, value });
-        }
-        let filled: Vec<f64> = self
-            .samples
-            .iter()
-            .zip(&self.valid)
-            .map(|(&v, &ok)| if ok { v } else { value })
-            .collect();
-        PowerTrace::new(filled, self.step_minutes)
-    }
 }
 
 #[cfg(test)]
@@ -339,14 +320,6 @@ mod tests {
             m.fill_with(&wrong_step),
             Err(TraceError::StepMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn fill_constant_works_and_validates() {
-        let m = MaskedTrace::from_samples(&[1.0, f64::NAN], 15).unwrap();
-        assert_eq!(m.fill_constant(9.0).unwrap().samples(), &[1.0, 9.0]);
-        assert!(m.fill_constant(f64::NAN).is_err());
-        assert!(m.fill_constant(-1.0).is_err());
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl SlackProfile {
     pub fn has_overdraw(&self) -> bool {
         self.overdraw.iter().any(|&v| v > 0.0)
     }
-
-    /// Total energy drawn above the budget, in watt-minutes.
-    pub fn overdraw_energy_watt_minutes(&self) -> f64 {
-        self.overdraw.iter().sum::<f64>() * self.step_minutes as f64
-    }
 }
 
 /// Relative energy-slack reduction achieved by an optimization:
@@ -178,7 +173,6 @@ mod tests {
         let s = SlackProfile::new(&t, 10.0).unwrap();
         assert_eq!(s.slack_samples(), &[0.0, 2.0]);
         assert!(s.has_overdraw());
-        assert_eq!(s.overdraw_energy_watt_minutes(), 20.0);
     }
 
     #[test]

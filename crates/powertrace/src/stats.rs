@@ -19,7 +19,6 @@ use crate::trace::PowerTrace;
 /// let trace = PowerTrace::new(vec![1.0, 2.0, 3.0, 4.0], 10)?;
 /// let ecdf = Ecdf::from_trace(&trace);
 /// assert_eq!(ecdf.quantile(1.0)?, 4.0);
-/// assert_eq!(ecdf.fraction_at_or_below(2.0), 0.5);
 /// # Ok(())
 /// # }
 /// ```
@@ -74,31 +73,6 @@ impl Ecdf {
     /// Returns [`TraceError::InvalidQuantile`] for `q` outside `[0, 1]`.
     pub fn quantile(&self, q: f64) -> Result<f64, TraceError> {
         quantile_sorted(&self.sorted, q)
-    }
-
-    /// The `(100 − u)`-th percentile used by StatProf's degree of
-    /// under-provisioning `u` (in percent).
-    ///
-    /// Degenerate cases are defined, not incidental: `u = 0` returns the
-    /// maximum sample (provision for the observed peak) and `u = 100`
-    /// returns the minimum sample (the 0th percentile).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidQuantile`] when `u` is outside
-    /// `[0, 100]` or NaN.
-    pub fn underprovisioned_power(&self, u: f64) -> Result<f64, TraceError> {
-        if !(0.0..=100.0).contains(&u) || u.is_nan() {
-            return Err(TraceError::InvalidQuantile(u));
-        }
-        self.quantile(((100.0 - u) / 100.0).clamp(0.0, 1.0))
-            .map_err(|_| TraceError::InvalidQuantile(u))
-    }
-
-    /// Fraction of samples at or below `x`.
-    pub fn fraction_at_or_below(&self, x: f64) -> f64 {
-        let count = self.sorted.partition_point(|&v| v <= x);
-        count as f64 / self.sorted.len() as f64
     }
 
     /// Smallest sample.
@@ -156,44 +130,6 @@ mod tests {
         assert_eq!(e.min(), 1.0);
         assert_eq!(e.max(), 5.0);
         assert_eq!(e.len(), 5);
-    }
-
-    #[test]
-    fn underprovisioning_reduces_power() {
-        let samples: Vec<f64> = (0..101).map(|i| i as f64).collect();
-        let e = Ecdf::from_samples(samples).unwrap();
-        let p0 = e.underprovisioned_power(0.0).unwrap();
-        let p10 = e.underprovisioned_power(10.0).unwrap();
-        assert_eq!(p0, 100.0);
-        assert!((p10 - 90.0).abs() < 1e-9);
-        assert!(p10 < p0);
-    }
-
-    #[test]
-    fn underprovisioning_edge_degrees() {
-        let e = Ecdf::from_samples(vec![10.0, 20.0, 30.0]).unwrap();
-        // u = 0: provision at the observed peak.
-        assert_eq!(e.underprovisioned_power(0.0).unwrap(), 30.0);
-        // u = 100: the 0th percentile, i.e. the minimum sample.
-        assert_eq!(e.underprovisioned_power(100.0).unwrap(), 10.0);
-        // Out-of-range degrees are rejected, not clamped to the minimum.
-        assert_eq!(
-            e.underprovisioned_power(100.5),
-            Err(TraceError::InvalidQuantile(100.5))
-        );
-        assert_eq!(
-            e.underprovisioned_power(-1.0),
-            Err(TraceError::InvalidQuantile(-1.0))
-        );
-        assert!(e.underprovisioned_power(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn fraction_at_or_below() {
-        let e = Ecdf::from_samples(vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(e.fraction_at_or_below(0.5), 0.0);
-        assert_eq!(e.fraction_at_or_below(2.0), 0.5);
-        assert_eq!(e.fraction_at_or_below(10.0), 1.0);
     }
 
     #[test]

@@ -220,7 +220,7 @@ impl PowerTrace {
     ///
     /// Returns [`TraceError::LengthMismatch`] or [`TraceError::StepMismatch`]
     /// when the traces are not on the same grid.
-    pub fn try_sub(&self, other: &PowerTrace) -> Result<PowerTrace, TraceError> {
+    fn try_sub(&self, other: &PowerTrace) -> Result<PowerTrace, TraceError> {
         self.check_compatible(other)?;
         let samples = self
             .samples
@@ -240,7 +240,7 @@ impl PowerTrace {
     ///
     /// Returns [`TraceError::LengthMismatch`] or [`TraceError::StepMismatch`]
     /// when the traces are not on the same grid.
-    pub fn try_add_assign(&mut self, other: &PowerTrace) -> Result<(), TraceError> {
+    fn try_add_assign(&mut self, other: &PowerTrace) -> Result<(), TraceError> {
         self.check_compatible(other)?;
         for (a, b) in self.samples.iter_mut().zip(&other.samples) {
             *a += b;
@@ -334,21 +334,6 @@ impl PowerTrace {
         }
     }
 
-    /// A copy normalized so its peak equals `target_peak`.
-    ///
-    /// Traces that are identically zero are returned unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_peak` is negative or not finite.
-    pub fn normalized_to_peak(&self, target_peak: f64) -> PowerTrace {
-        let peak = self.peak();
-        if peak == 0.0 {
-            return self.clone();
-        }
-        self.scale(target_peak / peak)
-    }
-
     /// Extract the half-open sample window `[start, end)`.
     ///
     /// # Errors
@@ -396,48 +381,6 @@ impl PowerTrace {
             samples,
             step_minutes: self.step_minutes * factor as u32,
         })
-    }
-
-    /// Resamples the trace onto a grid with step `step_minutes`, averaging
-    /// (downsampling) or step-holding (upsampling) as needed. The total
-    /// duration must be divisible on both grids.
-    ///
-    /// Useful for aligning externally collected traces (arbitrary logger
-    /// intervals) with a fleet's grid before building a
-    /// [`Fleet`](https://docs.rs/so-workloads)-style dataset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::ZeroStep`] for a zero step and
-    /// [`TraceError::LengthMismatch`] when neither step divides the other.
-    pub fn resample(&self, step_minutes: u32) -> Result<PowerTrace, TraceError> {
-        if step_minutes == 0 {
-            return Err(TraceError::ZeroStep);
-        }
-        if step_minutes == self.step_minutes {
-            return Ok(self.clone());
-        }
-        if step_minutes % self.step_minutes == 0 {
-            // Coarser grid: average buckets.
-            self.downsample((step_minutes / self.step_minutes) as usize)
-        } else if self.step_minutes % step_minutes == 0 {
-            // Finer grid: hold each sample across its sub-steps.
-            let factor = (self.step_minutes / step_minutes) as usize;
-            let samples = self
-                .samples
-                .iter()
-                .flat_map(|&v| std::iter::repeat(v).take(factor))
-                .collect();
-            Ok(PowerTrace {
-                samples,
-                step_minutes,
-            })
-        } else {
-            Err(TraceError::LengthMismatch {
-                left: self.step_minutes as usize,
-                right: step_minutes as usize,
-            })
-        }
     }
 
     /// The element-wise mean of several traces on a common grid — the
@@ -526,8 +469,7 @@ impl AddAssign<&PowerTrace> for PowerTrace {
     ///
     /// # Panics
     ///
-    /// Panics when the traces are not on the same grid; use
-    /// [`PowerTrace::try_add_assign`] for a checked variant.
+    /// Panics when the traces are not on the same grid.
     fn add_assign(&mut self, rhs: &PowerTrace) {
         self.try_add_assign(rhs)
             .expect("trace grids must match for +=");
@@ -541,8 +483,7 @@ impl Sub<&PowerTrace> for &PowerTrace {
     ///
     /// # Panics
     ///
-    /// Panics when the traces are not on the same grid; use
-    /// [`PowerTrace::try_sub`] for a checked variant.
+    /// Panics when the traces are not on the same grid.
     fn sub(self, rhs: &PowerTrace) -> PowerTrace {
         self.try_sub(rhs).expect("trace grids must match for -")
     }
@@ -667,38 +608,10 @@ mod tests {
     }
 
     #[test]
-    fn resample_both_directions() {
-        let t = trace(&[1.0, 3.0, 5.0, 7.0]); // 10-minute step
-                                              // Coarser: 20-minute buckets averaged.
-        let coarse = t.resample(20).unwrap();
-        assert_eq!(coarse.samples(), &[2.0, 6.0]);
-        // Finer: 5-minute step-hold.
-        let fine = t.resample(5).unwrap();
-        assert_eq!(fine.samples(), &[1.0, 1.0, 3.0, 3.0, 5.0, 5.0, 7.0, 7.0]);
-        // Identity.
-        assert_eq!(t.resample(10).unwrap(), t);
-        // Energy is preserved in both directions.
-        assert!((coarse.energy_watt_minutes() - t.energy_watt_minutes()).abs() < 1e-9);
-        assert!((fine.energy_watt_minutes() - t.energy_watt_minutes()).abs() < 1e-9);
-        // Incompatible steps are rejected.
-        assert!(t.resample(15).is_err());
-        assert!(t.resample(0).is_err());
-    }
-
-    #[test]
     fn from_fn_clamps_negative() {
         let grid = TimeGrid::new(10, 4);
         let t = PowerTrace::from_fn(grid, |i| i as f64 - 1.5);
         assert_eq!(t.samples(), &[0.0, 0.0, 0.5, 1.5]);
-    }
-
-    #[test]
-    fn normalized_to_peak() {
-        let t = trace(&[1.0, 5.0]);
-        let n = t.normalized_to_peak(1.0);
-        assert_eq!(n.samples(), &[0.2, 1.0]);
-        let z = PowerTrace::zeros(TimeGrid::new(10, 3));
-        assert_eq!(z.normalized_to_peak(1.0).samples(), &[0.0, 0.0, 0.0]);
     }
 
     #[test]

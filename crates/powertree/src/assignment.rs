@@ -148,32 +148,6 @@ impl Assignment {
         self.rack_of.swap(a, b);
         Ok(())
     }
-
-    /// Moves instance `i` to `rack`, validating the target (capacity is
-    /// *not* rechecked — callers moving instances should use [`swap`] to
-    /// preserve per-rack counts, or re-validate with [`Assignment::new`]).
-    ///
-    /// [`swap`]: Self::swap
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::UnknownInstance`] / [`TreeError::NotARack`] for
-    /// bad arguments.
-    pub fn move_to(
-        &mut self,
-        topology: &PowerTopology,
-        i: usize,
-        rack: NodeId,
-    ) -> Result<(), TreeError> {
-        if i >= self.rack_of.len() {
-            return Err(TreeError::UnknownInstance(i));
-        }
-        if !topology.node(rack)?.is_rack() {
-            return Err(TreeError::NotARack(rack));
-        }
-        self.rack_of[i] = rack;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -230,7 +204,7 @@ mod tests {
     }
 
     #[test]
-    fn swap_and_move() {
+    fn swap_exchanges_racks() {
         let t = topo();
         let mut a = Assignment::round_robin(&t, 4).unwrap();
         let r0 = a.rack_of(0).unwrap();
@@ -239,9 +213,5 @@ mod tests {
         assert_eq!(a.rack_of(0).unwrap(), r1);
         assert_eq!(a.rack_of(1).unwrap(), r0);
         assert!(a.swap(0, 99).is_err());
-
-        a.move_to(&t, 0, r0).unwrap();
-        assert_eq!(a.rack_of(0).unwrap(), r0);
-        assert!(a.move_to(&t, 0, t.root()).is_err());
     }
 }

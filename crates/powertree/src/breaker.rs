@@ -45,11 +45,6 @@ impl BreakerModel {
         }
     }
 
-    /// The configured sustain window, in samples.
-    pub fn sustain_samples(&self) -> usize {
-        self.sustain_samples
-    }
-
     /// Scans every node's aggregate trace against the topology's
     /// configured budgets and reports all trips.
     ///
@@ -198,7 +193,7 @@ mod tests {
     #[test]
     fn sustain_is_clamped_to_one() {
         let model = BreakerModel::new(0);
-        assert_eq!(model.sustain_samples(), 1);
+        assert_eq!(model.sustain_samples, 1);
         let (t, agg) = aggregates(vec![150.0, 50.0]);
         assert!(!model.is_safe(&t, &agg).unwrap());
     }

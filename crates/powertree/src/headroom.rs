@@ -76,24 +76,6 @@ impl HeadroomReport {
             .get(node.index())
             .ok_or(TreeError::UnknownNode(node))
     }
-
-    /// Total headroom at one level, watts (clamped at zero per node: an
-    /// over-committed node contributes no usable headroom elsewhere).
-    pub fn usable_at_level(&self, level: Level) -> f64 {
-        self.at_level(level)
-            .map(|e| e.headroom_watts.max(0.0))
-            .sum()
-    }
-
-    /// The node with the least headroom at a level — the fragmentation
-    /// bottleneck the remapping framework targets first.
-    pub fn tightest_at_level(&self, level: Level) -> Option<&NodeHeadroom> {
-        self.at_level(level).min_by(|a, b| {
-            a.headroom_watts
-                .partial_cmp(&b.headroom_watts)
-                .expect("headroom values are finite")
-        })
-    }
 }
 
 #[cfg(test)]
@@ -131,9 +113,5 @@ mod tests {
         let rpp = report.at_level(Level::Rpp).next().unwrap();
         assert_eq!(rpp.headroom_watts, 90.0);
         assert!((rpp.peak_utilization - 0.55).abs() < 1e-12);
-
-        assert_eq!(report.usable_at_level(Level::Rack), 30.0);
-        let tightest = report.tightest_at_level(Level::Rack).unwrap();
-        assert_eq!(tightest.headroom_watts, 10.0);
     }
 }

@@ -258,19 +258,6 @@ impl PowerTopology {
         }
     }
 
-    /// Builds a topology directly from a shape description.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TopologyBuilder::build`].
-    pub fn from_shape(shape: TopologyShape, name: impl Into<String>) -> Result<Self, TreeError> {
-        TopologyBuilder {
-            shape,
-            name: name.into(),
-        }
-        .build()
-    }
-
     /// The shape this topology was built from.
     pub fn shape(&self) -> &TopologyShape {
         &self.shape
@@ -349,44 +336,6 @@ impl PowerTopology {
         Ok(racks)
     }
 
-    /// A copy of this topology with per-rack budgets replaced by
-    /// `rack_budgets` (aligned with [`racks`](Self::racks)); internal
-    /// nodes' budgets are recomputed as the sum of their children's.
-    ///
-    /// Useful for modeling non-uniform historical provisioning (e.g.
-    /// budgets sized per rack from observed peaks).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::InstanceCountMismatch`] when the budget vector
-    /// does not cover every rack, and [`TreeError::ZeroRackCapacity`] for
-    /// non-positive or non-finite budgets.
-    pub fn with_rack_budgets(&self, rack_budgets: &[f64]) -> Result<Self, TreeError> {
-        if rack_budgets.len() != self.racks().len() {
-            return Err(TreeError::InstanceCountMismatch {
-                assignment: self.racks().len(),
-                traces: rack_budgets.len(),
-            });
-        }
-        if rack_budgets.iter().any(|b| !b.is_finite() || *b <= 0.0) {
-            return Err(TreeError::ZeroRackCapacity);
-        }
-        let mut out = self.clone();
-        for (&rack, &budget) in self.racks().iter().zip(rack_budgets) {
-            out.nodes[rack.index()].budget_watts = budget;
-        }
-        for i in (0..out.nodes.len()).rev() {
-            if !out.nodes[i].level.is_rack() {
-                out.nodes[i].budget_watts = out.nodes[i]
-                    .children
-                    .iter()
-                    .map(|c| out.nodes[c.index()].budget_watts)
-                    .sum();
-            }
-        }
-        Ok(out)
-    }
-
     /// Path from `id` up to (and including) the root.
     ///
     /// # Errors
@@ -423,17 +372,6 @@ impl PowerTopology {
         set.sort_unstable_by(|a, b| b.cmp(a));
         set.dedup();
         Ok(set)
-    }
-
-    /// Whether `ancestor` lies on the path from `id` to the root
-    /// (a node is not its own ancestor).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::UnknownNode`] for ids outside this topology.
-    pub fn is_ancestor(&self, ancestor: NodeId, id: NodeId) -> Result<bool, TreeError> {
-        self.node(ancestor)?;
-        Ok(self.ancestors(id)?.contains(&ancestor))
     }
 }
 
@@ -510,9 +448,6 @@ mod tests {
         let path = t.ancestors(rack).unwrap();
         assert_eq!(path.len(), 5);
         assert_eq!(*path.last().unwrap(), t.root());
-        assert!(t.is_ancestor(t.root(), rack).unwrap());
-        assert!(!t.is_ancestor(rack, t.root()).unwrap());
-        assert!(!t.is_ancestor(rack, rack).unwrap());
     }
 
     #[test]
@@ -544,33 +479,6 @@ mod tests {
         let t = small();
         let rack = t.node(t.racks()[0]).unwrap();
         assert!(rack.name().starts_with("dc/suite0/msb0/sb0/rpp0/rack"));
-    }
-
-    #[test]
-    fn with_rack_budgets_rebuilds_internal_sums() {
-        let t = small();
-        let budgets: Vec<f64> = (0..16).map(|i| 100.0 * (i + 1) as f64).collect();
-        let custom = t.with_rack_budgets(&budgets).unwrap();
-        let total: f64 = budgets.iter().sum();
-        assert!((custom.node(custom.root()).unwrap().budget_watts() - total).abs() < 1e-9);
-        // Racks carry exactly the requested budgets.
-        for (rack, &budget) in custom.racks().iter().zip(&budgets) {
-            assert_eq!(custom.node(*rack).unwrap().budget_watts(), budget);
-        }
-        // Internal consistency is preserved.
-        for node in custom.nodes() {
-            if !node.is_rack() {
-                let child_sum: f64 = node
-                    .children()
-                    .iter()
-                    .map(|c| custom.node(*c).unwrap().budget_watts())
-                    .sum();
-                assert!((node.budget_watts() - child_sum).abs() < 1e-9);
-            }
-        }
-        // Validation.
-        assert!(t.with_rack_budgets(&budgets[..3]).is_err());
-        assert!(t.with_rack_budgets(&[-1.0; 16]).is_err());
     }
 
     #[test]

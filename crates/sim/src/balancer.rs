@@ -46,13 +46,6 @@ pub struct RoutingOutcome {
     pub over_guard_count: usize,
 }
 
-impl RoutingOutcome {
-    /// Highest per-server load.
-    pub fn max_load(&self) -> f64 {
-        self.loads.iter().copied().fold(0.0, f64::max)
-    }
-}
-
 /// Routes `offered_qps` across `slots` under the guarded level `l_conv`.
 ///
 /// Strategy (capacity-proportional water-filling, matching the paper's
@@ -160,12 +153,17 @@ mod tests {
         capacities.iter().map(|&c| ServerSlot::new(c)).collect()
     }
 
+    /// Highest per-server load.
+    fn max_load(out: &RoutingOutcome) -> f64 {
+        out.loads.iter().copied().fold(0.0, f64::max)
+    }
+
     #[test]
     fn light_load_stays_below_guard() {
         let s = slots(&[100.0, 100.0, 100.0]);
         let out = route(150.0, &s, 0.8);
         assert_eq!(out.over_guard_count, 0);
-        assert!((out.max_load() - 0.5).abs() < 1e-12);
+        assert!((max_load(&out) - 0.5).abs() < 1e-12);
         assert_eq!(out.served_qps, 150.0);
         assert_eq!(out.dropped_qps, 0.0);
     }
@@ -177,7 +175,7 @@ mod tests {
         let out = route(190.0, &s, 0.8);
         assert_eq!(out.dropped_qps, 0.0);
         assert_eq!(out.over_guard_count, 2);
-        assert!((out.max_load() - 0.95).abs() < 1e-12);
+        assert!((max_load(&out) - 0.95).abs() < 1e-12);
         // 250 of 200 capacity: 50 dropped.
         let out = route(250.0, &s, 0.8);
         assert_eq!(out.dropped_qps, 50.0);

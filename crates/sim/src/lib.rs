@@ -39,7 +39,6 @@ mod balancer;
 mod dvfs;
 mod engine;
 mod error;
-mod latency;
 mod policy;
 mod power;
 
@@ -50,6 +49,5 @@ pub use engine::{
     Telemetry,
 };
 pub use error::SimError;
-pub use latency::LatencyModel;
 pub use policy::{FailSafe, ReshapePolicy, StaticPolicy, StepDecision, StepObservation};
 pub use power::ServerPowerModel;

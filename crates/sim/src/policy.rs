@@ -131,11 +131,6 @@ impl<P> FailSafe<P> {
             last_good: None,
         }
     }
-
-    /// The decision held from the last trustworthy step, if any.
-    pub fn last_good(&self) -> Option<StepDecision> {
-        self.last_good
-    }
 }
 
 impl<P: ReshapePolicy> ReshapePolicy for FailSafe<P> {
@@ -207,12 +202,12 @@ mod tests {
         let d = policy.decide(&degraded);
         assert_eq!(d.conversion_as_lc, 4);
         assert_eq!(d.throttle_funded_as_lc, 2);
-        assert_eq!(policy.last_good(), None);
+        assert_eq!(policy.last_good, None);
 
         // A trustworthy step records the inner decision...
         let d = policy.decide(&good);
         assert_eq!(d, StepDecision::all_batch());
-        assert_eq!(policy.last_good(), Some(d));
+        assert_eq!(policy.last_good, Some(d));
 
         // ...which is then held through degraded steps.
         let d = policy.decide(&degraded);

@@ -19,7 +19,7 @@
 //! Rule windows are preallocated rings: steady-state evaluation
 //! allocates only the (small, bounded) transition vector it returns.
 
-use crate::export::json_escape;
+use crate::export::BenchObject;
 use crate::sink::{counter_add, gauge_set};
 
 /// How a rule turns its signal window into a breach decision.
@@ -210,11 +210,6 @@ impl AlertEngine {
         self.rules.iter().map(|r| r.name.clone()).collect()
     }
 
-    /// Evaluations performed so far.
-    pub fn evals(&self) -> u64 {
-        self.evals
-    }
-
     /// Total `AlertFired` transitions so far.
     pub fn fired_total(&self) -> u64 {
         self.fired_total
@@ -321,32 +316,21 @@ impl AlertEngine {
     /// Renders the engine state as one JSON object (the `/alerts`
     /// endpoint body): totals, active rules, and the journal tail.
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"evals\":{},\"fired_total\":{},\"resolved_total\":{},\"journal_dropped\":{}",
-            self.evals, self.fired_total, self.resolved_total, self.journal_dropped
-        );
-        out.push_str(",\"active\":[");
-        for (i, index) in self.active().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(&self.rules[*index].name)));
-        }
-        out.push_str("],\"journal\":[");
-        for (i, t) in self.journal.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"rule\":\"{}\",\"eval\":{},\"fired\":{},\"value\":{}}}",
-                json_escape(&self.rules[t.rule].name),
-                t.eval,
-                t.fired,
-                crate::export::json_f64(t.value)
-            ));
-        }
-        out.push_str("]}");
-        out
+        let journal = self.journal.iter().map(|t| {
+            BenchObject::default()
+                .string("rule", &self.rules[t.rule].name)
+                .raw("eval", t.eval)
+                .raw("fired", t.fired)
+                .float("value", t.value)
+        });
+        BenchObject::default()
+            .raw("evals", self.evals)
+            .raw("fired_total", self.fired_total)
+            .raw("resolved_total", self.resolved_total)
+            .raw("journal_dropped", self.journal_dropped)
+            .strings("active", self.active().iter().map(|&i| &self.rules[i].name))
+            .array("journal", journal)
+            .compact()
     }
 }
 
@@ -545,7 +529,7 @@ mod tests {
     fn missing_signal_skips_the_rule() {
         let mut engine = above(10.0, 5.0, 1);
         assert!(engine.evaluate(&[("other", 100.0)]).is_empty());
-        assert_eq!(engine.evals(), 1);
+        assert_eq!(engine.evals, 1);
         assert_eq!(engine.evaluate(&[("s", 100.0)]).len(), 1);
     }
 

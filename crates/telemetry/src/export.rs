@@ -1,9 +1,10 @@
 //! Exporters: JSON-lines event logs, Prometheus text-format snapshots,
-//! and the `BENCH_*.json` artifact layout ([`BenchObject`]).
+//! and the one JSON writer ([`BenchObject`]) behind every `BENCH_*.json`
+//! artifact, daemon reply and JSONL line.
 //!
 //! Every format is hand-rolled (the crate is dependency-free) and
 //! deterministic: events export in emission order, metrics in the
-//! registry's canonical key order, BENCH fields in the order the caller
+//! registry's canonical key order, JSON fields in the order the caller
 //! adds them, and floats render through Rust's shortest-roundtrip
 //! `Display` — the same bits always produce the same text, which is what
 //! the golden tests pin.
@@ -16,6 +17,12 @@ use crate::sink::{Event, FieldValue};
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out`, escaped for a JSON string literal.
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -23,17 +30,18 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
-    out
 }
 
 /// Renders a float as a JSON number: Rust's shortest-roundtrip
 /// `Display` for finite values (integral ones without a fractional
 /// part), `null` for non-finite ones, which JSON cannot represent.
-pub fn json_f64(v: f64) -> String {
+fn json_f64(v: f64) -> String {
     if v.is_finite() {
         v.to_string()
     } else {
@@ -41,7 +49,17 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Renders recorded events as JSON-lines: one event object per line.
+/// A JSON string literal: `value` escaped and quoted.
+fn json_string(value: &str) -> String {
+    let mut out = String::with_capacity(value.len() + 2);
+    out.push('"');
+    escape_into(&mut out, value);
+    out.push('"');
+    out
+}
+
+/// Renders recorded events as JSON-lines: one compact event object per
+/// line.
 ///
 /// ```text
 /// {"ts_ms":0,"kind":"span_start","path":"place"}
@@ -50,32 +68,27 @@ pub fn json_f64(v: f64) -> String {
 pub fn events_to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for event in events {
-        out.push_str(&format!(
-            "{{\"ts_ms\":{},\"kind\":\"{}\",\"path\":\"{}\"",
-            event.ts_ms,
-            event.kind.label(),
-            json_escape(&event.path)
-        ));
+        let mut line = BenchObject::default()
+            .raw("ts_ms", event.ts_ms)
+            .string("kind", event.kind.label())
+            .string("path", &event.path);
         if let Some(d) = event.duration_ms {
-            out.push_str(&format!(",\"duration_ms\":{d}"));
+            line = line.raw("duration_ms", d);
         }
         if !event.fields.is_empty() {
-            out.push_str(",\"fields\":{");
-            for (i, (key, value)) in event.fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let rendered = match value {
-                    FieldValue::U64(v) => v.to_string(),
-                    FieldValue::F64(v) => json_f64(*v),
-                    FieldValue::Str(v) => format!("\"{}\"", json_escape(v)),
-                    FieldValue::Bool(v) => v.to_string(),
-                };
-                out.push_str(&format!("\"{}\":{rendered}", json_escape(key)));
-            }
-            out.push('}');
+            let fields = event.fields.iter().fold(
+                BenchObject::default(),
+                |fields, (key, value)| match value {
+                    FieldValue::U64(v) => fields.raw(key, v),
+                    FieldValue::F64(v) => fields.float(key, *v),
+                    FieldValue::Str(v) => fields.string(key, v),
+                    FieldValue::Bool(v) => fields.raw(key, v),
+                },
+            );
+            line = line.field("fields", BenchJson::Object(fields));
         }
-        out.push_str("}\n");
+        line.write_compact(&mut out);
+        out.push('\n');
     }
     out
 }
@@ -152,21 +165,24 @@ pub fn registry_to_prometheus(registry: &MetricsRegistry) -> String {
     out
 }
 
-/// One value in the layout of every `BENCH_*.json` artifact.
+/// One value of a [`BenchObject`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum BenchJson {
-    /// A scalar's exact JSON text: `12`, `0.500`, `"exact"`, `null`.
+    /// A scalar's exact JSON text: `12`, `0.500`, `"exact"`, `null`, or
+    /// a whole array of scalars, `[3,null]`.
     Scalar(String),
     /// A nested object.
     Object(BenchObject),
-    /// An array, always of objects in this layout.
+    /// An array of objects.
     Array(Vec<BenchObject>),
 }
 
-/// An ordered object in the BENCH layout: one `"key": value` per line,
-/// two spaces of indent per level. The report emitters build and
-/// [`render`](Self::render) it; `smoothop gate` [`parse`](Self::parse)s
-/// artifacts back with every scalar kept as its exact text.
+/// An ordered JSON object: the one JSON writer of the workspace. The
+/// [`render`](Self::render)ed BENCH layout puts one `"key": value` per
+/// line with two spaces of indent per level, and `smoothop gate`
+/// [`parse`](Self::parse)s it back with every scalar kept as its exact
+/// text; the [`compact`](Self::compact) layout has no whitespace at all
+/// and carries every daemon reply and JSONL line.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchObject {
     /// The fields, in order.
@@ -190,7 +206,7 @@ impl BenchObject {
     /// Appends `key` with `value` as a JSON string.
     #[must_use]
     pub fn string(self, key: &str, value: &str) -> Self {
-        self.raw(key, format_args!("\"{}\"", json_escape(value)))
+        self.field(key, BenchJson::Scalar(json_string(value)))
     }
 
     /// Appends `key` with `value` rounded to `decimals` places.
@@ -199,13 +215,17 @@ impl BenchObject {
         self.raw(key, format_args!("{value:.decimals$}"))
     }
 
+    /// Appends `key` with `value` as a shortest-roundtrip JSON number, or
+    /// `null` when it is not finite.
+    #[must_use]
+    pub fn float(self, key: &str, value: f64) -> Self {
+        self.field(key, BenchJson::Scalar(json_f64(value)))
+    }
+
     /// Appends `key` with `value`'s text, or `null` when it is absent.
     #[must_use]
     pub fn nullable(self, key: &str, value: Option<impl Display>) -> Self {
-        match value {
-            Some(value) => self.raw(key, value),
-            None => self.raw(key, "null"),
-        }
+        self.field(key, BenchJson::Scalar(nullable_text(value)))
     }
 
     /// Appends `key` with an array of objects.
@@ -214,24 +234,56 @@ impl BenchObject {
         self.field(key, BenchJson::Array(items.into_iter().collect()))
     }
 
+    /// Appends `key` with an array of JSON strings, on one line.
+    #[must_use]
+    pub fn strings<S: AsRef<str>>(self, key: &str, items: impl IntoIterator<Item = S>) -> Self {
+        let items = items.into_iter().map(|s| json_string(s.as_ref()));
+        self.field(key, scalar_array(items))
+    }
+
+    /// Appends `key` with an array of values' text, `null` for each
+    /// absent one, on one line.
+    #[must_use]
+    pub fn nullables<T: Display>(
+        self,
+        key: &str,
+        items: impl IntoIterator<Item = Option<T>>,
+    ) -> Self {
+        self.field(key, scalar_array(items.into_iter().map(nullable_text)))
+    }
+
     /// The value of the first field named `key`.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&BenchJson> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
-    /// The artifact text, newline-terminated.
+    /// The BENCH artifact text, newline-terminated.
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        render_object(&mut out, self, 0);
+        write_object(&mut out, self, Some(0));
         out.push('\n');
         out
     }
 
+    /// The compact text, `{"key":value,...}`, with no trailing newline.
+    #[must_use]
+    pub fn compact(&self) -> String {
+        let mut out = String::new();
+        self.write_compact(&mut out);
+        out
+    }
+
+    /// Appends the [`compact`](Self::compact) text to `out`.
+    pub fn write_compact(&self, out: &mut String) {
+        write_object(out, self, None);
+    }
+
     /// Reads the layout [`BenchObject::render`] writes, line by line.
     /// Trailing commas are dropped unchecked, and a key that needs
-    /// escaping is an error (no BENCH key does).
+    /// escaping is an error (no BENCH key does), as is an array of
+    /// scalars (no BENCH artifact holds one).
     ///
     /// # Errors
     ///
@@ -252,34 +304,65 @@ impl BenchObject {
     }
 }
 
-/// Writes `object` closing at `depth`; empty containers stay `{}`, `[]`.
-fn render_object(out: &mut String, object: &BenchObject, depth: usize) {
-    let indent = 2 * depth + 2;
-    out.push('{');
-    for (i, (key, value)) in object.fields.iter().enumerate() {
-        let comma = if i == 0 { "" } else { "," };
-        let _ = write!(out, "{comma}\n{:indent$}\"{}\": ", "", json_escape(key));
-        match value {
-            BenchJson::Scalar(text) => out.push_str(text),
-            BenchJson::Object(inner) => render_object(out, inner, depth + 1),
-            BenchJson::Array(items) => {
-                out.push('[');
-                for (j, item) in items.iter().enumerate() {
-                    let comma = if j == 0 { "" } else { "," };
-                    let _ = write!(out, "{comma}\n{:1$}", "", indent + 2);
-                    render_object(out, item, depth + 2);
-                }
-                if !items.is_empty() {
-                    let _ = write!(out, "\n{:indent$}", "");
-                }
-                out.push(']');
+fn nullable_text(value: Option<impl Display>) -> String {
+    value.map_or_else(|| "null".to_string(), |value| value.to_string())
+}
+
+/// `[a,b,...]` of scalar texts, as one scalar.
+fn scalar_array(items: impl Iterator<Item = String>) -> BenchJson {
+    BenchJson::Scalar(format!("[{}]", items.collect::<Vec<_>>().join(",")))
+}
+
+/// Writes `object` in the BENCH layout when `pad` is the indent of its
+/// closing brace, or compactly when `pad` is `None`.
+fn write_object(out: &mut String, object: &BenchObject, pad: Option<usize>) {
+    write_list(
+        out,
+        ('{', '}'),
+        &object.fields,
+        pad,
+        |out, (key, value), pad| {
+            out.push('"');
+            escape_into(out, key);
+            out.push_str("\":");
+            if pad.is_some() {
+                out.push(' ');
             }
+            match value {
+                BenchJson::Scalar(text) => out.push_str(text),
+                BenchJson::Object(inner) => write_object(out, inner, pad),
+                BenchJson::Array(items) => write_list(out, ('[', ']'), items, pad, write_object),
+            }
+        },
+    );
+}
+
+/// Writes `items` comma-separated between `brackets`. In the BENCH layout
+/// (`pad` set) each item sits on its own line two spaces deeper than
+/// `pad` and the closing bracket on a line of its own at `pad`; empty
+/// containers stay `{}`, `[]` in both layouts.
+fn write_list<T>(
+    out: &mut String,
+    (open, close): (char, char),
+    items: &[T],
+    pad: Option<usize>,
+    mut write_item: impl FnMut(&mut String, &T, Option<usize>),
+) {
+    out.push(open);
+    let inner = pad.map(|pad| pad + 2);
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        if let Some(indent) = inner {
+            let _ = write!(out, "\n{:indent$}", "");
+        }
+        write_item(out, item, inner);
     }
-    if !object.fields.is_empty() {
-        let _ = write!(out, "\n{:1$}", "", 2 * depth);
+    if let (Some(indent), false) = (pad, items.is_empty()) {
+        let _ = write!(out, "\n{:indent$}", "");
     }
-    out.push('}');
+    out.push(close);
 }
 
 /// Reads fields up to the closing brace of an object already opened.
@@ -296,7 +379,7 @@ fn parse_object<'a>(
             .strip_prefix('"')
             .and_then(|rest| rest.split_once("\": "))
             .filter(|(key, _)| !key.contains(['"', '\\']))
-            .ok_or_else(|| format!("line {n}: expected `\"key\": value`, found `{line}`"))?;
+            .ok_or_else(|| format!("line {n}: expected `\"<key>\": value`, found `{line}`"))?;
         let value = match text {
             "{" => BenchJson::Object(parse_object(lines)?),
             "{}" => BenchJson::Object(BenchObject::default()),

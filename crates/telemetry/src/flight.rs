@@ -17,7 +17,7 @@
 //! slots per kind (`slot`/`ordinal`/`rack`/…) so postmortems read
 //! naturally without the decoder.
 
-use crate::export::{json_escape, json_f64};
+use crate::export::BenchObject;
 
 /// What kind of moment a [`FlightRecord`] captures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,61 +202,41 @@ impl FlightRecorder {
     pub fn to_jsonl(&self, n: usize, rule_names: &[String]) -> String {
         let mut out = String::new();
         for record in self.recent(n) {
-            out.push_str(&render_record(&record, rule_names));
+            render_record(&record, rule_names).write_compact(&mut out);
             out.push('\n');
         }
         out
     }
 }
 
-/// Renders one record as a single JSON object line.
-fn render_record(record: &FlightRecord, rule_names: &[String]) -> String {
-    let mut line = format!(
-        "{{\"seq\":{},\"ts_ms\":{},\"kind\":\"{}\"",
-        record.seq,
-        record.ts_ms,
-        record.kind.label()
-    );
+/// One record as a JSON object, its payload slots named per kind.
+fn render_record(record: &FlightRecord, rule_names: &[String]) -> BenchObject {
+    let line = BenchObject::default()
+        .raw("seq", record.seq)
+        .raw("ts_ms", record.ts_ms)
+        .string("kind", record.kind.label());
     match record.kind {
-        FlightKind::Committed => {
-            line.push_str(&format!(
-                ",\"slot\":{},\"ordinal\":{},\"rack\":{}",
-                record.a, record.b, record.c
-            ));
-        }
-        FlightKind::Rejected => {
-            line.push_str(&format!(",\"ordinal\":{}", record.b));
-        }
+        FlightKind::Committed => line
+            .raw("slot", record.a)
+            .raw("ordinal", record.b)
+            .raw("rack", record.c),
+        FlightKind::Rejected => line.raw("ordinal", record.b),
         FlightKind::Retired | FlightKind::Checkpoint => {
-            line.push_str(&format!(",\"slot\":{},\"rack\":{}", record.a, record.c));
+            line.raw("slot", record.a).raw("rack", record.c)
         }
-        FlightKind::Moved => {
-            line.push_str(&format!(
-                ",\"slot\":{},\"from\":{},\"to\":{}",
-                record.a, record.b, record.c
-            ));
-        }
+        FlightKind::Moved => line
+            .raw("slot", record.a)
+            .raw("from", record.b)
+            .raw("to", record.c),
         FlightKind::AlertFired | FlightKind::AlertResolved => {
-            let rule = rule_names
-                .get(record.a as usize)
-                .map(|name| format!("\"{}\"", json_escape(name)))
-                .unwrap_or_else(|| record.a.to_string());
-            line.push_str(&format!(
-                ",\"rule\":{rule},\"eval\":{},\"value\":{}",
-                record.b,
-                json_f64(record.value)
-            ));
+            let line = match rule_names.get(record.a as usize) {
+                Some(name) => line.string("rule", name),
+                None => line.raw("rule", record.a),
+            };
+            line.raw("eval", record.b).float("value", record.value)
         }
-        FlightKind::BreakerViolation => {
-            line.push_str(&format!(
-                ",\"ordinal\":{},\"value\":{}",
-                record.b,
-                json_f64(record.value)
-            ));
-        }
+        FlightKind::BreakerViolation => line.raw("ordinal", record.b).float("value", record.value),
     }
-    line.push('}');
-    line
 }
 
 #[cfg(test)]

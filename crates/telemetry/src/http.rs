@@ -163,7 +163,8 @@ impl std::fmt::Debug for HttpServer {
 impl HttpServer {
     /// Binds `addr` (e.g. `127.0.0.1:9184`, port 0 for ephemeral) and
     /// serves requests through `handler` from a background thread named
-    /// `thread_name`.
+    /// `thread_name`. Returns once that thread runs under its name, so a
+    /// caller may look it up (e.g. in `/proc/self/task/*/comm`) at once.
     ///
     /// # Errors
     ///
@@ -177,9 +178,15 @@ impl HttpServer {
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
+        // std names a thread from inside it, before the closure runs.
+        let (named, running) = std::sync::mpsc::channel();
         let handle = std::thread::Builder::new()
             .name(thread_name.to_string())
-            .spawn(move || serve(&listener, &handler, &thread_stop))?;
+            .spawn(move || {
+                let _ = named.send(());
+                serve(&listener, &handler, &thread_stop);
+            })?;
+        let _ = running.recv();
         Ok(Self {
             addr: local,
             stop,
@@ -547,6 +554,33 @@ mod tests {
             out[..n].copy_from_slice(&self.bytes[..n]);
             self.bytes = &self.bytes[n..];
             Ok(n)
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn spawn_returns_once_the_thread_carries_its_name() {
+        let named = |name: &str| {
+            std::fs::read_dir("/proc/self/task")
+                .unwrap()
+                .flatten()
+                .any(|task| {
+                    std::fs::read_to_string(task.path().join("comm"))
+                        .is_ok_and(|comm| comm.trim_end() == name)
+                })
+        };
+        for round in 0..50 {
+            let server = HttpServer::spawn(
+                "127.0.0.1:0",
+                "so-name-probe",
+                Arc::new(|_: &HttpRequest| HttpResponse::not_found()),
+            )
+            .unwrap();
+            assert!(
+                named("so-name-probe"),
+                "round {round}: thread not named yet"
+            );
+            server.shutdown();
         }
     }
 

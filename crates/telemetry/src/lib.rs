@@ -28,7 +28,9 @@
 //!    merge in canonical order via [`MetricsRegistry::merge_from`].
 //! 3. **No dependencies.** Exporters are hand-rolled: JSON-lines events
 //!    ([`export::events_to_jsonl`]) and Prometheus text-format snapshots
-//!    ([`export::registry_to_prometheus`]).
+//!    ([`export::registry_to_prometheus`]). Every JSON object, here and
+//!    in the crates above, is written by one writer,
+//!    [`export::BenchObject`].
 //!
 //! On top of the batch substrate sits the *live plane* for resident
 //! engines: a bounded [`FlightRecorder`] ring of recent events, a

@@ -18,6 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::alerts::{AlertEngine, AlertTransition};
+use crate::export::BenchObject;
 use crate::flight::{FlightKind, FlightRecorder};
 use crate::sink::{RecordingSink, TelemetrySink};
 
@@ -169,7 +170,7 @@ impl LivePlane {
 
     /// Captures a postmortem dump of the whole flight ring. Returns the
     /// number of records captured.
-    pub fn dump_flight(&self, reason: &str) -> usize {
+    fn dump_flight(&self, reason: &str) -> usize {
         let jsonl = self.flight_jsonl(0);
         let records = jsonl.lines().count();
         let dump = FlightDump {
@@ -245,21 +246,25 @@ impl LivePlane {
         let (fired, resolved) = self.alert_counts();
         let active = self.active_alerts().len();
         let (flight_len, flight_total, _) = self.flight_counts();
-        let status = if active == 0 { "ok" } else { "alerting" };
-        format!(
-            "{{\"status\":\"{}\",\"uptime_ms\":{},\"batches\":{},\"events\":{},\"breaker_violations\":{},\"alerts_active\":{},\"alerts_fired_total\":{},\"alerts_resolved_total\":{},\"flight_records\":{},\"flight_total\":{},\"dumps\":{}}}",
-            status,
-            self.sink.now_ms().saturating_sub(self.started_ms),
-            self.batches.load(Ordering::Relaxed),
-            self.events.load(Ordering::Relaxed),
-            self.breaker_violations.load(Ordering::Relaxed),
-            active,
-            fired,
-            resolved,
-            flight_len,
-            flight_total,
-            self.dumps_total(),
-        )
+        BenchObject::default()
+            .string("status", if active == 0 { "ok" } else { "alerting" })
+            .raw(
+                "uptime_ms",
+                self.sink.now_ms().saturating_sub(self.started_ms),
+            )
+            .raw("batches", self.batches.load(Ordering::Relaxed))
+            .raw("events", self.events.load(Ordering::Relaxed))
+            .raw(
+                "breaker_violations",
+                self.breaker_violations.load(Ordering::Relaxed),
+            )
+            .raw("alerts_active", active)
+            .raw("alerts_fired_total", fired)
+            .raw("alerts_resolved_total", resolved)
+            .raw("flight_records", flight_len)
+            .raw("flight_total", flight_total)
+            .raw("dumps", self.dumps_total())
+            .compact()
     }
 
     /// The `/metrics` endpoint body (Prometheus text format).

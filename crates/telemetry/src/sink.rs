@@ -133,7 +133,7 @@ impl RecordingSink {
     }
 
     /// A recording sink on an explicit clock.
-    pub fn with_clock(clock: TelemetryClock) -> Self {
+    fn with_clock(clock: TelemetryClock) -> Self {
         Self {
             clock,
             metrics: Mutex::new(MetricsRegistry::new()),

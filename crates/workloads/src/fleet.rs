@@ -200,11 +200,6 @@ impl Fleet {
         shares.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("shares are finite"));
         shares
     }
-
-    /// Total mean power of the fleet over the training traces, watts.
-    pub fn total_mean_power(&self) -> f64 {
-        self.averaged.iter().map(|t| t.mean()).sum()
-    }
 }
 
 #[cfg(test)]

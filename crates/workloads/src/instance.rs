@@ -68,7 +68,7 @@ impl InstanceSpec {
     /// Noise-free utilization in `[0, 1]` of this instance's service shape
     /// at absolute minute `minute` (instance phase shift and the service's
     /// characteristic phase offset applied).
-    pub fn utilization_at(&self, minute: f64) -> f64 {
+    fn utilization_at(&self, minute: f64) -> f64 {
         let shifted = minute + self.phase_shift_minutes + self.service.phase_offset_minutes();
         let day_minutes = MINUTES_PER_DAY as f64;
         let minute_of_day = shifted.rem_euclid(day_minutes) as u32;
@@ -100,7 +100,7 @@ impl InstanceSpec {
     }
 
     /// Noise-free power (watts) at absolute minute `minute`.
-    pub fn power_at(&self, minute: f64) -> f64 {
+    fn power_at(&self, minute: f64) -> f64 {
         let base = self.service.base_watts() * self.base_scale;
         let dynamic = (self.service.peak_watts() - self.service.base_watts())
             * self.amplitude_scale
@@ -129,19 +129,6 @@ impl InstanceSpec {
             let minute = week_offset + grid.minute_of(i) as f64;
             self.power_at(minute) + ar + normal(&mut rng, 0.0, white_sd)
         })
-    }
-
-    /// Checked variant of [`weekly_trace`](Self::weekly_trace): validates
-    /// the spec first so malformed parameters surface as a
-    /// [`WorkloadError`] instead of a panic deep inside trace synthesis.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError::InvalidSpec`] for non-finite or negative
-    /// spec parameters.
-    pub fn try_weekly_trace(&self, grid: TimeGrid, week: u32) -> Result<PowerTrace, WorkloadError> {
-        self.validate()?;
-        Ok(self.weekly_trace(grid, week))
     }
 
     /// Generates `weeks` consecutive weekly traces.
@@ -266,12 +253,11 @@ mod tests {
 
     #[test]
     fn invalid_specs_error_instead_of_panicking() {
-        let grid = TimeGrid::one_week(60);
         let bad_amplitude = InstanceSpec {
             amplitude_scale: f64::NAN,
             ..InstanceSpec::nominal(ServiceClass::Frontend, 1)
         };
-        let err = bad_amplitude.try_weekly_trace(grid, 0).unwrap_err();
+        let err = bad_amplitude.validate().unwrap_err();
         match err {
             WorkloadError::InvalidSpec { field, value } => {
                 assert_eq!(field, "amplitude_scale");
@@ -296,7 +282,7 @@ mod tests {
         };
         assert!(negative_base.validate().is_err());
         assert!(InstanceSpec::nominal(ServiceClass::Hadoop, 4)
-            .try_weekly_trace(grid, 0)
+            .validate()
             .is_ok());
     }
 

@@ -335,11 +335,6 @@ impl LlmBasis {
         self.samples
     }
 
-    /// The service row `row` synthesizes.
-    pub fn service_of_row(row: u64) -> ServiceClass {
-        Self::SERVICES[(row & 1) as usize]
-    }
-
     /// Fills `out` with row `row`'s power samples (watts), noise-free.
     ///
     /// Per-row heterogeneity (amplitude/base scales, alternation phase) is

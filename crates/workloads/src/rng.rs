@@ -35,7 +35,7 @@ const KEY_INIT: u64 = 0x243F_6A88_85A3_08D3;
 
 /// A standard normal sample via the Box–Muller transform (avoids a
 /// dependency on `rand_distr`, which is outside the approved crate set).
-pub fn standard_normal(rng: &mut impl Rng) -> f64 {
+fn standard_normal(rng: &mut impl Rng) -> f64 {
     // Guard against log(0).
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);

@@ -61,7 +61,7 @@ use std::time::Instant;
 use so_core::{differential_score_excluding, CommitPolicy, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid, TraceArena};
 use so_powertree::{Level, PowerTopology};
-use so_telemetry::export::{json_f64, BenchObject};
+use so_telemetry::export::BenchObject;
 use so_telemetry::{default_online_rules, AlertTransition, LivePlane, RecordingSink};
 
 /// How the per-row quantile phase computes p99.
@@ -592,9 +592,9 @@ pub const ONLINE_SCALE_SCHEMA_VERSION: u32 = 2;
 ///
 /// With a `plane` every point is *watched*: its engine reports into that
 /// plane (what `smoothop online --listen` serves over HTTP while the
-/// ladder runs), keeps the rung's fragmentation reference resident so
-/// [`OnlineFleet::observe_batch`] exports the per-level fragmentation
-/// gauges each batch, and hands `emit` one JSON object per line:
+/// ladder runs), passes the rung's fragmentation reference to each
+/// batch's [`OnlineFleet::observe_batch`] so it exports the per-level
+/// fragmentation gauges, and hands `emit` one JSON object per line:
 ///
 /// * `{"kind":"alert","rule":"...","state":"fired"|"resolved","eval":N,"value":V}`
 ///   per alert transition, in evaluation order (deterministic at any
@@ -714,22 +714,16 @@ fn run_online_point(
         vec![0.4 * ONLINE_RACK_BUDGET_WATTS; config.samples_per_trace],
         config.step_minutes,
     )?;
-    let plane = match watch {
-        // Only a watched point pays for keeping the reference resident
-        // (a budget re-probe per touched path node per event).
-        Some(plane) => {
-            engine.set_fragmentation_reference(Some(&reference))?;
-            Arc::clone(plane)
-        }
-        // Headless fallback: a virtual-clock plane per point keeps the
-        // alert counts deterministic in `BENCH_online.json` while
-        // exercising the full observe path a watched point uses.
-        None => Arc::new(LivePlane::new(
+    // Headless fallback: a virtual-clock plane per point keeps the alert
+    // counts deterministic in `BENCH_online.json` while exercising the
+    // full observe path a watched point uses.
+    let plane = watch.cloned().unwrap_or_else(|| {
+        Arc::new(LivePlane::new(
             Arc::new(RecordingSink::with_virtual_clock()),
             256,
             default_online_rules(),
-        )),
-    };
+        ))
+    });
     engine.attach_plane(Arc::clone(&plane));
     let mut alerts_fired = 0u64;
     let mut alerts_resolved = 0u64;
@@ -797,8 +791,9 @@ fn run_online_point(
         repair_ms += ms_since(t0);
 
         // Observability heartbeat: one alert evaluation per batch, from
-        // the serial point — deterministic at any thread count.
-        let transitions = engine.observe_batch()?;
+        // the serial point — deterministic at any thread count. Only a
+        // watched point pays for the per-level fragmentation recompute.
+        let transitions = engine.observe_batch(watch.map(|_| &reference))?;
         for transition in &transitions {
             if transition.fired {
                 alerts_fired += 1;
@@ -820,20 +815,22 @@ fn run_online_point(
         }
     }
     if watch.is_some() {
-        emit(&format!(
-            "{{\"kind\":\"summary\",\"batches\":{},\"committed\":{},\"rejected\":{},\"retired\":{},\"live\":{},\"alerts_fired\":{},\"alerts_resolved\":{},\"breaker_violations\":{},\"flight_dumps\":{},\"journal_compactions\":{},\"total_ms\":{}}}",
-            config.batches,
-            engine.committed(),
-            engine.rejected(),
-            engine.retired(),
-            engine.live_len(),
-            alerts_fired,
-            alerts_resolved,
-            plane.breaker_violations(),
-            plane.dumps_total(),
-            engine.journal_compactions(),
-            json_f64(ms_since(started)),
-        ));
+        emit(
+            &BenchObject::default()
+                .string("kind", "summary")
+                .raw("batches", config.batches)
+                .raw("committed", engine.committed())
+                .raw("rejected", engine.rejected())
+                .raw("retired", engine.retired())
+                .raw("live", engine.live_len())
+                .raw("alerts_fired", alerts_fired)
+                .raw("alerts_resolved", alerts_resolved)
+                .raw("breaker_violations", plane.breaker_violations())
+                .raw("flight_dumps", plane.dumps_total())
+                .raw("journal_compactions", engine.journal_compactions())
+                .float("total_ms", ms_since(started))
+                .compact(),
+        );
     }
 
     // Quality of the churned placement.
@@ -922,34 +919,45 @@ fn emit_batch_lines(
 ) -> Result<(), so_core::CoreError> {
     let rules = default_online_rules();
     for t in transitions {
-        emit(&format!(
-            "{{\"kind\":\"alert\",\"rule\":\"{}\",\"state\":\"{}\",\"eval\":{},\"value\":{}}}",
-            rules.get(t.rule).map_or("?", |r| r.name.as_str()),
-            if t.fired { "fired" } else { "resolved" },
-            t.eval,
-            json_f64(t.value),
-        ));
+        emit(
+            &BenchObject::default()
+                .string("kind", "alert")
+                .string("rule", rules.get(t.rule).map_or("?", |r| r.name.as_str()))
+                .string("state", if t.fired { "fired" } else { "resolved" })
+                .raw("eval", t.eval)
+                .float("value", t.value)
+                .compact(),
+        );
     }
     for dump in plane.dumps().iter().filter(|d| d.ordinal >= *dumps_seen) {
-        emit(&format!(
-            "{{\"kind\":\"flight_dump\",\"ordinal\":{},\"reason\":\"{}\",\"records\":{}}}",
-            dump.ordinal, dump.reason, dump.records,
-        ));
+        emit(
+            &BenchObject::default()
+                .string("kind", "flight_dump")
+                .raw("ordinal", dump.ordinal)
+                .string("reason", &dump.reason)
+                .raw("records", dump.records)
+                .compact(),
+        );
     }
     *dumps_seen = plane.dumps_total();
-    emit(&format!(
-        "{{\"kind\":\"batch\",\"batch\":{},\"arrivals\":{},\"committed\":{},\"rejected\":{},\"retired\":{},\"live\":{},\"root_power_watts\":{},\"min_rack_headroom_watts\":{},\"alerts_active\":{},\"peak_rss_bytes\":{}}}",
-        batch,
-        arrivals,
-        engine.committed(),
-        engine.rejected(),
-        engine.retired(),
-        engine.live_len(),
-        json_f64(engine.aggregates().peak(engine.topology().root())?),
-        json_f64(min_rack_headroom(engine)?),
-        plane.active_alerts().len(),
-        peak_rss_bytes().map_or_else(|| "null".to_string(), |bytes| bytes.to_string()),
-    ));
+    emit(
+        &BenchObject::default()
+            .string("kind", "batch")
+            .raw("batch", batch)
+            .raw("arrivals", arrivals)
+            .raw("committed", engine.committed())
+            .raw("rejected", engine.rejected())
+            .raw("retired", engine.retired())
+            .raw("live", engine.live_len())
+            .float(
+                "root_power_watts",
+                engine.aggregates().peak(engine.topology().root())?,
+            )
+            .float("min_rack_headroom_watts", min_rack_headroom(engine)?)
+            .raw("alerts_active", plane.active_alerts().len())
+            .nullable("peak_rss_bytes", peak_rss_bytes())
+            .compact(),
+    );
     Ok(())
 }
 

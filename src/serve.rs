@@ -52,7 +52,6 @@
 //! socket between the measurements) and writes `BENCH_daemon.json`,
 //! gated per phase and on its digests by `smoothop gate` in CI.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -63,7 +62,7 @@ use so_parallel::ThreadContext;
 use so_powertrace::quantile::quantile_sorted;
 use so_powertrace::{snap_samples, PowerTrace, MAX_SAMPLE_WATTS};
 use so_powertree::NodeId;
-use so_telemetry::export::{json_f64, BenchObject};
+use so_telemetry::export::BenchObject;
 use so_telemetry::{route_plane, HttpRequest, HttpResponse, HttpServer, LivePlane};
 
 use crate::scale::{
@@ -194,12 +193,14 @@ pub fn run_serve(
         })
     };
     let server = HttpServer::spawn(&config.listen, "smoothopd-http", handler)?;
-    announce(&format!(
-        "{{\"kind\":\"serving\",\"addr\":\"http://{}\",\"instances\":{},\"window\":{}}}",
-        server.addr(),
-        config.instances,
-        config.samples_per_trace
-    ));
+    announce(
+        &BenchObject::default()
+            .string("kind", "serving")
+            .string("addr", &format!("http://{}", server.addr()))
+            .raw("instances", config.instances)
+            .raw("window", config.samples_per_trace)
+            .compact(),
+    );
 
     let repair_thread = if config.repair_interval_ms > 0 && config.repair_budget > 0 {
         let state = Arc::clone(&state);
@@ -332,7 +333,7 @@ pub fn route_daemon(
         Route::Write(write) => with_state(state, |daemon| write(daemon, req)),
         Route::Shutdown => {
             stop.store(true, Ordering::Release);
-            HttpResponse::json("{\"status\":\"stopping\"}\n")
+            reply(BenchObject::default().string("status", "stopping"))
         }
     }
 }
@@ -357,30 +358,28 @@ fn state_poisoned() -> HttpResponse {
 
 fn fleet_summary(daemon: &DaemonFleet) -> HttpResponse {
     let fleet = daemon.fleet();
-    let mut body = String::from("{");
-    let _ = write!(
-        body,
-        "\"live_instances\":{},\"committed\":{},\"rejected\":{},\"retired\":{},",
-        fleet.live_len(),
-        fleet.committed(),
-        fleet.rejected(),
-        fleet.retired()
-    );
-    let _ = write!(
-        body,
-        "\"window\":{},\"samples_ingested\":{},\"samples_dropped\":{},\"batches_ingested\":{},",
-        daemon.window(),
-        daemon.samples_ingested(),
-        daemon.samples_dropped(),
-        daemon.batches_ingested()
-    );
-    let _ = write!(
-        body,
-        "\"mean_rack_asynchrony\":{}",
-        json_f64(daemon.mean_rack_asynchrony().unwrap_or(f64::NAN))
-    );
-    body.push_str("}\n");
-    HttpResponse::json(body)
+    reply(
+        BenchObject::default()
+            .raw("live_instances", fleet.live_len())
+            .raw("committed", fleet.committed())
+            .raw("rejected", fleet.rejected())
+            .raw("retired", fleet.retired())
+            .raw("window", daemon.window())
+            .raw("samples_ingested", daemon.samples_ingested())
+            .raw("samples_dropped", daemon.samples_dropped())
+            .raw("batches_ingested", daemon.batches_ingested())
+            .float(
+                "mean_rack_asynchrony",
+                daemon.mean_rack_asynchrony().unwrap_or(f64::NAN),
+            ),
+    )
+}
+
+/// A JSON reply: `body` compact, newline-terminated.
+fn reply(body: BenchObject) -> HttpResponse {
+    let mut text = body.compact();
+    text.push('\n');
+    HttpResponse::json(text)
 }
 
 fn headroom_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
@@ -395,11 +394,11 @@ fn headroom_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
                 Ok(v) => v,
                 Err(e) => return HttpResponse::error(500, format!("headroom failed: {e}")),
             };
-            HttpResponse::json(format!(
-                "{{\"min_rack_headroom_watts\":{},\"root_headroom_watts\":{}}}\n",
-                json_f64(min_rack),
-                json_f64(root)
-            ))
+            reply(
+                BenchObject::default()
+                    .float("min_rack_headroom_watts", min_rack)
+                    .float("root_headroom_watts", root),
+            )
         }
         Some(raw) => {
             let Ok(index) = raw.parse::<usize>() else {
@@ -409,10 +408,11 @@ fn headroom_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
                 return HttpResponse::error(404, format!("no node #{index}"));
             }
             match fleet.headroom(NodeId::new(index)) {
-                Ok(v) => HttpResponse::json(format!(
-                    "{{\"node\":{index},\"headroom_watts\":{}}}\n",
-                    json_f64(v)
-                )),
+                Ok(v) => reply(
+                    BenchObject::default()
+                        .raw("node", index)
+                        .float("headroom_watts", v),
+                ),
                 Err(e) => HttpResponse::error(500, format!("headroom failed: {e}")),
             }
         }
@@ -421,11 +421,14 @@ fn headroom_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
 
 fn asynchrony_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
     match req.query_param("rack") {
-        None => HttpResponse::json(format!(
-            "{{\"mean_rack_asynchrony\":{},\"racks\":{}}}\n",
-            json_f64(daemon.mean_rack_asynchrony().unwrap_or(f64::NAN)),
-            daemon.fleet().topology().racks().len()
-        )),
+        None => reply(
+            BenchObject::default()
+                .float(
+                    "mean_rack_asynchrony",
+                    daemon.mean_rack_asynchrony().unwrap_or(f64::NAN),
+                )
+                .raw("racks", daemon.fleet().topology().racks().len()),
+        ),
         Some(raw) => {
             let Ok(index) = raw.parse::<usize>() else {
                 return HttpResponse::bad_request(format!("malformed rack index {raw:?}"));
@@ -435,10 +438,11 @@ fn asynchrony_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
                 return HttpResponse::error(404, format!("node #{index} is not a rack"));
             }
             match daemon.rack_asynchrony(rack) {
-                Ok(score) => HttpResponse::json(format!(
-                    "{{\"rack\":{index},\"asynchrony\":{}}}\n",
-                    json_f64(score)
-                )),
+                Ok(score) => reply(
+                    BenchObject::default()
+                        .raw("rack", index)
+                        .float("asynchrony", score),
+                ),
                 Err(so_core::CoreError::EmptySet) => {
                     HttpResponse::error(404, format!("rack #{index} is empty"))
                 }
@@ -491,18 +495,17 @@ fn whatif_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
         Err(resp) => return resp,
     };
     match daemon.fleet().evaluate(rack, candidate.samples()) {
-        Ok(d) => HttpResponse::json(format!(
-            "{{\"rack\":{index},\"fits\":{},\"has_slot\":{},\"power_ok\":{},\
-             \"new_peak_watts\":{},\"peak_increase_watts\":{},\"headroom_watts\":{},\
-             \"asynchrony\":{}}}\n",
-            d.fits,
-            d.has_slot,
-            d.power_ok,
-            json_f64(d.new_peak_watts),
-            json_f64(d.peak_increase_watts),
-            json_f64(d.headroom_watts),
-            json_f64(d.asynchrony)
-        )),
+        Ok(d) => reply(
+            BenchObject::default()
+                .raw("rack", index)
+                .raw("fits", d.fits)
+                .raw("has_slot", d.has_slot)
+                .raw("power_ok", d.power_ok)
+                .float("new_peak_watts", d.new_peak_watts)
+                .float("peak_increase_watts", d.peak_increase_watts)
+                .float("headroom_watts", d.headroom_watts)
+                .float("asynchrony", d.asynchrony),
+        ),
         Err(e) => HttpResponse::error(500, format!("evaluate failed: {e}")),
     }
 }
@@ -521,13 +524,18 @@ fn admit_query(daemon: &DaemonFleet, policy: &CommitPolicy, req: &HttpRequest) -
         Err(e) => return HttpResponse::error(500, format!("admission probe failed: {e}")),
     };
     match select_decision(policy, &decisions) {
-        Some(d) => HttpResponse::json(format!(
-            "{{\"admits\":true,\"rack\":{},\"headroom_watts\":{},\"asynchrony\":{}}}\n",
-            d.rack.index(),
-            json_f64(d.headroom_watts),
-            json_f64(d.asynchrony)
-        )),
-        None => HttpResponse::json("{\"admits\":false,\"rack\":null}\n"),
+        Some(d) => reply(
+            BenchObject::default()
+                .raw("admits", true)
+                .raw("rack", d.rack.index())
+                .float("headroom_watts", d.headroom_watts)
+                .float("asynchrony", d.asynchrony),
+        ),
+        None => reply(
+            BenchObject::default()
+                .raw("admits", false)
+                .raw("rack", "null"),
+        ),
     }
 }
 
@@ -542,13 +550,13 @@ fn ingest_post(daemon: &mut DaemonFleet, body: &str) -> HttpResponse {
             if so_telemetry::enabled() {
                 so_telemetry::observe("so_daemon_ingest_batch_us", &[], ms_since(t0) * 1_000.0);
             }
-            HttpResponse::json(format!(
-                "{{\"applied\":{},\"dropped\":{},\"racks_touched\":{},\"samples_ingested\":{}}}\n",
-                report.applied,
-                report.dropped,
-                report.racks_touched,
-                daemon.samples_ingested()
-            ))
+            reply(
+                BenchObject::default()
+                    .raw("applied", report.applied)
+                    .raw("dropped", report.dropped)
+                    .raw("racks_touched", report.racks_touched)
+                    .raw("samples_ingested", daemon.samples_ingested()),
+            )
         }
         Err(e) => HttpResponse::bad_request(format!("ingest rejected: {e}")),
     }
@@ -657,14 +665,7 @@ fn arrive_post(daemon: &mut DaemonFleet, body: &str) -> HttpResponse {
             Err(e) => return HttpResponse::error(500, format!("arrive failed: {e}")),
         }
     }
-    let rendered: Vec<String> = committed
-        .iter()
-        .map(|slot| match slot {
-            Some(s) => s.to_string(),
-            None => "null".to_string(),
-        })
-        .collect();
-    HttpResponse::json(format!("{{\"committed\":[{}]}}\n", rendered.join(",")))
+    reply(BenchObject::default().nullables("committed", committed))
 }
 
 fn retire_post(daemon: &mut DaemonFleet, req: &HttpRequest) -> HttpResponse {
@@ -675,18 +676,18 @@ fn retire_post(daemon: &mut DaemonFleet, req: &HttpRequest) -> HttpResponse {
         return HttpResponse::bad_request(format!("malformed slot {raw:?}"));
     };
     match daemon.retire(slot) {
-        Ok(()) => HttpResponse::json(format!("{{\"retired\":{slot}}}\n")),
+        Ok(()) => reply(BenchObject::default().raw("retired", slot)),
         Err(e) => HttpResponse::error(409, format!("retire failed: {e}")),
     }
 }
 
 fn repair_post(daemon: &mut DaemonFleet) -> HttpResponse {
     match daemon.repair() {
-        Ok(report) => HttpResponse::json(format!(
-            "{{\"swaps\":{},\"moves\":{}}}\n",
-            report.swaps.len(),
-            2 * report.swaps.len()
-        )),
+        Ok(report) => reply(
+            BenchObject::default()
+                .raw("swaps", report.swaps.len())
+                .raw("moves", 2 * report.swaps.len()),
+        ),
         Err(e) => HttpResponse::error(500, format!("repair failed: {e}")),
     }
 }
@@ -974,6 +975,7 @@ impl DaemonScaleReport {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::fmt::Write as _;
     use std::io::{Read as _, Write as _};
     use std::net::TcpStream;
     use std::sync::mpsc;
@@ -1143,7 +1145,7 @@ mod tests {
         offline.ingest_batch(&updates).unwrap();
         let want = format!(
             "{{\"mean_rack_asynchrony\":{},\"racks\":{}}}\n",
-            json_f64(offline.mean_rack_asynchrony().unwrap_or(f64::NAN)),
+            offline.mean_rack_asynchrony().unwrap(),
             offline.fleet().topology().racks().len()
         );
 

@@ -151,12 +151,12 @@ fn planted_violation_fires_once_and_flight_dump_bit_matches_journal_suffix() {
     for _ in 0..2 {
         assert!(engine.arrive(&flat(300.0)).unwrap().is_some());
     }
-    assert!(engine.observe_batch().unwrap().is_empty());
+    assert!(engine.observe_batch(None).unwrap().is_empty());
     assert_eq!(plane.breaker_violations(), 0);
 
     // The planted breach: rejected, counted once, alerted once.
     assert!(engine.arrive(&flat(200.0)).unwrap().is_none());
-    let transitions = engine.observe_batch().unwrap();
+    let transitions = engine.observe_batch(None).unwrap();
     assert_eq!(plane.breaker_violations(), 1);
     assert_eq!(
         transitions
@@ -193,7 +193,7 @@ fn planted_violation_fires_once_and_flight_dump_bit_matches_journal_suffix() {
 
     // Hysteresis: a clean batch resolves, and the alert does not re-fire
     // until a fresh excursion begins.
-    let cleared = engine.observe_batch().unwrap();
+    let cleared = engine.observe_batch(None).unwrap();
     assert_eq!(
         cleared
             .iter()
@@ -271,15 +271,33 @@ fn online_gauges_reach_the_prometheus_exporter_and_the_report_renderer() {
     so_telemetry::install(sink.clone());
     let mut engine = micro_fleet();
     // A fragmentation reference turns on the per-level labeled gauges,
-    // set once per batch by `observe_batch`.
-    engine
-        .set_fragmentation_reference(Some(&flat(50.0)))
-        .unwrap();
+    // set once per batch by `observe_batch`. At 350 W it fits only an
+    // empty rack, so the occupied rack's headroom is stranded.
+    let reference = flat(350.0);
     let slot = engine.arrive(&flat(100.0)).unwrap().unwrap();
     engine.arrive(&flat(100.0)).unwrap();
     engine.retire(slot).unwrap();
-    engine.observe_batch().unwrap();
+    engine.observe_batch(Some(&reference)).unwrap();
     so_telemetry::uninstall();
+
+    // Every level's gauges carry exactly what `fragmentation` computes
+    // on the same engine.
+    let registry = sink.snapshot();
+    let levels = engine.fragmentation(&reference).unwrap();
+    assert!(levels.iter().any(|level| level.stranded_watts > 0.0));
+    for level in &levels {
+        let labels = [("level", level.level.short_name())];
+        assert_eq!(
+            registry.gauge("so_online_stranded_watts", &labels),
+            Some(level.stranded_watts),
+            "{labels:?}"
+        );
+        assert_eq!(
+            registry.gauge("so_online_fragmentation_ratio", &labels),
+            Some(level.ratio),
+            "{labels:?}"
+        );
+    }
 
     let prometheus = sink.prometheus();
     for needle in [
