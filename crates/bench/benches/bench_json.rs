@@ -85,7 +85,7 @@ fn render_json(
         .string("benchmark", name)
         .fixed("wall_ms", wall_ms, 3);
     for (key, value) in extra {
-        doc = doc.raw(key, value);
+        doc = doc.raw(&key.to_string(), value);
     }
     let mut metrics = BenchObject::default();
     for (key, value) in snapshot.counters() {

@@ -85,6 +85,7 @@ pub use remap::{
 };
 pub use score::{
     asynchrony_score, averaged_peer_trace, differential_score, differential_score_excluding,
-    instance_to_service_score, pairwise_score, pairwise_score_samples, peak_of_sum_samples,
+    instance_to_service_score, pairwise_score, pairwise_score_from_peaks, pairwise_score_samples,
+    peak_of_sum_samples,
 };
 pub use straces::ServiceTraces;

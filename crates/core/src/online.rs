@@ -9,10 +9,13 @@
 //! deterministic event stream of batch arrivals and retirements:
 //!
 //! * every **arrival** is committed immediately to the best admissible
-//!   rack under a pluggable [`CommitPolicy`], evaluated against the
-//!   cached aggregate rows and peaks: one fused [`peak_of_sum_samples`]
-//!   pass per candidate rack, plus one budget check per distinct ancestor
-//!   of the probed racks, usually O(1) (see [`OnlineFleet::evaluate`]);
+//!   rack under a pluggable [`CommitPolicy`], found by a bound-ordered
+//!   search over the probed racks: one cached sample per probe bounds its
+//!   rank, and only racks whose bound can still win get a fused
+//!   [`peak_of_sum_samples`] pass and their ancestor budget checks,
+//!   usually O(1) each — about 2 of 64 sampled probes at 50k instances
+//!   (see `OnlineFleet::search_racks`). The choice is the full scan's
+//!   ([`OnlineFleet::decisions`], [`select_decision`]) bit for bit;
 //! * every **retirement** releases its slot and subtracts its row from
 //!   the touched power path;
 //! * a configurable **repair budget** amortizes cleanup between batches
@@ -44,6 +47,7 @@
 //!
 //! [`peak_of_sum_samples`]: crate::score::peak_of_sum_samples
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -651,8 +655,8 @@ impl OnlineFleet {
         Ok((traces, assignment, slots))
     }
 
-    /// Evaluates admitting `candidate` onto one rack — the one-rack case
-    /// of the batched evaluator behind [`arrive`](Self::arrive) and
+    /// Evaluates admitting `candidate` onto one rack — the exact
+    /// evaluation behind [`arrive`](Self::arrive) and
     /// [`decisions`](Self::decisions), bit-identical to the materializing
     /// [`crate::admission_decisions`] arithmetic. The candidate is snapped
     /// exactly as [`arrive`](Self::arrive) snaps it.
@@ -671,8 +675,10 @@ impl OnlineFleet {
     /// exact range.
     pub fn evaluate(&self, rack: NodeId, candidate: &[f64]) -> Result<LeafDecision, CoreError> {
         let candidate = snap_samples(candidate)?;
-        let checks = AncestorChecks::new(self, &[rack], &candidate)?;
-        self.decide(rack, &candidate, &checks)
+        let candidate_peak = peak_of_samples(&candidate);
+        self.decide(rack, &candidate, candidate_peak, |node| {
+            self.ancestor_holds(node, &candidate, candidate_peak)
+        })
     }
 
     /// Evaluates `candidate` (snapped) against every rack, in ascending
@@ -686,37 +692,129 @@ impl OnlineFleet {
         self.evaluate_racks(self.topology.racks(), &snap_samples(candidate.samples())?)
     }
 
-    /// The batched evaluator behind [`arrive`](Self::arrive),
-    /// [`decisions`](Self::decisions) and
+    /// The full per-rack scan behind [`decisions`](Self::decisions) and
     /// [`fragmentation`](Self::fragmentation): one decision per rack of
     /// `racks`, positionally. The candidate's peak is taken once and every
     /// *distinct* ancestor of the probed racks has its budget checked once
-    /// ([`AncestorChecks`]), so each rack costs one fused O(T) pass.
-    /// [`evaluate`](Self::evaluate) is the same pair of steps for one rack.
+    /// up front ([`AncestorChecks::check_all`]), so each rack costs one
+    /// fused O(T) pass.
     ///
-    /// A probe set smaller than two [`SCAN_GRAIN`]s (every sampled
-    /// arrival) runs on the caller thread; larger scans split into
-    /// positional lanes, so the result is the same at any thread count.
+    /// A probe set smaller than two [`SCAN_GRAIN`]s runs on the caller
+    /// thread; larger scans split into positional lanes, so the result is
+    /// the same at any thread count.
     fn evaluate_racks(
         &self,
         racks: &[NodeId],
         candidate: &[f64],
     ) -> Result<Vec<LeafDecision>, CoreError> {
-        let checks = AncestorChecks::new(self, racks, candidate)?;
+        let mut checks = AncestorChecks::new(self, candidate);
+        checks.check_all(self, racks, candidate)?;
         par_map(racks, SCAN_GRAIN, |_, &rack| {
-            self.decide(rack, candidate, &checks)
+            self.decide(rack, candidate, checks.candidate_peak, |node| {
+                Ok(checks.holds(node))
+            })
         })
         .into_iter()
         .collect()
     }
 
+    /// The arrival path's search: the decisions of the probed `racks` that
+    /// a bound-ordered search evaluates exactly, in ascending rack order.
+    /// [`select_decision`] over them picks the rack it picks over every
+    /// probe, and when none fits, every probe with a free slot is among
+    /// them, so the breaker-violation flag is the full scan's too.
+    ///
+    /// **The bound.** Let `p` be the candidate's peak and `c` the first
+    /// index where it occurs. Every resident sum is exact, so
+    /// `lb = agg[rack][c] + p` is a sample of the rack's sum with the
+    /// candidate and never exceeds its new peak. That bounds the whole
+    /// ranking key of [`select_decision`] from the winning side:
+    ///
+    /// * asynchrony ≤ `pairwise_score_from_peaks(old_peak, p, lb)`: the
+    ///   same float operations as the exact score, over a denominator no
+    ///   larger than `new_peak` (and a zero `lb` scores 2.0, which no
+    ///   pairwise score exceeds), and correctly rounded division is
+    ///   monotone, so the rounded bound is never below the rounded score;
+    /// * peak increase ≥ `lb − old_peak`, and headroom ≤ `budget − lb`,
+    ///   for the same reason;
+    /// * FirstFit's key is the rack id itself;
+    /// * an empty rack's bound is exact: its sum is zero, so `lb = p`, and
+    ///   its asynchrony is 2.0 either way.
+    ///
+    /// **The search.** Probes with no free slot are skipped: they cannot
+    /// fit and never set the breaker flag. The rest are sorted best bound
+    /// first ([`RankKey`]: the policy's key, then the rack id) and
+    /// evaluated in that order with the exact [`decide`](Self::decide). The
+    /// search stops at the first rack whose bound cannot beat the best
+    /// fitting decision so far; every later rack's bound, and so its exact
+    /// key, ranks below that decision. A tie on asynchrony is settled by
+    /// the peak-increase bound and then the rack id, so it neither ends
+    /// the search nor forces an evaluation. Nothing is pruned before some
+    /// rack fits.
+    ///
+    /// Ancestor budgets are checked only on the root paths of the racks
+    /// evaluated, each node at most once ([`AncestorChecks::check`]).
+    fn search_racks(
+        &self,
+        racks: &[NodeId],
+        candidate: &[f64],
+    ) -> Result<Vec<LeafDecision>, CoreError> {
+        let policy = self.config.policy;
+        let mut checks = AncestorChecks::new(self, candidate);
+        let candidate_peak = checks.candidate_peak;
+        // Any index gives a valid bound; the peak's gives the tightest
+        // from the candidate's side.
+        let at = candidate
+            .iter()
+            .position(|&v| v == candidate_peak)
+            .unwrap_or(0);
+        let capacity = self.topology.rack_capacity();
+        let mut bounds = Vec::with_capacity(racks.len());
+        for &rack in racks {
+            if self.members[rack.index()].len() >= capacity {
+                continue;
+            }
+            let lb = self.aggregates.trace(rack)?.samples()[at] + candidate[at];
+            let old_peak = self.aggregates.peak(rack)?;
+            bounds.push(RankKey::new(
+                &policy,
+                rack,
+                admission_asynchrony(old_peak, candidate_peak, lb),
+                lb - old_peak,
+                self.budgets[rack.index()] - lb,
+            ));
+        }
+        bounds.sort_unstable_by(RankKey::order);
+
+        let mut decisions = Vec::new();
+        let mut best: Option<RankKey> = None;
+        for bound in bounds {
+            if best.is_some_and(|best| !bound.beats(&best)) {
+                break;
+            }
+            let decision = self.decide(bound.rack, candidate, candidate_peak, |node| {
+                checks.check(self, node, candidate)
+            })?;
+            if decision.fits {
+                let key = RankKey::of(&policy, &decision);
+                if best.map_or(true, |best| key.beats(&best)) {
+                    best = Some(key);
+                }
+            }
+            decisions.push(decision);
+        }
+        decisions.sort_unstable_by_key(|d| d.rack);
+        Ok(decisions)
+    }
+
     /// One rack's decision. The root path is walked upward and stops at
-    /// the first veto; each ancestor's verdict comes from `checks`.
+    /// the first veto; `holds` gives each ancestor's verdict.
     fn decide(
         &self,
         rack: NodeId,
         candidate: &[f64],
-        checks: &AncestorChecks,
+        candidate_peak: f64,
+        mut holds: impl FnMut(NodeId) -> Result<bool, CoreError>,
     ) -> Result<LeafDecision, CoreError> {
         let row = self.aggregates.trace(rack)?.samples();
         let new_peak = peak_of_sum_samples(row, candidate)?;
@@ -726,14 +824,10 @@ impl OnlineFleet {
         let mut power_ok = new_peak <= budget;
         let mut node = self.topology.node(rack)?;
         while let Some(parent) = node.parent().filter(|_| power_ok) {
-            power_ok = checks.holds(parent);
+            power_ok = holds(parent)?;
             node = self.topology.node(parent)?;
         }
-        let asynchrony = if old_peak > 0.0 {
-            pairwise_score_from_peaks(old_peak, checks.candidate_peak, new_peak)
-        } else {
-            2.0
-        };
+        let asynchrony = admission_asynchrony(old_peak, candidate_peak, new_peak);
         Ok(LeafDecision {
             rack,
             fits: has_slot && power_ok,
@@ -744,6 +838,22 @@ impl OnlineFleet {
             headroom_watts: budget - new_peak,
             asynchrony,
         })
+    }
+
+    /// Whether the budget at `node`, an ancestor of a probed rack, holds
+    /// with `candidate` added below it. An ancestor vetoes only when
+    /// `peak > budget`, as in the materializing `admission_decisions`, so
+    /// a NaN ancestor budget admits (the rack's own check is
+    /// `peak <= budget`).
+    fn ancestor_holds(
+        &self,
+        node: NodeId,
+        candidate: &[f64],
+        candidate_peak: f64,
+    ) -> Result<bool, CoreError> {
+        let budget = self.budgets[node.index()];
+        Ok(budget.is_nan()
+            || budget_holds(&self.aggregates, node, budget, candidate, candidate_peak)?)
     }
 
     /// The candidate racks the configured policy probes for arrival
@@ -763,7 +873,13 @@ impl OnlineFleet {
 
     /// Offers one arrival, snapped onto the exact grid; returns the
     /// committed slot, or `None` when no rack is admissible (the arrival
-    /// is rejected and journaled).
+    /// is rejected and journaled). The rack is the one
+    /// [`select_decision`] picks over [`evaluate`](Self::evaluate) of
+    /// every probed rack, found by evaluating only the probes whose
+    /// one-sample bound can still win (`search_racks`). With telemetry
+    /// installed, the probes evaluated exactly and the probes pruned are
+    /// counted in `so_online_probe_passes_total` and
+    /// `so_online_probes_pruned_total`.
     ///
     /// # Errors
     ///
@@ -775,9 +891,18 @@ impl OnlineFleet {
         let row = snap_samples(candidate.samples())?;
         let ordinal = self.arrivals_seen;
         let candidates = self.candidate_racks(ordinal);
-        let decisions = self.evaluate_racks(&candidates, &row)?;
+        let decisions = self.search_racks(&candidates, &row)?;
         let choice = select_decision(&self.config.policy, &decisions);
         self.arrivals_seen += 1;
+        if so_telemetry::enabled() {
+            let passes = decisions.len() as u64;
+            so_telemetry::counter_add("so_online_probe_passes_total", &[], passes);
+            so_telemetry::counter_add(
+                "so_online_probes_pruned_total",
+                &[],
+                candidates.len() as u64 - passes,
+            );
+        }
 
         let Some(best) = choice else {
             self.rejected += 1;
@@ -785,7 +910,8 @@ impl OnlineFleet {
             // power budget said no is a breaker-budget violation — the
             // anomaly the paper's fragmentation accounting exists to
             // surface. It triggers an immediate postmortem dump and
-            // feeds the plane's violation-delta alert signal.
+            // feeds the plane's violation-delta alert signal. Nothing was
+            // pruned, so every probe with a free slot is in `decisions`.
             let breaker_bound = decisions.iter().any(|d| d.has_slot && !d.power_ok);
             self.push_journal(EventRecord::Rejected { ordinal });
             if breaker_bound {
@@ -1242,40 +1368,139 @@ impl RemapNodes for ResidentRacks<'_> {
     }
 }
 
-/// One candidate's budget checks at every distinct ancestor of a set of
-/// probed racks, each checked once: racks under one RPP/SB/MSB share
-/// their path checks instead of re-reading the same node rows per rack.
+/// One candidate's ancestor budget verdicts, memoized by node id: racks
+/// under one RPP/SB/MSB share their path checks, and no node is checked
+/// twice for one candidate.
 struct AncestorChecks {
-    /// The candidate's peak, taken once for the batch.
+    /// The candidate's peak, taken once.
     candidate_peak: f64,
-    /// The ancestors whose budget the candidate would breach, descending id.
-    vetoes: Vec<NodeId>,
+    /// Per node id: `None` until checked, then whether its budget holds.
+    verdicts: Vec<Option<bool>>,
 }
 
 impl AncestorChecks {
-    fn new(fleet: &OnlineFleet, racks: &[NodeId], candidate: &[f64]) -> Result<Self, CoreError> {
-        let candidate_peak = peak_of_samples(candidate);
-        let mut vetoes = Vec::new();
-        for node in fleet.topology.ancestor_set(racks)? {
-            // An ancestor vetoes only when `peak > budget`, as in the
-            // materializing `admission_decisions`, so a NaN ancestor
-            // budget admits (the rack's own check is `peak <= budget`).
-            let budget = fleet.budgets[node.index()];
-            if !budget.is_nan()
-                && !budget_holds(&fleet.aggregates, node, budget, candidate, candidate_peak)?
-            {
-                vetoes.push(node);
-            }
+    /// No node checked yet.
+    fn new(fleet: &OnlineFleet, candidate: &[f64]) -> Self {
+        Self {
+            candidate_peak: peak_of_samples(candidate),
+            verdicts: vec![None; fleet.topology.len()],
         }
-        Ok(Self {
-            candidate_peak,
-            vetoes,
-        })
     }
 
-    /// Whether the budget at `node`, an ancestor of a probed rack, holds.
+    /// Whether `node`'s budget holds, checked on first use.
+    fn check(
+        &mut self,
+        fleet: &OnlineFleet,
+        node: NodeId,
+        candidate: &[f64],
+    ) -> Result<bool, CoreError> {
+        if let Some(holds) = self.verdicts[node.index()] {
+            return Ok(holds);
+        }
+        let holds = fleet.ancestor_holds(node, candidate, self.candidate_peak)?;
+        self.verdicts[node.index()] = Some(holds);
+        Ok(holds)
+    }
+
+    /// Checks every distinct ancestor of `racks` up front, so a parallel
+    /// scan can read the verdicts through [`holds`](Self::holds).
+    fn check_all(
+        &mut self,
+        fleet: &OnlineFleet,
+        racks: &[NodeId],
+        candidate: &[f64],
+    ) -> Result<(), CoreError> {
+        for node in fleet.topology.ancestor_set(racks)? {
+            self.check(fleet, node, candidate)?;
+        }
+        Ok(())
+    }
+
+    /// The verdict at `node`, an ancestor [`check_all`](Self::check_all)
+    /// covered.
     fn holds(&self, node: NodeId) -> bool {
-        self.vetoes.binary_search_by(|a| node.cmp(a)).is_err()
+        self.verdicts[node.index()].expect("every probed ancestor is checked up front")
+    }
+}
+
+/// A rack's rank under a commit policy, best first: the policy's key
+/// (`primary` higher, then `secondary` lower), then the lower rack id —
+/// the order [`select_decision`] ranks fitting decisions in. The arrival
+/// search builds one from each probe's bounds and one from each fitting
+/// decision. No field is NaN: asynchrony and peak increase never are, and
+/// a NaN headroom (a NaN budget, which never fits) ranks as −∞.
+#[derive(Debug, Clone, Copy)]
+struct RankKey {
+    /// Asynchrony, headroom, or `0.0` under FirstFit.
+    primary: f64,
+    /// Peak increase under the asynchrony policies, else `0.0`.
+    secondary: f64,
+    /// The last tie-break.
+    rack: NodeId,
+}
+
+impl RankKey {
+    fn new(
+        policy: &CommitPolicy,
+        rack: NodeId,
+        asynchrony: f64,
+        peak_increase: f64,
+        headroom: f64,
+    ) -> Self {
+        let (primary, secondary) = match policy {
+            CommitPolicy::FirstFit => (0.0, 0.0),
+            CommitPolicy::WorstFit if headroom.is_nan() => (f64::NEG_INFINITY, 0.0),
+            CommitPolicy::WorstFit => (headroom, 0.0),
+            CommitPolicy::BestAsynchrony | CommitPolicy::Sampling { .. } => {
+                (asynchrony, peak_increase)
+            }
+        };
+        Self {
+            primary,
+            secondary,
+            rack,
+        }
+    }
+
+    /// The exact rank of a fitting decision.
+    fn of(policy: &CommitPolicy, d: &LeafDecision) -> Self {
+        Self::new(
+            policy,
+            d.rack,
+            d.asynchrony,
+            d.peak_increase_watts,
+            d.headroom_watts,
+        )
+    }
+
+    /// Whether `self` ranks strictly above `other`.
+    fn beats(&self, other: &Self) -> bool {
+        self.primary > other.primary
+            || (self.primary == other.primary
+                && (self.secondary < other.secondary
+                    || (self.secondary == other.secondary && self.rack < other.rack)))
+    }
+
+    /// Best first; a total order, since no field is NaN and rack ids differ.
+    fn order(a: &Self, b: &Self) -> Ordering {
+        if a.beats(b) {
+            Ordering::Less
+        } else if b.beats(a) {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    }
+}
+
+/// A candidate's pairwise asynchrony against a rack whose aggregate peaks
+/// at `old_peak`, when their sum peaks at `new_peak`: the float operations
+/// of [`crate::pairwise_score_samples`], and 2.0 for a zero aggregate.
+fn admission_asynchrony(old_peak: f64, candidate_peak: f64, new_peak: f64) -> f64 {
+    if old_peak > 0.0 {
+        pairwise_score_from_peaks(old_peak, candidate_peak, new_peak)
+    } else {
+        2.0
     }
 }
 

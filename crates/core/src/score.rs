@@ -133,7 +133,14 @@ pub fn pairwise_score_samples(a: &[f64], b: &[f64]) -> Result<f64, CoreError> {
 /// scores `2.0`. [`pairwise_score_samples`] is this function over three
 /// folds, so a caller that already holds the peaks (the online engine
 /// caches every node's) gets the same bits without re-reading either row.
-pub(crate) fn pairwise_score_from_peaks(peak_a: f64, peak_b: f64, aggregate_peak: f64) -> f64 {
+///
+/// A lower bound on the aggregate peak gives an upper bound on the score,
+/// which is how the online engine prunes arrival probes: for
+/// non-negative peaks a smaller positive `aggregate_peak` never scores
+/// lower (correctly rounded division is monotone), and a real aggregate
+/// peaks at least as high as each member, so no score exceeds the `2.0`
+/// of a zero aggregate.
+pub fn pairwise_score_from_peaks(peak_a: f64, peak_b: f64, aggregate_peak: f64) -> f64 {
     let mut peak_sum = 0.0;
     peak_sum += peak_a;
     peak_sum += peak_b;

@@ -9,15 +9,21 @@
 //! shortcut bound give the materializing path's decisions bit for bit.
 //! The reference side sees the candidate snapped onto the exact grid, as
 //! the engine does, so the bounds it builds sit exactly on the engine's.
+//! Tie-heavy fleets (flat and repeated rows) hold the bound-pruned arrival
+//! search to the same choice and breaker-violation flag as a full scan,
+//! and a last proptest pins the one-sample bound the search prunes with.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use so_core::{
-    admission_decisions, offline_choose, CommitPolicy, LeafDecision, OnlineConfig, OnlineFleet,
+    admission_decisions, offline_choose, pairwise_score_from_peaks, sample_racks, CommitPolicy,
+    LeafDecision, OnlineConfig, OnlineFleet,
 };
 use so_powertrace::{peak_of_samples, snap_samples, PowerTrace, TimeGrid};
 use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology};
+use so_telemetry::{default_online_rules, LivePlane, RecordingSink};
 
 /// 1 suite × 2 MSB × 1 SB × 1 RPP × 2 racks: racks 0–1 share one
 /// RPP/SB/MSB path, racks 2–3 the other.
@@ -207,6 +213,27 @@ fn samples() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(0.0f64..150.0, 4..=4)
 }
 
+/// A fleet of rows and a candidate: random, or tie-heavy — every row one
+/// of a few flat levels, one random shape, or that shape with its first
+/// sample dropped to zero — so that asynchrony and peak-increase ties
+/// occur and one-sample bounds are both tight and loose.
+fn rows_and_candidate() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<f64>)> {
+    let random = (prop::collection::vec(samples(), 0..=10), samples());
+    let tied = (
+        samples(),
+        prop::collection::vec(0usize..5, 0..=10),
+        0usize..5,
+    )
+        .prop_map(|(shape, picks, pick)| {
+            let mut dipped = shape.clone();
+            dipped[0] = 0.0;
+            let pool = [vec![25.0; 4], vec![50.0; 4], vec![75.0; 4], shape, dipped];
+            let fleet = picks.iter().map(|&i| pool[i].clone()).collect();
+            (fleet, pool[pick].clone())
+        });
+    prop_oneof![random, tied]
+}
+
 fn policy() -> impl Strategy<Value = CommitPolicy> {
     prop_oneof![
         Just(CommitPolicy::BestAsynchrony),
@@ -242,8 +269,7 @@ proptest! {
     /// fallback everywhere) and one random per-node mix.
     #[test]
     fn shortcut_and_shared_checks_match_materialized_admission(
-        fleet in prop::collection::vec(samples(), 0..=10),
-        candidate in samples(),
+        (fleet, candidate) in rows_and_candidate(),
         mix in prop::collection::vec(0u8..8, 12..=12),
         policy in policy(),
     ) {
@@ -258,6 +284,12 @@ proptest! {
                 ..OnlineConfig::default()
             },
         );
+        let plane = Arc::new(LivePlane::new(
+            Arc::new(RecordingSink::with_virtual_clock()),
+            16,
+            default_online_rules(),
+        ));
+        engine.attach_plane(plane.clone());
         for row in fleet {
             engine.arrive(&PowerTrace::new(row, 60).unwrap()).unwrap();
         }
@@ -295,6 +327,8 @@ proptest! {
                     .unwrap();
             let scan = probe.decisions(&candidate).unwrap();
             prop_assert_eq!(scan.len(), topology.racks().len());
+            // Per rack, `has_slot && !power_ok` on the reference side.
+            let mut breaker_bound = BTreeMap::new();
             for (d, &rack) in scan.iter().zip(topology.racks()) {
                 let single = probe.evaluate(rack, candidate.samples()).unwrap();
                 prop_assert_eq!(bits(&single), bits(d), "evaluate vs decisions, modes {:?}", modes);
@@ -326,6 +360,7 @@ proptest! {
                     ],
                 );
                 prop_assert_eq!(bits(d), want, "rack {} under modes {:?}: {:?} vs {:?}", rack, modes, bits(d), want);
+                breaker_bound.insert(rack, has_slot && !power_ok);
             }
 
             let chosen = offline_choose(
@@ -339,7 +374,15 @@ proptest! {
                 probe.arrivals_seen(),
             )
             .unwrap();
+            let probed = match policy {
+                CommitPolicy::Sampling { probes } => {
+                    sample_racks(topology.racks(), 3, probe.arrivals_seen(), probes)
+                }
+                _ => topology.racks().to_vec(),
+            };
+            let violated = probed.iter().any(|rack| breaker_bound[rack]);
             let mut committing = probe;
+            let before = plane.breaker_violations();
             let slot = committing.arrive(&candidate).unwrap();
             prop_assert_eq!(
                 slot.map(|s| committing.rack_of(s).unwrap()),
@@ -347,6 +390,53 @@ proptest! {
                 "arrive vs offline_choose under modes {:?}",
                 modes
             );
+            prop_assert_eq!(
+                plane.breaker_violations() - before,
+                u64::from(slot.is_none() && violated),
+                "breaker-violation flag under modes {:?}",
+                modes
+            );
+        }
+    }
+
+    /// The one-sample bound the arrival search prunes with: for any index
+    /// `t`, `lb = agg[t] + cand[t]` never exceeds the rack's new peak, so
+    /// the key built from it never ranks below the exact decision —
+    /// asynchrony bound ≥ score, increase bound ≤ increase, headroom bound
+    /// ≥ headroom — under the same float operations as the exact path.
+    #[test]
+    fn one_sample_bound_never_ranks_below_the_exact_decision(
+        (fleet, candidate) in rows_and_candidate(),
+        t in 0usize..4,
+    ) {
+        let topology = topo();
+        let mut engine = OnlineFleet::new(
+            topology.clone(),
+            TimeGrid::new(60, 4),
+            OnlineConfig {
+                policy: CommitPolicy::BestAsynchrony,
+                repair_budget: 0,
+                ..OnlineConfig::default()
+            },
+        );
+        for row in fleet {
+            engine.arrive(&PowerTrace::new(row, 60).unwrap()).unwrap();
+        }
+        let candidate = snap_samples(&candidate).unwrap();
+        let candidate_peak = peak_of_samples(&candidate);
+        for &rack in topology.racks() {
+            let exact = engine.evaluate(rack, &candidate).unwrap();
+            let old_peak = engine.aggregates().peak(rack).unwrap();
+            let lb = engine.aggregates().trace(rack).unwrap().samples()[t] + candidate[t];
+            prop_assert!(lb <= exact.new_peak_watts);
+            let asynchrony = if old_peak > 0.0 {
+                pairwise_score_from_peaks(old_peak, candidate_peak, lb)
+            } else {
+                2.0
+            };
+            prop_assert!(asynchrony >= exact.asynchrony, "rack {}: {} < {}", rack, asynchrony, exact.asynchrony);
+            prop_assert!(lb - old_peak <= exact.peak_increase_watts);
+            prop_assert!(engine.budgets()[rack.index()] - lb >= exact.headroom_watts);
         }
     }
 }

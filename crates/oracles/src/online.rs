@@ -18,27 +18,33 @@
 //! | `retiring_everything_zeroes_aggregates` | every node trace after full retirement | exactly `0.0` |
 //! | `counters_account_for_every_event` | engine counters vs journal arithmetic | exact |
 //! | `fragmentation_is_bounded` | per-level stranded watts vs headroom | `0 ≤ stranded ≤ headroom` |
+//! | `pruned_selection_matches_full_scan` | each bound-pruned [`OnlineFleet::arrive`] on a tie-heavy 128-rack fleet (64-probe sampling and every full-scan policy, tight RPP/SB budgets, flat and repeated rows, empty and full racks) vs [`select_decision`] over [`OnlineFleet::evaluate`] of every probed rack on the pre-state | same rack, same breaker-violation count |
 //!
 //! Everything except the two bounds checks is *exact*: resident samples
 //! sit on the exact grid of [`so_powertrace::snap_samples`], where every
 //! order of addition gives the same bits, and the fused probes perform
 //! the same float operations as the offline paths, so any ULP of drift
 //! is a bug. [`check_resident_aggregates`], [`check_shuffled_recompute`],
-//! [`check_commit_decision`], [`check_rack_asynchrony`] and
-//! [`check_repair`] are exported so mutation tests can feed deliberately
-//! broken states through the same checkers the battery runs.
+//! [`check_commit_decision`], [`check_rack_asynchrony`],
+//! [`check_repair`] and [`check_pruned_selection`] are exported so
+//! mutation tests can feed deliberately broken states or searches through
+//! the same checkers the battery runs.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
+use rand::SeedableRng;
 use so_core::{
-    admission_decisions, asynchrony_score, differential_score, offline_choose, CommitPolicy,
-    CoreError, EventRecord, OnlineConfig, OnlineFleet, RemapConfig, RemapReport, SwapRecord,
+    admission_decisions, asynchrony_score, differential_score, offline_choose, sample_racks,
+    select_decision, CommitPolicy, CoreError, EventRecord, LeafDecision, OnlineConfig, OnlineFleet,
+    RemapConfig, RemapReport, SwapRecord,
 };
 use so_powertrace::{peak_of_samples, NodeAggregate, PowerTrace, TimeGrid, MAX_SAMPLE_WATTS};
 use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology};
+use so_telemetry::{default_online_rules, LivePlane, RecordingSink};
 
 use crate::{Fixture, OracleError, OracleFamily, OracleReport};
 
@@ -119,6 +125,144 @@ pub fn run(
             arrive_retire_identity(&engine, &traces[0], report)?;
         }
         retire_all_zeroes(engine, report)?;
+    }
+    check_pruned_selection(fixture.seed, engine_arrival, report)
+}
+
+/// One arrival's outcome as a claim: the rack it was committed to (`None`
+/// for a rejection) and the breaker-budget violations it recorded.
+pub type ArrivalClaim = (Option<NodeId>, u64);
+
+/// The production claim: [`OnlineFleet::arrive`]'s rack, and the count by
+/// which the attached plane's `breaker_violations` rose.
+///
+/// # Errors
+///
+/// Propagates arrival errors.
+pub fn engine_arrival(
+    engine: &mut OnlineFleet,
+    candidate: &PowerTrace,
+) -> Result<ArrivalClaim, CoreError> {
+    let violations = |engine: &OnlineFleet| engine.plane().map_or(0, |p| p.breaker_violations());
+    let before = violations(engine);
+    let slot = engine.arrive(candidate)?;
+    let rack = slot.and_then(|s| engine.rack_of(s));
+    Ok((rack, violations(engine) - before))
+}
+
+/// Arrivals per policy in [`check_pruned_selection`]; one in four steps
+/// also retires a live instance.
+const PRUNED_ARRIVALS: usize = 480;
+
+/// Drives a tie-heavy fleet under 64-probe sampling and under every
+/// full-scan policy, and holds each arrival's claim against the full scan
+/// on the pre-state: [`select_decision`] over [`OnlineFleet::evaluate`] of
+/// every probed rack, with one breaker-budget violation exactly when no
+/// probe fits and some probe has a slot but not the power. `arrive` makes
+/// the claim for one arrival and must leave it committed (the production
+/// claim is [`engine_arrival`]).
+///
+/// The fleet has 128 racks of 3 slots under RPP and SB budgets tight
+/// enough to veto, starts empty and fills racks to capacity. Candidates
+/// repeat, drawn from flat rows, the same rows with their first sample
+/// zeroed and a few seeded shapes, so probes tie on asynchrony and peak
+/// increase while their one-sample bounds are tight for some racks and
+/// loose for others.
+///
+/// # Errors
+///
+/// Propagates engine and claim errors.
+pub fn check_pruned_selection(
+    seed: u64,
+    mut arrive: impl FnMut(&mut OnlineFleet, &PowerTrace) -> Result<ArrivalClaim, CoreError>,
+    report: &mut OracleReport,
+) -> Result<(), OracleError> {
+    let topology = PowerTopology::builder()
+        .suites(1)
+        .msbs_per_suite(2)
+        .sbs_per_msb(2)
+        .rpps_per_sb(4)
+        .racks_per_rpp(8)
+        .rack_capacity(3)
+        .rack_budget_watts(100.0)
+        .name("pruned-selection")
+        .build()?;
+    let budgets: Vec<f64> = topology
+        .nodes()
+        .iter()
+        .map(|n| match n.level() {
+            Level::Rack => 100.0,
+            Level::Rpp => 320.0,
+            Level::Sb => 1_000.0,
+            _ => 100_000.0,
+        })
+        .collect();
+    let grid = TimeGrid::new(60, 8);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9E37_79B9);
+    let mut pool: Vec<Vec<f64>> = [8.0, 16.0, 24.0, 32.0].map(|w| vec![w; 8]).to_vec();
+    pool.extend((0..4).map(|_| (0..8).map(|_| f64::from(rng.gen_range(0u8..40))).collect()));
+    for i in 0..pool.len() {
+        let mut dipped = pool[i].clone();
+        dipped[0] = 0.0;
+        pool.push(dipped);
+    }
+    let pool = pool
+        .into_iter()
+        .map(|row| PowerTrace::new(row, grid.step_minutes()))
+        .collect::<Result<Vec<_>, _>>()?;
+
+    for policy in [
+        CommitPolicy::Sampling { probes: 64 },
+        CommitPolicy::BestAsynchrony,
+        CommitPolicy::FirstFit,
+        CommitPolicy::WorstFit,
+    ] {
+        let config = OnlineConfig {
+            policy,
+            repair_budget: 0,
+            sample_salt: seed,
+            ..OnlineConfig::default()
+        };
+        let mut engine = OnlineFleet::new(topology.clone(), grid, config)
+            .with_budgets(budgets.clone())
+            .map_err(OracleError::Core)?;
+        engine.attach_plane(Arc::new(LivePlane::new(
+            Arc::new(RecordingSink::with_virtual_clock()),
+            16,
+            default_online_rules(),
+        )));
+        for step in 0..PRUNED_ARRIVALS {
+            if step % 4 == 3 {
+                let live = engine.live_slots();
+                if !live.is_empty() {
+                    engine
+                        .retire(live[rng.gen_range(0..live.len())])
+                        .map_err(OracleError::Core)?;
+                }
+            }
+            let candidate = &pool[rng.gen_range(0..pool.len())];
+            let probed = match policy {
+                CommitPolicy::Sampling { probes } => {
+                    sample_racks(topology.racks(), seed, engine.arrivals_seen(), probes)
+                }
+                _ => topology.racks().to_vec(),
+            };
+            let scan = probed
+                .iter()
+                .map(|&rack| engine.evaluate(rack, candidate.samples()))
+                .collect::<Result<Vec<LeafDecision>, _>>()
+                .map_err(OracleError::Core)?;
+            let want_rack = select_decision(&policy, &scan).map(|d| d.rack);
+            let violated = scan.iter().any(|d| d.has_slot && !d.power_ok);
+            let want = (want_rack, u64::from(want_rack.is_none() && violated));
+            let got = arrive(&mut engine, candidate).map_err(OracleError::Core)?;
+            report.check(FAMILY, "pruned_selection_matches_full_scan", got == want, || {
+                format!(
+                    "policy {}, arrival {step}: claimed (rack, breaker violations) {got:?}, the full scan gives {want:?}",
+                    policy.name()
+                )
+            });
+        }
     }
     Ok(())
 }

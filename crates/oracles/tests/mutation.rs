@@ -3,21 +3,25 @@
 //! a classic bug — quantile convention drift, a stale online aggregate, a
 //! path delta that stops at the rack, an ingest write that skips the
 //! snap, a wrong-leaf commit, a repair swap with the wrong partner, a rack
-//! asynchrony one ULP off — and asserts at least one oracle objects; the
-//! production implementations pass the same probes untouched.
+//! asynchrony one ULP off, an arrival search that stops on a tied bound —
+//! and asserts at least one oracle objects; the production
+//! implementations pass the same probes untouched.
 
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use so_core::{CommitPolicy, OnlineConfig, OnlineFleet, RemapConfig};
+use so_core::{
+    pairwise_score_from_peaks, sample_racks, select_decision, CommitPolicy, CoreError,
+    LeafDecision, OnlineConfig, OnlineFleet, RemapConfig,
+};
 use so_oracles::differential::quantile_matches_reference;
 use so_oracles::online::{
-    check_commit_decision, check_rack_asynchrony, check_repair, check_resident_aggregates,
-    check_shuffled_recompute, reference_repair,
+    check_commit_decision, check_pruned_selection, check_rack_asynchrony, check_repair,
+    check_resident_aggregates, check_shuffled_recompute, engine_arrival, reference_repair,
 };
 use so_oracles::{Fixture, OracleFamily, OracleReport};
-use so_powertrace::PowerTrace;
+use so_powertrace::{peak_of_samples, snap_samples, PowerTrace};
 use so_powertree::{NodeAggregates, NodeId};
 use so_workloads::DcScenario;
 
@@ -469,6 +473,114 @@ fn production_online_engine_is_clean() {
     )
     .unwrap();
     assert!(zero_report.is_clean(), "{:#?}", zero_report.violations());
+
+    // The bound-pruned arrival search against the full scan.
+    let mut pruned_report = OracleReport::new();
+    check_pruned_selection(7, engine_arrival, &mut pruned_report).unwrap();
+    assert!(
+        pruned_report.is_clean(),
+        "{:#?}",
+        pruned_report.violations()
+    );
+    assert!(pruned_report.evaluations(OracleFamily::Online) > 0);
+}
+
+/// The arrival search with one planted bug: it stops at the first rack
+/// whose bound does not beat the best fitting decision on the policy's key
+/// alone, so a rack whose bound *ties* that key is dropped even when its
+/// lower id would win the tie. Bounds and keys are built as the engine
+/// builds them, from `lb = agg[c] + peak(candidate)`.
+fn equal_bound_search(
+    engine: &OnlineFleet,
+    candidate: &PowerTrace,
+) -> Result<Option<NodeId>, CoreError> {
+    let policy = engine.config().policy;
+    let row = snap_samples(candidate.samples())?;
+    let peak = peak_of_samples(&row);
+    let at = row.iter().position(|&v| v == peak).unwrap();
+    let key = |asynchrony: f64, increase: f64, headroom: f64| match policy {
+        CommitPolicy::FirstFit => (0.0, 0.0),
+        CommitPolicy::WorstFit => (headroom, 0.0),
+        _ => (asynchrony, increase),
+    };
+    let probed = match policy {
+        CommitPolicy::Sampling { probes } => sample_racks(
+            engine.topology().racks(),
+            engine.config().sample_salt,
+            engine.arrivals_seen(),
+            probes,
+        ),
+        _ => engine.topology().racks().to_vec(),
+    };
+    let mut order = Vec::new();
+    for rack in probed {
+        let occupied = engine
+            .live_slots()
+            .iter()
+            .filter(|&&s| engine.rack_of(s) == Some(rack))
+            .count();
+        if occupied >= engine.topology().rack_capacity() {
+            continue;
+        }
+        let aggregates = engine.aggregates();
+        let lb = aggregates.trace(rack).unwrap().samples()[at] + row[at];
+        let old = aggregates.peak(rack).unwrap();
+        let asynchrony = if old > 0.0 {
+            pairwise_score_from_peaks(old, peak, lb)
+        } else {
+            2.0
+        };
+        let headroom = engine.budgets()[rack.index()] - lb;
+        order.push((key(asynchrony, lb - old, headroom), rack));
+    }
+    order.sort_by(|(a, ra), (b, rb)| {
+        b.0.total_cmp(&a.0)
+            .then(a.1.total_cmp(&b.1))
+            .then(ra.cmp(rb))
+    });
+    let mut evaluated: Vec<LeafDecision> = Vec::new();
+    let mut best: Option<((f64, f64), NodeId)> = None;
+    for (bound, rack) in order {
+        if let Some((top, _)) = best {
+            // Bug: a tie on the key stops the search; the rack id is
+            // never compared.
+            if !(bound.0 > top.0 || (bound.0 == top.0 && bound.1 < top.1)) {
+                break;
+            }
+        }
+        let d = engine.evaluate(rack, candidate.samples())?;
+        let exact = key(d.asynchrony, d.peak_increase_watts, d.headroom_watts);
+        let better = best.map_or(true, |(top, id)| {
+            exact.0 > top.0
+                || (exact.0 == top.0 && (exact.1 < top.1 || (exact.1 == top.1 && rack < id)))
+        });
+        if d.fits && better {
+            best = Some((exact, rack));
+        }
+        evaluated.push(d);
+    }
+    evaluated.sort_by_key(|d| d.rack);
+    Ok(select_decision(&policy, &evaluated).map(|d| d.rack))
+}
+
+#[test]
+fn pruned_search_that_stops_on_a_tied_bound_is_caught() {
+    let mut report = OracleReport::new();
+    check_pruned_selection(
+        7,
+        |engine, candidate| {
+            let claim = equal_bound_search(engine, candidate)?;
+            let (_, violations) = engine_arrival(engine, candidate)?;
+            Ok((claim, violations))
+        },
+        &mut report,
+    )
+    .unwrap();
+    assert!(!report.is_clean(), "a tie-dropping search slipped past");
+    assert!(report
+        .violations()
+        .iter()
+        .all(|v| v.oracle == "pruned_selection_matches_full_scan"));
 }
 
 #[test]

@@ -9,6 +9,7 @@
 //! `Display` — the same bits always produce the same text, which is what
 //! the golden tests pin.
 
+use std::borrow::Cow;
 use std::fmt::{Display, Write as _};
 
 use crate::registry::{MetricsRegistry, BUCKET_BOUNDS};
@@ -177,6 +178,26 @@ pub enum BenchJson {
     Array(Vec<BenchObject>),
 }
 
+/// A field name of a [`BenchObject`]: a `&'static str` literal is
+/// borrowed, so objects built from literal keys allocate nothing per
+/// key; a `&String` name is copied once.
+pub trait FieldKey {
+    /// The name as the object stores it.
+    fn into_key(self) -> Cow<'static, str>;
+}
+
+impl FieldKey for &'static str {
+    fn into_key(self) -> Cow<'static, str> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl FieldKey for &String {
+    fn into_key(self) -> Cow<'static, str> {
+        Cow::Owned(self.clone())
+    }
+}
+
 /// An ordered JSON object: the one JSON writer of the workspace. The
 /// [`render`](Self::render)ed BENCH layout puts one `"key": value` per
 /// line with two spaces of indent per level, and `smoothop gate`
@@ -186,57 +207,61 @@ pub enum BenchJson {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchObject {
     /// The fields, in order.
-    pub fields: Vec<(String, BenchJson)>,
+    pub fields: Vec<(Cow<'static, str>, BenchJson)>,
 }
 
 impl BenchObject {
     /// Appends `key` with any value.
     #[must_use]
-    pub fn field(mut self, key: &str, value: BenchJson) -> Self {
-        self.fields.push((key.to_string(), value));
+    pub fn field(mut self, key: impl FieldKey, value: BenchJson) -> Self {
+        self.fields.push((key.into_key(), value));
         self
     }
 
     /// Appends `key` with `value`'s `Display` text, verbatim.
     #[must_use]
-    pub fn raw(self, key: &str, value: impl Display) -> Self {
+    pub fn raw(self, key: impl FieldKey, value: impl Display) -> Self {
         self.field(key, BenchJson::Scalar(value.to_string()))
     }
 
     /// Appends `key` with `value` as a JSON string.
     #[must_use]
-    pub fn string(self, key: &str, value: &str) -> Self {
+    pub fn string(self, key: impl FieldKey, value: &str) -> Self {
         self.field(key, BenchJson::Scalar(json_string(value)))
     }
 
     /// Appends `key` with `value` rounded to `decimals` places.
     #[must_use]
-    pub fn fixed(self, key: &str, value: f64, decimals: usize) -> Self {
+    pub fn fixed(self, key: impl FieldKey, value: f64, decimals: usize) -> Self {
         self.raw(key, format_args!("{value:.decimals$}"))
     }
 
     /// Appends `key` with `value` as a shortest-roundtrip JSON number, or
     /// `null` when it is not finite.
     #[must_use]
-    pub fn float(self, key: &str, value: f64) -> Self {
+    pub fn float(self, key: impl FieldKey, value: f64) -> Self {
         self.field(key, BenchJson::Scalar(json_f64(value)))
     }
 
     /// Appends `key` with `value`'s text, or `null` when it is absent.
     #[must_use]
-    pub fn nullable(self, key: &str, value: Option<impl Display>) -> Self {
+    pub fn nullable(self, key: impl FieldKey, value: Option<impl Display>) -> Self {
         self.field(key, BenchJson::Scalar(nullable_text(value)))
     }
 
     /// Appends `key` with an array of objects.
     #[must_use]
-    pub fn array(self, key: &str, items: impl IntoIterator<Item = BenchObject>) -> Self {
+    pub fn array(self, key: impl FieldKey, items: impl IntoIterator<Item = BenchObject>) -> Self {
         self.field(key, BenchJson::Array(items.into_iter().collect()))
     }
 
     /// Appends `key` with an array of JSON strings, on one line.
     #[must_use]
-    pub fn strings<S: AsRef<str>>(self, key: &str, items: impl IntoIterator<Item = S>) -> Self {
+    pub fn strings<S: AsRef<str>>(
+        self,
+        key: impl FieldKey,
+        items: impl IntoIterator<Item = S>,
+    ) -> Self {
         let items = items.into_iter().map(|s| json_string(s.as_ref()));
         self.field(key, scalar_array(items))
     }
@@ -246,7 +271,7 @@ impl BenchObject {
     #[must_use]
     pub fn nullables<T: Display>(
         self,
-        key: &str,
+        key: impl FieldKey,
         items: impl IntoIterator<Item = Option<T>>,
     ) -> Self {
         self.field(key, scalar_array(items.into_iter().map(nullable_text)))
@@ -401,7 +426,7 @@ fn parse_object<'a>(
             }
             _ => BenchJson::Scalar(text.to_string()),
         };
-        object.fields.push((key.to_string(), value));
+        object.fields.push((Cow::Owned(key.to_string()), value));
     }
 }
 

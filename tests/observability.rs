@@ -2,8 +2,9 @@
 //! breaker-budget anomaly path (exactly one fire, a postmortem flight
 //! dump that bit-matches the engine journal's suffix), bit-identical
 //! alert streams at any thread count, the HTTP scrape surface served
-//! while a live session runs, and the Prometheus/report renderers
-//! carrying the online engine's labeled gauges.
+//! while a live session runs, the Prometheus/report renderers
+//! carrying the online engine's labeled gauges, and the arrival search's
+//! probe work counters.
 //!
 //! The lane budget ([`so_parallel::set_thread_limit`]) and the installed
 //! telemetry sink ([`so_telemetry::install`]) belong to the calling
@@ -329,6 +330,43 @@ fn online_gauges_reach_the_prometheus_exporter_and_the_report_renderer() {
         assert!(
             report.contains(needle),
             "missing {needle} in report:\n{report}"
+        );
+    }
+}
+
+/// The arrival search's work counters: every probe an arrival offers is
+/// either evaluated by an exact O(T) pass or pruned, and the split is a
+/// function of the event stream alone, so it reads the same at any lane
+/// count.
+#[test]
+fn probe_work_counters_split_every_probe_at_any_lane_count() {
+    let run = |lanes: usize| {
+        let sink = Arc::new(RecordingSink::with_virtual_clock());
+        so_telemetry::with_sink(sink.clone(), || {
+            so_parallel::set_thread_limit(lanes);
+            let mut engine = micro_fleet();
+            for watts in [100.0, 100.0, 300.0, 350.0, 50.0] {
+                engine.arrive(&flat(watts)).unwrap();
+            }
+        });
+        sink
+    };
+    let one = run(1);
+    assert_eq!(one.prometheus(), run(8).prometheus());
+    let registry = one.snapshot();
+    let passes = registry.counter("so_online_probe_passes_total", &[]);
+    let pruned = registry.counter("so_online_probes_pruned_total", &[]);
+    // `micro_fleet` probes both of its racks on each of the 5 arrivals.
+    assert_eq!(passes + pruned, 2 * 5);
+    assert!(passes > 0 && pruned > 0, "passes {passes}, pruned {pruned}");
+    let prometheus = one.prometheus();
+    for needle in [
+        "so_online_probe_passes_total ",
+        "so_online_probes_pruned_total ",
+    ] {
+        assert!(
+            prometheus.contains(needle),
+            "missing {needle}:\n{prometheus}"
         );
     }
 }
