@@ -14,10 +14,13 @@
 //! # Ring-buffer windows
 //!
 //! Each live slot's arena row *is* its sample window: `T` columns on the
-//! engine's [`TimeGrid`](so_powertrace::TimeGrid). A per-slot cursor
+//! engine's [`TimeGrid`](so_powertrace::TimeGrid). A per-row cursor
 //! tracks the next write position; each ingested sample overwrites the
-//! oldest column and advances the cursor modulo `T`. No rotation or
-//! copying ever happens — the window is circular by indexing. That is
+//! oldest column and advances the cursor modulo `T`. A commit that
+//! reuses a retired slot's row restarts its cursor at column 0, as a
+//! fresh row starts, so the cursors are as large as the arena: O(live).
+//! No rotation or copying ever happens — the window is circular by
+//! indexing. That is
 //! sound because every score the engine serves is column-order
 //! *invariant*: per-column sums do not care how columns are labelled,
 //! and peaks are max-reductions over columns. A rotated window scores
@@ -58,7 +61,7 @@ use crate::remap::RemapReport;
 /// position.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleUpdate {
-    /// Arena slot of the instance (as returned by arrival).
+    /// Slot id of the instance (as returned by arrival).
     pub slot: usize,
     /// Observed power draw in watts. Must be finite and non-negative.
     pub watts: f64,
@@ -75,13 +78,14 @@ pub struct IngestReport {
     pub racks_touched: usize,
 }
 
-/// A resident [`OnlineFleet`] plus streaming-ingest state: per-slot ring
+/// A resident [`OnlineFleet`] plus streaming-ingest state: per-row ring
 /// cursors. See the module docs for the ring-buffer and bit-identity
 /// contracts.
 #[derive(Debug, Clone)]
 pub struct DaemonFleet {
     fleet: OnlineFleet,
-    /// Next ring write position per slot (column index into the window).
+    /// Next ring write position per arena row (column index into the
+    /// window).
     cursor: Vec<usize>,
     /// Per rack, the last ingest call that touched it: counts distinct
     /// racks without a touched set.
@@ -95,16 +99,14 @@ impl DaemonFleet {
     /// Wraps `fleet`, priming ring cursors at position 0.
     #[must_use]
     pub fn new(fleet: OnlineFleet) -> Self {
-        let mut daemon = Self {
+        Self {
             rack_stamp: vec![0; fleet.topology().len()],
+            cursor: vec![0; fleet.arena_rows()],
             fleet,
-            cursor: Vec::new(),
             samples_ingested: 0,
             samples_dropped: 0,
             batches_ingested: 0,
-        };
-        daemon.sync_slots();
-        daemon
+        }
     }
 
     /// Read-only access to the wrapped engine. Mutations must go through
@@ -159,14 +161,13 @@ impl DaemonFleet {
         let stamp = self.batches_ingested + 1;
         let mut report = IngestReport::default();
         for (update, watts) in updates.iter().zip(watts) {
-            let slot = update.slot;
-            let Some(rack) = self.fleet.rack_of(slot) else {
+            let Some(row) = self.fleet.slot_row(update.slot) else {
                 report.dropped += 1;
                 continue;
             };
-            let pos = self.cursor[slot];
-            self.fleet.write_window_sample(slot, pos, watts)?;
-            self.cursor[slot] = (pos + 1) % window;
+            let pos = self.cursor[row];
+            let rack = self.fleet.write_window_sample(row, pos, watts)?;
+            self.cursor[row] = (pos + 1) % window;
             if std::mem::replace(&mut self.rack_stamp[rack.index()], stamp) != stamp {
                 report.racks_touched += 1;
             }
@@ -192,19 +193,25 @@ impl DaemonFleet {
     }
 
     /// Commits an arrival through the engine (see
-    /// [`OnlineFleet::arrive`]) and primes the new slot's ring cursor.
+    /// [`OnlineFleet::arrive`]) and starts the ring cursor of its row, a
+    /// fresh one or a retired slot's, at column 0.
     ///
     /// # Errors
     ///
     /// Propagates engine errors.
     pub fn arrive(&mut self, candidate: &PowerTrace) -> Result<Option<usize>, CoreError> {
         let committed = self.fleet.arrive(candidate)?;
-        self.sync_slots();
+        if let Some(row) = committed.and_then(|slot| self.fleet.slot_row(slot)) {
+            self.cursor.resize(self.fleet.arena_rows(), 0);
+            self.cursor[row] = 0;
+        }
         Ok(committed)
     }
 
-    /// Retires a live slot (see [`OnlineFleet::retire`]). Slots are never
-    /// reused, so the retired slot's cursor is never read again.
+    /// Retires a live slot (see [`OnlineFleet::retire`]). Its row, and
+    /// with it the row's cursor, waits for the next commit; the slot id
+    /// resolves to nothing from now on, so later samples for it are
+    /// dropped.
     ///
     /// # Errors
     ///
@@ -239,11 +246,6 @@ impl DaemonFleet {
     #[must_use]
     pub fn mean_rack_asynchrony(&self) -> Option<f64> {
         self.fleet.mean_rack_asynchrony()
-    }
-
-    /// Grows the ring cursors to cover newly committed slots.
-    fn sync_slots(&mut self) {
-        self.cursor.resize(self.fleet.slot_count(), 0);
     }
 }
 

@@ -4,7 +4,7 @@
 //! SmoothOperator (§3.3) places a fixed fleet offline and sketches how one
 //! extra instance would be admitted against S-trace peaks; this module
 //! runs that sketch continuously. An [`OnlineFleet`] holds resident state
-//! — a columnar [`TraceArena`] of every admitted instance, the
+//! — a columnar [`TraceArena`] of every live instance, the
 //! [`PowerTopology`], and per-node [`NodeAggregates`] — and processes a
 //! deterministic event stream of batch arrivals and retirements:
 //!
@@ -16,8 +16,8 @@
 //!   usually O(1) each — about 2 of 64 sampled probes at 50k instances
 //!   (see `OnlineFleet::search_racks`). The choice is the full scan's
 //!   ([`OnlineFleet::decisions`], [`select_decision`]) bit for bit;
-//! * every **retirement** releases its slot and subtracts its row from
-//!   the touched power path;
+//! * every **retirement** subtracts its row from the touched power path
+//!   and frees the row for the next commit;
 //! * a configurable **repair budget** amortizes cleanup between batches
 //!   through the §3.6 swap search, run on the resident racks in place
 //!   ([`OnlineFleet::repair`]).
@@ -40,6 +40,18 @@
 //! sum of member peaks, so rack asynchrony is O(1) and a repair pass
 //! ranks racks without reading a trace.
 //!
+//! # Slots and rows
+//!
+//! A commit takes the next slot id, its ordinal among commits. Ids are
+//! what the engine hands out and journals, and they are never reused.
+//! Each live id maps to one arena row; a retirement frees its row, and
+//! the next commit overwrites a freed row before the arena grows. So the
+//! arena, and every per-row array beside it, holds at most the peak live
+//! count of rows, bounded by [`PowerTopology::server_capacity`], however
+//! many instances have come and gone. Rack member lists hold rows, in
+//! ascending slot-id order, so the repair search reads member rows with
+//! no lookup; the journal, swap records and every reply name slot ids.
+//!
 //! Policies break ties deterministically (ascending rack id last), events
 //! within a batch are canonically ordered by [`OnlineFleet::apply`], and
 //! every parallel scan is a positional [`par_map`], so the engine is
@@ -48,7 +60,8 @@
 //! [`peak_of_sum_samples`]: crate::score::peak_of_sum_samples
 
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use so_parallel::par_map;
@@ -67,6 +80,48 @@ use crate::score::{
 /// Fewest racks a lane of an all-rack probe scan is given: spawning one OS
 /// thread costs on the order of a hundred O(T) rack probes.
 const SCAN_GRAIN: usize = 512;
+
+/// Live slot id → arena row.
+type SlotRows = HashMap<usize, usize, BuildHasherDefault<SlotHasher>>;
+
+/// The slot map's hasher. std's SwissTable takes a key's bucket from the
+/// low bits of its hash and a 7-bit tag from the top bits, and gives a
+/// map sized for `n` keys at least `8n / 7` buckets. Below the tag, the
+/// hash is the slot id stretched by 9/8, so consecutive ids land in
+/// consecutive buckets with every ninth left empty: an ingest body that
+/// names slots in ascending order walks the table front to back instead
+/// of missing cache on every sample. While the live ids fit in one turn
+/// of the table (ids up to the map's sizing do), a probe for an absent id
+/// ends in its first group and an erase frees its bucket, leaving no
+/// tombstone; later ids wrap around into the gaps that retirements left.
+/// The tag is the top of a Fibonacci multiply, which spreads consecutive
+/// ids over all 128 tags.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotHasher(u64);
+
+/// The hash bits std's SwissTable reads as a bucket's tag.
+const TAG_BITS: u64 = 0xFE00_0000_0000_0000;
+
+impl Hasher for SlotHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let stretched = x.wrapping_add(x >> 3);
+        self.0 = stretched & !TAG_BITS | x.wrapping_mul(0x9E37_79B9_7F4A_7C15) & TAG_BITS;
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
 
 /// How an arrival picks its rack among the admissible candidates.
 ///
@@ -179,9 +234,9 @@ pub struct LeafDecision {
 /// replay (the `online` oracle family) checks against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventRecord {
-    /// An arrival was committed to `rack` as arena row `slot`.
+    /// An arrival was committed to `rack` as slot `slot`.
     Committed {
-        /// Arena row of the admitted instance.
+        /// Slot id of the admitted instance.
         slot: usize,
         /// Zero-based ordinal of the arrival among all arrivals offered.
         ordinal: u64,
@@ -195,14 +250,14 @@ pub enum EventRecord {
     },
     /// A live instance was retired from `rack`.
     Retired {
-        /// Arena row of the retired instance.
+        /// Slot id of the retired instance.
         slot: usize,
         /// The rack it left.
         rack: NodeId,
     },
     /// Repair moved a live instance between racks.
     Moved {
-        /// Arena row of the moved instance.
+        /// Slot id of the moved instance.
         slot: usize,
         /// Source rack.
         from: NodeId,
@@ -215,7 +270,7 @@ pub enum EventRecord {
     /// discarded prefix had produced; replay treats a checkpoint as a
     /// direct insertion.
     Checkpoint {
-        /// Arena row of the live instance.
+        /// Slot id of the live instance.
         slot: usize,
         /// The rack hosting it.
         rack: NodeId,
@@ -320,14 +375,23 @@ pub struct OnlineFleet {
     budgets: Vec<f64>,
     config: OnlineConfig,
     grid: TimeGrid,
-    /// One row per instance ever committed; retired rows stay (tombstoned
-    /// via `rack_of`) so slots are stable identifiers.
+    /// One row per live instance. A retirement puts its row on
+    /// `free_rows` and the next commit overwrites it, so the arena never
+    /// holds more rows than the peak live count.
     arena: TraceArena,
-    /// [`peak_of_samples`] of every slot's row, kept current by each write.
+    /// Live slot id → arena row. Slot ids are commit ordinals and never
+    /// repeat, so a retired id resolves to nothing.
+    rows: SlotRows,
+    /// Rows of retired slots, reused last in, first out.
+    free_rows: Vec<usize>,
+    /// [`peak_of_samples`] of every arena row, kept current by each write.
     peaks: Vec<f64>,
-    /// Hosting rack per slot; `None` once retired.
-    rack_of: Vec<Option<NodeId>>,
-    /// Live member slots per rack (ascending), indexed by node id.
+    /// Hosting rack per arena row (stale on a free row).
+    rack_of: Vec<NodeId>,
+    /// The slot id each arena row holds (stale on a free row).
+    slot_of: Vec<usize>,
+    /// Live member rows per rack, in ascending slot-id order, indexed by
+    /// node id.
     members: Vec<Vec<usize>>,
     /// Per rack (by node id), the sum of its live members' `peaks`,
     /// shifted by every change to a member or a member's peak. Exact: each
@@ -371,6 +435,8 @@ impl OnlineFleet {
             topology.server_capacity()
         );
         let budgets = topology.nodes().iter().map(|n| n.budget_watts()).collect();
+        let rows =
+            SlotRows::with_capacity_and_hasher(topology.server_capacity(), Default::default());
         let aggregates = NodeAggregates::zeros(&topology, grid);
         let members = vec![Vec::new(); topology.len()];
         let peak_sums = vec![0.0; topology.len()];
@@ -380,8 +446,11 @@ impl OnlineFleet {
             config,
             grid,
             arena: TraceArena::new(grid),
+            rows,
+            free_rows: Vec::new(),
             peaks: Vec::new(),
             rack_of: Vec::new(),
+            slot_of: Vec::new(),
             members,
             peak_sums,
             aggregates,
@@ -440,9 +509,16 @@ impl OnlineFleet {
         self.live
     }
 
-    /// Number of slots ever committed (arena rows).
+    /// Number of slot ids issued: every committed arrival takes the next
+    /// one, and ids are never reused.
     pub fn slot_count(&self) -> usize {
-        self.rack_of.len()
+        self.committed as usize
+    }
+
+    /// Number of arena rows, live or free: the peak live count so far,
+    /// at most [`PowerTopology::server_capacity`].
+    pub fn arena_rows(&self) -> usize {
+        self.arena.len()
     }
 
     /// Arrivals offered so far (committed + rejected).
@@ -465,25 +541,44 @@ impl OnlineFleet {
         self.retired
     }
 
-    /// Live slots in ascending order.
+    /// Live slots in ascending order, O(racks + live · log live).
     pub fn live_slots(&self) -> Vec<usize> {
-        (0..self.rack_of.len())
-            .filter(|&s| self.rack_of[s].is_some())
-            .collect()
+        let mut slots = Vec::with_capacity(self.live);
+        for &rack in self.topology.racks() {
+            slots.extend(
+                self.members[rack.index()]
+                    .iter()
+                    .map(|&row| self.slot_of[row]),
+            );
+        }
+        slots.sort_unstable();
+        slots
     }
 
-    /// The hosting rack of `slot` (`None` when retired or out of range).
+    /// The arena row of live `slot` (`None` when retired or never issued).
+    pub(crate) fn slot_row(&self, slot: usize) -> Option<usize> {
+        self.rows.get(&slot).copied()
+    }
+
+    /// The hosting rack of `slot` (`None` when retired or never issued).
     pub fn rack_of(&self, slot: usize) -> Option<NodeId> {
-        self.rack_of.get(slot).copied().flatten()
+        self.slot_row(slot).map(|row| self.rack_of[row])
     }
 
-    /// The trace row of `slot` (retired slots keep their row).
+    /// The trace row of live `slot`.
     ///
     /// # Panics
     ///
-    /// Panics when `slot` was never committed.
+    /// Panics when `slot` is retired or was never issued: its row may
+    /// already hold another instance.
     pub fn row(&self, slot: usize) -> &[f64] {
-        self.arena.row(slot)
+        self.arena.row(self.live_row(slot))
+    }
+
+    /// The arena row of `slot`, which must be live.
+    fn live_row(&self, slot: usize) -> usize {
+        self.slot_row(slot)
+            .unwrap_or_else(|| panic!("slot {slot} is not live"))
     }
 
     /// The exact sum of `rack`'s live members' window peaks.
@@ -645,11 +740,12 @@ impl OnlineFleet {
         let mut traces = Vec::with_capacity(slots.len());
         let mut racks = Vec::with_capacity(slots.len());
         for &s in &slots {
+            let row = self.live_row(s);
             traces.push(PowerTrace::new(
-                self.arena.row(s).to_vec(),
+                self.arena.row(row).to_vec(),
                 self.grid.step_minutes(),
             )?);
-            racks.push(self.rack_of[s].expect("live slot has a rack"));
+            racks.push(self.rack_of[row]);
         }
         let assignment = Assignment::new(racks, &self.topology).map_err(CoreError::Tree)?;
         Ok((traces, assignment, slots))
@@ -718,17 +814,21 @@ impl OnlineFleet {
         .collect()
     }
 
-    /// The arrival path's search: the decisions of the probed `racks` that
-    /// a bound-ordered search evaluates exactly, in ascending rack order.
-    /// [`select_decision`] over them picks the rack it picks over every
-    /// probe, and when none fits, every probe with a free slot is among
-    /// them, so the breaker-violation flag is the full scan's too.
+    /// The bound-ordered search behind [`arrive`](Self::arrive) and
+    /// [`admit`](Self::admit): the decisions of the probed `racks` that it
+    /// evaluates exactly, in ascending rack order. [`select_decision`]
+    /// under `policy` over them picks the rack it picks over every probe,
+    /// and when none fits, every probe with a free slot is among them, so
+    /// the breaker-violation flag is the full scan's too.
     ///
-    /// **The bound.** Let `p` be the candidate's peak and `c` the first
-    /// index where it occurs. Every resident sum is exact, so
-    /// `lb = agg[rack][c] + p` is a sample of the rack's sum with the
-    /// candidate and never exceeds its new peak. That bounds the whole
-    /// ranking key of [`select_decision`] from the winning side:
+    /// **The bound.** Let `p` be the candidate's peak, `c` the first index
+    /// where it occurs and `m` its minimum. Every resident sum is exact,
+    /// so `agg[rack][c] + p` is a sample of the rack's sum with the
+    /// candidate, and `old_peak + m` is at most the sample at the index
+    /// where the rack peaks; `lb`, the larger of the two, never exceeds
+    /// the new peak. For a flat candidate `old_peak + m` *is* the new
+    /// peak, so `/admit`'s bound is exact. That bounds the whole ranking
+    /// key of [`select_decision`] from the winning side:
     ///
     /// * asynchrony ≤ `pairwise_score_from_peaks(old_peak, p, lb)`: the
     ///   same float operations as the exact score, over a denominator no
@@ -742,24 +842,24 @@ impl OnlineFleet {
     ///   its asynchrony is 2.0 either way.
     ///
     /// **The search.** Probes with no free slot are skipped: they cannot
-    /// fit and never set the breaker flag. The rest are sorted best bound
-    /// first ([`RankKey`]: the policy's key, then the rack id) and
-    /// evaluated in that order with the exact [`decide`](Self::decide). The
-    /// search stops at the first rack whose bound cannot beat the best
-    /// fitting decision so far; every later rack's bound, and so its exact
-    /// key, ranks below that decision. A tie on asynchrony is settled by
-    /// the peak-increase bound and then the rack id, so it neither ends
-    /// the search nor forces an evaluation. Nothing is pruned before some
-    /// rack fits.
+    /// fit and never set the breaker flag. The rest go into a heap keyed
+    /// best bound first ([`RankKey`]: the policy's key, then the rack id),
+    /// built in O(probes), and are popped and evaluated in that order with
+    /// the exact [`decide`](Self::decide). The search stops at the first
+    /// rack whose bound cannot beat the best fitting decision so far;
+    /// every later rack's bound, and so its exact key, ranks below that
+    /// decision. A tie on asynchrony is settled by the peak-increase bound
+    /// and then the rack id, so it neither ends the search nor forces an
+    /// evaluation. Nothing is pruned before some rack fits.
     ///
     /// Ancestor budgets are checked only on the root paths of the racks
     /// evaluated, each node at most once ([`AncestorChecks::check`]).
     fn search_racks(
         &self,
+        policy: &CommitPolicy,
         racks: &[NodeId],
         candidate: &[f64],
     ) -> Result<Vec<LeafDecision>, CoreError> {
-        let policy = self.config.policy;
         let mut checks = AncestorChecks::new(self, candidate);
         let candidate_peak = checks.candidate_peak;
         // Any index gives a valid bound; the peak's gives the tightest
@@ -768,27 +868,29 @@ impl OnlineFleet {
             .iter()
             .position(|&v| v == candidate_peak)
             .unwrap_or(0);
+        let floor = candidate.iter().copied().fold(f64::INFINITY, f64::min);
         let capacity = self.topology.rack_capacity();
         let mut bounds = Vec::with_capacity(racks.len());
         for &rack in racks {
             if self.members[rack.index()].len() >= capacity {
                 continue;
             }
-            let lb = self.aggregates.trace(rack)?.samples()[at] + candidate[at];
             let old_peak = self.aggregates.peak(rack)?;
+            let lb =
+                (self.aggregates.trace(rack)?.samples()[at] + candidate_peak).max(old_peak + floor);
             bounds.push(RankKey::new(
-                &policy,
+                policy,
                 rack,
                 admission_asynchrony(old_peak, candidate_peak, lb),
                 lb - old_peak,
                 self.budgets[rack.index()] - lb,
             ));
         }
-        bounds.sort_unstable_by(RankKey::order);
+        let mut bounds = BinaryHeap::from(bounds);
 
         let mut decisions = Vec::new();
         let mut best: Option<RankKey> = None;
-        for bound in bounds {
+        while let Some(bound) = bounds.pop() {
             if best.is_some_and(|best| !bound.beats(&best)) {
                 break;
             }
@@ -796,7 +898,7 @@ impl OnlineFleet {
                 checks.check(self, node, candidate)
             })?;
             if decision.fits {
-                let key = RankKey::of(&policy, &decision);
+                let key = RankKey::of(policy, &decision);
                 if best.map_or(true, |best| key.beats(&best)) {
                     best = Some(key);
                 }
@@ -805,6 +907,29 @@ impl OnlineFleet {
         }
         decisions.sort_unstable_by_key(|d| d.rack);
         Ok(decisions)
+    }
+
+    /// Where the fleet would admit `candidate` (snapped as
+    /// [`arrive`](Self::arrive) snaps it) under `policy`: the decision
+    /// [`select_decision`] picks over [`decisions`](Self::decisions), or
+    /// `None` when no rack is admissible. Found by the bound-ordered
+    /// search over every rack (`search_racks`), which for a flat
+    /// candidate usually evaluates one rack. Changes nothing, and counts
+    /// nothing in the probe counters, which cover arrivals only.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Trace`] for a grid mismatch or a sample off the
+    /// exact range, and propagates evaluation errors.
+    pub fn admit(
+        &self,
+        policy: &CommitPolicy,
+        candidate: &PowerTrace,
+    ) -> Result<Option<LeafDecision>, CoreError> {
+        self.check_grid(candidate)?;
+        let candidate = snap_samples(candidate.samples())?;
+        let decisions = self.search_racks(policy, self.topology.racks(), &candidate)?;
+        Ok(select_decision(policy, &decisions).copied())
     }
 
     /// One rack's decision. The root path is walked upward and stops at
@@ -891,7 +1016,7 @@ impl OnlineFleet {
         let row = snap_samples(candidate.samples())?;
         let ordinal = self.arrivals_seen;
         let candidates = self.candidate_racks(ordinal);
-        let decisions = self.search_racks(&candidates, &row)?;
+        let decisions = self.search_racks(&self.config.policy, &candidates, &row)?;
         let choice = select_decision(&self.config.policy, &decisions);
         self.arrivals_seen += 1;
         if so_telemetry::enabled() {
@@ -930,10 +1055,29 @@ impl OnlineFleet {
         };
 
         let rack = best.rack;
-        let slot = self.arena.push_samples(&row)?;
-        self.peaks.push(peak_of_samples(&row));
-        self.rack_of.push(Some(rack));
-        self.place(slot, rack)?;
+        let slot = self.slot_count();
+        let peak = peak_of_samples(&row);
+        let index = match self.free_rows.pop() {
+            Some(index) => {
+                self.arena
+                    .view_mut(index)
+                    .samples_mut()
+                    .copy_from_slice(&row);
+                self.peaks[index] = peak;
+                self.rack_of[index] = rack;
+                self.slot_of[index] = slot;
+                index
+            }
+            None => {
+                let index = self.arena.push_samples(&row)?;
+                self.peaks.push(peak);
+                self.rack_of.push(rack);
+                self.slot_of.push(slot);
+                index
+            }
+        };
+        self.rows.insert(slot, index);
+        self.place(index, rack)?;
         self.live += 1;
         self.committed += 1;
         self.push_journal(EventRecord::Committed {
@@ -945,26 +1089,27 @@ impl OnlineFleet {
             so_telemetry::counter_add("so_online_arrivals_total", &[], 1);
             so_telemetry::counter_add("so_online_commits_total", &[], 1);
             so_telemetry::gauge_set("so_online_live_instances", &[], self.live as f64);
+            so_telemetry::gauge_set("so_online_arena_rows", &[], self.arena.len() as f64);
         }
         Ok(Some(slot))
     }
 
-    /// Retires a live instance, releasing its slot and subtracting its
-    /// row from the touched power path.
+    /// Retires a live instance: subtracts its row from the touched power
+    /// path and frees the row for the next commit. The slot id is never
+    /// issued again.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::Tree`] ([`TreeError::UnknownInstance`]) for a
     /// slot that was never committed or is already retired.
     pub fn retire(&mut self, slot: usize) -> Result<(), CoreError> {
-        let rack = self
-            .rack_of
-            .get(slot)
-            .copied()
-            .flatten()
+        let row = self
+            .slot_row(slot)
             .ok_or(CoreError::Tree(TreeError::UnknownInstance(slot)))?;
-        self.unplace(slot, rack)?;
-        self.rack_of[slot] = None;
+        let rack = self.rack_of[row];
+        self.unplace(row, rack)?;
+        self.rows.remove(&slot);
+        self.free_rows.push(row);
         self.live -= 1;
         self.retired += 1;
         self.push_journal(EventRecord::Retired { slot, rack });
@@ -1039,7 +1184,7 @@ impl OnlineFleet {
     /// swap search of [`crate::remap_traces`] on the resident racks in
     /// place. Rows are read from the arena, and each accepted swap moves
     /// two rows along the resident paths by delta, so a pass allocates
-    /// O(live + racks). Swap records name arena slots. Every resident sum
+    /// O(live + racks). Swap records name slot ids. Every resident sum
     /// is exact, so swaps and scores are bit-identical to the offline
     /// remap of the materialized live fleet.
     ///
@@ -1075,13 +1220,17 @@ impl OnlineFleet {
             moves: BTreeMap::new(),
         };
         let outcome = remap_nodes(&mut racks, &config);
-        for (slot, (from, to)) in racks.moves {
+        for (slot, (row, from, to)) in racks.moves {
             if from != to {
-                self.rack_of[slot] = Some(to);
+                self.rack_of[row] = to;
                 self.push_journal(EventRecord::Moved { slot, from, to });
             }
         }
-        let report = outcome?;
+        let mut report = outcome?;
+        for swap in &mut report.swaps {
+            swap.instance_out = self.slot_of[swap.instance_out];
+            swap.instance_in = self.slot_of[swap.instance_in];
+        }
         if so_telemetry::enabled() {
             so_telemetry::counter_add(
                 "so_online_repair_moves_total",
@@ -1132,48 +1281,46 @@ impl OnlineFleet {
         (count > 0).then(|| sum / count as f64)
     }
 
-    /// Overwrites one sample of a live slot's resident window with
-    /// `watts`, which must already lie on the exact grid (the daemon snaps
-    /// each batch whole), and shifts the slot's rack path by the
-    /// difference, O(path). A higher sample raises the slot's peak; the
-    /// row is refolded (O(T)) only when the peak sample itself fell.
-    /// Returns the overwritten sample.
+    /// Overwrites one sample of a live slot's resident window, held in
+    /// arena row `row` (see [`slot_row`](Self::slot_row)), with `watts`,
+    /// which must already lie on the exact grid (the daemon snaps each
+    /// batch whole), and shifts the slot's rack path by the difference,
+    /// O(path). A higher sample raises the row's peak; the row is refolded
+    /// (O(T)) only when the peak sample itself fell. Returns the row's
+    /// rack.
     ///
     /// # Errors
     ///
-    /// Rejects retired/unknown slots and out-of-window positions with
-    /// [`TraceError::OutOfBounds`], and propagates path updates.
+    /// Rejects out-of-window positions with [`TraceError::OutOfBounds`],
+    /// and propagates path updates.
     pub(crate) fn write_window_sample(
         &mut self,
-        slot: usize,
+        row: usize,
         pos: usize,
         watts: f64,
-    ) -> Result<f64, CoreError> {
-        let rack = self.rack_of(slot).ok_or(TraceError::OutOfBounds {
-            requested: slot,
-            len: self.rack_of.len(),
-        })?;
+    ) -> Result<NodeId, CoreError> {
+        let rack = self.rack_of[row];
         if pos >= self.grid.len() {
             return Err(CoreError::Trace(TraceError::OutOfBounds {
                 requested: pos,
                 len: self.grid.len(),
             }));
         }
-        let old = self.arena.row(slot)[pos];
+        let old = self.arena.row(row)[pos];
         self.aggregates
             .shift_path_sample(&self.topology, rack, pos, old, watts)?;
-        self.arena.view_mut(slot).samples_mut()[pos] = watts;
-        let peak = self.peaks[slot];
+        self.arena.view_mut(row).samples_mut()[pos] = watts;
+        let peak = self.peaks[row];
         let new_peak = if watts > peak {
             watts
         } else if watts < old && old == peak {
-            peak_of_samples(self.arena.row(slot))
+            peak_of_samples(self.arena.row(row))
         } else {
             peak
         };
-        self.peaks[slot] = new_peak;
+        self.peaks[row] = new_peak;
         self.peak_sums[rack.index()] += new_peak - peak;
-        Ok(old)
+        Ok(rack)
     }
 
     /// Per-level fragmentation of the live fleet against `reference`: at
@@ -1229,27 +1376,30 @@ impl OnlineFleet {
         Ok(out)
     }
 
-    /// Adds live `slot` to `rack`'s members, its peak to the rack's peak
-    /// sum and its row to the rack path.
-    fn place(&mut self, slot: usize, rack: NodeId) -> Result<(), CoreError> {
+    /// Adds arena row `row`, which holds a live slot, to `rack`'s members
+    /// (in slot-id order), its peak to the rack's peak sum and its samples
+    /// to the rack path.
+    fn place(&mut self, row: usize, rack: NodeId) -> Result<(), CoreError> {
+        let (slot_of, slot) = (&self.slot_of, self.slot_of[row]);
         let members = &mut self.members[rack.index()];
-        members.insert(members.partition_point(|&s| s < slot), slot);
-        self.peak_sums[rack.index()] += self.peaks[slot];
+        members.insert(members.partition_point(|&r| slot_of[r] < slot), row);
+        self.peak_sums[rack.index()] += self.peaks[row];
         self.aggregates
-            .add_to_path(&self.topology, rack, self.arena.row(slot))?;
+            .add_to_path(&self.topology, rack, self.arena.row(row))?;
         Ok(())
     }
 
-    /// Removes `slot` from `rack`'s members, its peak from the rack's peak
-    /// sum and its row from the rack path.
-    fn unplace(&mut self, slot: usize, rack: NodeId) -> Result<(), CoreError> {
+    /// Removes arena row `row` from `rack`'s members, its peak from the
+    /// rack's peak sum and its samples from the rack path.
+    fn unplace(&mut self, row: usize, rack: NodeId) -> Result<(), CoreError> {
+        let (slot_of, slot) = (&self.slot_of, self.slot_of[row]);
         let members = &mut self.members[rack.index()];
-        let pos = members.partition_point(|&s| s < slot);
-        debug_assert_eq!(members.get(pos), Some(&slot));
+        let pos = members.partition_point(|&r| slot_of[r] < slot);
+        debug_assert_eq!(members.get(pos), Some(&row));
         members.remove(pos);
-        self.peak_sums[rack.index()] -= self.peaks[slot];
+        self.peak_sums[rack.index()] -= self.peaks[row];
         self.aggregates
-            .remove_from_path(&self.topology, rack, self.arena.row(slot))?;
+            .remove_from_path(&self.topology, rack, self.arena.row(row))?;
         Ok(())
     }
 
@@ -1274,13 +1424,14 @@ impl OnlineFleet {
     /// journal-event suffix still bit-matches the journal's suffix.
     fn compact_journal(&mut self) {
         let dropped = self.journal.len() as u64;
-        let mut fresh = Vec::with_capacity(self.live);
-        for slot in 0..self.rack_of.len() {
-            if let Some(rack) = self.rack_of[slot] {
-                fresh.push(EventRecord::Checkpoint { slot, rack });
-            }
-        }
-        self.journal = fresh;
+        self.journal = self
+            .live_slots()
+            .into_iter()
+            .map(|slot| EventRecord::Checkpoint {
+                slot,
+                rack: self.rack_of[self.live_row(slot)],
+            })
+            .collect();
         self.journal_dropped += dropped;
         self.journal_compactions += 1;
         if let Some(plane) = self.plane.clone() {
@@ -1312,12 +1463,16 @@ impl OnlineFleet {
 }
 
 /// The resident racks as the swap search's node state: racks in
-/// [`PowerTopology::racks`] order, instances by arena slot.
+/// [`PowerTopology::racks`] order, instances by arena row. The search
+/// never compares instance ids, only walks members in order, and members
+/// are in slot-id order, so it picks the swaps it would pick over slot
+/// ids; `repair` turns its swap records' rows into slot ids.
 struct ResidentRacks<'a> {
     fleet: &'a mut OnlineFleet,
-    /// `(rack at the start of the pass, current rack)` of every slot a
-    /// swap moved; `rack_of` is written when the move is journaled.
-    moves: BTreeMap<usize, (NodeId, NodeId)>,
+    /// `(row, rack at the start of the pass, current rack)` of every slot
+    /// a swap moved, by slot id; `rack_of` is written when the move is
+    /// journaled.
+    moves: BTreeMap<usize, (usize, NodeId, NodeId)>,
 }
 
 impl RemapNodes for ResidentRacks<'_> {
@@ -1347,8 +1502,8 @@ impl RemapNodes for ResidentRacks<'_> {
         self.fleet.peak_sums[self.node(n).index()]
     }
 
-    fn row(&self, slot: usize) -> &[f64] {
-        self.fleet.arena.row(slot)
+    fn row(&self, row: usize) -> &[f64] {
+        self.fleet.arena.row(row)
     }
 
     /// Both rows leave before either joins, so no rack exceeds capacity.
@@ -1358,11 +1513,12 @@ impl RemapNodes for ResidentRacks<'_> {
         self.fleet.unplace(inn, swap.partner)?;
         self.fleet.place(out, swap.partner)?;
         self.fleet.place(inn, swap.node)?;
-        for (slot, from, to) in [
+        for (row, from, to) in [
             (out, swap.node, swap.partner),
             (inn, swap.partner, swap.node),
         ] {
-            self.moves.entry(slot).or_insert((from, to)).1 = to;
+            let slot = self.fleet.slot_of[row];
+            self.moves.entry(slot).or_insert((row, from, to)).2 = to;
         }
         Ok(())
     }
@@ -1480,18 +1636,36 @@ impl RankKey {
                 && (self.secondary < other.secondary
                     || (self.secondary == other.secondary && self.rack < other.rack)))
     }
+}
 
-    /// Best first; a total order, since no field is NaN and rack ids differ.
-    fn order(a: &Self, b: &Self) -> Ordering {
-        if a.beats(b) {
-            Ordering::Less
-        } else if b.beats(a) {
+/// Ranks by [`RankKey::beats`], so the best key is the greatest and a
+/// [`BinaryHeap`] pops the best first. A total order: no field is NaN, and
+/// rack ids differ between the keys of one search.
+impl Ord for RankKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if self.beats(other) {
             Ordering::Greater
+        } else if other.beats(self) {
+            Ordering::Less
         } else {
             Ordering::Equal
         }
     }
 }
+
+impl PartialOrd for RankKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for RankKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for RankKey {}
 
 /// A candidate's pairwise asynchrony against a rack whose aggregate peaks
 /// at `old_peak`, when their sum peaks at `new_peak`: the float operations
@@ -1566,28 +1740,46 @@ pub fn sample_racks(racks: &[NodeId], salt: u64, ordinal: u64, probes: usize) ->
         return racks.to_vec();
     }
     let stream = mix(salt, ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED);
-    // A sorted, duplicate-free index set.
-    fn insert(picked: &mut Vec<usize>, idx: usize) {
-        if let Err(pos) = picked.binary_search(&idx) {
-            picked.insert(pos, idx);
-        }
-    }
-    let mut picked = Vec::with_capacity(probes);
+    sample_indices(racks.len(), stream, probes, 64 * probes as u64)
+        .into_iter()
+        .map(|i| racks[i])
+        .collect()
+}
+
+/// `probes < n` distinct indices below `n`, ascending: draw `d` picks
+/// `mix(stream, d) % n`, for at most `max_draws` draws or until `probes`
+/// distinct indices are picked, and the lowest unpicked indices fill any
+/// shortfall. The picks are marked in a bitset and read out in one
+/// ascending scan.
+fn sample_indices(n: usize, stream: u64, probes: usize, max_draws: u64) -> Vec<usize> {
+    let mut words = vec![0u64; n.div_ceil(64)];
+    let mut mark = |i: usize| {
+        let (word, bit) = (&mut words[i / 64], 1u64 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    };
+    let mut picked = 0usize;
     let mut draw = 0u64;
-    while picked.len() < probes && draw < 64 * probes as u64 {
-        insert(
-            &mut picked,
-            (mix(stream, draw) % racks.len() as u64) as usize,
-        );
+    while picked < probes && draw < max_draws {
+        picked += usize::from(mark((mix(stream, draw) % n as u64) as usize));
         draw += 1;
     }
     // Pathological-collision fallback: fill ascending from the start.
     let mut next = 0usize;
-    while picked.len() < probes {
-        insert(&mut picked, next);
+    while picked < probes {
+        picked += usize::from(mark(next));
         next += 1;
     }
-    picked.into_iter().map(|i| racks[i]).collect()
+    let mut out = Vec::with_capacity(probes);
+    for (w, &word) in words.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            out.push(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+    out
 }
 
 /// Offline replay of one commit decision, using the **materializing**
@@ -2100,6 +2292,60 @@ mod tests {
         let c = sample_racks(t.racks(), 5, 18, 3);
         assert!(a != c || sample_racks(t.racks(), 6, 17, 3) != a);
         assert_eq!(sample_racks(t.racks(), 5, 17, 99).len(), t.racks().len());
+    }
+
+    /// `sample_indices` as it was first written, with a sorted `Vec` and a
+    /// binary-search insert per draw: the reference for the bitset.
+    fn sorted_insert_sample(n: usize, stream: u64, probes: usize, max_draws: u64) -> Vec<usize> {
+        fn insert(picked: &mut Vec<usize>, idx: usize) {
+            if let Err(pos) = picked.binary_search(&idx) {
+                picked.insert(pos, idx);
+            }
+        }
+        let mut picked = Vec::with_capacity(probes);
+        let mut draw = 0u64;
+        while picked.len() < probes && draw < max_draws {
+            insert(&mut picked, (mix(stream, draw) % n as u64) as usize);
+            draw += 1;
+        }
+        let mut next = 0usize;
+        while picked.len() < probes {
+            insert(&mut picked, next);
+            next += 1;
+        }
+        picked
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn bitset_sample_matches_the_sorted_insert(
+            n in 1usize..300,
+            salt in 0u64..u64::MAX,
+            ordinal in 0u64..1_000_000,
+            probes in 0usize..320,
+            draw_cap in 0u64..6,
+        ) {
+            let racks: Vec<NodeId> = (0..n).map(|i| NodeId::new(3 * i + 1)).collect();
+            let want = if probes >= n {
+                racks.clone()
+            } else {
+                let stream = mix(salt, ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED);
+                sorted_insert_sample(n, stream, probes, 64 * probes as u64)
+                    .into_iter()
+                    .map(|i| racks[i])
+                    .collect()
+            };
+            proptest::prop_assert_eq!(sample_racks(&racks, salt, ordinal, probes), want);
+            // A draw budget this small leaves the fallback to fill the
+            // sample.
+            let probes = probes.min(n - 1);
+            proptest::prop_assert_eq!(
+                sample_indices(n, salt, probes, draw_cap),
+                sorted_insert_sample(n, salt, probes, draw_cap)
+            );
+        }
     }
 
     #[test]

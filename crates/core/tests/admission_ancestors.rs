@@ -399,11 +399,13 @@ proptest! {
         }
     }
 
-    /// The one-sample bound the arrival search prunes with: for any index
-    /// `t`, `lb = agg[t] + cand[t]` never exceeds the rack's new peak, so
-    /// the key built from it never ranks below the exact decision —
-    /// asynchrony bound ≥ score, increase bound ≤ increase, headroom bound
-    /// ≥ headroom — under the same float operations as the exact path.
+    /// The bound the arrival and `/admit` searches prune with: for any
+    /// index `t`, `lb = max(agg[t] + cand[t], old_peak + min(cand))` never
+    /// exceeds the rack's new peak, so the key built from it never ranks
+    /// below the exact decision — asynchrony bound ≥ score, increase bound
+    /// ≤ increase, headroom bound ≥ headroom — under the same float
+    /// operations as the exact path. For a flat candidate the bound is
+    /// the new peak itself.
     #[test]
     fn one_sample_bound_never_ranks_below_the_exact_decision(
         (fleet, candidate) in rows_and_candidate(),
@@ -424,11 +426,17 @@ proptest! {
         }
         let candidate = snap_samples(&candidate).unwrap();
         let candidate_peak = peak_of_samples(&candidate);
+        let floor = candidate.iter().copied().fold(f64::INFINITY, f64::min);
+        let flat = vec![candidate[t]; candidate.len()];
         for &rack in topology.racks() {
             let exact = engine.evaluate(rack, &candidate).unwrap();
             let old_peak = engine.aggregates().peak(rack).unwrap();
-            let lb = engine.aggregates().trace(rack).unwrap().samples()[t] + candidate[t];
+            let sample = engine.aggregates().trace(rack).unwrap().samples()[t] + candidate[t];
+            prop_assert!(old_peak + floor <= exact.new_peak_watts);
+            let lb = sample.max(old_peak + floor);
             prop_assert!(lb <= exact.new_peak_watts);
+            let flat_peak = engine.evaluate(rack, &flat).unwrap().new_peak_watts;
+            prop_assert_eq!((old_peak + flat[0]).to_bits(), flat_peak.to_bits());
             let asynchrony = if old_peak > 0.0 {
                 pairwise_score_from_peaks(old_peak, candidate_peak, lb)
             } else {

@@ -3,7 +3,8 @@
 //!
 //! | oracle | sides | agreement |
 //! |---|---|---|
-//! | `ring_replay_reconstructs_every_window_cell` | arena rows after an ingest stream vs an independent ring-replay model | bit-identical cells |
+//! | `ring_replay_reconstructs_every_window_cell` | arena rows after an ingest stream, with rows of retired slots reused by later arrivals, vs an independent ring-replay model | same live slots, bit-identical cells |
+//! | `retired_ids_never_resolve` | [`OnlineFleet::rack_of`](so_core::online::OnlineFleet::rack_of) of every slot the model has retired | `None` |
 //! | `ingest_aggregates_match_batch_recompute` | resident aggregates after ingest vs [`NodeAggregates::compute`] on the materialized windows | bit-identical samples |
 //! | `ingest_peaks_match_batch_recompute` | resident per-node peaks vs the recomputed aggregates' peaks | bit-identical |
 //! | `aggregates_match_shuffled_recompute` | resident aggregates and peaks vs a recompute adding live rows and children in a seeded random order | bit-identical |
@@ -12,7 +13,7 @@
 //! | `resident_repair_matches_reference` | [`DaemonFleet::repair`] after ingest rewrote rows in place vs [`reference_repair`] on the materialized windows | same swaps, worst-score bits and final occupancy |
 //! | `empty_ingest_is_identity` | root aggregate bits before vs after an empty batch | bit-identical |
 //! | `malformed_batch_rejects_without_mutation` | root aggregate bits around a NaN-bearing batch | rejected + bit-identical |
-//! | `ingest_accounting_is_exact` | per-batch applied/dropped vs the submitted updates and lifetime counters | exact |
+//! | `ingest_accounting_is_exact` | per-batch applied/dropped vs the model's live set and lifetime counters | exact |
 //!
 //! Every identity here is *exact*: ingest snaps each reading onto the
 //! exact grid of [`snap_samples`] and shifts its rack path by delta, so
@@ -38,15 +39,28 @@ const FAMILY: OracleFamily = OracleFamily::Daemon;
 /// Streamed ingest rounds per battery run.
 const ROUNDS: usize = 6;
 
+/// Retire+arrive pairs before each round's ingest batch. Each arrival
+/// takes the row the retirement just freed, so every round ingests into
+/// reused rows.
+const CHURN: usize = 3;
+
+/// One slot of the ring-replay model: its window, its cursor and whether
+/// it is live.
+struct ModelSlot {
+    window: Vec<f64>,
+    cursor: usize,
+    live: bool,
+}
+
 /// Runs every daemon oracle over the fixture: a [`DaemonFleet`] is
 /// seeded with the fixture fleet, driven through `ROUNDS` randomized
 /// sample batches (watt draws come from `rng`, so distinct battery seeds
-/// exercise distinct streams) interleaved with retirement/arrival churn
-/// and a repair pass, while an independent ring-replay model shadows
-/// every window write. The resident state is then held against batch
-/// recomputes after every round, and the mid-stream repair pass, which
-/// reads the rewritten rows in place, against the materializing
-/// reference repair.
+/// exercise distinct streams), each after `CHURN` retire+arrive pairs,
+/// with a repair pass mid-stream, while an independent ring-replay model
+/// shadows every window write and keeps its own live set. The resident
+/// state is then held against batch recomputes after every round, and
+/// the mid-stream repair pass, which reads the rewritten rows in place,
+/// against the materializing reference repair.
 ///
 /// # Errors
 ///
@@ -74,18 +88,29 @@ pub fn run(
         .map_err(OracleError::Core)?;
     let mut daemon = DaemonFleet::new(engine);
 
-    // The independent ring-replay model: per-slot window + cursor,
-    // maintained with nothing but slice writes and modular arithmetic.
-    let mut model: Vec<(Vec<f64>, usize)> = Vec::new();
+    // The independent ring-replay model: per-slot window, cursor and
+    // liveness, indexed by slot id and maintained with nothing but slice
+    // writes and modular arithmetic. A slot enters it fresh at cursor 0,
+    // whatever row the engine gives it.
+    let mut model: Vec<ModelSlot> = Vec::new();
     for trace in traces {
-        if let Some(slot) = daemon.arrive(trace).map_err(OracleError::Core)? {
-            debug_assert_eq!(slot, model.len());
-            model.push((snap_samples(trace.samples())?, 0));
-        }
+        arrive(&mut daemon, trace, &mut model)?;
     }
 
     let window = daemon.window();
     for round in 0..ROUNDS {
+        for _ in 0..CHURN {
+            let live: Vec<usize> = (0..model.len()).filter(|&s| model[s].live).collect();
+            let victim = live[rng.gen_range(0..live.len())];
+            daemon.retire(victim).map_err(OracleError::Core)?;
+            model[victim].live = false;
+            arrive(
+                &mut daemon,
+                &traces[rng.gen_range(0..traces.len())],
+                &mut model,
+            )?;
+        }
+
         let slot_count = daemon.fleet().slot_count();
         let batch_len = (slot_count / 2).max(1) + round;
         let mut updates = Vec::with_capacity(batch_len + 2);
@@ -106,10 +131,9 @@ pub fn run(
         let watts = snap_samples(&updates.iter().map(|u| u.watts).collect::<Vec<_>>())?;
         let mut expect_applied = 0usize;
         for (update, watts) in updates.iter().zip(watts) {
-            if daemon.fleet().rack_of(update.slot).is_some() {
-                let (row, cursor) = &mut model[update.slot];
-                row[*cursor] = watts;
-                *cursor = (*cursor + 1) % window;
+            if let Some(slot) = model.get_mut(update.slot).filter(|m| m.live) {
+                slot.window[slot.cursor] = watts;
+                slot.cursor = (slot.cursor + 1) % window;
                 expect_applied += 1;
             }
         }
@@ -126,18 +150,9 @@ pub fn run(
         );
 
         if round == ROUNDS / 2 {
-            // Interleave churn mid-stream: retire a random live slot,
-            // commit a fresh arrival, run one repair pass. The pass must
-            // take the reference's swaps, and none of it may disturb the
-            // bit-identity of later recomputes.
-            let live = daemon.fleet().live_slots();
-            let victim = live[rng.gen_range(0..live.len())];
-            daemon.retire(victim).map_err(OracleError::Core)?;
-            let fresh = traces[rng.gen_range(0..traces.len())].clone();
-            if let Some(slot) = daemon.arrive(&fresh).map_err(OracleError::Core)? {
-                debug_assert_eq!(slot, model.len());
-                model.push((snap_samples(fresh.samples())?, 0));
-            }
+            // One repair pass mid-stream: it must take the reference's
+            // swaps, and must not disturb the bit-identity of later
+            // recomputes.
             let (want, want_occupancy) = reference_pass(daemon.fleet())?;
             let got = daemon.repair()?;
             let got_occupancy = occupancy(daemon.fleet());
@@ -155,13 +170,49 @@ pub fn run(
     Ok(())
 }
 
-/// Every live slot's arena row must equal the ring-replay model's window
-/// bit-for-bit: the daemon's cursor arithmetic and the model's were
-/// written independently, so any indexing bug shows up as a cell diff.
-fn check_ring_replay(daemon: &DaemonFleet, model: &[(Vec<f64>, usize)], report: &mut OracleReport) {
-    for slot in daemon.fleet().live_slots() {
+/// Commits `trace` through the daemon and, when it is admitted, enters
+/// the new slot into the model: the next id, fresh at cursor 0.
+fn arrive(
+    daemon: &mut DaemonFleet,
+    trace: &PowerTrace,
+    model: &mut Vec<ModelSlot>,
+) -> Result<(), OracleError> {
+    if let Some(slot) = daemon.arrive(trace).map_err(OracleError::Core)? {
+        debug_assert_eq!(slot, model.len(), "slot ids are commit ordinals");
+        model.push(ModelSlot {
+            window: snap_samples(trace.samples())?,
+            cursor: 0,
+            live: true,
+        });
+    }
+    Ok(())
+}
+
+/// The daemon's live slots must be the model's, and each one's arena row
+/// must equal the model's window bit-for-bit: the daemon's cursor
+/// arithmetic and row reuse and the model's were written independently,
+/// so any indexing bug shows up as a cell diff. No retired id may
+/// resolve to a rack.
+fn check_ring_replay(daemon: &DaemonFleet, model: &[ModelSlot], report: &mut OracleReport) {
+    let live = daemon.fleet().live_slots();
+    let want_live: Vec<usize> = (0..model.len()).filter(|&s| model[s].live).collect();
+    report.check(
+        FAMILY,
+        "ring_replay_reconstructs_every_window_cell",
+        live == want_live,
+        || format!("live slots {live:?}, the model's {want_live:?}"),
+    );
+    for (slot, _) in model.iter().enumerate().filter(|(_, m)| !m.live) {
+        let rack = daemon.fleet().rack_of(slot);
+        report.check(FAMILY, "retired_ids_never_resolve", rack.is_none(), || {
+            format!("retired slot {slot} still resolves to rack {rack:?}")
+        });
+    }
+    for slot in live {
+        let Some(ModelSlot { window: want, .. }) = model.get(slot) else {
+            continue;
+        };
         let got = daemon.fleet().row(slot);
-        let want = &model[slot].0;
         report.check(
             FAMILY,
             "ring_replay_reconstructs_every_window_cell",

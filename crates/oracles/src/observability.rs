@@ -15,6 +15,7 @@
 //! plane attached and diffs what the plane *says* against what the engine
 //! *did*.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -324,15 +325,21 @@ fn compaction_oracles(report: &mut OracleReport) -> Result<(), OracleError> {
     let plane = fresh_plane();
     engine.attach_plane(plane);
     // Two residents pin rack occupancy; twenty arrive/retire cycles push
-    // forty journal events through an 8-entry cap.
+    // forty journal events through an 8-entry cap. Each slot's row is
+    // recorded while it is live: the next arrival reuses a retired row.
+    let mut rows = BTreeMap::new();
     for _ in 0..2 {
+        let issued = engine.slot_count();
         engine.arrive(&flat(100.0)?).map_err(OracleError::Core)?;
+        crate::online::record_rows(&engine, issued, &mut rows)?;
     }
     for _ in 0..20 {
+        let issued = engine.slot_count();
         let slot = engine
             .arrive(&flat(100.0)?)
             .map_err(OracleError::Core)?
             .expect("churn arrival always fits");
+        crate::online::record_rows(&engine, issued, &mut rows)?;
         engine.retire(slot).map_err(OracleError::Core)?;
     }
     let bound = CAP.max(2 * engine.live_len());
@@ -362,7 +369,7 @@ fn compaction_oracles(report: &mut OracleReport) -> Result<(), OracleError> {
     );
     // The compacted journal must still reconstruct the live set through
     // the online family's replay oracle (checkpoints act as insertions).
-    crate::online::journal_replays_offline(&engine, report)?;
+    crate::online::journal_replays_offline(&engine, &rows, report)?;
     flight_suffix_matches_journal(&engine, report);
     Ok(())
 }

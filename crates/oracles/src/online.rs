@@ -19,6 +19,7 @@
 //! | `counters_account_for_every_event` | engine counters vs journal arithmetic | exact |
 //! | `fragmentation_is_bounded` | per-level stranded watts vs headroom | `0 ≤ stranded ≤ headroom` |
 //! | `pruned_selection_matches_full_scan` | each bound-pruned [`OnlineFleet::arrive`] on a tie-heavy 128-rack fleet (64-probe sampling and every full-scan policy, tight RPP/SB budgets, flat and repeated rows, empty and full racks) vs [`select_decision`] over [`OnlineFleet::evaluate`] of every probed rack on the pre-state | same rack, same breaker-violation count |
+//! | `pruned_admit_matches_full_scan` | the bound-pruned [`OnlineFleet::admit`] of a flat candidate (including one no rack admits) on the same fleet before each arrival vs [`select_decision`] over [`OnlineFleet::decisions`] | bit-identical decision |
 //!
 //! Everything except the two bounds checks is *exact*: resident samples
 //! sit on the exact grid of [`so_powertrace::snap_samples`], where every
@@ -43,7 +44,7 @@ use so_core::{
     RemapConfig, RemapReport, SwapRecord,
 };
 use so_powertrace::{peak_of_samples, NodeAggregate, PowerTrace, TimeGrid, MAX_SAMPLE_WATTS};
-use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology};
+use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology, TreeError};
 use so_telemetry::{default_online_rules, LivePlane, RecordingSink};
 
 use crate::{Fixture, OracleError, OracleFamily, OracleReport};
@@ -95,10 +96,13 @@ pub fn run(
         let mut engine = OnlineFleet::new(fixture.topology.clone(), grid, config)
             .with_budgets(vec![cap; fixture.topology.len()])
             .map_err(OracleError::Core)?;
+        let mut rows = BTreeMap::new();
         let chunk = traces.len().div_ceil(3).max(1);
         for batch in traces.chunks(chunk) {
             let retires: Vec<u64> = (0..batch.len() / 4).map(|_| rng.gen()).collect();
+            let issued = engine.slot_count();
             engine.apply(batch, &retires).map_err(OracleError::Core)?;
+            record_rows(&engine, issued, &mut rows)?;
             if repair_budget > 0 && engine.live_len() >= 2 {
                 let mut probe = engine.clone();
                 let (want, want_occupancy) = reference_pass(&probe)?;
@@ -116,7 +120,7 @@ pub fn run(
         state_matches_offline(&engine, report)?;
         shuffled_recompute_matches(FAMILY, &engine, rng, report)?;
         asynchrony_matches_materialized(&engine, report)?;
-        journal_replays_offline(&engine, report)?;
+        journal_replays_offline(&engine, &rows, report)?;
         rejection_is_agreed(&engine, cap, report)?;
         counters_account(&engine, report);
         fragmentation_is_bounded(&engine, &traces[0], report)?;
@@ -169,6 +173,11 @@ const PRUNED_ARRIVALS: usize = 480;
 /// increase while their one-sample bounds are tight for some racks and
 /// loose for others.
 ///
+/// Before each arrival, the `/admit` search ([`OnlineFleet::admit`]) of
+/// one flat candidate, in turn 8 to 32 W, the 100 W rack budget and a
+/// 150 W draw no rack admits, is held against [`select_decision`] over
+/// the full [`OnlineFleet::decisions`].
+///
 /// # Errors
 ///
 /// Propagates engine and claim errors.
@@ -210,6 +219,10 @@ pub fn check_pruned_selection(
         .into_iter()
         .map(|row| PowerTrace::new(row, grid.step_minutes()))
         .collect::<Result<Vec<_>, _>>()?;
+    let flats = [8.0, 16.0, 24.0, 32.0, 100.0, 150.0]
+        .map(|w| PowerTrace::new(vec![w; grid.len()], grid.step_minutes()))
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
     for policy in [
         CommitPolicy::Sampling { probes: 64 },
@@ -240,6 +253,23 @@ pub fn check_pruned_selection(
                         .map_err(OracleError::Core)?;
                 }
             }
+            let flat = &flats[step % flats.len()];
+            let admitted = engine.admit(&policy, flat).map_err(OracleError::Core)?;
+            let decisions = engine.decisions(flat).map_err(OracleError::Core)?;
+            let scanned = select_decision(&policy, &decisions).copied();
+            report.check(
+                FAMILY,
+                "pruned_admit_matches_full_scan",
+                decision_bits(admitted.as_ref()) == decision_bits(scanned.as_ref()),
+                || {
+                    format!(
+                        "policy {}, step {step}, flat {} W: admit {admitted:?}, the full scan gives {scanned:?}",
+                        policy.name(),
+                        flat.peak()
+                    )
+                },
+            );
+
             let candidate = &pool[rng.gen_range(0..pool.len())];
             let probed = match policy {
                 CommitPolicy::Sampling { probes } => {
@@ -265,6 +295,22 @@ pub fn check_pruned_selection(
         }
     }
     Ok(())
+}
+
+/// A decision's fields as bits, so `-0.0` and `0.0` differ.
+fn decision_bits(d: Option<&LeafDecision>) -> Option<(NodeId, [bool; 3], [u64; 4])> {
+    d.map(|d| {
+        (
+            d.rack,
+            [d.fits, d.has_slot, d.power_ok],
+            [
+                d.new_peak_watts.to_bits(),
+                d.peak_increase_watts.to_bits(),
+                d.headroom_watts.to_bits(),
+                d.asynchrony.to_bits(),
+            ],
+        )
+    })
 }
 
 /// Diffs a claimed [`NodeAggregates`] against a from-scratch
@@ -775,13 +821,36 @@ pub fn check_repair(
     );
 }
 
+/// Adds the snapped row of every slot `engine` issued from `from` on to
+/// `rows`. Call it right after the arrivals that committed them, while
+/// they are all live: a retired slot's row is reused by a later commit,
+/// so the engine cannot show it again.
+///
+/// # Errors
+///
+/// Propagates trace construction errors.
+pub(crate) fn record_rows(
+    engine: &OnlineFleet,
+    from: usize,
+    rows: &mut BTreeMap<usize, PowerTrace>,
+) -> Result<(), OracleError> {
+    for slot in from..engine.slot_count() {
+        let row = engine.row(slot).to_vec();
+        rows.insert(slot, PowerTrace::new(row, engine.grid().step_minutes())?);
+    }
+    Ok(())
+}
+
 /// Walks the journal front to back, maintaining an independent slot→rack
 /// occupancy: a strided sample of commits is replayed through
 /// [`check_commit_decision`] against the reconstructed pre-state, every
 /// retirement/move must name the rack the replay says the slot lives on,
-/// and the final occupancy must reproduce the engine's live view.
+/// and the final occupancy must reproduce the engine's live view. The
+/// replay reads every committed slot's row from `rows`, the caller's own
+/// record ([`record_rows`]), never from the engine.
 pub(crate) fn journal_replays_offline(
     engine: &OnlineFleet,
+    rows: &BTreeMap<usize, PowerTrace>,
     report: &mut OracleReport,
 ) -> Result<(), OracleError> {
     let commits = engine
@@ -800,16 +869,17 @@ pub(crate) fn journal_replays_offline(
                 rack,
             } => {
                 if commit_idx % stride == 0 {
-                    let (pre_traces, pre_racks) = materialize(engine, &live)?;
-                    let candidate =
-                        PowerTrace::new(engine.row(slot).to_vec(), engine.grid().step_minutes())?;
+                    let (pre_traces, pre_racks) = materialize(rows, &live)?;
+                    let candidate = rows
+                        .get(&slot)
+                        .ok_or(OracleError::Tree(TreeError::UnknownInstance(slot)))?;
                     check_commit_decision(
                         engine.topology(),
                         engine.budgets(),
                         engine.grid(),
                         &pre_traces,
                         &pre_racks,
-                        &candidate,
+                        candidate,
                         &engine.config().policy,
                         engine.config().sample_salt,
                         ordinal,
@@ -1078,18 +1148,20 @@ fn fragmentation_is_bounded(
 }
 
 /// Materializes a replayed occupancy into `(traces, racks)` in ascending
-/// slot order — the pre-state [`check_commit_decision`] consumes.
+/// slot order — the pre-state [`check_commit_decision`] consumes — from
+/// the recorded `rows`.
 fn materialize(
-    engine: &OnlineFleet,
+    rows: &BTreeMap<usize, PowerTrace>,
     live: &BTreeMap<usize, NodeId>,
 ) -> Result<(Vec<PowerTrace>, Vec<NodeId>), OracleError> {
     let mut traces = Vec::with_capacity(live.len());
     let mut racks = Vec::with_capacity(live.len());
     for (&slot, &rack) in live {
-        traces.push(PowerTrace::new(
-            engine.row(slot).to_vec(),
-            engine.grid().step_minutes(),
-        )?);
+        traces.push(
+            rows.get(&slot)
+                .ok_or(OracleError::Tree(TreeError::UnknownInstance(slot)))?
+                .clone(),
+        );
         racks.push(rack);
     }
     Ok((traces, racks))

@@ -57,7 +57,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use so_core::daemon::{DaemonFleet, SampleUpdate};
-use so_core::online::{select_decision, CommitPolicy};
+use so_core::online::CommitPolicy;
 use so_parallel::ThreadContext;
 use so_powertrace::quantile::quantile_sorted;
 use so_powertrace::{snap_samples, PowerTrace, MAX_SAMPLE_WATTS};
@@ -519,19 +519,16 @@ fn admit_query(daemon: &DaemonFleet, policy: &CommitPolicy, req: &HttpRequest) -
         Ok(c) => c,
         Err(resp) => return resp,
     };
-    let decisions = match daemon.fleet().decisions(&candidate) {
-        Ok(d) => d,
-        Err(e) => return HttpResponse::error(500, format!("admission probe failed: {e}")),
-    };
-    match select_decision(policy, &decisions) {
-        Some(d) => reply(
+    match daemon.fleet().admit(policy, &candidate) {
+        Err(e) => HttpResponse::error(500, format!("admission probe failed: {e}")),
+        Ok(Some(d)) => reply(
             BenchObject::default()
                 .raw("admits", true)
                 .raw("rack", d.rack.index())
                 .float("headroom_watts", d.headroom_watts)
                 .float("asynchrony", d.asynchrony),
         ),
-        None => reply(
+        Ok(None) => reply(
             BenchObject::default()
                 .raw("admits", false)
                 .raw("rack", "null"),
@@ -1106,6 +1103,18 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         assert!(body.contains("\"dropped\":1"), "{body}");
 
+        // The next arrival takes the next id and slot 3's freed row; the
+        // old id still conflicts and its samples are still dropped.
+        let flat = vec!["50"; 16].join(",");
+        let (head, body) = request(&addr, "POST /arrive HTTP/1.1", &flat);
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(body.trim_end(), "{\"committed\":[24]}");
+        let (head, _) = request(&addr, "POST /retire?slot=3 HTTP/1.1", "");
+        assert!(head.starts_with("HTTP/1.1 409"), "{head}");
+        let (head, body) = request(&addr, "POST /ingest HTTP/1.1", "3 9.0\n24 9.0\n");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert!(body.contains("\"applied\":1,\"dropped\":1"), "{body}");
+
         let (head, _) = request(&addr, "GET /ingest HTTP/1.1", "");
         assert!(head.starts_with("HTTP/1.1 405"), "{head}");
 
@@ -1117,11 +1126,11 @@ mod tests {
         assert!(body.contains("stopping"), "{body}");
 
         let outcome = handle.join().unwrap();
-        // 24 seeded, 1 retired over the session.
-        assert_eq!(outcome.live_instances, 23);
+        // 24 seeded, 1 retired and 1 re-admitted over the session.
+        assert_eq!(outcome.live_instances, 24);
         assert_eq!(outcome.retired, 1);
-        assert!(outcome.batches_ingested >= 3);
-        assert_eq!(outcome.samples_dropped, 1);
+        assert!(outcome.batches_ingested >= 4);
+        assert_eq!(outcome.samples_dropped, 2);
     }
 
     #[test]

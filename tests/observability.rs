@@ -371,6 +371,34 @@ fn probe_work_counters_split_every_probe_at_any_lane_count() {
     }
 }
 
+/// `so_online_arena_rows` counts arena rows, live or free. Each commit
+/// after a retirement reuses the freed row, so churn leaves the gauge at
+/// the peak live count while slot ids keep counting.
+#[test]
+fn arena_rows_gauge_holds_at_the_peak_live_count_under_churn() {
+    let sink = Arc::new(RecordingSink::with_virtual_clock());
+    let engine = so_telemetry::with_sink(sink.clone(), || {
+        let mut engine = micro_fleet();
+        let mut slot = engine.arrive(&flat(100.0)).unwrap().unwrap();
+        engine.arrive(&flat(100.0)).unwrap().unwrap();
+        for _ in 0..5 {
+            engine.retire(slot).unwrap();
+            slot = engine.arrive(&flat(100.0)).unwrap().unwrap();
+        }
+        engine
+    });
+    assert_eq!((engine.slot_count(), engine.arena_rows()), (7, 2));
+    assert_eq!(
+        sink.snapshot().gauge("so_online_arena_rows", &[]),
+        Some(2.0)
+    );
+    let prometheus = sink.prometheus();
+    assert!(
+        prometheus.contains("\nso_online_arena_rows 2\n"),
+        "{prometheus}"
+    );
+}
+
 #[test]
 fn flight_ring_wraps_without_losing_the_newest_records() {
     let mut engine = micro_fleet();
