@@ -276,7 +276,6 @@ mod tests {
             repair_budget: 0,
             min_gain: 0.0,
             sample_salt: 7,
-            ..OnlineConfig::default()
         };
         let fleet = OnlineFleet::new(small_topology(), grid, config)
             .with_budgets(vec![1e9; small_topology().len()])

@@ -43,14 +43,14 @@
 //! # Slots and rows
 //!
 //! A commit takes the next slot id, its ordinal among commits. Ids are
-//! what the engine hands out and journals, and they are never reused.
+//! what the engine hands out and records, and they are never reused.
 //! Each live id maps to one arena row; a retirement frees its row, and
 //! the next commit overwrites a freed row before the arena grows. So the
 //! arena, and every per-row array beside it, holds at most the peak live
 //! count of rows, bounded by [`PowerTopology::server_capacity`], however
 //! many instances have come and gone. Rack member lists hold rows, in
 //! ascending slot-id order, so the repair search reads member rows with
-//! no lookup; the journal, swap records and every reply name slot ids.
+//! no lookup; event records, swap records and every reply name slot ids.
 //!
 //! Policies break ties deterministically (ascending rack id last), events
 //! within a batch are canonically ordered by [`OnlineFleet::apply`], and
@@ -70,6 +70,7 @@ use so_powertrace::{
 };
 use so_powertree::{Assignment, Level, NodeAggregates, NodeId, PowerTopology, TreeError};
 use so_telemetry::{AlertTransition, FlightKind, LivePlane};
+use so_workloads::rng::mix64;
 
 use crate::error::CoreError;
 use crate::remap::{remap_nodes, RemapConfig, RemapNodes, RemapReport, SwapRecord};
@@ -178,15 +179,6 @@ pub struct OnlineConfig {
     pub min_gain: f64,
     /// Salt for the `Sampling` policy's candidate draw.
     pub sample_salt: u64,
-    /// Soft cap on the event journal's length; `0` keeps the journal
-    /// unbounded (the historical behaviour). With a cap, whenever the
-    /// journal grows past `max(journal_cap, 2 × live)` it is compacted
-    /// to a [`EventRecord::Checkpoint`] snapshot of the live occupancy
-    /// (one entry per live slot, ascending), so a resident daemon's
-    /// journal memory is bounded by the live fleet, not the event count.
-    /// The `2 × live` floor keeps compaction amortized O(1) per event
-    /// even when the cap is smaller than the live set.
-    pub journal_cap: usize,
 }
 
 impl Default for OnlineConfig {
@@ -196,7 +188,6 @@ impl Default for OnlineConfig {
             repair_budget: 8,
             min_gain: 0.02,
             sample_salt: 0,
-            journal_cap: 0,
         }
     }
 }
@@ -230,7 +221,8 @@ pub struct LeafDecision {
     pub asynchrony: f64,
 }
 
-/// One entry of the engine's event journal — the ground truth an external
+/// One engine event, as the attached plane's flight ring records it
+/// (see [`OnlineFleet::attach_plane`]) — the ground truth an external
 /// replay (the `online` oracle family) checks against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventRecord {
@@ -264,17 +256,6 @@ pub enum EventRecord {
         /// Destination rack.
         to: NodeId,
     },
-    /// A journal-compaction checkpoint: `slot` is live on `rack`. A
-    /// compacted journal starts with one checkpoint per live slot
-    /// (ascending slot order) that together pin the exact occupancy the
-    /// discarded prefix had produced; replay treats a checkpoint as a
-    /// direct insertion.
-    Checkpoint {
-        /// Slot id of the live instance.
-        slot: usize,
-        /// The rack hosting it.
-        rack: NodeId,
-    },
 }
 
 impl EventRecord {
@@ -302,14 +283,11 @@ impl EventRecord {
                 from.index() as u64,
                 to.index() as u64,
             ),
-            EventRecord::Checkpoint { slot, rack } => {
-                (FlightKind::Checkpoint, slot as u64, 0, rack.index() as u64)
-            }
         }
     }
 
-    /// Decodes a flight-recorder payload back into a journal event
-    /// (`None` for non-journal kinds such as alert transitions).
+    /// Decodes a flight-recorder payload back into an engine event
+    /// (`None` for the plane's own kinds, such as alert transitions).
     pub fn from_flight(kind: FlightKind, a: u64, b: u64, c: u64) -> Option<EventRecord> {
         match kind {
             FlightKind::Committed => Some(EventRecord::Committed {
@@ -326,10 +304,6 @@ impl EventRecord {
                 slot: a as usize,
                 from: NodeId::new(b as usize),
                 to: NodeId::new(c as usize),
-            }),
-            FlightKind::Checkpoint => Some(EventRecord::Checkpoint {
-                slot: a as usize,
-                rack: NodeId::new(c as usize),
             }),
             _ => None,
         }
@@ -406,13 +380,9 @@ pub struct OnlineFleet {
     committed: u64,
     rejected: u64,
     retired: u64,
-    journal: Vec<EventRecord>,
-    /// Journal entries discarded by compaction (see
-    /// [`OnlineConfig::journal_cap`]).
-    journal_dropped: u64,
-    journal_compactions: u64,
-    /// The attached live observability plane, if any. `Clone` shares the
-    /// plane: probe clones report into the same flight ring.
+    /// The attached live observability plane, if any: its flight ring is
+    /// the engine's one event record. `Clone` shares the plane, so a
+    /// probe clone reports into the same ring unless it attaches its own.
     plane: Option<Arc<LivePlane>>,
     /// Counter snapshots at the previous [`OnlineFleet::observe_batch`],
     /// for per-batch rate signals.
@@ -459,9 +429,6 @@ impl OnlineFleet {
             committed: 0,
             rejected: 0,
             retired: 0,
-            journal: Vec::new(),
-            journal_dropped: 0,
-            journal_compactions: 0,
             plane: None,
             last_obs_arrivals: 0,
             last_obs_rejected: 0,
@@ -596,27 +563,12 @@ impl OnlineFleet {
         &self.aggregates
     }
 
-    /// The event journal: the full history since construction, or —
-    /// under a [`OnlineConfig::journal_cap`] — a checkpoint prefix plus
-    /// every event since the last compaction.
-    pub fn journal(&self) -> &[EventRecord] {
-        &self.journal
-    }
-
-    /// Journal entries discarded by compaction so far.
-    pub fn journal_dropped(&self) -> u64 {
-        self.journal_dropped
-    }
-
-    /// Compaction passes performed so far.
-    pub fn journal_compactions(&self) -> u64 {
-        self.journal_compactions
-    }
-
-    /// Attaches a live observability plane: every journal event is
-    /// mirrored into its flight recorder, breaker-budget violations
-    /// trigger postmortem dumps, and [`OnlineFleet::observe_batch`]
-    /// drives its alert engine. Cloning the fleet shares the plane.
+    /// Attaches a live observability plane: every engine event is
+    /// recorded in its flight ring as an [`EventRecord`] (the engine keeps
+    /// no other record of them), breaker-budget violations trigger
+    /// postmortem dumps, and [`OnlineFleet::observe_batch`] drives its
+    /// alert engine. Cloning the fleet shares the plane; attaching a new
+    /// one replaces it.
     pub fn attach_plane(&mut self, plane: Arc<LivePlane>) {
         self.plane = Some(plane);
     }
@@ -998,7 +950,7 @@ impl OnlineFleet {
 
     /// Offers one arrival, snapped onto the exact grid; returns the
     /// committed slot, or `None` when no rack is admissible (the arrival
-    /// is rejected and journaled). The rack is the one
+    /// is rejected and recorded). The rack is the one
     /// [`select_decision`] picks over [`evaluate`](Self::evaluate) of
     /// every probed rack, found by evaluating only the probes whose
     /// one-sample bound can still win (`search_racks`). With telemetry
@@ -1038,7 +990,7 @@ impl OnlineFleet {
             // feeds the plane's violation-delta alert signal. Nothing was
             // pruned, so every probe with a free slot is in `decisions`.
             let breaker_bound = decisions.iter().any(|d| d.has_slot && !d.power_ok);
-            self.push_journal(EventRecord::Rejected { ordinal });
+            self.record(EventRecord::Rejected { ordinal });
             if breaker_bound {
                 if let Some(plane) = &self.plane {
                     plane.note_breaker_violation(ordinal, peak_of_samples(&row));
@@ -1080,7 +1032,7 @@ impl OnlineFleet {
         self.place(index, rack)?;
         self.live += 1;
         self.committed += 1;
-        self.push_journal(EventRecord::Committed {
+        self.record(EventRecord::Committed {
             slot,
             ordinal,
             rack,
@@ -1112,7 +1064,7 @@ impl OnlineFleet {
         self.free_rows.push(row);
         self.live -= 1;
         self.retired += 1;
-        self.push_journal(EventRecord::Retired { slot, rack });
+        self.record(EventRecord::Retired { slot, rack });
         if so_telemetry::enabled() {
             so_telemetry::counter_add("so_online_retirements_total", &[], 1);
             so_telemetry::gauge_set("so_online_live_instances", &[], self.live as f64);
@@ -1188,10 +1140,8 @@ impl OnlineFleet {
     /// is exact, so swaps and scores are bit-identical to the offline
     /// remap of the materialized live fleet.
     ///
-    /// Then each slot whose rack changed over the pass is journaled once
-    /// ([`EventRecord::Moved`]), in ascending slot order, and its
-    /// `rack_of` entry is written with its record, so a compaction that
-    /// fires part-way snapshots the occupancy the journal has reached.
+    /// Then each slot whose rack changed over the pass is recorded once
+    /// ([`EventRecord::Moved`]), in ascending slot order.
     ///
     /// # Errors
     ///
@@ -1200,7 +1150,7 @@ impl OnlineFleet {
     /// before its first round, which checks every row and sum a later
     /// round reads, and moving member rows between racks on the exact
     /// grid cannot fail on a coherent state. Should a later step fail
-    /// anyway, the moves applied before it are journaled first.
+    /// anyway, the moves applied before it are recorded first.
     pub fn repair(&mut self) -> Result<RemapReport, CoreError> {
         let trivial = RemapReport {
             swaps: Vec::new(),
@@ -1220,10 +1170,9 @@ impl OnlineFleet {
             moves: BTreeMap::new(),
         };
         let outcome = remap_nodes(&mut racks, &config);
-        for (slot, (row, from, to)) in racks.moves {
+        for (slot, (from, to)) in racks.moves {
             if from != to {
-                self.rack_of[row] = to;
-                self.push_journal(EventRecord::Moved { slot, from, to });
+                self.record(EventRecord::Moved { slot, from, to });
             }
         }
         let mut report = outcome?;
@@ -1403,45 +1352,11 @@ impl OnlineFleet {
         Ok(())
     }
 
-    /// Appends `event` to the journal, mirrors it into the attached
-    /// flight recorder, and compacts the journal when it exceeds the
-    /// configured cap (see [`OnlineConfig::journal_cap`]).
-    fn push_journal(&mut self, event: EventRecord) {
+    /// Records `event` in the attached plane's flight ring, if any.
+    fn record(&self, event: EventRecord) {
         if let Some(plane) = &self.plane {
             let (kind, a, b, c) = event.flight_encoding();
             plane.record_event(kind, a, b, c, 0.0);
-        }
-        self.journal.push(event);
-        let cap = self.config.journal_cap;
-        if cap > 0 && self.journal.len() > cap.max(2 * self.live) {
-            self.compact_journal();
-        }
-    }
-
-    /// Replaces the journal with a [`EventRecord::Checkpoint`] snapshot
-    /// of the live occupancy (ascending slot order). The checkpoints are
-    /// also mirrored into the flight recorder, so the flight ring's
-    /// journal-event suffix still bit-matches the journal's suffix.
-    fn compact_journal(&mut self) {
-        let dropped = self.journal.len() as u64;
-        self.journal = self
-            .live_slots()
-            .into_iter()
-            .map(|slot| EventRecord::Checkpoint {
-                slot,
-                rack: self.rack_of[self.live_row(slot)],
-            })
-            .collect();
-        self.journal_dropped += dropped;
-        self.journal_compactions += 1;
-        if let Some(plane) = self.plane.clone() {
-            for event in &self.journal {
-                let (kind, a, b, c) = event.flight_encoding();
-                plane.record_event(kind, a, b, c, 0.0);
-            }
-        }
-        if so_telemetry::enabled() {
-            so_telemetry::counter_add("so_online_journal_compactions_total", &[], 1);
         }
     }
 
@@ -1469,10 +1384,9 @@ impl OnlineFleet {
 /// ids; `repair` turns its swap records' rows into slot ids.
 struct ResidentRacks<'a> {
     fleet: &'a mut OnlineFleet,
-    /// `(row, rack at the start of the pass, current rack)` of every slot
-    /// a swap moved, by slot id; `rack_of` is written when the move is
-    /// journaled.
-    moves: BTreeMap<usize, (usize, NodeId, NodeId)>,
+    /// `(rack at the start of the pass, current rack)` of every slot a
+    /// swap moved, by slot id.
+    moves: BTreeMap<usize, (NodeId, NodeId)>,
 }
 
 impl RemapNodes for ResidentRacks<'_> {
@@ -1517,8 +1431,9 @@ impl RemapNodes for ResidentRacks<'_> {
             (out, swap.node, swap.partner),
             (inn, swap.partner, swap.node),
         ] {
+            self.fleet.rack_of[row] = to;
             let slot = self.fleet.slot_of[row];
-            self.moves.entry(slot).or_insert((row, from, to)).2 = to;
+            self.moves.entry(slot).or_insert((from, to)).1 = to;
         }
         Ok(())
     }
@@ -1786,7 +1701,7 @@ fn sample_indices(n: usize, stream: u64, probes: usize, max_draws: u64) -> Vec<u
 /// arithmetic (`try_add().peak()`, [`pairwise_score`]) over a
 /// from-scratch [`NodeAggregates`] — an independent float path from the
 /// engine's fused probes, documented bit-identical, and the reference the
-/// `online` oracle family holds the journal against. The candidate is
+/// `online` oracle family holds recorded commits against. The candidate is
 /// snapped as [`OnlineFleet::arrive`] snaps it.
 ///
 /// `occupancy` maps racks to their live member count (missing = empty).
@@ -1859,12 +1774,9 @@ fn trace_digest(trace: &PowerTrace) -> u64 {
     h
 }
 
-/// SplitMix64-style combine (same mixer as the scale harness).
+/// Folds `x` into `seed` through the SplitMix64 finalizer.
 fn mix(seed: u64, x: u64) -> u64 {
-    let mut z = seed ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(seed ^ x.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 #[cfg(test)]
@@ -1902,6 +1814,27 @@ mod tests {
                 ..OnlineConfig::default()
             },
         )
+    }
+
+    /// Attaches a virtual-clock plane whose flight ring holds every event
+    /// of these small tests, and returns it.
+    fn recorded(fleet: &mut OnlineFleet) -> Arc<LivePlane> {
+        let plane = Arc::new(LivePlane::new(
+            Arc::new(so_telemetry::RecordingSink::with_virtual_clock()),
+            256,
+            so_telemetry::default_online_rules(),
+        ));
+        fleet.attach_plane(plane.clone());
+        plane
+    }
+
+    /// The engine events in `plane`'s flight ring, oldest first.
+    fn events(plane: &LivePlane) -> Vec<EventRecord> {
+        plane
+            .flight_records(0)
+            .iter()
+            .filter_map(|r| EventRecord::from_flight(r.kind, r.a, r.b, r.c))
+            .collect()
     }
 
     #[test]
@@ -1983,6 +1916,7 @@ mod tests {
     #[test]
     fn over_budget_arrivals_are_rejected_and_state_is_unchanged() {
         let mut fleet = engine(CommitPolicy::BestAsynchrony);
+        let plane = recorded(&mut fleet);
         fleet.arrive(&trace(&[100.0, 100.0, 100.0, 100.0])).unwrap();
         let before: Vec<u64> = fleet
             .aggregates()
@@ -2006,7 +1940,7 @@ mod tests {
             .collect();
         assert_eq!(before, after);
         assert!(matches!(
-            fleet.journal().last(),
+            events(&plane).last(),
             Some(EventRecord::Rejected { ordinal: 1 })
         ));
     }
@@ -2082,6 +2016,7 @@ mod tests {
                 ..OnlineConfig::default()
             },
         );
+        let plane = recorded(&mut fleet);
         // FirstFit piles synchronous and complementary traces onto the
         // first racks; repair should find profitable swaps.
         let report = fleet
@@ -2110,8 +2045,7 @@ mod tests {
                 assert_eq!(g.to_bits(), w.to_bits(), "node {node}");
             }
         }
-        let moves = fleet
-            .journal()
+        let moves = events(&plane)
             .iter()
             .filter(|e| matches!(e, EventRecord::Moved { .. }))
             .count();
@@ -2160,7 +2094,7 @@ mod tests {
         let offline =
             crate::remap_traces(&traces, fleet.topology(), &mut assignment, config).unwrap();
         assert!(!offline.swaps.is_empty(), "the fixture must swap");
-        let journaled = fleet.journal().len();
+        let plane = recorded(&mut fleet);
         let resident = fleet.repair().unwrap();
 
         // The same swaps, with dense positions named by their slots.
@@ -2204,7 +2138,7 @@ mod tests {
                 moves.push(EventRecord::Moved { slot, from, to });
             }
         }
-        assert_eq!(&fleet.journal()[journaled..], moves.as_slice());
+        assert_eq!(events(&plane), moves);
     }
 
     #[test]
@@ -2213,7 +2147,7 @@ mod tests {
         // Rack sums one sample short of the rows: the pass's first scoring
         // step rejects them, before any swap.
         fleet.aggregates = NodeAggregates::zeros(&fleet.topology, TimeGrid::new(60, 3));
-        let journal = fleet.journal().to_vec();
+        let plane = recorded(&mut fleet);
         let (members, rack_of, peak_sums) = (
             fleet.members.clone(),
             fleet.rack_of.clone(),
@@ -2223,7 +2157,7 @@ mod tests {
             fleet.repair(),
             Err(CoreError::Trace(TraceError::LengthMismatch { .. }))
         ));
-        assert_eq!(fleet.journal(), journal.as_slice());
+        assert_eq!(plane.flight_counts().1, 0, "a failed pass records no move");
         assert_eq!(fleet.members, members);
         assert_eq!(fleet.rack_of, rack_of);
         assert_eq!(fleet.peak_sums, peak_sums);
@@ -2240,7 +2174,6 @@ mod tests {
                 repair_budget: 0,
                 min_gain: 0.02,
                 sample_salt: 9,
-                ..OnlineConfig::default()
             },
         );
         let arrivals = [

@@ -96,8 +96,6 @@ fn churn_keeps_rows_and_live_heap_bounded_by_the_live_fleet() {
         repair_budget: 8,
         min_gain: 0.0,
         sample_salt: 1,
-        // The daemon's cap: the journal compacts at twice the live fleet.
-        journal_cap: 2 * INSTANCES,
     };
     let nodes = topology.len();
     let fleet = OnlineFleet::new(topology, TimeGrid::new(60, T), config)

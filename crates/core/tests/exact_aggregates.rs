@@ -114,7 +114,6 @@ proptest! {
             repair_budget: 2,
             min_gain: 0.0,
             sample_salt: 5,
-            ..OnlineConfig::default()
         };
         let fleet = OnlineFleet::new(topology.clone(), TimeGrid::new(60, T), config)
             .with_budgets(vec![1e6; topology.len()])

@@ -92,7 +92,6 @@ fn repair_pass_copies_no_rows() {
         repair_budget: 8,
         min_gain: 0.0,
         sample_salt: 1,
-        ..OnlineConfig::default()
     };
     let nodes = topology.len();
     let mut fleet = OnlineFleet::new(topology, TimeGrid::new(60, T), config)

@@ -2,10 +2,13 @@
 //! next commit overwrites it, but the retired id never resolves again,
 //! and the new id behaves exactly as a fresh row would.
 
+use std::sync::Arc;
+
 use so_core::daemon::{DaemonFleet, SampleUpdate};
 use so_core::{CommitPolicy, CoreError, EventRecord, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_powertree::{PowerTopology, TreeError};
+use so_telemetry::{default_online_rules, LivePlane, RecordingSink};
 
 const T: usize = 6;
 
@@ -41,6 +44,12 @@ fn trace(samples: [f64; T]) -> PowerTrace {
 #[test]
 fn a_reused_row_takes_a_new_id_and_the_old_id_never_resolves() {
     let mut fleet = engine();
+    let plane = Arc::new(LivePlane::new(
+        Arc::new(RecordingSink::with_virtual_clock()),
+        16,
+        default_online_rules(),
+    ));
+    fleet.attach_plane(plane.clone());
     for w in [10.0, 20.0, 30.0] {
         fleet.arrive(&trace([w; T])).unwrap().unwrap();
     }
@@ -61,9 +70,10 @@ fn a_reused_row_takes_a_new_id_and_the_old_id_never_resolves() {
     let snapped = so_powertrace::snap_samples(candidate.samples()).unwrap();
     assert_eq!(fleet.row(3), snapped.as_slice());
     assert!(std::panic::catch_unwind(|| fleet.row(1).to_vec()).is_err());
+    let newest = plane.flight_records(1)[0];
     assert_eq!(
-        fleet.journal().last(),
-        Some(&EventRecord::Committed {
+        EventRecord::from_flight(newest.kind, newest.a, newest.b, newest.c),
+        Some(EventRecord::Committed {
             slot: 3,
             ordinal: 3,
             rack: fleet.rack_of(3).unwrap(),

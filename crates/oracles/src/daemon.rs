@@ -81,7 +81,6 @@ pub fn run(
         repair_budget: 1,
         min_gain: 0.0,
         sample_salt: fixture.seed,
-        ..OnlineConfig::default()
     };
     let engine = OnlineFleet::new(fixture.topology.clone(), grid, config)
         .with_budgets(vec![cap; fixture.topology.len()])

@@ -31,18 +31,17 @@
 //! * **Online** ([`online`]) — the resident [`so_core::online::OnlineFleet`]
 //!   engine vs offline recomputes: after any event sequence its aggregates,
 //!   peaks, and asynchrony scores must be bit-identical to a from-scratch
-//!   [`so_powertree::NodeAggregates::compute`] of the final fleet, every
-//!   journaled commit/reject must match an independent materialized replay
-//!   of the commit policy, and every repair pass, which reads arena rows
-//!   in place, must take exactly the swaps of
+//!   [`so_powertree::NodeAggregates::compute`] of the final fleet, the
+//!   engine's flight ring must replay from the empty fleet to its live
+//!   set, every recorded commit matching an independent materialized
+//!   replay of the commit policy, and every repair pass, which reads arena
+//!   rows in place, must take exactly the swaps of
 //!   [`online::reference_repair`] over materialized traces.
-//! * **Observability** ([`observability`]) — the live plane must tell the
-//!   truth: the flight recorder's journal-event suffix is bit-identical to
-//!   the engine journal's suffix, a clean stream fires no violation-class
-//!   alert while a planted breaker-budget violation fires *exactly one*
-//!   `AlertFired` (with a postmortem dump) per excursion, the cached
-//!   fragmentation path matches the full recompute bit-for-bit, and
-//!   journal compaction keeps the replay oracle sound.
+//! * **Observability** ([`observability`]) — the live plane's alerts must
+//!   tell the truth: a clean stream fires no violation-class alert while a
+//!   planted breaker-budget violation fires *exactly one* `AlertFired`
+//!   (with a postmortem dump) per excursion, and resolves and refires
+//!   with hysteresis.
 //! * **Daemon** ([`daemon`]) — the resident [`so_core::daemon::DaemonFleet`]
 //!   ingest path vs batch recomputes: after *any* streamed sample sequence
 //!   (including ring wrap-around and interleaved arrival/retirement churn)
@@ -112,8 +111,8 @@ pub enum OracleFamily {
     /// The online placement engine must agree bit-for-bit with offline
     /// recomputes of its resident state and commit decisions.
     Online,
-    /// The live observability plane (flight recorder, alert engine,
-    /// journal compaction) must report exactly what the engine did.
+    /// The live observability plane's alert engine must report exactly
+    /// what the engine did.
     Observability,
     /// The resident daemon's incremental ring-buffer ingest must be
     /// bit-identical to batch recomputes of the materialized windows.

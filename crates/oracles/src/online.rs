@@ -9,14 +9,15 @@
 //! | `rack_asynchrony_matches_materialized_score` | O(1) [`OnlineFleet::rack_asynchrony`] vs [`asynchrony_score`] over materialized member traces | bit-identical |
 //! | `mean_rack_asynchrony_matches_materialized` | [`OnlineFleet::mean_rack_asynchrony`] vs the mean of the materialized scores in rack order | bit-identical |
 //! | `resident_repair_matches_reference` | [`OnlineFleet::repair`] on the resident state vs [`reference_repair`] on materialized traces, for every policy with repair enabled | same swaps (slots, racks, gain bits), worst-score bits and final occupancy |
-//! | `journal_commit_matches_offline_choice` | each journaled commit vs [`offline_choose`] replayed against the reconstructed pre-state | same rack |
-//! | `journal_retirement_names_the_hosting_rack` | journal replay occupancy at each `Retired`/`Moved` event | exact |
-//! | `journal_replay_reconstructs_the_live_set` | final replayed occupancy vs [`OnlineFleet::live_view`] | exact |
+//! | `flight_ring_holds_the_whole_run` | the engine's flight ring after the stream | no record dropped |
+//! | `flight_commit_matches_offline_choice` | each commit in the flight ring vs [`offline_choose`] replayed against the reconstructed pre-state | same rack |
+//! | `flight_retirement_names_the_hosting_rack` | ring replay occupancy at each `Retired`/`Moved` record | exact |
+//! | `flight_replay_reconstructs_the_live_set` | final replayed occupancy vs [`OnlineFleet::live_view`] | exact |
 //! | `rejection_is_agreed_by_offline_replay` | an over-budget probe arrival vs the offline replay | both reject |
 //! | `decisions_match_admission_decisions` | fused [`OnlineFleet::decisions`] vs the materializing [`admission_decisions`] | bit-identical fields |
 //! | `arrive_then_retire_is_identity` | aggregate bits before vs after an arrive∘retire round trip | bit-identical |
 //! | `retiring_everything_zeroes_aggregates` | every node trace after full retirement | exactly `0.0` |
-//! | `counters_account_for_every_event` | engine counters vs journal arithmetic | exact |
+//! | `counters_account_for_every_event` | commits + rejections vs arrivals, and commits − retirements vs live | exact |
 //! | `fragmentation_is_bounded` | per-level stranded watts vs headroom | `0 ≤ stranded ≤ headroom` |
 //! | `pruned_selection_matches_full_scan` | each bound-pruned [`OnlineFleet::arrive`] on a tie-heavy 128-rack fleet (64-probe sampling and every full-scan policy, tight RPP/SB budgets, flat and repeated rows, empty and full racks) vs [`select_decision`] over [`OnlineFleet::evaluate`] of every probed rack on the pre-state | same rack, same breaker-violation count |
 //! | `pruned_admit_matches_full_scan` | the bound-pruned [`OnlineFleet::admit`] of a flat candidate (including one no rack admits) on the same fleet before each arrival vs [`select_decision`] over [`OnlineFleet::decisions`] | bit-identical decision |
@@ -25,11 +26,21 @@
 //! sit on the exact grid of [`so_powertrace::snap_samples`], where every
 //! order of addition gives the same bits, and the fused probes perform
 //! the same float operations as the offline paths, so any ULP of drift
-//! is a bug. [`check_resident_aggregates`], [`check_shuffled_recompute`],
-//! [`check_commit_decision`], [`check_rack_asynchrony`],
-//! [`check_repair`] and [`check_pruned_selection`] are exported so
-//! mutation tests can feed deliberately broken states or searches through
-//! the same checkers the battery runs.
+//! is a bug.
+//!
+//! The replay reads the engine's one event record, the flight ring of its
+//! attached [`LivePlane`] — what smoothopd serves at `/flight` — decoded
+//! with [`EventRecord::from_flight`], so an encoding fault fails it
+//! directly. Each battery engine's ring holds the whole run, and a probe
+//! clone gets a ring of its own before it mutates, since clones share
+//! their plane.
+//!
+//! [`check_resident_aggregates`], [`check_shuffled_recompute`],
+//! [`check_commit_decision`], [`check_rack_asynchrony`], [`check_repair`],
+//! [`check_flight_replay`], [`check_event_replay`] and
+//! [`check_pruned_selection`] are exported so mutation tests can feed
+//! deliberately broken states, records or searches through the same
+//! checkers the battery runs.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -51,18 +62,39 @@ use crate::{Fixture, OracleError, OracleFamily, OracleReport};
 
 const FAMILY: OracleFamily = OracleFamily::Online;
 
-/// Cap on how many journaled commits are replayed offline per policy (the
+/// Cap on how many recorded commits are replayed offline per policy (the
 /// replay recomputes the full pre-state per commit, so it is the one
 /// super-linear oracle here; a deterministic stride keeps it bounded).
 const MAX_COMMIT_REPLAYS: usize = 48;
 
+/// Flight-ring capacity of a probe clone's own plane: nothing reads it.
+const PROBE_RING: usize = 16;
+
+/// A virtual-clock plane with the default online rules and a flight ring
+/// of `capacity` records.
+pub(crate) fn fresh_plane(capacity: usize) -> Arc<LivePlane> {
+    Arc::new(LivePlane::new(
+        Arc::new(RecordingSink::with_virtual_clock()),
+        capacity,
+        default_online_rules(),
+    ))
+}
+
+/// `engine` cloned onto a plane of its own, so the probe's events stay
+/// out of the ring the replay reads.
+fn probe_of(engine: &OnlineFleet) -> OnlineFleet {
+    let mut probe = engine.clone();
+    probe.attach_plane(fresh_plane(PROBE_RING));
+    probe
+}
+
 /// Runs every online oracle over the fixture: one engine per commit
 /// policy is driven through the same batched arrival/retirement stream
 /// (retirement draws come from `rng`, so distinct battery seeds exercise
-/// distinct churn), then each engine's resident state, journal, and fused
-/// decisions are held against offline recomputes. After every batch, a
-/// repairing policy's next repair pass (on a clone) is held against the
-/// reference pass.
+/// distinct churn), then each engine's resident state, flight ring, and
+/// fused decisions are held against offline recomputes. After every
+/// batch, a repairing policy's next repair pass (on a clone) is held
+/// against the reference pass.
 ///
 /// # Errors
 ///
@@ -91,11 +123,13 @@ pub fn run(
             repair_budget,
             min_gain: 0.0,
             sample_salt: fixture.seed,
-            ..OnlineConfig::default()
         };
         let mut engine = OnlineFleet::new(fixture.topology.clone(), grid, config)
             .with_budgets(vec![cap; fixture.topology.len()])
             .map_err(OracleError::Core)?;
+        // Room for every record of the stream: one per arrival, at most
+        // one retirement per four arrivals, and two per repair swap.
+        engine.attach_plane(fresh_plane(2 * traces.len() + 64));
         let mut rows = BTreeMap::new();
         let chunk = traces.len().div_ceil(3).max(1);
         for batch in traces.chunks(chunk) {
@@ -104,7 +138,7 @@ pub fn run(
             engine.apply(batch, &retires).map_err(OracleError::Core)?;
             record_rows(&engine, issued, &mut rows)?;
             if repair_budget > 0 && engine.live_len() >= 2 {
-                let mut probe = engine.clone();
+                let mut probe = probe_of(&engine);
                 let (want, want_occupancy) = reference_pass(&probe)?;
                 let got = probe.repair()?;
                 check_repair(
@@ -120,7 +154,7 @@ pub fn run(
         state_matches_offline(&engine, report)?;
         shuffled_recompute_matches(FAMILY, &engine, rng, report)?;
         asynchrony_matches_materialized(&engine, report)?;
-        journal_replays_offline(&engine, &rows, report)?;
+        check_flight_replay(&engine, &rows, report)?;
         rejection_is_agreed(&engine, cap, report)?;
         counters_account(&engine, report);
         fragmentation_is_bounded(&engine, &traces[0], report)?;
@@ -239,11 +273,7 @@ pub fn check_pruned_selection(
         let mut engine = OnlineFleet::new(topology.clone(), grid, config)
             .with_budgets(budgets.clone())
             .map_err(OracleError::Core)?;
-        engine.attach_plane(Arc::new(LivePlane::new(
-            Arc::new(RecordingSink::with_virtual_clock()),
-            16,
-            default_online_rules(),
-        )));
+        engine.attach_plane(fresh_plane(16));
         for step in 0..PRUNED_ARRIVALS {
             if step % 4 == 3 {
                 let live = engine.live_slots();
@@ -473,11 +503,11 @@ pub fn check_commit_decision(
     .map_err(OracleError::Core)?;
     report.check(
         FAMILY,
-        "journal_commit_matches_offline_choice",
+        "flight_commit_matches_offline_choice",
         want == claimed,
         || {
             format!(
-                "policy {}: offline replay of arrival {ordinal} picks {want:?}, journal claims {claimed:?}",
+                "policy {}: offline replay of arrival {ordinal} picks {want:?}, the claim is {claimed:?}",
                 policy.name()
             )
         },
@@ -829,7 +859,7 @@ pub fn check_repair(
 /// # Errors
 ///
 /// Propagates trace construction errors.
-pub(crate) fn record_rows(
+pub fn record_rows(
     engine: &OnlineFleet,
     from: usize,
     rows: &mut BTreeMap<usize, PowerTrace>,
@@ -841,27 +871,70 @@ pub(crate) fn record_rows(
     Ok(())
 }
 
-/// Walks the journal front to back, maintaining an independent slot→rack
-/// occupancy: a strided sample of commits is replayed through
-/// [`check_commit_decision`] against the reconstructed pre-state, every
-/// retirement/move must name the rack the replay says the slot lives on,
-/// and the final occupancy must reproduce the engine's live view. The
-/// replay reads every committed slot's row from `rows`, the caller's own
-/// record ([`record_rows`]), never from the engine.
-pub(crate) fn journal_replays_offline(
+/// Replays the flight ring of `engine`'s plane, every record decoded with
+/// [`EventRecord::from_flight`], through [`check_event_replay`]. The
+/// replay starts from the empty fleet, so a ring that dropped records
+/// (or a missing plane) is a violation, and nothing is replayed.
+///
+/// # Errors
+///
+/// Propagates [`check_event_replay`]'s errors.
+pub fn check_flight_replay(
     engine: &OnlineFleet,
     rows: &BTreeMap<usize, PowerTrace>,
     report: &mut OracleReport,
 ) -> Result<(), OracleError> {
-    let commits = engine
-        .journal()
+    let Some(plane) = engine.plane() else {
+        report.check(FAMILY, "flight_ring_holds_the_whole_run", false, || {
+            "the engine has no plane attached".to_string()
+        });
+        return Ok(());
+    };
+    let (held, total, dropped) = plane.flight_counts();
+    report.check(
+        FAMILY,
+        "flight_ring_holds_the_whole_run",
+        dropped == 0,
+        || format!("the flight ring holds {held} of {total} records"),
+    );
+    if dropped > 0 {
+        return Ok(());
+    }
+    let events: Vec<EventRecord> = plane
+        .flight_records(0)
+        .iter()
+        .filter_map(|r| EventRecord::from_flight(r.kind, r.a, r.b, r.c))
+        .collect();
+    check_event_replay(engine, &events, rows, report)
+}
+
+/// Walks `events`, the engine's whole event record, front to back,
+/// maintaining an independent slot→rack occupancy: a strided sample of
+/// commits is replayed through [`check_commit_decision`] against the
+/// reconstructed pre-state, every retirement/move must name the rack the
+/// replay says the slot lives on, and the final occupancy must reproduce
+/// the engine's live view. The replay reads every committed slot's row
+/// from `rows`, the caller's own record ([`record_rows`]), never from the
+/// engine.
+///
+/// # Errors
+///
+/// Propagates materialization and commit-replay errors; a commit whose
+/// slot has no recorded row is [`TreeError::UnknownInstance`].
+pub fn check_event_replay(
+    engine: &OnlineFleet,
+    events: &[EventRecord],
+    rows: &BTreeMap<usize, PowerTrace>,
+    report: &mut OracleReport,
+) -> Result<(), OracleError> {
+    let commits = events
         .iter()
         .filter(|e| matches!(e, EventRecord::Committed { .. }))
         .count();
     let stride = commits.div_ceil(MAX_COMMIT_REPLAYS).max(1);
     let mut live: BTreeMap<usize, NodeId> = BTreeMap::new();
     let mut commit_idx = 0usize;
-    for event in engine.journal() {
+    for event in events {
         match *event {
             EventRecord::Committed {
                 slot,
@@ -897,25 +970,23 @@ pub(crate) fn journal_replays_offline(
                 let was = live.remove(&slot);
                 report.check(
                     FAMILY,
-                    "journal_retirement_names_the_hosting_rack",
+                    "flight_retirement_names_the_hosting_rack",
                     was == Some(rack),
-                    || format!("slot {slot}: journal retires from {rack}, replay hosts {was:?}"),
+                    || {
+                        format!(
+                            "slot {slot}: the ring retires it from {rack}, replay hosts {was:?}"
+                        )
+                    },
                 );
             }
             EventRecord::Moved { slot, from, to } => {
                 let was = live.insert(slot, to);
                 report.check(
                     FAMILY,
-                    "journal_retirement_names_the_hosting_rack",
+                    "flight_retirement_names_the_hosting_rack",
                     was == Some(from),
-                    || format!("slot {slot}: journal moves from {from}, replay hosts {was:?}"),
+                    || format!("slot {slot}: the ring moves it from {from}, replay hosts {was:?}"),
                 );
-            }
-            // A compaction checkpoint pins one live slot directly — the
-            // exact occupancy the discarded journal prefix had produced
-            // — so replay inserts it without a commit decision to check.
-            EventRecord::Checkpoint { slot, rack } => {
-                live.insert(slot, rack);
             }
         }
     }
@@ -927,11 +998,11 @@ pub(crate) fn journal_replays_offline(
         .all(|(i, &s)| assignment.rack_of(i).ok() == live.get(&s).copied());
     report.check(
         FAMILY,
-        "journal_replay_reconstructs_the_live_set",
+        "flight_replay_reconstructs_the_live_set",
         replayed == slots && racks_agree,
         || {
             format!(
-                "journal replay yields {} live slots, engine reports {}",
+                "ring replay yields {} live slots, engine reports {}",
                 replayed.len(),
                 slots.len()
             )
@@ -950,8 +1021,7 @@ fn rejection_is_agreed(
     report: &mut OracleReport,
 ) -> Result<(), OracleError> {
     let budget = cap.min(MAX_SAMPLE_WATTS / 2.0);
-    let mut probe = engine
-        .clone()
+    let mut probe = probe_of(engine)
         .with_budgets(vec![budget; engine.topology().len()])
         .map_err(OracleError::Core)?;
     let too_big = PowerTrace::new(
@@ -1056,7 +1126,7 @@ fn arrive_retire_identity(
     candidate: &PowerTrace,
     report: &mut OracleReport,
 ) -> Result<(), OracleError> {
-    let mut probe = engine.clone();
+    let mut probe = probe_of(engine);
     let before = aggregate_bits(&probe);
     if let Some(slot) = probe.arrive(candidate).map_err(OracleError::Core)? {
         probe.retire(slot).map_err(OracleError::Core)?;
@@ -1100,9 +1170,8 @@ fn retire_all_zeroes(
     Ok(())
 }
 
-/// Engine counters vs journal arithmetic: every arrival is either a
-/// commit or a rejection, and the live count is commits minus
-/// retirements.
+/// Engine counters vs each other: every arrival is either a commit or a
+/// rejection, and the live count is commits minus retirements.
 fn counters_account(engine: &OnlineFleet, report: &mut OracleReport) {
     report.check(
         FAMILY,

@@ -2,27 +2,31 @@
 //! deliberately broken implementation actually trips it. Each test plants
 //! a classic bug — quantile convention drift, a stale online aggregate, a
 //! path delta that stops at the rack, an ingest write that skips the
-//! snap, a wrong-leaf commit, a repair swap with the wrong partner, a rack
-//! asynchrony one ULP off, an arrival search that stops on a tied bound —
-//! and asserts at least one oracle objects; the production
+//! snap, a wrong-leaf commit, a repair swap with the wrong partner, a
+//! move recorded with its racks swapped, a flight ring too small for its
+//! run, a rack asynchrony one ULP off, an arrival search that stops on a
+//! tied bound — and asserts at least one oracle objects; the production
 //! implementations pass the same probes untouched.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use so_core::{
-    pairwise_score_from_peaks, sample_racks, select_decision, CommitPolicy, CoreError,
+    pairwise_score_from_peaks, sample_racks, select_decision, CommitPolicy, CoreError, EventRecord,
     LeafDecision, OnlineConfig, OnlineFleet, RemapConfig,
 };
 use so_oracles::differential::quantile_matches_reference;
 use so_oracles::online::{
-    check_commit_decision, check_pruned_selection, check_rack_asynchrony, check_repair,
-    check_resident_aggregates, check_shuffled_recompute, engine_arrival, reference_repair,
+    check_commit_decision, check_event_replay, check_flight_replay, check_pruned_selection,
+    check_rack_asynchrony, check_repair, check_resident_aggregates, check_shuffled_recompute,
+    engine_arrival, record_rows, reference_repair,
 };
 use so_oracles::{Fixture, OracleFamily, OracleReport};
 use so_powertrace::{peak_of_samples, snap_samples, PowerTrace};
 use so_powertree::{NodeAggregates, NodeId};
+use so_telemetry::{default_online_rules, LivePlane, RecordingSink};
 use so_workloads::DcScenario;
 
 fn samples() -> Vec<f64> {
@@ -260,8 +264,8 @@ fn ingest_write_that_skips_the_snap_is_caught() {
 #[test]
 fn wrong_leaf_commit_is_caught() {
     // Bug: an engine that evaluates the policy but commits to some other
-    // admissible rack — the journal claims a leaf the offline replay of
-    // the same pre-state would never pick.
+    // admissible rack — the flight ring claims a leaf the offline replay
+    // of the same pre-state would never pick.
     let (engine, traces) = driven_engine();
     let candidate = &traces[0];
     let decisions = engine.decisions(candidate).unwrap();
@@ -319,6 +323,12 @@ fn wrong_leaf_commit_is_caught() {
 /// run yet: first fit packs synchronous neighbours together, so its next
 /// repair pass swaps.
 fn fragmented_engine() -> OnlineFleet {
+    recorded_fragmented_engine(64).0
+}
+
+/// The 16 fixture instances first-fit onto a plane with a `ring`-record
+/// flight ring, and every committed row as the replay reads it.
+fn recorded_fragmented_engine(ring: usize) -> (OnlineFleet, BTreeMap<usize, PowerTrace>) {
     let fixture = Fixture::generate(&DcScenario::dc1(), 16, 9).unwrap();
     let traces = fixture.traces();
     let cap = traces.iter().map(PowerTrace::peak).sum::<f64>() * 2.0 + 100.0;
@@ -334,10 +344,69 @@ fn fragmented_engine() -> OnlineFleet {
     )
     .with_budgets(vec![cap; fixture.topology.len()])
     .unwrap();
+    engine.attach_plane(Arc::new(LivePlane::new(
+        Arc::new(RecordingSink::with_virtual_clock()),
+        ring,
+        default_online_rules(),
+    )));
     for trace in traces {
         engine.arrive(trace).unwrap().expect("admissible");
     }
-    engine
+    let mut rows = BTreeMap::new();
+    record_rows(&engine, 0, &mut rows).unwrap();
+    (engine, rows)
+}
+
+#[test]
+fn moved_record_with_swapped_racks_is_caught() {
+    // Bug: a flight encoding that writes a move's racks the wrong way
+    // round — modeled by decoding the production ring after a repair pass
+    // and swapping one `Moved` record's `from` and `to`.
+    let (mut engine, rows) = recorded_fragmented_engine(64);
+    assert!(!engine.repair().unwrap().swaps.is_empty());
+    let mut clean = OracleReport::new();
+    check_flight_replay(&engine, &rows, &mut clean).unwrap();
+    assert!(clean.is_clean(), "{:#?}", clean.violations());
+
+    let mut events: Vec<EventRecord> = engine
+        .plane()
+        .unwrap()
+        .flight_records(0)
+        .iter()
+        .filter_map(|r| EventRecord::from_flight(r.kind, r.a, r.b, r.c))
+        .collect();
+    let (from, to) = events
+        .iter_mut()
+        .find_map(|e| match e {
+            EventRecord::Moved { from, to, .. } => Some((from, to)),
+            _ => None,
+        })
+        .expect("the pass moved a slot");
+    std::mem::swap(from, to);
+    let mut report = OracleReport::new();
+    check_event_replay(&engine, &events, &rows, &mut report).unwrap();
+    assert!(
+        !report.is_clean(),
+        "a move with swapped racks slipped past the replay"
+    );
+    assert!(report
+        .violations()
+        .iter()
+        .all(|v| v.family == OracleFamily::Online));
+}
+
+#[test]
+fn a_flight_ring_too_small_for_the_run_is_caught() {
+    // Bug: a ring sized below the run it must replay drops the oldest
+    // records, so a replay of what is left would start mid-stream.
+    let (engine, rows) = recorded_fragmented_engine(8);
+    let mut report = OracleReport::new();
+    check_flight_replay(&engine, &rows, &mut report).unwrap();
+    assert_eq!(
+        report.violations_in(OracleFamily::Online),
+        1,
+        "a ring that dropped records passed the replay"
+    );
 }
 
 fn occupancy(engine: &OnlineFleet) -> BTreeMap<usize, NodeId> {
@@ -350,7 +419,7 @@ fn occupancy(engine: &OnlineFleet) -> BTreeMap<usize, NodeId> {
 
 #[test]
 fn repair_swap_with_a_wrong_partner_is_caught() {
-    // Bug: a repair pass that reports (and journals) a partner rack other
+    // Bug: a repair pass that reports (and records) a partner rack other
     // than the one the swap search chose — modeled by running the real
     // pass and rewriting the first swap's partner in its report.
     let mut engine = fragmented_engine();

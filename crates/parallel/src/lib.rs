@@ -19,15 +19,15 @@
 //! ([`ThreadContext`]), and every helper draws its workers from one count
 //! of live workers, so nested calls — e.g. per-child placement recursion
 //! invoking parallel k-means — share one pool-sized allotment instead of
-//! multiplying threads. When no lane is free, inside [`serial_scope`], or
-//! with the `threads` feature disabled, every helper degenerates to the
-//! plain serial loop and produces the same bits.
+//! multiplying threads. When no lane is free, at a lane budget of 1, or
+//! inside [`serial_scope`], every helper degenerates to the plain serial
+//! loop and produces the same bits.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use so_telemetry::TelemetrySink;
+use so_telemetry::RecordingSink;
 
 /// Spawned worker threads currently alive across all helpers. The one
 /// process-wide value here: it counts real threads, not configuration.
@@ -68,7 +68,7 @@ pub fn set_thread_limit(lanes: usize) {
 #[derive(Clone)]
 pub struct ThreadContext {
     limit: usize,
-    sink: Option<Arc<dyn TelemetrySink>>,
+    sink: Option<Arc<RecordingSink>>,
 }
 
 impl ThreadContext {
@@ -164,7 +164,7 @@ impl Drop for Permit {
 /// at most one lane per piece, capped by the budget, and 1 whenever
 /// threading is off for any reason.
 fn lanes_for(parts: usize) -> usize {
-    if !cfg!(feature = "threads") || parts < 2 || is_serial() {
+    if parts < 2 || is_serial() {
         1
     } else {
         parts.min(thread_limit())
@@ -240,12 +240,11 @@ where
 }
 
 /// Number of lanes a data-parallel helper would use right now: `1`
-/// whenever threading is unavailable (feature off, inside a
-/// [`serial_scope`]), the current [`thread_limit`] otherwise. Reporting
-/// only — the actual grant still depends on the shared budget at call
-/// time.
+/// inside a [`serial_scope`], the current [`thread_limit`] otherwise.
+/// Reporting only — the actual grant still depends on the shared budget
+/// at call time.
 pub fn effective_lanes() -> usize {
-    if !cfg!(feature = "threads") || is_serial() {
+    if is_serial() {
         1
     } else {
         thread_limit()
@@ -449,11 +448,7 @@ mod tests {
     #[test]
     fn effective_lanes_respects_serial_scope() {
         set_thread_limit(4);
-        if cfg!(feature = "threads") {
-            assert_eq!(effective_lanes(), 4);
-        } else {
-            assert_eq!(effective_lanes(), 1);
-        }
+        assert_eq!(effective_lanes(), 4);
         assert_eq!(serial_scope(effective_lanes), 1);
     }
 

@@ -54,12 +54,10 @@ fn workers_inherit_the_callers_budget_and_sink() {
             seen.iter().all(|&(_, lanes)| lanes == 4),
             "{what}: a worker saw another thread's lane budget"
         );
-        if cfg!(feature = "threads") {
-            assert!(
-                seen.iter().any(|&(id, _)| id != caller),
-                "{what}: no worker was spawned"
-            );
-        }
+        assert!(
+            seen.iter().any(|&(id, _)| id != caller),
+            "{what}: no worker was spawned"
+        );
     }
 
     release.send(()).unwrap();

@@ -2,8 +2,8 @@
 //! engine events, dumpable as JSONL for postmortems.
 //!
 //! The recorder is the observability plane's black box. Producers push
-//! [`FlightRecord`]s — plain-old-data mirrors of the online engine's
-//! journal events plus alert transitions — into a preallocated ring.
+//! [`FlightRecord`]s — the online engine's events (its only record of
+//! them) plus alert transitions — into a preallocated ring.
 //! Once the ring reaches capacity every push overwrites the oldest
 //! record in place, so the steady state allocates nothing and the memory
 //! footprint is fixed at construction time. When an anomaly fires
@@ -32,9 +32,6 @@ pub enum FlightKind {
     /// Repair moved a live instance between racks (`a`=slot, `b`=from
     /// rack, `c`=to rack).
     Moved,
-    /// A journal-compaction checkpoint pinning one live slot (`a`=slot,
-    /// `c`=rack).
-    Checkpoint,
     /// An alert rule transitioned to firing (`a`=rule index,
     /// `b`=evaluation index, `value`=measured signal).
     AlertFired,
@@ -54,24 +51,10 @@ impl FlightKind {
             FlightKind::Rejected => "rejected",
             FlightKind::Retired => "retired",
             FlightKind::Moved => "moved",
-            FlightKind::Checkpoint => "checkpoint",
             FlightKind::AlertFired => "alert_fired",
             FlightKind::AlertResolved => "alert_resolved",
             FlightKind::BreakerViolation => "breaker_violation",
         }
-    }
-
-    /// True for kinds that mirror an engine journal event (the subset
-    /// the replay oracle compares against the journal suffix).
-    pub fn is_journal_event(self) -> bool {
-        matches!(
-            self,
-            FlightKind::Committed
-                | FlightKind::Rejected
-                | FlightKind::Retired
-                | FlightKind::Moved
-                | FlightKind::Checkpoint
-        )
     }
 }
 
@@ -221,9 +204,7 @@ fn render_record(record: &FlightRecord, rule_names: &[String]) -> BenchObject {
             .raw("ordinal", record.b)
             .raw("rack", record.c),
         FlightKind::Rejected => line.raw("ordinal", record.b),
-        FlightKind::Retired | FlightKind::Checkpoint => {
-            line.raw("slot", record.a).raw("rack", record.c)
-        }
+        FlightKind::Retired => line.raw("slot", record.a).raw("rack", record.c),
         FlightKind::Moved => line
             .raw("slot", record.a)
             .raw("from", record.b)

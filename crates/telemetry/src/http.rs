@@ -535,7 +535,7 @@ fn respond(stream: &mut TcpStream, response: &HttpResponse) -> std::io::Result<(
 mod tests {
     use super::*;
     use crate::alerts::AlertRule;
-    use crate::sink::{RecordingSink, TelemetrySink};
+    use crate::sink::RecordingSink;
     use proptest::prelude::*;
 
     /// A reader that hands out `sizes[i]` bytes (cycling) on the i-th

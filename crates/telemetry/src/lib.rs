@@ -6,16 +6,16 @@
 //! (§3.6). This crate is the reproduction's equivalent nervous system:
 //! every hot path (embedding, k-means, placement recursion, remapping,
 //! the runtime simulator, trace sanitization) reports counters, gauges,
-//! histograms, and timed spans through the [`TelemetrySink`] installed on
+//! histograms, and timed spans through the [`RecordingSink`] installed on
 //! the calling thread. Each thread has its own; `so_parallel` workers and
 //! the smoothopd service threads run under the sink of the thread that
 //! spawned them, so concurrent runs under different sinks never mix.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Zero cost when disabled.** The default sink is [`NoopSink`] and
-//!    no sink is installed; every recording entry point first reads one
-//!    thread-local ([`enabled`]) and returns without allocating.
+//! 1. **Zero cost when disabled.** By default no sink is installed;
+//!    every recording entry point first reads one thread-local
+//!    ([`enabled`]) and returns without allocating.
 //!    Placement/remap/simulation outputs are bit-identical whether or not
 //!    the instrumentation code is compiled in.
 //! 2. **Determinism.** A [`RecordingSink`] driven by the
@@ -84,6 +84,6 @@ pub use registry::{Histogram, MetricKey, MetricsRegistry, BUCKET_BOUNDS};
 pub use report::render_report;
 pub use sink::{
     counter_add, current_sink, enabled, gauge_set, install, observe, point, uninstall, with_sink,
-    Event, EventKind, FieldValue, NoopSink, RecordingSink, TelemetrySink,
+    Event, EventKind, FieldValue, RecordingSink,
 };
 pub use span::{span, SpanGuard};

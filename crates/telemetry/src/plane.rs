@@ -3,7 +3,7 @@
 //! shareable handle.
 //!
 //! The plane is what a resident engine attaches to (and what the HTTP
-//! listener serves from): engine hooks record journal events into the
+//! listener serves from): engine hooks record every engine event into the
 //! flight ring, per-batch orchestration feeds signal snapshots to the
 //! alert engine, and every `AlertFired` or breaker-budget violation
 //! captures a postmortem dump of the last-N events automatically.
@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::alerts::{AlertEngine, AlertTransition};
 use crate::export::BenchObject;
 use crate::flight::{FlightKind, FlightRecorder};
-use crate::sink::{RecordingSink, TelemetrySink};
+use crate::sink::RecordingSink;
 
 /// How many postmortem dumps the plane retains (oldest evicted first).
 const MAX_DUMPS: usize = 16;

@@ -1,5 +1,4 @@
-//! The sink trait, the per-thread installed sink, and the two built-in
-//! sinks.
+//! The recording sink and the per-thread slot it is installed in.
 
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -57,62 +56,16 @@ pub struct Event {
     pub fields: Vec<(String, FieldValue)>,
 }
 
-/// Destination for telemetry.
+/// The telemetry destination: records metrics into a
+/// [`MetricsRegistry`] and events into an ordered log, stamping
+/// timestamps from its [`TelemetryClock`].
 ///
-/// Implementations must be cheap and non-blocking enough to sit on hot
-/// paths; they are called behind the [`enabled`] check, so the disabled
-/// path never reaches them. Metric methods may be called from
-/// parallel worker threads — implementations must only rely on
-/// commutative updates (integer adds, fixed-point sums) for cross-thread
-/// determinism. [`emit`](TelemetrySink::emit) is only called from serial
-/// orchestration points (see the crate docs' determinism contract).
-pub trait TelemetrySink: Send + Sync {
-    /// Current time in milliseconds; sinks without a clock return 0.
-    fn now_ms(&self) -> u64 {
-        0
-    }
-    /// Adds `delta` to a counter.
-    fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64);
-    /// Sets a gauge.
-    fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64);
-    /// Records a histogram observation.
-    fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64);
-    /// Records a span boundary or point event.
-    fn emit(
-        &self,
-        kind: EventKind,
-        path: &str,
-        duration_ms: Option<u64>,
-        fields: &[(&str, FieldValue)],
-    );
-}
-
-/// A sink that drops everything. Installed implicitly when no sink is
-/// installed; every method is an empty inline body, so the compiler
-/// erases the calls entirely.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
-
-impl TelemetrySink for NoopSink {
-    #[inline]
-    fn counter_add(&self, _name: &str, _labels: &[(&str, &str)], _delta: u64) {}
-    #[inline]
-    fn gauge_set(&self, _name: &str, _labels: &[(&str, &str)], _value: f64) {}
-    #[inline]
-    fn observe(&self, _name: &str, _labels: &[(&str, &str)], _value: f64) {}
-    #[inline]
-    fn emit(
-        &self,
-        _kind: EventKind,
-        _path: &str,
-        _duration_ms: Option<u64>,
-        _fields: &[(&str, FieldValue)],
-    ) {
-    }
-}
-
-/// A sink that records metrics into a [`MetricsRegistry`] and events
-/// into an ordered log, stamping timestamps from its [`TelemetryClock`].
+/// Its recording methods sit behind the [`enabled`] check, so the
+/// disabled path never reaches them. Metric updates may come from
+/// parallel worker threads and are commutative (integer adds,
+/// fixed-point sums), so snapshots are thread-count independent; events
+/// are only emitted from serial orchestration points (see the crate
+/// docs' determinism contract).
 #[derive(Debug)]
 pub struct RecordingSink {
     clock: TelemetryClock,
@@ -166,35 +119,35 @@ impl RecordingSink {
     pub fn prometheus(&self) -> String {
         crate::export::registry_to_prometheus(&self.snapshot())
     }
-}
 
-impl TelemetrySink for RecordingSink {
-    fn now_ms(&self) -> u64 {
+    /// Milliseconds since the clock's origin.
+    pub(crate) fn now_ms(&self) -> u64 {
         self.clock.now_ms()
     }
 
-    fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
+    pub(crate) fn counter_add(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
         self.metrics
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .counter_add(name, labels, delta);
     }
 
-    fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+    pub(crate) fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.metrics
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .gauge_set(name, labels, value);
     }
 
-    fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+    pub(crate) fn observe(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         self.metrics
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .observe(name, labels, value);
     }
 
-    fn emit(
+    /// Records a span boundary or point event.
+    pub(crate) fn emit(
         &self,
         kind: EventKind,
         path: &str,
@@ -223,7 +176,7 @@ thread_local! {
     /// smoothopd service threads run under their spawner's sink (see
     /// `so_parallel::ThreadContext`); any other new thread starts with
     /// none.
-    static SINK: RefCell<Option<Arc<dyn TelemetrySink>>> = const { RefCell::new(None) };
+    static SINK: RefCell<Option<Arc<RecordingSink>>> = const { RefCell::new(None) };
 }
 
 /// True while a sink is installed on this thread. Instrumented call
@@ -235,18 +188,18 @@ pub fn enabled() -> bool {
 }
 
 /// Installs `sink` as this thread's telemetry destination.
-pub fn install(sink: Arc<dyn TelemetrySink>) {
+pub fn install(sink: Arc<RecordingSink>) {
     SINK.set(Some(sink));
 }
 
 /// Removes and returns this thread's sink, disabling telemetry on it.
-pub fn uninstall() -> Option<Arc<dyn TelemetrySink>> {
+pub fn uninstall() -> Option<Arc<RecordingSink>> {
     SINK.take()
 }
 
 /// This thread's sink, if any — what a spawner hands to the threads it
 /// starts so their telemetry lands in the same place.
-pub fn current_sink() -> Option<Arc<dyn TelemetrySink>> {
+pub fn current_sink() -> Option<Arc<RecordingSink>> {
     SINK.with_borrow(Option::clone)
 }
 
@@ -254,8 +207,8 @@ pub fn current_sink() -> Option<Arc<dyn TelemetrySink>> {
 /// previous sink — including when `f` panics. Scopes nest, and each
 /// thread has its own, so concurrent scopes never see each other's
 /// metrics.
-pub fn with_sink<R>(sink: Arc<dyn TelemetrySink>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<dyn TelemetrySink>>);
+pub fn with_sink<R>(sink: Arc<RecordingSink>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Arc<RecordingSink>>);
     impl Drop for Restore {
         fn drop(&mut self) {
             SINK.set(self.0.take());
@@ -266,7 +219,7 @@ pub fn with_sink<R>(sink: Arc<dyn TelemetrySink>, f: impl FnOnce() -> R) -> R {
 }
 
 /// Runs `f` against this thread's sink, if any.
-pub(crate) fn with_active<R>(f: impl FnOnce(&dyn TelemetrySink) -> R) -> Option<R> {
+pub(crate) fn with_active<R>(f: impl FnOnce(&RecordingSink) -> R) -> Option<R> {
     SINK.with_borrow(|slot| slot.as_deref().map(f))
 }
 

@@ -63,6 +63,7 @@ use so_powertrace::{PowerTrace, TimeGrid, TraceArena};
 use so_powertree::{Level, PowerTopology};
 use so_telemetry::export::BenchObject;
 use so_telemetry::{default_online_rules, AlertTransition, LivePlane, RecordingSink};
+use so_workloads::rng::{mix64, unit};
 
 /// How the per-row quantile phase computes p99.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -652,7 +653,6 @@ pub(crate) fn online_fleet(
     seed: u64,
     probes: usize,
     repair_budget: usize,
-    journal_cap: usize,
 ) -> Result<OnlineFleet, so_powertree::TreeError> {
     let racks_needed = instances.div_ceil(ONLINE_RACK_SLOTS).max(1);
     let rpps = racks_needed.div_ceil(2 * 2 * 4).max(1);
@@ -671,7 +671,6 @@ pub(crate) fn online_fleet(
         repair_budget,
         min_gain: 0.02,
         sample_salt: seed,
-        journal_cap,
     };
     let grid = TimeGrid::new(step_minutes, samples_per_trace);
     Ok(OnlineFleet::new(topology, grid, config))
@@ -705,7 +704,6 @@ fn run_online_point(
             config.seed,
             config.sample_probes,
             config.repair_budget,
-            0,
         )
     };
     let mut engine = fleet()?;
@@ -827,7 +825,6 @@ fn run_online_point(
                 .raw("alerts_resolved", alerts_resolved)
                 .raw("breaker_violations", plane.breaker_violations())
                 .raw("flight_dumps", plane.dumps_total())
-                .raw("journal_compactions", engine.journal_compactions())
                 .float("total_ms", ms_since(started))
                 .compact(),
         );
@@ -1107,21 +1104,14 @@ pub(crate) fn ms_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3
 }
 
-/// SplitMix64 — the standard 64-bit finalizer, enough to decorrelate
-/// adjacent row indices.
+/// A linear pre-mix of `seed` and `x` through the SplitMix64 finalizer,
+/// enough to decorrelate adjacent row indices.
 pub(crate) fn mix(seed: u64, x: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(x.wrapping_mul(0xBF58_476D_1CE4_E5B9))
-        .wrapping_add(0x94D0_49BB_1331_11EB);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Upper 53 bits as a float in `[0, 1)`.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    mix64(
+        seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(x.wrapping_mul(0xBF58_476D_1CE4_E5B9))
+            .wrapping_add(0x94D0_49BB_1331_11EB),
+    )
 }
 
 /// Order-fixed digest of the phase outputs; summing in a documented order
@@ -1442,9 +1432,9 @@ mod tests {
         ));
         let with_plane = run_online_scale(&config, Some(plane.clone()), |_| {}).unwrap();
         // One heartbeat per batch per point flowed through the shared
-        // plane, and the engine mirrored its journal into the flight ring.
+        // plane, and the engine recorded its events in the flight ring.
         let (held, total, _) = plane.flight_counts();
-        assert!(held > 0 && total > 0, "flight ring saw journal events");
+        assert!(held > 0 && total > 0, "flight ring saw engine events");
         // Deterministic alert counts: the headless per-point path yields
         // the same bits as a fresh run.
         let headless = run_online_scale(&config, None, |_| {}).unwrap();

@@ -149,8 +149,6 @@ pub fn build_daemon(
         config.seed,
         config.sample_probes,
         config.repair_budget,
-        // Resident process: bound the event journal by the live fleet.
-        2 * config.instances.max(1),
     )?;
     let stream = arrival_stream(config.seed, engine.grid());
     engine.attach_plane(plane);

@@ -47,7 +47,7 @@ fn unknown_flags_and_commands_are_rejected() {
         ],
         "unknown flag `--instance`",
     );
-    let out = temp_out("online_journal_cap.json");
+    let out = temp_out("online_unknown_flag.json");
     assert_rejected(
         &[
             "online",

@@ -14,13 +14,15 @@
 use std::fmt::Write as _;
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
+use std::sync::atomic::AtomicBool;
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use smoothoperator::serve::{build_daemon, run_serve, ServeConfig, ServeOutcome};
+use smoothoperator::serve::{build_daemon, route_daemon, run_serve, ServeConfig, ServeOutcome};
 use so_core::daemon::SampleUpdate;
-use so_telemetry::{default_online_rules, LivePlane, RecordingSink};
+use so_core::EventRecord;
+use so_telemetry::{default_online_rules, HttpRequest, LivePlane, RecordingSink};
 
 fn test_plane() -> Arc<LivePlane> {
     Arc::new(LivePlane::new(
@@ -356,4 +358,81 @@ fn service_and_repair_threads_report_into_the_serving_threads_sink() {
 
     let _ = request(&addr, "POST /shutdown HTTP/1.1", "");
     assert!(handle.join().unwrap().repair_passes > 0);
+}
+
+/// The flight ring is the engine's only event record: churn far past the
+/// seed count writes no snapshot of the fleet into it, so a small ring
+/// keeps exactly the newest events, and `/health` counts each of them once.
+#[test]
+fn flight_ring_keeps_the_newest_events_through_churn() {
+    const PAIRS: usize = 40;
+    const RING: usize = 64;
+    let config = ServeConfig {
+        instances: 24,
+        samples_per_trace: 16,
+        seed: 11,
+        ..ServeConfig::default()
+    };
+    let plane = Arc::new(LivePlane::new(
+        Arc::new(RecordingSink::with_virtual_clock()),
+        RING,
+        default_online_rules(),
+    ));
+    let state = Mutex::new(build_daemon(&config, Arc::clone(&plane)).unwrap());
+    let policy = state.lock().unwrap().fleet().config().policy;
+    let stop = AtomicBool::new(false);
+    let call = |method: &str, target: &str, body: String| {
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        let req = HttpRequest {
+            method: method.to_string(),
+            path: path.to_string(),
+            query: query.to_string(),
+            body,
+        };
+        let resp = route_daemon(&state, &plane, &stop, &policy, &req);
+        assert_eq!(resp.status, 200, "{method} {target}: {}", resp.body);
+        resp.body
+    };
+
+    // Each pair retires the oldest live instance and offers a new one;
+    // the expected record of each event is read off the engine around it.
+    let mut events = Vec::with_capacity(2 * PAIRS);
+    for pair in 0..PAIRS {
+        let (slot, rack, issued, ordinal) = {
+            let fleet = state.lock().unwrap();
+            let fleet = fleet.fleet();
+            let slot = fleet.live_slots()[0];
+            let rack = fleet.rack_of(slot).unwrap();
+            (slot, rack, fleet.slot_count(), fleet.arrivals_seen())
+        };
+        call("POST", &format!("/retire?slot={slot}"), String::new());
+        events.push(EventRecord::Retired { slot, rack });
+        let watts = format!("{}", 100 + pair);
+        call("POST", "/arrive", vec![watts.as_str(); 16].join(","));
+        let daemon = state.lock().unwrap();
+        events.push(match daemon.fleet().rack_of(issued) {
+            Some(rack) => EventRecord::Committed {
+                slot: issued,
+                ordinal,
+                rack,
+            },
+            None => EventRecord::Rejected { ordinal },
+        });
+    }
+
+    let held: Vec<EventRecord> = plane
+        .flight_records(0)
+        .iter()
+        .map(|r| EventRecord::from_flight(r.kind, r.a, r.b, r.c).expect("an engine event"))
+        .collect();
+    assert_eq!(held, events[events.len() - RING..], "the ring lost history");
+    let flight = call("GET", "/flight?n=64", String::new());
+    assert_eq!(flight.lines().count(), RING);
+    assert!(!flight.contains("checkpoint"), "{flight}");
+    let health = call("GET", "/health", String::new());
+    let recorded = config.instances + 2 * PAIRS;
+    assert!(
+        health.contains(&format!("\"events\":{recorded},")),
+        "/health must count each of the {recorded} engine events once: {health}"
+    );
 }

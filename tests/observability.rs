@@ -1,6 +1,7 @@
 //! End-to-end contract of the live observability plane: the planted
 //! breaker-budget anomaly path (exactly one fire, a postmortem flight
-//! dump that bit-matches the engine journal's suffix), bit-identical
+//! dump, and a flight ring that decodes to exactly the engine's events,
+//! its only record of them), bit-identical
 //! alert streams at any thread count, the HTTP scrape surface served
 //! while a live session runs, the Prometheus/report renderers
 //! carrying the online engine's labeled gauges, and the arrival search's
@@ -134,7 +135,7 @@ fn flat(watts: f64) -> PowerTrace {
 }
 
 #[test]
-fn planted_violation_fires_once_and_flight_dump_bit_matches_journal_suffix() {
+fn planted_violation_fires_once_and_the_flight_ring_decodes_to_the_engine_events() {
     let mut engine = micro_fleet();
     let plane = Arc::new(LivePlane::new(
         Arc::new(RecordingSink::with_virtual_clock()),
@@ -176,20 +177,26 @@ fn planted_violation_fires_once_and_flight_dump_bit_matches_journal_suffix() {
         dumps.iter().map(|d| &d.reason).collect::<Vec<_>>()
     );
 
-    // ...and the flight ring's journal events bit-match the journal tail.
+    // ...and the flight ring decodes to exactly what the engine did: two
+    // commits and the rejection, bit for bit.
     let decoded: Vec<EventRecord> = plane
         .flight_records(0)
         .iter()
-        .filter(|r| r.kind.is_journal_event())
         .filter_map(|r| EventRecord::from_flight(r.kind, r.a, r.b, r.c))
         .collect();
-    let journal = engine.journal();
-    let k = decoded.len().min(journal.len());
-    assert!(k > 0, "flight ring mirrored no journal events");
+    let committed = |slot: usize| EventRecord::Committed {
+        slot,
+        ordinal: slot as u64,
+        rack: engine.rack_of(slot).unwrap(),
+    };
     assert_eq!(
-        &decoded[decoded.len() - k..],
-        &journal[journal.len() - k..],
-        "flight suffix diverged from the engine journal"
+        decoded,
+        vec![
+            committed(0),
+            committed(1),
+            EventRecord::Rejected { ordinal: 2 }
+        ],
+        "the flight ring diverged from the engine's events"
     );
 
     // Hysteresis: a clean batch resolves, and the alert does not re-fire
@@ -408,23 +415,25 @@ fn flight_ring_wraps_without_losing_the_newest_records() {
         default_online_rules(),
     ));
     engine.attach_plane(plane.clone());
+    let mut last = None;
     for _ in 0..12 {
         let slot = engine.arrive(&flat(100.0)).unwrap().unwrap();
+        let rack = engine.rack_of(slot).unwrap();
         engine.retire(slot).unwrap();
+        last = Some(EventRecord::Retired { slot, rack });
     }
     let (held, total, dropped) = plane.flight_counts();
     assert_eq!(held, 8);
     assert_eq!(total, 24);
     assert_eq!(dropped, 16);
-    // The newest record wins: the last decoded journal event equals the
-    // journal's last entry even after multiple wraps.
+    // The newest record wins: the last decoded event is the last
+    // retirement even after multiple wraps.
     let newest = plane
         .flight_records(0)
         .iter()
         .rev()
-        .find(|r| r.kind.is_journal_event())
-        .map(|r| EventRecord::from_flight(r.kind, r.a, r.b, r.c).unwrap());
-    assert_eq!(newest.as_ref(), engine.journal().last());
+        .find_map(|r| EventRecord::from_flight(r.kind, r.a, r.b, r.c));
+    assert_eq!(newest, last);
     assert!(plane
         .flight_records(0)
         .iter()

@@ -59,7 +59,6 @@ fn drive(policy: CommitPolicy, seed: u64) -> OnlineFleet {
             repair_budget: 2,
             min_gain: 0.0,
             sample_salt: seed,
-            ..OnlineConfig::default()
         },
     )
     .with_budgets(budgets)

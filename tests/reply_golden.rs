@@ -263,5 +263,5 @@ const WATCHED: &str = r#"{"kind":"batch","batch":0,"arrivals":60,"committed":60,
 {"kind":"batch","batch":2,"arrivals":61,"committed":180,"rejected":1,"retired":22,"live":158,"root_power_watts":28259.6767578125,"min_rack_headroom_watts":2152.529296875,"alerts_active":1,"peak_rss_bytes":#}
 {"kind":"alert","rule":"breaker_budget_violation","state":"resolved","eval":3,"value":0}
 {"kind":"batch","batch":3,"arrivals":60,"committed":240,"rejected":1,"retired":34,"live":206,"root_power_watts":37273.5107421875,"min_rack_headroom_watts":1922.4697265625,"alerts_active":0,"peak_rss_bytes":#}
-{"kind":"summary","batches":4,"committed":240,"rejected":1,"retired":34,"live":206,"alerts_fired":1,"alerts_resolved":1,"breaker_violations":1,"flight_dumps":2,"journal_compactions":0,"total_ms":#}
+{"kind":"summary","batches":4,"committed":240,"rejected":1,"retired":34,"live":206,"alerts_fired":1,"alerts_resolved":1,"breaker_violations":1,"flight_dumps":2,"total_ms":#}
 "#;

@@ -2,8 +2,8 @@
 //!
 //! * recording metrics never changes results — a run under a
 //!   `RecordingSink` produces the same placement/remap/simulation outputs
-//!   as a bare run (the NoopSink default is just the bare run with one
-//!   extra branch);
+//!   as a bare run (with no sink installed, each call site is one
+//!   thread-local check);
 //! * metric snapshots are thread-count independent — the same work under
 //!   1 lane, 8 lanes, and a serial scope yields byte-identical exports;
 //! * the instrumented pipeline actually records what it claims.
