@@ -272,7 +272,9 @@ mod tests {
     fn seeded_daemon(n: usize) -> DaemonFleet {
         let grid = TimeGrid::new(15, 8);
         let config = OnlineConfig {
-            policy: CommitPolicy::BestAsynchrony,
+            policy: CommitPolicy::Sampling {
+                probes: small_topology().racks().len(),
+            },
             repair_budget: 0,
             min_gain: 0.0,
             sample_salt: 7,

@@ -76,8 +76,8 @@ pub use embedding::{
 pub use error::CoreError;
 pub use monitor::{DriftMonitor, DriftReport, LevelDrift};
 pub use online::{
-    offline_choose, sample_racks, select_decision, BatchReport, CommitPolicy, EventRecord,
-    FragmentationLevel, LeafDecision, OnlineConfig, OnlineFleet,
+    offline_choose, sample_racks, select_decision, CommitPolicy, EventRecord, FragmentationLevel,
+    LeafDecision, OnlineConfig, OnlineFleet,
 };
 pub use placement::{PlacementConfig, SmoothPlacer};
 pub use remap::{

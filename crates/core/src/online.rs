@@ -8,18 +8,19 @@
 //! [`PowerTopology`], and per-node [`NodeAggregates`] — and processes a
 //! deterministic event stream of batch arrivals and retirements:
 //!
-//! * every **arrival** is committed immediately to the best admissible
-//!   rack under a pluggable [`CommitPolicy`], found by a bound-ordered
-//!   search over the probed racks: one cached sample per probe bounds its
-//!   rank, and only racks whose bound can still win get a fused
+//! * every **arrival** is committed immediately to the admissible rack
+//!   with the highest asynchrony (§3.4) among a deterministic sample of
+//!   probed racks ([`sample_racks`]), found by a bound-ordered search over
+//!   the probes: one cached sample per probe bounds its rank, and only
+//!   racks whose bound can still win get a fused
 //!   [`peak_of_sum_samples`] pass and their ancestor budget checks,
 //!   usually O(1) each — about 2 of 64 sampled probes at 50k instances
 //!   (see `OnlineFleet::search_racks`). The choice is the full scan's
 //!   ([`OnlineFleet::decisions`], [`select_decision`]) bit for bit;
 //! * every **retirement** subtracts its row from the touched power path
 //!   and frees the row for the next commit;
-//! * a configurable **repair budget** amortizes cleanup between batches
-//!   through the §3.6 swap search, run on the resident racks in place
+//! * a configurable **repair budget** bounds each cleanup pass of the
+//!   §3.6 swap search, run on the resident racks in place
 //!   ([`OnlineFleet::repair`]).
 //!
 //! # Exact resident aggregates
@@ -52,9 +53,9 @@
 //! ascending slot-id order, so the repair search reads member rows with
 //! no lookup; event records, swap records and every reply name slot ids.
 //!
-//! Policies break ties deterministically (ascending rack id last), events
-//! within a batch are canonically ordered by [`OnlineFleet::apply`], and
-//! every parallel scan is a positional [`par_map`], so the engine is
+//! The ranking breaks ties deterministically (ascending rack id last), the
+//! probe sample is a pure function of the salt and the arrival ordinal,
+//! and every parallel scan is a positional [`par_map`], so the engine is
 //! bit-reproducible at any thread count.
 //!
 //! [`peak_of_sum_samples`]: crate::score::peak_of_sum_samples
@@ -124,67 +125,49 @@ impl Hasher for SlotHasher {
     }
 }
 
-/// How an arrival picks its rack among the admissible candidates.
+/// How an arrival picks its rack: among the *admissible* racks (free
+/// slot, and the whole root path keeps non-negative headroom after
+/// admission) of a deterministic sample, the one with the highest pairwise
+/// asynchrony between the candidate and the rack's current aggregate
+/// (§3.4), then the smaller peak increase, then the lower rack id: the
+/// paper's placement objective applied greedily per arrival. It is a
+/// deterministic function of the engine state and the candidate.
 ///
-/// All policies consider only *admissible* racks (free slot, and the whole
-/// root path keeps non-negative headroom after admission) and break ties
-/// by ascending rack id, so every policy is a deterministic function of
-/// the engine state and the candidate.
+/// The one rule is an enum of one variant because the benchmark harness
+/// names this type and its variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitPolicy {
-    /// Maximize the pairwise asynchrony between the candidate and the
-    /// rack's current aggregate (§3.4); ties by smaller peak increase.
-    /// The paper's placement objective applied greedily per arrival.
-    BestAsynchrony,
-    /// Lowest-id admissible rack. The classical baseline: cheapest to
-    /// evaluate, packs the id space left-to-right.
-    FirstFit,
-    /// Most post-admission headroom (budget minus new peak) — "worst fit"
-    /// packing, which spreads load and preserves large contiguous
-    /// headroom at the ancestors.
-    WorstFit,
-    /// `BestAsynchrony` restricted to a deterministic sample of `probes`
-    /// racks (per the online rack-placement literature: sampling a
-    /// constant number of candidates retains most of the benefit at a
-    /// fraction of the evaluation cost). The sample is a pure function of
-    /// `(sample_salt, arrival ordinal)`.
+    /// Rank a deterministic sample of `probes` racks ([`sample_racks`], a
+    /// pure function of `(sample_salt, arrival ordinal)`); `probes` at
+    /// least the rack count probes every rack. Sampling a constant number
+    /// of candidates keeps most of the benefit at a fraction of the
+    /// evaluation cost (the online rack-placement literature).
     Sampling {
         /// Number of candidate racks probed per arrival.
         probes: usize,
     },
 }
 
-impl CommitPolicy {
-    /// Stable label for telemetry and reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            CommitPolicy::BestAsynchrony => "best_asynchrony",
-            CommitPolicy::FirstFit => "first_fit",
-            CommitPolicy::WorstFit => "worst_fit",
-            CommitPolicy::Sampling { .. } => "sampling",
-        }
-    }
-}
-
 /// Configuration of an [`OnlineFleet`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineConfig {
-    /// Commit policy for arrivals.
+    /// How many racks each arrival probes ([`CommitPolicy`]).
     pub policy: CommitPolicy,
     /// Maximum remap swaps per [`OnlineFleet::repair`] call (0 disables
-    /// repair entirely, including the implicit call in `apply`).
+    /// repair).
     pub repair_budget: usize,
     /// Minimum differential-score gain for a repair swap (see
     /// [`RemapConfig::min_gain`]).
     pub min_gain: f64,
-    /// Salt for the `Sampling` policy's candidate draw.
+    /// Salt for the probe sample's draw.
     pub sample_salt: u64,
 }
 
 impl Default for OnlineConfig {
+    /// Probes every rack, repairs up to 8 swaps per pass.
     fn default() -> Self {
         Self {
-            policy: CommitPolicy::BestAsynchrony,
+            policy: CommitPolicy::Sampling { probes: usize::MAX },
             repair_budget: 8,
             min_gain: 0.02,
             sample_salt: 0,
@@ -308,19 +291,6 @@ impl EventRecord {
             _ => None,
         }
     }
-}
-
-/// Summary of one [`OnlineFleet::apply`] batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchReport {
-    /// Arrivals committed.
-    pub committed: usize,
-    /// Arrivals rejected (no admissible rack).
-    pub rejected: usize,
-    /// Instances retired.
-    pub retired: usize,
-    /// The repair pass, when the budget allowed one.
-    pub repair: Option<RemapReport>,
 }
 
 /// Per-level fragmentation of the live fleet against a reference
@@ -769,9 +739,9 @@ impl OnlineFleet {
     /// The bound-ordered search behind [`arrive`](Self::arrive) and
     /// [`admit`](Self::admit): the decisions of the probed `racks` that it
     /// evaluates exactly, in ascending rack order. [`select_decision`]
-    /// under `policy` over them picks the rack it picks over every probe,
-    /// and when none fits, every probe with a free slot is among them, so
-    /// the breaker-violation flag is the full scan's too.
+    /// over them picks the rack it picks over every probe, and when none
+    /// fits, every probe with a free slot is among them, so the
+    /// breaker-violation flag is the full scan's too.
     ///
     /// **The bound.** Let `p` be the candidate's peak, `c` the first index
     /// where it occurs and `m` its minimum. Every resident sum is exact,
@@ -787,18 +757,16 @@ impl OnlineFleet {
     ///   larger than `new_peak` (and a zero `lb` scores 2.0, which no
     ///   pairwise score exceeds), and correctly rounded division is
     ///   monotone, so the rounded bound is never below the rounded score;
-    /// * peak increase ≥ `lb − old_peak`, and headroom ≤ `budget − lb`,
-    ///   for the same reason;
-    /// * FirstFit's key is the rack id itself;
+    /// * peak increase ≥ `lb − old_peak`, for the same reason;
     /// * an empty rack's bound is exact: its sum is zero, so `lb = p`, and
     ///   its asynchrony is 2.0 either way.
     ///
     /// **The search.** Probes with no free slot are skipped: they cannot
     /// fit and never set the breaker flag. The rest go into a heap keyed
-    /// best bound first ([`RankKey`]: the policy's key, then the rack id),
-    /// built in O(probes), and are popped and evaluated in that order with
-    /// the exact [`decide`](Self::decide). The search stops at the first
-    /// rack whose bound cannot beat the best fitting decision so far;
+    /// best bound first ([`RankKey`]), built in O(probes), and are popped
+    /// and evaluated in that order with the exact
+    /// [`decide`](Self::decide). The search stops at the first rack whose
+    /// bound cannot beat the best fitting decision so far;
     /// every later rack's bound, and so its exact key, ranks below that
     /// decision. A tie on asynchrony is settled by the peak-increase bound
     /// and then the rack id, so it neither ends the search nor forces an
@@ -808,7 +776,6 @@ impl OnlineFleet {
     /// evaluated, each node at most once ([`AncestorChecks::check`]).
     fn search_racks(
         &self,
-        policy: &CommitPolicy,
         racks: &[NodeId],
         candidate: &[f64],
     ) -> Result<Vec<LeafDecision>, CoreError> {
@@ -830,13 +797,11 @@ impl OnlineFleet {
             let old_peak = self.aggregates.peak(rack)?;
             let lb =
                 (self.aggregates.trace(rack)?.samples()[at] + candidate_peak).max(old_peak + floor);
-            bounds.push(RankKey::new(
-                policy,
+            bounds.push(RankKey {
+                asynchrony: admission_asynchrony(old_peak, candidate_peak, lb),
+                peak_increase: lb - old_peak,
                 rack,
-                admission_asynchrony(old_peak, candidate_peak, lb),
-                lb - old_peak,
-                self.budgets[rack.index()] - lb,
-            ));
+            });
         }
         let mut bounds = BinaryHeap::from(bounds);
 
@@ -850,7 +815,7 @@ impl OnlineFleet {
                 checks.check(self, node, candidate)
             })?;
             if decision.fits {
-                let key = RankKey::of(policy, &decision);
+                let key = RankKey::of(&decision);
                 if best.map_or(true, |best| key.beats(&best)) {
                     best = Some(key);
                 }
@@ -862,9 +827,10 @@ impl OnlineFleet {
     }
 
     /// Where the fleet would admit `candidate` (snapped as
-    /// [`arrive`](Self::arrive) snaps it) under `policy`: the decision
-    /// [`select_decision`] picks over [`decisions`](Self::decisions), or
-    /// `None` when no rack is admissible. Found by the bound-ordered
+    /// [`arrive`](Self::arrive) snaps it) if it probed every rack: the
+    /// decision [`select_decision`] picks over
+    /// [`decisions`](Self::decisions), or `None` when no rack is
+    /// admissible. Found by the bound-ordered
     /// search over every rack (`search_racks`), which for a flat
     /// candidate usually evaluates one rack. Changes nothing, and counts
     /// nothing in the probe counters, which cover arrivals only.
@@ -873,15 +839,11 @@ impl OnlineFleet {
     ///
     /// Returns [`CoreError::Trace`] for a grid mismatch or a sample off the
     /// exact range, and propagates evaluation errors.
-    pub fn admit(
-        &self,
-        policy: &CommitPolicy,
-        candidate: &PowerTrace,
-    ) -> Result<Option<LeafDecision>, CoreError> {
+    pub fn admit(&self, candidate: &PowerTrace) -> Result<Option<LeafDecision>, CoreError> {
         self.check_grid(candidate)?;
         let candidate = snap_samples(candidate.samples())?;
-        let decisions = self.search_racks(policy, self.topology.racks(), &candidate)?;
-        Ok(select_decision(policy, &decisions).copied())
+        let decisions = self.search_racks(self.topology.racks(), &candidate)?;
+        Ok(select_decision(&self.config.policy, &decisions).copied())
     }
 
     /// One rack's decision. The root path is walked upward and stops at
@@ -933,21 +895,6 @@ impl OnlineFleet {
             || budget_holds(&self.aggregates, node, budget, candidate, candidate_peak)?)
     }
 
-    /// The candidate racks the configured policy probes for arrival
-    /// `ordinal`: every rack, or the deterministic sample for
-    /// [`CommitPolicy::Sampling`].
-    fn candidate_racks(&self, ordinal: u64) -> Vec<NodeId> {
-        match self.config.policy {
-            CommitPolicy::Sampling { probes } => sample_racks(
-                self.topology.racks(),
-                self.config.sample_salt,
-                ordinal,
-                probes,
-            ),
-            _ => self.topology.racks().to_vec(),
-        }
-    }
-
     /// Offers one arrival, snapped onto the exact grid; returns the
     /// committed slot, or `None` when no rack is admissible (the arrival
     /// is rejected and recorded). The rack is the one
@@ -967,8 +914,8 @@ impl OnlineFleet {
         self.check_grid(candidate)?;
         let row = snap_samples(candidate.samples())?;
         let ordinal = self.arrivals_seen;
-        let candidates = self.candidate_racks(ordinal);
-        let decisions = self.search_racks(&self.config.policy, &candidates, &row)?;
+        let candidates = probed_racks(&self.topology, &self.config, ordinal);
+        let decisions = self.search_racks(&candidates, &row)?;
         let choice = select_decision(&self.config.policy, &decisions);
         self.arrivals_seen += 1;
         if so_telemetry::enabled() {
@@ -1070,66 +1017,6 @@ impl OnlineFleet {
             so_telemetry::gauge_set("so_online_live_instances", &[], self.live as f64);
         }
         Ok(())
-    }
-
-    /// Applies one event batch: retirements first, then arrivals, then (if
-    /// the budget allows) a repair pass.
-    ///
-    /// The batch is **canonicalized** so that deterministic policies are
-    /// equivariant under permutation of the batch contents:
-    ///
-    /// * `retire_ordinals` are resolved against the live set *at batch
-    ///   entry* (`slot = live_slots[ordinal % len]`), then the resolved
-    ///   slots are deduplicated and retired in ascending order;
-    /// * arrivals are committed in ascending order of a digest of their
-    ///   sample bits (ties keep the given order — identical traces are
-    ///   interchangeable).
-    ///
-    /// # Errors
-    ///
-    /// Propagates arrival/retirement/repair errors.
-    pub fn apply(
-        &mut self,
-        arrivals: &[PowerTrace],
-        retire_ordinals: &[u64],
-    ) -> Result<BatchReport, CoreError> {
-        let snapshot = self.live_slots();
-        let mut slots: Vec<usize> = if snapshot.is_empty() {
-            Vec::new()
-        } else {
-            retire_ordinals
-                .iter()
-                .map(|&o| snapshot[(o % snapshot.len() as u64) as usize])
-                .collect()
-        };
-        slots.sort_unstable();
-        slots.dedup();
-        for &slot in &slots {
-            self.retire(slot)?;
-        }
-
-        let mut order: Vec<usize> = (0..arrivals.len()).collect();
-        order.sort_by_key(|&i| (trace_digest(&arrivals[i]), i));
-        let mut batch_committed = 0usize;
-        let mut batch_rejected = 0usize;
-        for i in order {
-            match self.arrive(&arrivals[i])? {
-                Some(_) => batch_committed += 1,
-                None => batch_rejected += 1,
-            }
-        }
-
-        let repair = if self.config.repair_budget > 0 && self.live >= 2 {
-            Some(self.repair()?)
-        } else {
-            None
-        };
-        Ok(BatchReport {
-            committed: batch_committed,
-            rejected: batch_rejected,
-            retired: slots.len(),
-            repair,
-        })
     }
 
     /// Runs one §3.6 repair pass with `max_swaps = repair_budget`: the
@@ -1494,62 +1381,35 @@ impl AncestorChecks {
     }
 }
 
-/// A rack's rank under a commit policy, best first: the policy's key
-/// (`primary` higher, then `secondary` lower), then the lower rack id —
-/// the order [`select_decision`] ranks fitting decisions in. The arrival
-/// search builds one from each probe's bounds and one from each fitting
-/// decision. No field is NaN: asynchrony and peak increase never are, and
-/// a NaN headroom (a NaN budget, which never fits) ranks as −∞.
+/// A rack's rank, best first: higher asynchrony, then lower peak
+/// increase, then the lower rack id — the order [`select_decision`] ranks
+/// fitting decisions in. The arrival search builds one from each probe's
+/// bounds and one from each fitting decision. No field is NaN: asynchrony
+/// and peak increase never are.
 #[derive(Debug, Clone, Copy)]
 struct RankKey {
-    /// Asynchrony, headroom, or `0.0` under FirstFit.
-    primary: f64,
-    /// Peak increase under the asynchrony policies, else `0.0`.
-    secondary: f64,
+    asynchrony: f64,
+    peak_increase: f64,
     /// The last tie-break.
     rack: NodeId,
 }
 
 impl RankKey {
-    fn new(
-        policy: &CommitPolicy,
-        rack: NodeId,
-        asynchrony: f64,
-        peak_increase: f64,
-        headroom: f64,
-    ) -> Self {
-        let (primary, secondary) = match policy {
-            CommitPolicy::FirstFit => (0.0, 0.0),
-            CommitPolicy::WorstFit if headroom.is_nan() => (f64::NEG_INFINITY, 0.0),
-            CommitPolicy::WorstFit => (headroom, 0.0),
-            CommitPolicy::BestAsynchrony | CommitPolicy::Sampling { .. } => {
-                (asynchrony, peak_increase)
-            }
-        };
-        Self {
-            primary,
-            secondary,
-            rack,
-        }
-    }
-
     /// The exact rank of a fitting decision.
-    fn of(policy: &CommitPolicy, d: &LeafDecision) -> Self {
-        Self::new(
-            policy,
-            d.rack,
-            d.asynchrony,
-            d.peak_increase_watts,
-            d.headroom_watts,
-        )
+    fn of(d: &LeafDecision) -> Self {
+        Self {
+            asynchrony: d.asynchrony,
+            peak_increase: d.peak_increase_watts,
+            rack: d.rack,
+        }
     }
 
     /// Whether `self` ranks strictly above `other`.
     fn beats(&self, other: &Self) -> bool {
-        self.primary > other.primary
-            || (self.primary == other.primary
-                && (self.secondary < other.secondary
-                    || (self.secondary == other.secondary && self.rack < other.rack)))
+        self.asynchrony > other.asynchrony
+            || (self.asynchrony == other.asynchrony
+                && (self.peak_increase < other.peak_increase
+                    || (self.peak_increase == other.peak_increase && self.rack < other.rack)))
     }
 }
 
@@ -1613,43 +1473,33 @@ fn budget_holds(
     Ok(peak_of_sum_samples(row, candidate)? <= budget)
 }
 
-/// Picks the winning decision for `policy` among `decisions` (which must
-/// be in ascending rack order — the final tie-break). Shared by the
+/// Picks the winning decision among `decisions` (which must be in
+/// ascending rack order — the final tie-break): the fitting one with the
+/// highest asynchrony, then the smallest peak increase. Shared by the
 /// engine's fused path and [`offline_choose`]'s materialized replay, so
 /// any divergence between the two is an *evaluation* difference the
 /// `online` oracle family would surface, never a selection one.
+///
+/// `_policy` is unused: there is one ranking. The benchmark harness calls
+/// this function with its policy, so the parameter stays.
 pub fn select_decision<'a>(
-    policy: &CommitPolicy,
+    _policy: &CommitPolicy,
     decisions: &'a [LeafDecision],
 ) -> Option<&'a LeafDecision> {
-    let admissible = decisions.iter().filter(|d| d.fits);
-    match policy {
-        CommitPolicy::FirstFit => admissible.min_by_key(|d| d.rack),
-        CommitPolicy::WorstFit => admissible.reduce(|best, d| {
-            if d.headroom_watts > best.headroom_watts {
-                d
-            } else {
-                best
-            }
-        }),
-        CommitPolicy::BestAsynchrony | CommitPolicy::Sampling { .. } => {
-            admissible.reduce(|best, d| {
-                if d.asynchrony > best.asynchrony
-                    || (d.asynchrony == best.asynchrony
-                        && d.peak_increase_watts < best.peak_increase_watts)
-                {
-                    d
-                } else {
-                    best
-                }
-            })
+    decisions.iter().filter(|d| d.fits).reduce(|best, d| {
+        if d.asynchrony > best.asynchrony
+            || (d.asynchrony == best.asynchrony && d.peak_increase_watts < best.peak_increase_watts)
+        {
+            d
+        } else {
+            best
         }
-    }
+    })
 }
 
-/// The deterministic candidate sample of the [`CommitPolicy::Sampling`]
-/// policy: a pure function of `(salt, ordinal)`, returned in ascending
-/// rack order. When `probes >= racks.len()` every rack is a candidate.
+/// The deterministic probe sample of [`CommitPolicy::Sampling`]: a pure
+/// function of `(salt, ordinal)`, returned in ascending rack order. When
+/// `probes >= racks.len()` every rack is a candidate.
 pub fn sample_racks(racks: &[NodeId], salt: u64, ordinal: u64, probes: usize) -> Vec<NodeId> {
     if probes >= racks.len() {
         return racks.to_vec();
@@ -1659,6 +1509,12 @@ pub fn sample_racks(racks: &[NodeId], salt: u64, ordinal: u64, probes: usize) ->
         .into_iter()
         .map(|i| racks[i])
         .collect()
+}
+
+/// The racks `config` probes for arrival `ordinal`.
+fn probed_racks(topology: &PowerTopology, config: &OnlineConfig, ordinal: u64) -> Vec<NodeId> {
+    let CommitPolicy::Sampling { probes } = config.policy;
+    sample_racks(topology.racks(), config.sample_salt, ordinal, probes)
 }
 
 /// `probes < n` distinct indices below `n`, ascending: draw `d` picks
@@ -1704,28 +1560,22 @@ fn sample_indices(n: usize, stream: u64, probes: usize, max_draws: u64) -> Vec<u
 /// `online` oracle family holds recorded commits against. The candidate is
 /// snapped as [`OnlineFleet::arrive`] snaps it.
 ///
-/// `occupancy` maps racks to their live member count (missing = empty).
+/// `occupancy` maps racks to their live member count (missing = empty);
+/// `config` gives the probe count and the sample salt.
 ///
 /// # Errors
 ///
 /// Propagates tree/trace errors.
-#[allow(clippy::too_many_arguments)]
 pub fn offline_choose(
     topology: &PowerTopology,
     budgets: &[f64],
     aggregates: &NodeAggregates,
     occupancy: &BTreeMap<NodeId, usize>,
     candidate: &PowerTrace,
-    policy: &CommitPolicy,
-    sample_salt: u64,
+    config: &OnlineConfig,
     ordinal: u64,
 ) -> Result<Option<NodeId>, CoreError> {
-    let candidates = match *policy {
-        CommitPolicy::Sampling { probes } => {
-            sample_racks(topology.racks(), sample_salt, ordinal, probes)
-        }
-        _ => topology.racks().to_vec(),
-    };
+    let candidates = probed_racks(topology, config, ordinal);
     let capacity = topology.rack_capacity();
     let candidate = &PowerTrace::new(snap_samples(candidate.samples())?, candidate.step_minutes())?;
     let mut decisions = Vec::with_capacity(candidates.len());
@@ -1761,17 +1611,7 @@ pub fn offline_choose(
             asynchrony,
         });
     }
-    Ok(select_decision(policy, &decisions).map(|d| d.rack))
-}
-
-/// A stable digest of a trace's sample bits — the canonical arrival order
-/// key of [`OnlineFleet::apply`].
-fn trace_digest(trace: &PowerTrace) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325;
-    for &v in trace.samples() {
-        h = mix(h, v.to_bits());
-    }
-    h
+    Ok(select_decision(&config.policy, &decisions).map(|d| d.rack))
 }
 
 /// Folds `x` into `seed` through the SplitMix64 finalizer.
@@ -1804,16 +1644,23 @@ mod tests {
         PowerTrace::new(samples.to_vec(), 60).unwrap()
     }
 
-    fn engine(policy: CommitPolicy) -> OnlineFleet {
+    /// An engine that probes every rack and never repairs.
+    fn engine() -> OnlineFleet {
         OnlineFleet::new(
             topo(),
             grid(),
             OnlineConfig {
-                policy,
                 repair_budget: 0,
                 ..OnlineConfig::default()
             },
         )
+    }
+
+    /// Offers `traces` in order; every one must commit.
+    fn arrive_all(fleet: &mut OnlineFleet, traces: &[PowerTrace]) {
+        for t in traces {
+            fleet.arrive(t).unwrap().expect("admissible");
+        }
     }
 
     /// Attaches a virtual-clock plane whose flight ring holds every event
@@ -1839,7 +1686,7 @@ mod tests {
 
     #[test]
     fn arrivals_commit_and_aggregates_match_offline_recompute() {
-        let mut fleet = engine(CommitPolicy::BestAsynchrony);
+        let mut fleet = engine();
         for t in [
             trace(&[100.0, 10.0, 10.0, 10.0]),
             trace(&[10.0, 100.0, 10.0, 10.0]),
@@ -1862,7 +1709,7 @@ mod tests {
 
     #[test]
     fn best_asynchrony_prefers_the_complementary_rack() {
-        let mut fleet = engine(CommitPolicy::BestAsynchrony);
+        let mut fleet = engine();
         // Two day-peakers spread out (a second day-peaker scores 1.0
         // against the first's rack, so the empty racks' 2.0 wins)...
         let day = trace(&[100.0, 0.0, 0.0, 0.0]);
@@ -1881,41 +1728,8 @@ mod tests {
     }
 
     #[test]
-    fn first_fit_packs_the_lowest_rack() {
-        let mut fleet = engine(CommitPolicy::FirstFit);
-        let first_rack = fleet.topology().racks()[0];
-        for _ in 0..3 {
-            let slot = fleet
-                .arrive(&trace(&[10.0, 10.0, 10.0, 10.0]))
-                .unwrap()
-                .unwrap();
-            assert_eq!(fleet.rack_of(slot).unwrap(), first_rack);
-        }
-        // Rack full: the fourth goes to the next rack.
-        let slot = fleet
-            .arrive(&trace(&[10.0, 10.0, 10.0, 10.0]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(fleet.rack_of(slot).unwrap(), fleet.topology().racks()[1]);
-    }
-
-    #[test]
-    fn worst_fit_spreads_across_racks() {
-        let mut fleet = engine(CommitPolicy::WorstFit);
-        let a = fleet
-            .arrive(&trace(&[50.0, 50.0, 50.0, 50.0]))
-            .unwrap()
-            .unwrap();
-        let b = fleet
-            .arrive(&trace(&[50.0, 50.0, 50.0, 50.0]))
-            .unwrap()
-            .unwrap();
-        assert_ne!(fleet.rack_of(a), fleet.rack_of(b));
-    }
-
-    #[test]
     fn over_budget_arrivals_are_rejected_and_state_is_unchanged() {
-        let mut fleet = engine(CommitPolicy::BestAsynchrony);
+        let mut fleet = engine();
         let plane = recorded(&mut fleet);
         fleet.arrive(&trace(&[100.0, 100.0, 100.0, 100.0])).unwrap();
         let before: Vec<u64> = fleet
@@ -1947,7 +1761,7 @@ mod tests {
 
     #[test]
     fn retiring_everything_returns_exact_zero_aggregates() {
-        let mut fleet = engine(CommitPolicy::BestAsynchrony);
+        let mut fleet = engine();
         for i in 0..6 {
             fleet
                 .arrive(&trace(&[10.0 + i as f64, 20.0, 30.0, 5.0]))
@@ -1966,7 +1780,7 @@ mod tests {
 
     #[test]
     fn retire_rejects_unknown_and_double_retire() {
-        let mut fleet = engine(CommitPolicy::FirstFit);
+        let mut fleet = engine();
         assert!(fleet.retire(0).is_err());
         let slot = fleet
             .arrive(&trace(&[1.0, 1.0, 1.0, 1.0]))
@@ -1976,63 +1790,46 @@ mod tests {
         assert!(fleet.retire(slot).is_err());
     }
 
-    #[test]
-    fn apply_is_equivariant_under_batch_permutation() {
-        let arrivals = vec![
-            trace(&[90.0, 5.0, 5.0, 5.0]),
-            trace(&[5.0, 90.0, 5.0, 5.0]),
-            trace(&[5.0, 5.0, 90.0, 5.0]),
-            trace(&[30.0, 30.0, 30.0, 30.0]),
-        ];
-        let retire = [7u64, 3u64];
-        let mut a = engine(CommitPolicy::BestAsynchrony);
-        let mut b = engine(CommitPolicy::BestAsynchrony);
-        // Warm both with an identical base batch.
-        a.apply(&arrivals, &[]).unwrap();
-        b.apply(&arrivals, &[]).unwrap();
-        let mut permuted = arrivals.clone();
-        permuted.reverse();
-        a.apply(&arrivals, &retire).unwrap();
-        b.apply(&permuted, &[retire[1], retire[0]]).unwrap();
-        assert_eq!(a.live_len(), b.live_len());
-        for node in a.topology().nodes().iter().map(|n| n.id()) {
-            let ga = a.aggregates().trace(node).unwrap().samples();
-            let gb = b.aggregates().trace(node).unwrap().samples();
-            for (x, y) in ga.iter().zip(gb) {
-                assert_eq!(x.to_bits(), y.to_bits(), "node {node}");
-            }
-        }
-    }
-
-    #[test]
-    fn repair_applies_remap_moves_and_keeps_aggregates_canonical() {
-        let mut fleet = OnlineFleet::new(
+    /// An engine that probes one rack per arrival, the oblivious
+    /// placement §3.6's repair starts from, and repairs up to 4 swaps.
+    fn oblivious() -> OnlineFleet {
+        OnlineFleet::new(
             topo(),
             grid(),
             OnlineConfig {
-                policy: CommitPolicy::FirstFit,
+                policy: CommitPolicy::Sampling { probes: 1 },
                 repair_budget: 4,
                 min_gain: 0.0,
-                ..OnlineConfig::default()
+                sample_salt: OBLIVIOUS_SALT,
             },
-        );
+        )
+    }
+
+    /// A salt under which both oblivious fixtures below stack synchronous
+    /// traces on shared racks, so repair has swaps to make (one probe per
+    /// arrival spreads 6 or 7 instances over 8 racks, and most salts leave
+    /// at most one rack with two members).
+    const OBLIVIOUS_SALT: u64 = 108;
+
+    #[test]
+    fn repair_applies_remap_moves_and_keeps_aggregates_canonical() {
+        let mut fleet = oblivious();
         let plane = recorded(&mut fleet);
-        // FirstFit piles synchronous and complementary traces onto the
-        // first racks; repair should find profitable swaps.
-        let report = fleet
-            .apply(
-                &[
-                    trace(&[100.0, 0.0, 0.0, 0.0]),
-                    trace(&[100.0, 0.0, 0.0, 0.0]),
-                    trace(&[0.0, 0.0, 0.0, 100.0]),
-                    trace(&[0.0, 0.0, 0.0, 100.0]),
-                    trace(&[100.0, 0.0, 0.0, 0.0]),
-                    trace(&[0.0, 0.0, 0.0, 100.0]),
-                ],
-                &[],
-            )
-            .unwrap();
-        let repair = report.repair.expect("budget allows repair");
+        // One probe per arrival piles synchronous and complementary traces
+        // onto shared racks; repair should find profitable swaps.
+        arrive_all(
+            &mut fleet,
+            &[
+                trace(&[100.0, 0.0, 0.0, 0.0]),
+                trace(&[100.0, 0.0, 0.0, 0.0]),
+                trace(&[0.0, 0.0, 0.0, 100.0]),
+                trace(&[0.0, 0.0, 0.0, 100.0]),
+                trace(&[100.0, 0.0, 0.0, 0.0]),
+                trace(&[0.0, 0.0, 0.0, 100.0]),
+            ],
+        );
+        let repair = fleet.repair().unwrap();
+        assert!(!repair.swaps.is_empty(), "the fixture must swap");
         assert!(repair.final_worst_score >= repair.initial_worst_score);
         // Whatever moved, the resident aggregates must still match a
         // from-scratch recompute bit-for-bit.
@@ -2052,20 +1849,10 @@ mod tests {
         assert_eq!(moves, 2 * repair.swaps.len());
     }
 
-    /// A first-fit engine over `topo()` that piles synchronous traces onto
-    /// the first racks, with slot 1 retired so slots and dense positions
-    /// differ.
+    /// An oblivious engine that piles synchronous traces onto shared
+    /// racks, with slot 1 retired so slots and dense positions differ.
     fn fragmented() -> OnlineFleet {
-        let mut fleet = OnlineFleet::new(
-            topo(),
-            grid(),
-            OnlineConfig {
-                policy: CommitPolicy::FirstFit,
-                repair_budget: 4,
-                min_gain: 0.0,
-                ..OnlineConfig::default()
-            },
-        );
+        let mut fleet = oblivious();
         for samples in [
             [100.0, 0.0, 0.0, 0.0],
             [90.0, 0.0, 0.0, 10.0],
@@ -2165,12 +1952,11 @@ mod tests {
 
     #[test]
     fn sampling_policy_matches_offline_choose() {
-        let policy = CommitPolicy::Sampling { probes: 3 };
         let mut fleet = OnlineFleet::new(
             topo(),
             grid(),
             OnlineConfig {
-                policy,
+                policy: CommitPolicy::Sampling { probes: 3 },
                 repair_budget: 0,
                 min_gain: 0.02,
                 sample_salt: 9,
@@ -2201,8 +1987,7 @@ mod tests {
                 &aggregates,
                 &occupancy,
                 t,
-                &policy,
-                9,
+                fleet.config(),
                 fleet.arrivals_seen(),
             )
             .unwrap();
@@ -2283,17 +2068,15 @@ mod tests {
 
     #[test]
     fn decisions_match_admission_decisions_bitwise() {
-        let mut fleet = engine(CommitPolicy::BestAsynchrony);
-        fleet
-            .apply(
-                &[
-                    trace(&[90.0, 5.0, 5.0, 5.0]),
-                    trace(&[5.0, 90.0, 5.0, 5.0]),
-                    trace(&[5.0, 5.0, 90.0, 5.0]),
-                ],
-                &[],
-            )
-            .unwrap();
+        let mut fleet = engine();
+        arrive_all(
+            &mut fleet,
+            &[
+                trace(&[90.0, 5.0, 5.0, 5.0]),
+                trace(&[5.0, 90.0, 5.0, 5.0]),
+                trace(&[5.0, 5.0, 90.0, 5.0]),
+            ],
+        );
         let candidate = trace(&[60.0, 10.0, 10.0, 10.0]);
         let online = fleet.decisions(&candidate).unwrap();
         let (traces, assignment, _) = fleet.live_view().unwrap();
@@ -2320,7 +2103,7 @@ mod tests {
 
     #[test]
     fn fragmentation_strands_headroom_a_large_job_cannot_use() {
-        let mut fleet = engine(CommitPolicy::WorstFit);
+        let mut fleet = engine();
         // Fill every rack slot so arrivals are capacity-blocked.
         for _ in 0..(fleet.topology().racks().len() * 3) {
             assert!(fleet
@@ -2335,7 +2118,7 @@ mod tests {
         assert!(rack_level.headroom_watts > 0.0);
         assert_eq!(rack_level.ratio, 1.0);
         // A fresh fleet strands nothing.
-        let empty = engine(CommitPolicy::WorstFit);
+        let empty = engine();
         let frag = empty.fragmentation(&reference).unwrap();
         assert!(frag.iter().all(|f| f.ratio == 0.0));
     }
@@ -2345,16 +2128,7 @@ mod tests {
         for with_plane in [false, true] {
             let sink = Arc::new(so_telemetry::RecordingSink::with_virtual_clock());
             let stranded = || sink.prometheus().contains("so_online_stranded_watts");
-            let mut fleet = OnlineFleet::new(
-                topo(),
-                grid(),
-                OnlineConfig {
-                    policy: CommitPolicy::FirstFit,
-                    repair_budget: 4,
-                    min_gain: 0.0,
-                    ..OnlineConfig::default()
-                },
-            );
+            let mut fleet = oblivious();
             if with_plane {
                 fleet.attach_plane(Arc::new(LivePlane::new(
                     Arc::new(so_telemetry::RecordingSink::with_virtual_clock()),
@@ -2383,7 +2157,7 @@ mod tests {
 
     #[test]
     fn grid_mismatches_are_rejected() {
-        let mut fleet = engine(CommitPolicy::FirstFit);
+        let mut fleet = engine();
         let short = PowerTrace::new(vec![1.0, 1.0], 60).unwrap();
         assert!(fleet.arrive(&short).is_err());
         let wrong_step = PowerTrace::new(vec![1.0; 4], 30).unwrap();
@@ -2392,18 +2166,16 @@ mod tests {
 
     #[test]
     fn rack_asynchrony_matches_materialized_score() {
-        let mut fleet = engine(CommitPolicy::BestAsynchrony);
-        fleet
-            .apply(
-                &[
-                    trace(&[90.0, 5.0, 5.0, 5.0]),
-                    trace(&[5.0, 90.0, 5.0, 5.0]),
-                    trace(&[50.0, 5.0, 50.0, 5.0]),
-                    trace(&[5.0, 50.0, 5.0, 50.0]),
-                ],
-                &[],
-            )
-            .unwrap();
+        let mut fleet = engine();
+        arrive_all(
+            &mut fleet,
+            &[
+                trace(&[90.0, 5.0, 5.0, 5.0]),
+                trace(&[5.0, 90.0, 5.0, 5.0]),
+                trace(&[50.0, 5.0, 50.0, 5.0]),
+                trace(&[5.0, 50.0, 5.0, 50.0]),
+            ],
+        );
         let (traces, assignment, slots) = fleet.live_view().unwrap();
         for (&rack, members) in &assignment.by_rack() {
             let member_traces: Vec<&PowerTrace> = members.iter().map(|&i| &traces[i]).collect();

@@ -50,13 +50,9 @@ fn event() -> impl Strategy<Value = Event> {
     ]
 }
 
+/// One probe up to every rack (`topo()` has 8) and one past.
 fn policy() -> impl Strategy<Value = CommitPolicy> {
-    prop_oneof![
-        Just(CommitPolicy::BestAsynchrony),
-        Just(CommitPolicy::FirstFit),
-        Just(CommitPolicy::WorstFit),
-        Just(CommitPolicy::Sampling { probes: 3 }),
-    ]
+    (1usize..=9).prop_map(|probes| CommitPolicy::Sampling { probes })
 }
 
 /// `NodeAggregates::compute` of the fleet's live view with `rows`

@@ -2,7 +2,7 @@
 //! that must hold for *any* event stream, not just the curated examples.
 
 use proptest::prelude::*;
-use so_core::{CommitPolicy, OnlineConfig, OnlineFleet};
+use so_core::{OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_powertree::PowerTopology;
 
@@ -24,17 +24,24 @@ fn topo() -> PowerTopology {
         .unwrap()
 }
 
-fn engine(policy: CommitPolicy) -> OnlineFleet {
+/// An engine that probes every rack and never repairs.
+fn engine() -> OnlineFleet {
     OnlineFleet::new(
         topo(),
         TimeGrid::new(STEP, LEN),
         OnlineConfig {
-            policy,
             repair_budget: 0,
             min_gain: 0.0,
             ..OnlineConfig::default()
         },
     )
+}
+
+/// Offers `traces` in order.
+fn arrive_all(fleet: &mut OnlineFleet, traces: &[PowerTrace]) {
+    for t in traces {
+        fleet.arrive(t).unwrap();
+    }
 }
 
 fn batch(n: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Vec<PowerTrace>> {
@@ -74,8 +81,8 @@ proptest! {
     /// exact.
     #[test]
     fn arrive_then_retire_is_identity(warm in batch(0..=8), t in batch(1..=1)) {
-        let mut fleet = engine(CommitPolicy::BestAsynchrony);
-        fleet.apply(&warm, &[]).unwrap();
+        let mut fleet = engine();
+        arrive_all(&mut fleet, &warm);
         let before = aggregate_bits(&fleet);
         if let Some(slot) = fleet.arrive(&t[0]).unwrap() {
             fleet.retire(slot).unwrap();
@@ -86,40 +93,6 @@ proptest! {
         prop_assert!(drift <= 1e-9, "drift {drift} vs from-scratch recompute");
     }
 
-    /// Deterministic policies are equivariant under permutation of the
-    /// batch contents: `apply` canonicalizes arrival order (sample-bit
-    /// digest) and retirement draws (resolved against the batch-entry
-    /// snapshot, deduped ascending), so rotating and reversing the inputs
-    /// must produce bit-identical end states.
-    #[test]
-    fn apply_is_permutation_equivariant(
-        warm in batch(2..=6),
-        arrivals in batch(0..=6),
-        retires in prop::collection::vec(0u64..1_000_000, 0..=4),
-        rot in 0usize..6,
-    ) {
-        for policy in [CommitPolicy::BestAsynchrony, CommitPolicy::FirstFit, CommitPolicy::WorstFit] {
-            let mut a = engine(policy);
-            let mut b = engine(policy);
-            a.apply(&warm, &[]).unwrap();
-            b.apply(&warm, &[]).unwrap();
-
-            let mut permuted = arrivals.clone();
-            if !permuted.is_empty() {
-                let rot = rot % permuted.len();
-                permuted.rotate_left(rot);
-                permuted.reverse();
-            }
-            let mut retires_rev = retires.clone();
-            retires_rev.reverse();
-
-            a.apply(&arrivals, &retires).unwrap();
-            b.apply(&permuted, &retires_rev).unwrap();
-            prop_assert_eq!(a.live_len(), b.live_len());
-            prop_assert_eq!(aggregate_bits(&a), aggregate_bits(&b));
-        }
-    }
-
     /// Retiring everything returns every node aggregate to exactly zero —
     /// no floating-point residue survives a full churn cycle.
     #[test]
@@ -128,9 +101,19 @@ proptest! {
         second in batch(0..=8),
         retires in prop::collection::vec(0u64..1_000_000, 0..=3),
     ) {
-        let mut fleet = engine(CommitPolicy::WorstFit);
-        fleet.apply(&first, &[]).unwrap();
-        fleet.apply(&second, &retires).unwrap();
+        let mut fleet = engine();
+        arrive_all(&mut fleet, &first);
+        let live = fleet.live_slots();
+        let mut slots: Vec<usize> = retires
+            .iter()
+            .map(|&r| live[(r % live.len() as u64) as usize])
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        for slot in slots {
+            fleet.retire(slot).unwrap();
+        }
+        arrive_all(&mut fleet, &second);
         for slot in fleet.live_slots() {
             fleet.retire(slot).unwrap();
         }

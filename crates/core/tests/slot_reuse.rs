@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use so_core::daemon::{DaemonFleet, SampleUpdate};
-use so_core::{CommitPolicy, CoreError, EventRecord, OnlineConfig, OnlineFleet};
+use so_core::{CoreError, EventRecord, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_powertree::{PowerTopology, TreeError};
 use so_telemetry::{default_online_rules, LivePlane, RecordingSink};
@@ -28,7 +28,6 @@ fn engine() -> OnlineFleet {
         topology,
         TimeGrid::new(60, T),
         OnlineConfig {
-            policy: CommitPolicy::FirstFit,
             repair_budget: 0,
             ..OnlineConfig::default()
         },

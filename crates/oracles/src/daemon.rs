@@ -77,7 +77,9 @@ pub fn run(
     // probe maintenance, not admission (the online family covers that).
     let cap = traces.iter().map(PowerTrace::peak).sum::<f64>() * 2.0 + 100.0;
     let config = OnlineConfig {
-        policy: CommitPolicy::BestAsynchrony,
+        policy: CommitPolicy::Sampling {
+            probes: fixture.topology.racks().len(),
+        },
         repair_budget: 1,
         min_gain: 0.0,
         sample_salt: fixture.seed,

@@ -34,7 +34,7 @@
 //!   [`so_powertree::NodeAggregates::compute`] of the final fleet, the
 //!   engine's flight ring must replay from the empty fleet to its live
 //!   set, every recorded commit matching an independent materialized
-//!   replay of the commit policy, and every repair pass, which reads arena
+//!   replay of the commit rule, and every repair pass, which reads arena
 //!   rows in place, must take exactly the swaps of
 //!   [`online::reference_repair`] over materialized traces.
 //! * **Observability** ([`observability`]) — the live plane's alerts must

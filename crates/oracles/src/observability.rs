@@ -19,7 +19,7 @@ use so_core::{CommitPolicy, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_telemetry::{default_online_rules, AlertTransition};
 
-use crate::online::fresh_plane;
+use crate::online::{drive_batch, fresh_plane};
 use crate::{Fixture, OracleError, OracleFamily, OracleReport};
 
 const FAMILY: OracleFamily = OracleFamily::Observability;
@@ -71,7 +71,9 @@ fn fixture_stream_oracles(
         fixture.topology.clone(),
         grid,
         OnlineConfig {
-            policy: CommitPolicy::BestAsynchrony,
+            policy: CommitPolicy::Sampling {
+                probes: fixture.topology.racks().len(),
+            },
             repair_budget: 2,
             min_gain: 0.0,
             sample_salt: fixture.seed,
@@ -84,7 +86,7 @@ fn fixture_stream_oracles(
     let chunk = traces.len().div_ceil(3).max(1);
     for batch in traces.chunks(chunk) {
         let retires: Vec<u64> = (0..batch.len() / 4).map(|_| rng.gen()).collect();
-        engine.apply(batch, &retires).map_err(OracleError::Core)?;
+        drive_batch(&mut engine, batch, &retires).map_err(OracleError::Core)?;
         engine
             .observe_batch(Some(&traces[0]))
             .map_err(OracleError::Core)?;
@@ -139,7 +141,6 @@ fn micro_fleet() -> Result<OnlineFleet, OracleError> {
         topology,
         TimeGrid::new(60, 4),
         OnlineConfig {
-            policy: CommitPolicy::WorstFit,
             repair_budget: 0,
             min_gain: 0.0,
             ..OnlineConfig::default()

@@ -8,7 +8,7 @@
 //! | `aggregates_match_shuffled_recompute` | engine aggregates and peaks vs a recompute adding live rows and children in a seeded random order | bit-identical |
 //! | `rack_asynchrony_matches_materialized_score` | O(1) [`OnlineFleet::rack_asynchrony`] vs [`asynchrony_score`] over materialized member traces | bit-identical |
 //! | `mean_rack_asynchrony_matches_materialized` | [`OnlineFleet::mean_rack_asynchrony`] vs the mean of the materialized scores in rack order | bit-identical |
-//! | `resident_repair_matches_reference` | [`OnlineFleet::repair`] on the resident state vs [`reference_repair`] on materialized traces, for every policy with repair enabled | same swaps (slots, racks, gain bits), worst-score bits and final occupancy |
+//! | `resident_repair_matches_reference` | [`OnlineFleet::repair`] on the resident state vs [`reference_repair`] on materialized traces, for every engine with repair enabled | same swaps (slots, racks, gain bits), worst-score bits and final occupancy |
 //! | `flight_ring_holds_the_whole_run` | the engine's flight ring after the stream | no record dropped |
 //! | `flight_commit_matches_offline_choice` | each commit in the flight ring vs [`offline_choose`] replayed against the reconstructed pre-state | same rack |
 //! | `flight_retirement_names_the_hosting_rack` | ring replay occupancy at each `Retired`/`Moved` record | exact |
@@ -19,7 +19,7 @@
 //! | `retiring_everything_zeroes_aggregates` | every node trace after full retirement | exactly `0.0` |
 //! | `counters_account_for_every_event` | commits + rejections vs arrivals, and commits − retirements vs live | exact |
 //! | `fragmentation_is_bounded` | per-level stranded watts vs headroom | `0 ≤ stranded ≤ headroom` |
-//! | `pruned_selection_matches_full_scan` | each bound-pruned [`OnlineFleet::arrive`] on a tie-heavy 128-rack fleet (64-probe sampling and every full-scan policy, tight RPP/SB budgets, flat and repeated rows, empty and full racks) vs [`select_decision`] over [`OnlineFleet::evaluate`] of every probed rack on the pre-state | same rack, same breaker-violation count |
+//! | `pruned_selection_matches_full_scan` | each bound-pruned [`OnlineFleet::arrive`] on a tie-heavy 128-rack fleet (64 probes and every rack probed, tight RPP/SB budgets, flat and repeated rows, empty and full racks) vs [`select_decision`] over [`OnlineFleet::evaluate`] of every probed rack on the pre-state | same rack, same breaker-violation count |
 //! | `pruned_admit_matches_full_scan` | the bound-pruned [`OnlineFleet::admit`] of a flat candidate (including one no rack admits) on the same fleet before each arrival vs [`select_decision`] over [`OnlineFleet::decisions`] | bit-identical decision |
 //!
 //! Everything except the two bounds checks is *exact*: resident samples
@@ -62,7 +62,7 @@ use crate::{Fixture, OracleError, OracleFamily, OracleReport};
 
 const FAMILY: OracleFamily = OracleFamily::Online;
 
-/// Cap on how many recorded commits are replayed offline per policy (the
+/// Cap on how many recorded commits are replayed offline per engine (the
 /// replay recomputes the full pre-state per commit, so it is the one
 /// super-linear oracle here; a deterministic stride keeps it bounded).
 const MAX_COMMIT_REPLAYS: usize = 48;
@@ -88,13 +88,14 @@ fn probe_of(engine: &OnlineFleet) -> OnlineFleet {
     probe
 }
 
-/// Runs every online oracle over the fixture: one engine per commit
-/// policy is driven through the same batched arrival/retirement stream
-/// (retirement draws come from `rng`, so distinct battery seeds exercise
-/// distinct churn), then each engine's resident state, flight ring, and
-/// fused decisions are held against offline recomputes. After every
-/// batch, a repairing policy's next repair pass (on a clone) is held
-/// against the reference pass.
+/// Runs every online oracle over the fixture: engines probing every rack,
+/// one rack and three racks per arrival are each driven through the same
+/// batched arrival/retirement stream by [`drive_batch`] (retirement draws
+/// come from `rng`, so distinct battery seeds exercise distinct churn),
+/// then each engine's resident state, flight ring, and fused decisions are
+/// held against offline recomputes. After every batch, a repairing
+/// engine's next repair pass (on a clone) is held against the reference
+/// pass.
 ///
 /// # Errors
 ///
@@ -111,15 +112,10 @@ pub fn run(
     // still bind), so the stream commits deeply; the rejection oracle
     // probes the over-budget path explicitly.
     let cap = traces.iter().map(PowerTrace::peak).sum::<f64>() * 2.0 + 100.0;
-    let policies = [
-        (CommitPolicy::BestAsynchrony, 2usize),
-        (CommitPolicy::FirstFit, 0),
-        (CommitPolicy::WorstFit, 0),
-        (CommitPolicy::Sampling { probes: 3 }, 2),
-    ];
-    for (policy, repair_budget) in policies {
+    let racks = fixture.topology.racks().len();
+    for (probes, repair_budget) in [(racks, 2usize), (1, 0), (3, 2)] {
         let config = OnlineConfig {
-            policy,
+            policy: CommitPolicy::Sampling { probes },
             repair_budget,
             min_gain: 0.0,
             sample_salt: fixture.seed,
@@ -135,7 +131,7 @@ pub fn run(
         for batch in traces.chunks(chunk) {
             let retires: Vec<u64> = (0..batch.len() / 4).map(|_| rng.gen()).collect();
             let issued = engine.slot_count();
-            engine.apply(batch, &retires).map_err(OracleError::Core)?;
+            drive_batch(&mut engine, batch, &retires).map_err(OracleError::Core)?;
             record_rows(&engine, issued, &mut rows)?;
             if repair_budget > 0 && engine.live_len() >= 2 {
                 let mut probe = probe_of(&engine);
@@ -158,13 +154,49 @@ pub fn run(
         rejection_is_agreed(&engine, cap, report)?;
         counters_account(&engine, report);
         fragmentation_is_bounded(&engine, &traces[0], report)?;
-        if policy == CommitPolicy::BestAsynchrony {
+        if probes >= racks {
             decisions_match_admission(&engine, report)?;
             arrive_retire_identity(&engine, &traces[0], report)?;
         }
         retire_all_zeroes(engine, report)?;
     }
     check_pruned_selection(fixture.seed, engine_arrival, report)
+}
+
+/// Drives one stream batch through `engine` as the online rung drives
+/// its own: each retirement draw picks `live[draw % live.len()]` from the
+/// live set at batch entry, the picks are deduplicated and retired in
+/// ascending order, the arrivals are offered in order, and then a repair
+/// pass runs if the engine's budget allows one. The one driver of every
+/// batched engine stream the oracles replay.
+///
+/// # Errors
+///
+/// Propagates engine errors.
+pub fn drive_batch(
+    engine: &mut OnlineFleet,
+    arrivals: &[PowerTrace],
+    retire_draws: &[u64],
+) -> Result<(), CoreError> {
+    let live = engine.live_slots();
+    let mut slots: Vec<usize> = if live.is_empty() {
+        Vec::new()
+    } else {
+        retire_draws
+            .iter()
+            .map(|&draw| live[(draw % live.len() as u64) as usize])
+            .collect()
+    };
+    slots.sort_unstable();
+    slots.dedup();
+    for slot in slots {
+        engine.retire(slot)?;
+    }
+    for trace in arrivals {
+        engine.arrive(trace)?;
+    }
+    engine.repair()?;
+    Ok(())
 }
 
 /// One arrival's outcome as a claim: the rack it was committed to (`None`
@@ -188,13 +220,13 @@ pub fn engine_arrival(
     Ok((rack, violations(engine) - before))
 }
 
-/// Arrivals per policy in [`check_pruned_selection`]; one in four steps
-/// also retires a live instance.
+/// Arrivals per probe count in [`check_pruned_selection`]; one in four
+/// steps also retires a live instance.
 const PRUNED_ARRIVALS: usize = 480;
 
-/// Drives a tie-heavy fleet under 64-probe sampling and under every
-/// full-scan policy, and holds each arrival's claim against the full scan
-/// on the pre-state: [`select_decision`] over [`OnlineFleet::evaluate`] of
+/// Drives a tie-heavy fleet probing 64 racks and probing every rack, and
+/// holds each arrival's claim against the full scan on the pre-state:
+/// [`select_decision`] over [`OnlineFleet::evaluate`] of
 /// every probed rack, with one breaker-budget violation exactly when no
 /// probe fits and some probe has a slot but not the power. `arrive` makes
 /// the claim for one arrival and must leave it committed (the production
@@ -258,14 +290,9 @@ pub fn check_pruned_selection(
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
 
-    for policy in [
-        CommitPolicy::Sampling { probes: 64 },
-        CommitPolicy::BestAsynchrony,
-        CommitPolicy::FirstFit,
-        CommitPolicy::WorstFit,
-    ] {
+    for probes in [64, topology.racks().len()] {
         let config = OnlineConfig {
-            policy,
+            policy: CommitPolicy::Sampling { probes },
             repair_budget: 0,
             sample_salt: seed,
             ..OnlineConfig::default()
@@ -284,42 +311,35 @@ pub fn check_pruned_selection(
                 }
             }
             let flat = &flats[step % flats.len()];
-            let admitted = engine.admit(&policy, flat).map_err(OracleError::Core)?;
+            let admitted = engine.admit(flat).map_err(OracleError::Core)?;
             let decisions = engine.decisions(flat).map_err(OracleError::Core)?;
-            let scanned = select_decision(&policy, &decisions).copied();
+            let scanned = select_decision(&config.policy, &decisions).copied();
             report.check(
                 FAMILY,
                 "pruned_admit_matches_full_scan",
                 decision_bits(admitted.as_ref()) == decision_bits(scanned.as_ref()),
                 || {
                     format!(
-                        "policy {}, step {step}, flat {} W: admit {admitted:?}, the full scan gives {scanned:?}",
-                        policy.name(),
+                        "{probes} probes, step {step}, flat {} W: admit {admitted:?}, the full scan gives {scanned:?}",
                         flat.peak()
                     )
                 },
             );
 
             let candidate = &pool[rng.gen_range(0..pool.len())];
-            let probed = match policy {
-                CommitPolicy::Sampling { probes } => {
-                    sample_racks(topology.racks(), seed, engine.arrivals_seen(), probes)
-                }
-                _ => topology.racks().to_vec(),
-            };
+            let probed = sample_racks(topology.racks(), seed, engine.arrivals_seen(), probes);
             let scan = probed
                 .iter()
                 .map(|&rack| engine.evaluate(rack, candidate.samples()))
                 .collect::<Result<Vec<LeafDecision>, _>>()
                 .map_err(OracleError::Core)?;
-            let want_rack = select_decision(&policy, &scan).map(|d| d.rack);
+            let want_rack = select_decision(&config.policy, &scan).map(|d| d.rack);
             let violated = scan.iter().any(|d| d.has_slot && !d.power_ok);
             let want = (want_rack, u64::from(want_rack.is_none() && violated));
             let got = arrive(&mut engine, candidate).map_err(OracleError::Core)?;
             report.check(FAMILY, "pruned_selection_matches_full_scan", got == want, || {
                 format!(
-                    "policy {}, arrival {step}: claimed (rack, breaker violations) {got:?}, the full scan gives {want:?}",
-                    policy.name()
+                    "{probes} probes, arrival {step}: claimed (rack, breaker violations) {got:?}, the full scan gives {want:?}"
                 )
             });
         }
@@ -474,8 +494,7 @@ pub fn check_commit_decision(
     pre_traces: &[PowerTrace],
     pre_racks: &[NodeId],
     candidate: &PowerTrace,
-    policy: &CommitPolicy,
-    sample_salt: u64,
+    config: &OnlineConfig,
     ordinal: u64,
     claimed: Option<NodeId>,
     report: &mut OracleReport,
@@ -496,8 +515,7 @@ pub fn check_commit_decision(
         &aggregates,
         &occupancy,
         candidate,
-        policy,
-        sample_salt,
+        config,
         ordinal,
     )
     .map_err(OracleError::Core)?;
@@ -505,12 +523,7 @@ pub fn check_commit_decision(
         FAMILY,
         "flight_commit_matches_offline_choice",
         want == claimed,
-        || {
-            format!(
-                "policy {}: offline replay of arrival {ordinal} picks {want:?}, the claim is {claimed:?}",
-                policy.name()
-            )
-        },
+        || format!("offline replay of arrival {ordinal} picks {want:?}, the claim is {claimed:?}"),
     );
     Ok(())
 }
@@ -953,8 +966,7 @@ pub fn check_event_replay(
                         &pre_traces,
                         &pre_racks,
                         candidate,
-                        &engine.config().policy,
-                        engine.config().sample_salt,
+                        engine.config(),
                         ordinal,
                         Some(rack),
                         report,
@@ -1048,8 +1060,7 @@ fn rejection_is_agreed(
         &pre_traces,
         &pre_racks,
         &too_big,
-        &engine.config().policy,
-        engine.config().sample_salt,
+        engine.config(),
         ordinal,
         None,
         report,

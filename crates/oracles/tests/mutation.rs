@@ -96,8 +96,9 @@ fn off_by_one_position_is_caught() {
     assert!(!report.is_clean());
 }
 
-/// A small fixture-driven engine with every fixture trace committed —
-/// the live state the online mutation probes corrupt.
+/// A small fixture-driven engine, probing every rack, with every fixture
+/// trace committed in order — the live state the online mutation probes
+/// corrupt.
 fn driven_engine() -> (OnlineFleet, Vec<PowerTrace>) {
     let fixture = Fixture::generate(&DcScenario::dc1(), 16, 9).unwrap();
     let traces = fixture.traces().to_vec();
@@ -107,7 +108,6 @@ fn driven_engine() -> (OnlineFleet, Vec<PowerTrace>) {
         fixture.topology.clone(),
         grid,
         OnlineConfig {
-            policy: CommitPolicy::BestAsynchrony,
             repair_budget: 0,
             min_gain: 0.0,
             ..OnlineConfig::default()
@@ -115,8 +115,9 @@ fn driven_engine() -> (OnlineFleet, Vec<PowerTrace>) {
     )
     .with_budgets(vec![cap; fixture.topology.len()])
     .unwrap();
-    engine.apply(&traces, &[]).unwrap();
-    assert_eq!(engine.live_len(), traces.len());
+    for trace in &traces {
+        engine.arrive(trace).unwrap().expect("admissible");
+    }
     (engine, traces)
 }
 
@@ -263,7 +264,7 @@ fn ingest_write_that_skips_the_snap_is_caught() {
 
 #[test]
 fn wrong_leaf_commit_is_caught() {
-    // Bug: an engine that evaluates the policy but commits to some other
+    // Bug: an engine that ranks the racks but commits to some other
     // admissible rack — the flight ring claims a leaf the offline replay
     // of the same pre-state would never pick.
     let (engine, traces) = driven_engine();
@@ -287,8 +288,7 @@ fn wrong_leaf_commit_is_caught() {
         &pre_traces,
         &pre_racks,
         candidate,
-        &engine.config().policy,
-        engine.config().sample_salt,
+        engine.config(),
         engine.arrivals_seen(),
         Some(wrong),
         &mut report,
@@ -309,8 +309,7 @@ fn wrong_leaf_commit_is_caught() {
         &pre_traces,
         &pre_racks,
         candidate,
-        &engine.config().policy,
-        engine.config().sample_salt,
+        engine.config(),
         engine.arrivals_seen(),
         Some(best),
         &mut clean,
@@ -319,15 +318,16 @@ fn wrong_leaf_commit_is_caught() {
     assert!(clean.is_clean(), "{:#?}", clean.violations());
 }
 
-/// A first-fit engine with every fixture trace committed and no repair
-/// run yet: first fit packs synchronous neighbours together, so its next
-/// repair pass swaps.
+/// An engine probing one rack per arrival, with every fixture trace
+/// committed and no repair run yet: the oblivious placement stacks
+/// synchronous neighbours together, so its next repair pass swaps.
 fn fragmented_engine() -> OnlineFleet {
     recorded_fragmented_engine(64).0
 }
 
-/// The 16 fixture instances first-fit onto a plane with a `ring`-record
-/// flight ring, and every committed row as the replay reads it.
+/// The 16 fixture instances placed one probe each, onto a plane with a
+/// `ring`-record flight ring, and every committed row as the replay reads
+/// it.
 fn recorded_fragmented_engine(ring: usize) -> (OnlineFleet, BTreeMap<usize, PowerTrace>) {
     let fixture = Fixture::generate(&DcScenario::dc1(), 16, 9).unwrap();
     let traces = fixture.traces();
@@ -336,10 +336,10 @@ fn recorded_fragmented_engine(ring: usize) -> (OnlineFleet, BTreeMap<usize, Powe
         fixture.topology.clone(),
         traces[0].grid(),
         OnlineConfig {
-            policy: CommitPolicy::FirstFit,
+            policy: CommitPolicy::Sampling { probes: 1 },
             repair_budget: 4,
             min_gain: 0.0,
-            ..OnlineConfig::default()
+            sample_salt: 0,
         },
     )
     .with_budgets(vec![cap; fixture.topology.len()])
@@ -555,8 +555,9 @@ fn production_online_engine_is_clean() {
 }
 
 /// The arrival search with one planted bug: it stops at the first rack
-/// whose bound does not beat the best fitting decision on the policy's key
-/// alone, so a rack whose bound *ties* that key is dropped even when its
+/// whose bound does not beat the best fitting decision on asynchrony and
+/// peak increase alone, so a rack whose bound *ties* them is dropped even
+/// when its
 /// lower id would win the tie. Bounds and keys are built as the engine
 /// builds them, from `lb = agg[c] + peak(candidate)`.
 fn equal_bound_search(
@@ -564,23 +565,16 @@ fn equal_bound_search(
     candidate: &PowerTrace,
 ) -> Result<Option<NodeId>, CoreError> {
     let policy = engine.config().policy;
+    let CommitPolicy::Sampling { probes } = policy;
     let row = snap_samples(candidate.samples())?;
     let peak = peak_of_samples(&row);
     let at = row.iter().position(|&v| v == peak).unwrap();
-    let key = |asynchrony: f64, increase: f64, headroom: f64| match policy {
-        CommitPolicy::FirstFit => (0.0, 0.0),
-        CommitPolicy::WorstFit => (headroom, 0.0),
-        _ => (asynchrony, increase),
-    };
-    let probed = match policy {
-        CommitPolicy::Sampling { probes } => sample_racks(
-            engine.topology().racks(),
-            engine.config().sample_salt,
-            engine.arrivals_seen(),
-            probes,
-        ),
-        _ => engine.topology().racks().to_vec(),
-    };
+    let probed = sample_racks(
+        engine.topology().racks(),
+        engine.config().sample_salt,
+        engine.arrivals_seen(),
+        probes,
+    );
     let mut order = Vec::new();
     for rack in probed {
         let occupied = engine
@@ -599,8 +593,7 @@ fn equal_bound_search(
         } else {
             2.0
         };
-        let headroom = engine.budgets()[rack.index()] - lb;
-        order.push((key(asynchrony, lb - old, headroom), rack));
+        order.push(((asynchrony, lb - old), rack));
     }
     order.sort_by(|(a, ra), (b, rb)| {
         b.0.total_cmp(&a.0)
@@ -618,7 +611,7 @@ fn equal_bound_search(
             }
         }
         let d = engine.evaluate(rack, candidate.samples())?;
-        let exact = key(d.asynchrony, d.peak_increase_watts, d.headroom_watts);
+        let exact = (d.asynchrony, d.peak_increase_watts);
         let better = best.map_or(true, |(top, id)| {
             exact.0 > top.0
                 || (exact.0 == top.0 && (exact.1 < top.1 || (exact.1 == top.1 && rack < id)))

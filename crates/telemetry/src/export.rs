@@ -13,7 +13,7 @@ use std::borrow::Cow;
 use std::fmt::{Display, Write as _};
 
 use crate::registry::{MetricsRegistry, BUCKET_BOUNDS};
-use crate::sink::{Event, FieldValue};
+use crate::sink::Event;
 
 /// Escapes a string for inclusion in a JSON string literal.
 pub fn json_escape(s: &str) -> String {
@@ -75,18 +75,6 @@ pub fn events_to_jsonl(events: &[Event]) -> String {
             .string("path", &event.path);
         if let Some(d) = event.duration_ms {
             line = line.raw("duration_ms", d);
-        }
-        if !event.fields.is_empty() {
-            let fields = event.fields.iter().fold(
-                BenchObject::default(),
-                |fields, (key, value)| match value {
-                    FieldValue::U64(v) => fields.raw(key, v),
-                    FieldValue::F64(v) => fields.float(key, *v),
-                    FieldValue::Str(v) => fields.string(key, v),
-                    FieldValue::Bool(v) => fields.raw(key, v),
-                },
-            );
-            line = line.field("fields", BenchJson::Object(fields));
         }
         line.write_compact(&mut out);
         out.push('\n');
@@ -443,27 +431,23 @@ mod tests {
                 kind: EventKind::SpanStart,
                 path: "a\"b".to_string(),
                 duration_ms: None,
-                fields: Vec::new(),
             },
             Event {
                 ts_ms: 1,
-                kind: EventKind::Point,
-                path: "a\"b/p".to_string(),
-                duration_ms: None,
-                fields: vec![
-                    ("n".to_string(), FieldValue::U64(3)),
-                    ("x".to_string(), FieldValue::F64(f64::NAN)),
-                ],
+                kind: EventKind::SpanEnd,
+                path: "a\"b".to_string(),
+                duration_ms: Some(1),
             },
         ];
         let text = events_to_jsonl(&events);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
         assert_eq!(
-            lines[0],
-            "{\"ts_ms\":0,\"kind\":\"span_start\",\"path\":\"a\\\"b\"}"
+            lines,
+            [
+                "{\"ts_ms\":0,\"kind\":\"span_start\",\"path\":\"a\\\"b\"}",
+                "{\"ts_ms\":1,\"kind\":\"span_end\",\"path\":\"a\\\"b\",\"duration_ms\":1}",
+            ]
         );
-        assert!(lines[1].contains("\"fields\":{\"n\":3,\"x\":null}"));
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub use plane::{FlightDump, LivePlane};
 pub use registry::{Histogram, MetricKey, MetricsRegistry, BUCKET_BOUNDS};
 pub use report::render_report;
 pub use sink::{
-    counter_add, current_sink, enabled, gauge_set, install, observe, point, uninstall, with_sink,
-    Event, EventKind, FieldValue, RecordingSink,
+    counter_add, current_sink, enabled, gauge_set, install, observe, uninstall, with_sink, Event,
+    EventKind, RecordingSink,
 };
 pub use span::{span, SpanGuard};

@@ -6,19 +6,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 use crate::clock::TelemetryClock;
 use crate::registry::MetricsRegistry;
 
-/// A typed value attached to an [`Event`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue {
-    /// An unsigned integer.
-    U64(u64),
-    /// A floating-point number.
-    F64(f64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-}
-
 /// What kind of event a record is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
@@ -26,8 +13,6 @@ pub enum EventKind {
     SpanStart,
     /// A span ended (carries `duration_ms`).
     SpanEnd,
-    /// A point-in-time annotation.
-    Point,
 }
 
 impl EventKind {
@@ -36,12 +21,11 @@ impl EventKind {
         match self {
             EventKind::SpanStart => "span_start",
             EventKind::SpanEnd => "span_end",
-            EventKind::Point => "point",
         }
     }
 }
 
-/// One recorded event (a span boundary or a point annotation).
+/// One recorded event: a span boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Milliseconds since the sink's clock origin.
@@ -52,8 +36,6 @@ pub struct Event {
     pub path: String,
     /// Span duration, on [`EventKind::SpanEnd`] events.
     pub duration_ms: Option<u64>,
-    /// Additional typed fields.
-    pub fields: Vec<(String, FieldValue)>,
 }
 
 /// The telemetry destination: records metrics into a
@@ -146,23 +128,13 @@ impl RecordingSink {
             .observe(name, labels, value);
     }
 
-    /// Records a span boundary or point event.
-    pub(crate) fn emit(
-        &self,
-        kind: EventKind,
-        path: &str,
-        duration_ms: Option<u64>,
-        fields: &[(&str, FieldValue)],
-    ) {
+    /// Records a span boundary.
+    pub(crate) fn emit(&self, kind: EventKind, path: &str, duration_ms: Option<u64>) {
         let event = Event {
             ts_ms: self.clock.now_ms(),
             kind,
             path: path.to_string(),
             duration_ms,
-            fields: fields
-                .iter()
-                .map(|(k, v)| (k.to_string(), v.clone()))
-                .collect(),
         };
         self.events
             .lock()
@@ -252,18 +224,6 @@ pub fn observe(name: &str, labels: &[(&str, &str)], value: f64) {
     with_active(|sink| sink.observe(name, labels, value));
 }
 
-/// Emits a point event under the current span path.
-///
-/// Events are ordered, so only call this from serial orchestration
-/// points (the determinism contract; see the crate docs).
-pub fn point(name: &str, fields: &[(&str, FieldValue)]) {
-    if !enabled() {
-        return;
-    }
-    let path = crate::span::current_path_with(name);
-    with_active(|sink| sink.emit(EventKind::Point, &path, None, fields));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,7 +234,6 @@ mod tests {
         counter_add("so_test_disabled", &[], 1);
         gauge_set("so_test_disabled", &[], 1.0);
         observe("so_test_disabled", &[], 1.0);
-        point("so_test_disabled", &[]);
     }
 
     #[test]
@@ -332,15 +291,15 @@ mod tests {
             counter_add("so_test_total", &[("k", "v")], 3);
             gauge_set("so_test_gauge", &[], 2.5);
             observe("so_test_hist", &[], 0.25);
-            point("note", &[("ok", FieldValue::Bool(true))]);
+            drop(crate::span::span("note"));
         });
         let snap = sink.snapshot();
         assert_eq!(snap.counter("so_test_total", &[("k", "v")]), 3);
         assert_eq!(snap.gauge("so_test_gauge", &[]), Some(2.5));
         assert_eq!(snap.histogram("so_test_hist", &[]).unwrap().count(), 1);
         let events = sink.events();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::Point);
-        assert_eq!(events[0].path, "note");
+        let kinds: Vec<EventKind> = events.iter().map(|e| e.kind).collect();
+        assert_eq!(kinds, [EventKind::SpanStart, EventKind::SpanEnd]);
+        assert!(events.iter().all(|e| e.path == "note"));
     }
 }

@@ -10,7 +10,7 @@ thread_local! {
 }
 
 /// The current span path joined with `/`, with `name` appended.
-pub(crate) fn current_path_with(name: &str) -> String {
+fn current_path_with(name: &str) -> String {
     SPAN_STACK.with(|stack| {
         let stack = stack.borrow();
         if stack.is_empty() {
@@ -41,7 +41,7 @@ pub fn span(name: &str) -> SpanGuard {
     SPAN_STACK.with(|stack| stack.borrow_mut().push(name.to_string()));
     let start_ms = with_active(|sink| {
         let start = sink.now_ms();
-        sink.emit(EventKind::SpanStart, &path, None, &[]);
+        sink.emit(EventKind::SpanStart, &path, None);
         start
     })
     .unwrap_or(0);
@@ -73,7 +73,7 @@ impl Drop for SpanGuard {
         });
         with_active(|sink| {
             let duration = sink.now_ms().saturating_sub(open.start_ms);
-            sink.emit(EventKind::SpanEnd, &open.path, Some(duration), &[]);
+            sink.emit(EventKind::SpanEnd, &open.path, Some(duration));
         });
     }
 }

@@ -9,8 +9,7 @@
 use std::sync::Arc;
 
 use so_telemetry::{
-    counter_add, gauge_set, observe, point, span, with_sink, FieldValue, MetricsRegistry,
-    RecordingSink,
+    counter_add, gauge_set, observe, span, with_sink, MetricsRegistry, RecordingSink,
 };
 
 #[test]
@@ -19,29 +18,18 @@ fn jsonl_export_is_bit_stable() {
     with_sink(sink.clone(), || {
         // Clock reads: span start (0), span-start emit (1).
         let _outer = span("place");
-        // Clock read: point emit (2).
-        point(
-            "kmeans",
-            &[
-                ("clusters", FieldValue::U64(3)),
-                ("movement", FieldValue::F64(0.5)),
-                ("mode", FieldValue::Str("kmeans++".to_string())),
-                ("balanced", FieldValue::Bool(true)),
-            ],
-        );
         {
-            // Clock reads: start (3), emit (4); on drop: now (5), emit (6).
+            // Clock reads: start (2), emit (3); on drop: now (4), emit (5).
             let _inner = span("embed");
         }
-        // Outer drop: now (7) → duration 7, emit (8).
+        // Outer drop: now (6) → duration 6, emit (7).
     });
 
     let expected = concat!(
         "{\"ts_ms\":1,\"kind\":\"span_start\",\"path\":\"place\"}\n",
-        "{\"ts_ms\":2,\"kind\":\"point\",\"path\":\"place/kmeans\",\"fields\":{\"clusters\":3,\"movement\":0.5,\"mode\":\"kmeans++\",\"balanced\":true}}\n",
-        "{\"ts_ms\":4,\"kind\":\"span_start\",\"path\":\"place/embed\"}\n",
-        "{\"ts_ms\":6,\"kind\":\"span_end\",\"path\":\"place/embed\",\"duration_ms\":2}\n",
-        "{\"ts_ms\":8,\"kind\":\"span_end\",\"path\":\"place\",\"duration_ms\":7}\n",
+        "{\"ts_ms\":3,\"kind\":\"span_start\",\"path\":\"place/embed\"}\n",
+        "{\"ts_ms\":5,\"kind\":\"span_end\",\"path\":\"place/embed\",\"duration_ms\":2}\n",
+        "{\"ts_ms\":7,\"kind\":\"span_end\",\"path\":\"place\",\"duration_ms\":6}\n",
     );
     assert_eq!(sink.jsonl(), expected);
 }

@@ -40,7 +40,6 @@
 mod activity;
 mod burst;
 mod error;
-mod events;
 mod fleet;
 mod instance;
 pub mod llm;
@@ -53,7 +52,6 @@ mod service;
 pub use activity::{backup_window, office_hours, user_activity};
 pub use burst::{inject_burst, BurstSpec};
 pub use error::WorkloadError;
-pub use events::{synthesize_events, EventBatch, EventStreamConfig};
 pub use fleet::Fleet;
 pub use instance::{heterogeneous_instance, InstanceSpec};
 pub use llm::{burst_correlation_report, residual_correlation, CorrelationReport, LlmBasis};

@@ -171,7 +171,7 @@ fn print_usage() {
     println!("                        Example: --faults seed=7,dropout=0.2,trips=1");
     println!("  --metrics-out <path>  write a Prometheus text snapshot of all metrics");
     println!("                        recorded during the command");
-    println!("  --trace-out <path>    write the recorded span/point events as JSON lines");
+    println!("  --trace-out <path>    write the recorded span events as JSON lines");
     println!("  --seed <u64>          battery seed for `check` (default 7); the seed picks the");
     println!("                        scenario and drives every randomized probe. Also seeds");
     println!("                        `scale`, `plan`, `online`, `serve` and `daemon`");

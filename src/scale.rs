@@ -484,7 +484,7 @@ pub struct OnlineScaleConfig {
     pub samples_per_trace: usize,
     /// Sampling step of the synthesized grid, minutes.
     pub step_minutes: u32,
-    /// Seed driving waveforms, retirement draws, and the sampling policy.
+    /// Seed driving waveforms, retirement draws, and the probe sample.
     pub seed: u64,
     /// Event batches the stream is split into (each arrives `n / batches`
     /// instances and retires a fifth of that from the live set).
@@ -745,8 +745,8 @@ fn run_online_point(
             .collect::<Result<Vec<_>, _>>()?;
 
         // Retirements first (none before anything arrived): deterministic
-        // draws against the live snapshot, deduped ascending — the same
-        // canonicalization `OnlineFleet::apply` performs.
+        // draws against the live snapshot, deduped and retired in
+        // ascending order, so the draw order never matters.
         let t0 = Instant::now();
         if b > 0 && retire_per_batch > 0 {
             let snapshot = engine.live_slots();

@@ -80,7 +80,7 @@ pub struct ServeConfig {
     pub samples_per_trace: usize,
     /// Sampling step of the window grid, minutes.
     pub step_minutes: u32,
-    /// Seed for the synthesized initial fleet and the sampling policy.
+    /// Seed for the synthesized initial fleet and the probe sample.
     pub seed: u64,
     /// Candidate racks probed per arrival ([`CommitPolicy::Sampling`]).
     pub sample_probes: usize,
@@ -270,7 +270,7 @@ enum Route {
     /// The plane's `/health`, which also reports a poisoned state.
     Health,
     /// A query under the state lock.
-    Read(fn(&DaemonFleet, &CommitPolicy, &HttpRequest) -> HttpResponse),
+    Read(fn(&DaemonFleet, &HttpRequest) -> HttpResponse),
     /// A mutation under the state lock.
     Write(fn(&mut DaemonFleet, &HttpRequest) -> HttpResponse),
     /// Stop serving.
@@ -285,10 +285,10 @@ const ROUTES: [(&str, &str, Route); 14] = [
     ("GET", "/health", Route::Health),
     ("GET", "/alerts", Route::Plane),
     ("GET", "/flight", Route::Plane),
-    ("GET", "/fleet", Route::Read(|daemon, _, _| fleet_summary(daemon))),
-    ("GET", "/headroom", Route::Read(|daemon, _, req| headroom_query(daemon, req))),
-    ("GET", "/asynchrony", Route::Read(|daemon, _, req| asynchrony_query(daemon, req))),
-    ("GET", "/whatif", Route::Read(|daemon, _, req| whatif_query(daemon, req))),
+    ("GET", "/fleet", Route::Read(|daemon, _| fleet_summary(daemon))),
+    ("GET", "/headroom", Route::Read(headroom_query)),
+    ("GET", "/asynchrony", Route::Read(asynchrony_query)),
+    ("GET", "/whatif", Route::Read(whatif_query)),
     ("GET", "/admit", Route::Read(admit_query)),
     ("POST", "/ingest", Route::Write(|daemon, req| ingest_post(daemon, &req.body))),
     ("POST", "/arrive", Route::Write(|daemon, req| arrive_post(daemon, &req.body))),
@@ -305,12 +305,16 @@ const ROUTES: [(&str, &str, Route); 14] = [
 /// then be half-updated: from then on the state routes and `/health`
 /// answer `503`, while `/metrics`, `/alerts` and `/flight` keep serving
 /// the plane.
+///
+/// `_policy` is unused: the engine has one commit rule, its own. The
+/// benchmark harness calls this function with its policy, so the
+/// parameter stays.
 #[must_use]
 pub fn route_daemon(
     state: &Mutex<DaemonFleet>,
     plane: &LivePlane,
     stop: &AtomicBool,
-    policy: &CommitPolicy,
+    _policy: &CommitPolicy,
     req: &HttpRequest,
 ) -> HttpResponse {
     let Some(&(_, _, route)) = ROUTES
@@ -327,7 +331,7 @@ pub fn route_daemon(
         Route::Plane => route_plane(plane, req),
         Route::Health if state.is_poisoned() => state_poisoned(),
         Route::Health => route_plane(plane, req),
-        Route::Read(read) => with_state(state, |daemon| read(daemon, policy, req)),
+        Route::Read(read) => with_state(state, |daemon| read(daemon, req)),
         Route::Write(write) => with_state(state, |daemon| write(daemon, req)),
         Route::Shutdown => {
             stop.store(true, Ordering::Release);
@@ -508,7 +512,7 @@ fn whatif_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
     }
 }
 
-fn admit_query(daemon: &DaemonFleet, policy: &CommitPolicy, req: &HttpRequest) -> HttpResponse {
+fn admit_query(daemon: &DaemonFleet, req: &HttpRequest) -> HttpResponse {
     let watts = match parsed_watts(req) {
         Ok(w) => w,
         Err(resp) => return resp,
@@ -517,7 +521,7 @@ fn admit_query(daemon: &DaemonFleet, policy: &CommitPolicy, req: &HttpRequest) -
         Ok(c) => c,
         Err(resp) => return resp,
     };
-    match daemon.fleet().admit(policy, &candidate) {
+    match daemon.fleet().admit(&candidate) {
         Err(e) => HttpResponse::error(500, format!("admission probe failed: {e}")),
         Ok(Some(d)) => reply(
             BenchObject::default()
@@ -707,7 +711,7 @@ pub struct DaemonScaleConfig {
     pub samples_per_trace: usize,
     /// Sampling step, minutes.
     pub step_minutes: u32,
-    /// Seed driving the seed fleet, the sample stream, and the policy.
+    /// Seed driving the seed fleet, the sample stream, and the probe sample.
     pub seed: u64,
     /// Full fleet sweeps of the ingest phase (each sweep streams one
     /// fresh sample for every live instance).

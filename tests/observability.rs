@@ -16,7 +16,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use smoothoperator::scale::{run_online_scale, OnlineScaleConfig};
-use so_core::{CommitPolicy, EventRecord, OnlineConfig, OnlineFleet};
+use so_core::{EventRecord, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_telemetry::{
     default_online_rules, render_report, FlightKind, LivePlane, MetricsServer, RecordingSink,
@@ -120,7 +120,6 @@ fn micro_fleet() -> OnlineFleet {
         topology,
         TimeGrid::new(60, 4),
         OnlineConfig {
-            policy: CommitPolicy::WorstFit,
             repair_budget: 0,
             min_gain: 0.0,
             ..OnlineConfig::default()

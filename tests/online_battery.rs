@@ -8,11 +8,18 @@
 //! ([`so_parallel::set_thread_limit`]), so the harness may run them
 //! concurrently.
 
+use rand::Rng;
 use so_core::{CommitPolicy, OnlineConfig, OnlineFleet};
+use so_oracles::online::drive_batch;
 use so_oracles::{run_battery, BatteryConfig, OracleFamily};
-use so_powertrace::TimeGrid;
 use so_powertree::{NodeAggregates, PowerTopology};
-use so_workloads::{synthesize_events, DcScenario, EventStreamConfig};
+use so_workloads::rng::stream_rng;
+use so_workloads::DcScenario;
+
+/// Arrival batches per run, and arrivals and retirement draws per batch.
+const BATCHES: usize = 4;
+const ARRIVALS: usize = 12;
+const RETIREMENTS: usize = 3;
 
 fn topology() -> PowerTopology {
     PowerTopology::builder()
@@ -27,35 +34,29 @@ fn topology() -> PowerTopology {
         .unwrap()
 }
 
-/// Drives a fresh engine through the synthesized stream and returns the
-/// final engine.
-fn drive(policy: CommitPolicy, seed: u64) -> OnlineFleet {
-    let scenario = DcScenario::dc2();
-    let events = synthesize_events(
-        &scenario,
-        &EventStreamConfig {
-            seed,
-            batches: 4,
-            arrivals_per_batch: 12,
-            retirements_per_batch: 3,
-        },
-    )
-    .unwrap();
-    let grid = TimeGrid::one_week(scenario.step_minutes);
-    let cap = events
-        .iter()
-        .flat_map(|b| b.arrivals.iter())
-        .map(|t| t.peak())
-        .sum::<f64>()
-        * 2.0
-        + 100.0;
+/// The racks of [`topology`].
+fn racks() -> usize {
+    topology().racks().len()
+}
+
+/// Drives a fresh engine probing `probes` racks per arrival through a
+/// stream drawn from a DC2 fleet seeded with `seed`, batch by batch with
+/// the oracles' [`drive_batch`], and returns the final engine.
+fn drive(probes: usize, seed: u64) -> OnlineFleet {
+    let scenario = DcScenario {
+        seed,
+        ..DcScenario::dc2()
+    };
+    let fleet = scenario.generate_fleet(BATCHES * ARRIVALS).unwrap();
+    let traces = fleet.averaged_traces();
+    let cap = traces.iter().map(|t| t.peak()).sum::<f64>() * 2.0 + 100.0;
     let topology = topology();
     let budgets = vec![cap; topology.len()];
     let mut engine = OnlineFleet::new(
         topology,
-        grid,
+        fleet.grid(),
         OnlineConfig {
-            policy,
+            policy: CommitPolicy::Sampling { probes },
             repair_budget: 2,
             min_gain: 0.0,
             sample_salt: seed,
@@ -63,10 +64,10 @@ fn drive(policy: CommitPolicy, seed: u64) -> OnlineFleet {
     )
     .with_budgets(budgets)
     .unwrap();
-    for batch in &events {
-        engine
-            .apply(&batch.arrivals, &batch.retire_ordinals)
-            .unwrap();
+    let mut rng = stream_rng(seed, 0);
+    for batch in traces.chunks(ARRIVALS) {
+        let draws: Vec<u64> = (0..RETIREMENTS).map(|_| rng.gen()).collect();
+        drive_batch(&mut engine, batch, &draws).unwrap();
     }
     engine
 }
@@ -118,25 +119,19 @@ fn assert_matches_offline(engine: &OnlineFleet) {
 
 #[test]
 fn online_end_state_is_bit_identical_across_thread_counts() {
-    for policy in [
-        CommitPolicy::BestAsynchrony,
-        CommitPolicy::FirstFit,
-        CommitPolicy::Sampling { probes: 2 },
-    ] {
+    for probes in [racks(), 2] {
         let mut runs = Vec::new();
         for lanes in [1usize, 2, 8] {
             so_parallel::set_thread_limit(lanes);
-            let engine = drive(policy, 17);
+            let engine = drive(probes, 17);
             assert_matches_offline(&engine);
             runs.push((lanes, digest(&engine)));
         }
         let (_, reference) = &runs[0];
         for (lanes, run) in &runs {
             assert_eq!(
-                run,
-                reference,
-                "policy {}: digest diverges at {lanes} lane(s)",
-                policy.name()
+                run, reference,
+                "{probes} probes: digest diverges at {lanes} lane(s)"
             );
         }
     }
@@ -145,8 +140,8 @@ fn online_end_state_is_bit_identical_across_thread_counts() {
 #[test]
 fn online_streams_with_distinct_seeds_diverge() {
     so_parallel::set_thread_limit(2);
-    let a = digest(&drive(CommitPolicy::BestAsynchrony, 17));
-    let b = digest(&drive(CommitPolicy::BestAsynchrony, 18));
+    let a = digest(&drive(racks(), 17));
+    let b = digest(&drive(racks(), 18));
     assert_ne!(a, b, "seed must drive the stream contents");
 }
 
