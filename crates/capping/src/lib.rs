@@ -43,4 +43,4 @@ mod timeseries;
 
 pub use allocate::{allocate_caps, CapOutcome};
 pub use demand::{ClassDemand, Priority};
-pub use timeseries::{cap_over_window, rack_class_demands, CappingReport};
+pub use timeseries::{cap_over_window, CappingReport};

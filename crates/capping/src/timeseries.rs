@@ -42,7 +42,7 @@ impl CappingReport {
 ///
 /// Propagates tree errors; the demand vector is aligned with
 /// [`PowerTopology::racks`].
-pub fn rack_class_demands(
+fn rack_class_demands(
     topology: &PowerTopology,
     assignment: &Assignment,
     fleet: &Fleet,

@@ -40,5 +40,5 @@ pub use distance::{euclidean, euclidean_sq};
 pub use error::ClusterError;
 pub use kmeans::{kmeans, Clustering, KMeansConfig};
 pub use pca::Pca;
-pub use silhouette::{best_k, silhouette_score};
+pub use silhouette::silhouette_score;
 pub use tsne::{tsne, TsneConfig};

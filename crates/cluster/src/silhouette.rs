@@ -65,39 +65,6 @@ pub fn silhouette_score(points: &[Vec<f64>], labels: &[usize]) -> Result<f64, Cl
     Ok(total / n as f64)
 }
 
-/// Picks the `k` in `k_range` with the highest silhouette score under
-/// k-means — a principled way to choose the cluster count when the
-/// fan-out multiple of §3.5 is not dictated by the topology.
-///
-/// # Errors
-///
-/// Returns [`ClusterError::ZeroClusters`] for an empty range and
-/// propagates k-means/validation errors. Values of `k` that exceed the
-/// point count are skipped.
-pub fn best_k(
-    points: &[Vec<f64>],
-    k_range: std::ops::RangeInclusive<usize>,
-    seed: u64,
-) -> Result<usize, ClusterError> {
-    validate_points(points)?;
-    let mut best: Option<(usize, f64)> = None;
-    for k in k_range {
-        if k < 2 || k > points.len() {
-            continue;
-        }
-        let config = crate::kmeans::KMeansConfig {
-            seed,
-            ..crate::kmeans::KMeansConfig::new(k)
-        };
-        let clustering = crate::kmeans::kmeans(points, config)?;
-        let score = silhouette_score(points, &clustering.labels)?;
-        if best.map_or(true, |(_, s)| score > s) {
-            best = Some((k, score));
-        }
-    }
-    best.map(|(k, _)| k).ok_or(ClusterError::ZeroClusters)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,29 +111,6 @@ mod tests {
         let s = silhouette_score(&points, &labels).unwrap();
         // The misassigned point drags the mean below the separated ideal.
         assert!(s < 0.7, "silhouette {s}");
-    }
-
-    #[test]
-    fn best_k_finds_the_true_cluster_count() {
-        // Three well-separated blobs: the silhouette peaks at k = 3.
-        let mut points = Vec::new();
-        for center in [0.0, 50.0, 100.0] {
-            for i in 0..8 {
-                points.push(vec![center + i as f64 * 0.05, (i % 3) as f64 * 0.05]);
-            }
-        }
-        let k = best_k(&points, 2..=6, 7).unwrap();
-        assert_eq!(k, 3);
-    }
-
-    #[test]
-    fn best_k_rejects_empty_ranges() {
-        let points = vec![vec![0.0], vec![1.0]];
-        #[allow(clippy::reversed_empty_ranges)]
-        let empty = 5..=4;
-        assert!(best_k(&points, empty, 7).is_err());
-        // Range entirely above the point count is also empty in effect.
-        assert!(best_k(&points, 10..=12, 7).is_err());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! instances, we use these S-traces to evaluate whether the new
 //! instance's power consumption pattern will add significantly to the
 //! peak of the aggregate power trace of that group." This module answers
-//! exactly that question for every candidate rack and picks the best
-//! admissible one — the day-two operation of a deployed SmoothOperator.
+//! exactly that question for every candidate rack and ranks the racks
+//! best-first — the day-two operation of a deployed SmoothOperator.
 
 use so_powertrace::PowerTrace;
 use so_powertree::{Assignment, NodeAggregates, NodeId, PowerTopology};
@@ -111,23 +111,6 @@ pub fn admission_decisions(
     Ok(decisions)
 }
 
-/// The best admissible rack for `candidate`, or `None` when no rack can
-/// take it (no slot, or every path overdraws its budget).
-///
-/// # Errors
-///
-/// Same as [`admission_decisions`].
-pub fn best_rack_for(
-    topology: &PowerTopology,
-    assignment: &Assignment,
-    aggregates: &NodeAggregates,
-    budgets: &[f64],
-    candidate: &PowerTrace,
-) -> Result<Option<AdmissionDecision>, CoreError> {
-    let decisions = admission_decisions(topology, assignment, aggregates, budgets, candidate)?;
-    Ok(decisions.into_iter().find(|d| d.fits))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,14 +139,28 @@ mod tests {
         topo.nodes().iter().map(|n| n.budget_watts()).collect()
     }
 
+    /// The best-ranked decision that fits, or `None` when no rack can
+    /// take `candidate`.
+    fn best_admissible(
+        topology: &PowerTopology,
+        assignment: &Assignment,
+        aggregates: &NodeAggregates,
+        budgets: &[f64],
+        candidate: &PowerTrace,
+    ) -> Option<AdmissionDecision> {
+        admission_decisions(topology, assignment, aggregates, budgets, candidate)
+            .unwrap()
+            .into_iter()
+            .find(|d| d.fits)
+    }
+
     #[test]
     fn complementary_rack_wins() {
         let (topo, assignment, traces) = setup();
         let agg = NodeAggregates::compute(&topo, &assignment, &traces).unwrap();
         // A day-peaking candidate should land on the night-peaking rack 1.
         let candidate = PowerTrace::new(vec![80.0, 5.0], 10).unwrap();
-        let best = best_rack_for(&topo, &assignment, &agg, &budgets(&topo), &candidate)
-            .unwrap()
+        let best = best_admissible(&topo, &assignment, &agg, &budgets(&topo), &candidate)
             .expect("a rack fits");
         assert_eq!(best.rack, topo.racks()[1]);
         assert!(best.asynchrony > 1.5, "asynchrony {}", best.asynchrony);
@@ -179,7 +176,7 @@ mod tests {
         // A 200 W-flat candidate would push either rack past its 250 W
         // budget (100 + 200 = 300).
         let candidate = PowerTrace::new(vec![200.0, 200.0], 10).unwrap();
-        let best = best_rack_for(&topo, &assignment, &agg, &budgets(&topo), &candidate).unwrap();
+        let best = best_admissible(&topo, &assignment, &agg, &budgets(&topo), &candidate);
         assert!(best.is_none());
         // Decisions still explain why.
         let decisions =
@@ -196,7 +193,7 @@ mod tests {
         let assignment = Assignment::round_robin(&topo, 4).unwrap();
         let agg = NodeAggregates::compute(&topo, &assignment, &traces).unwrap();
         let candidate = PowerTrace::new(vec![1.0, 1.0], 10).unwrap();
-        let best = best_rack_for(&topo, &assignment, &agg, &budgets(&topo), &candidate).unwrap();
+        let best = best_admissible(&topo, &assignment, &agg, &budgets(&topo), &candidate);
         assert!(best.is_none(), "no slots should be available");
     }
 
@@ -209,7 +206,7 @@ mod tests {
         // aggregate [110,110] -> peak 110… actually racks sum: [110,110]).
         budgets[topo.root().index()] = 115.0;
         let candidate = PowerTrace::new(vec![10.0, 10.0], 10).unwrap();
-        let best = best_rack_for(&topo, &assignment, &agg, &budgets, &candidate).unwrap();
+        let best = best_admissible(&topo, &assignment, &agg, &budgets, &candidate);
         assert!(best.is_none(), "root budget must block admission");
     }
 }

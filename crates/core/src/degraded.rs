@@ -96,7 +96,7 @@ fn check_grids(masked: &[MaskedTrace]) -> Result<(), CoreError> {
 /// [`CoreError::InsufficientData`] for a service with not a single
 /// observed sample across all its instances, and grid-mismatch trace
 /// errors.
-pub fn service_priors(
+fn service_priors(
     masked: &[MaskedTrace],
     service_of: &[usize],
     n_services: usize,
@@ -231,7 +231,7 @@ pub fn complete_traces(
 ///
 /// # Errors
 ///
-/// Propagates [`service_priors`] and [`complete_traces`] errors.
+/// Propagates the prior derivation's and [`complete_traces`] errors.
 pub fn complete_with_derived_priors(
     masked: &[MaskedTrace],
     service_of: &[usize],

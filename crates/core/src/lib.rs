@@ -63,13 +63,11 @@ mod remap;
 mod score;
 mod straces;
 
-pub use admission::{admission_decisions, best_rack_for, AdmissionDecision};
+pub use admission::{admission_decisions, AdmissionDecision};
 pub use analysis::{peak_reduction_by_level, FragmentationReport, LevelFragmentation};
 pub use constraints::PlacementConstraints;
 pub use daemon::{DaemonFleet, IngestReport, SampleUpdate};
-pub use degraded::{
-    complete_traces, complete_with_derived_priors, service_priors, DegradedReport, TraceSource,
-};
+pub use degraded::{complete_traces, complete_with_derived_priors, DegradedReport, TraceSource};
 pub use embedding::{
     pairwise_score_vectors, score_vectors, score_vectors_arena, score_vectors_from_traces,
 };
@@ -80,9 +78,7 @@ pub use online::{
     LeafDecision, OnlineConfig, OnlineFleet,
 };
 pub use placement::{PlacementConfig, SmoothPlacer};
-pub use remap::{
-    remap, remap_degraded, remap_traces, worst_node, RemapConfig, RemapReport, SwapRecord,
-};
+pub use remap::{remap, remap_degraded, remap_traces, RemapConfig, RemapReport, SwapRecord};
 pub use score::{
     asynchrony_score, averaged_peer_trace, differential_score, differential_score_excluding,
     instance_to_service_score, pairwise_score, pairwise_score_from_peaks, pairwise_score_samples,

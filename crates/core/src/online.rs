@@ -2156,6 +2156,21 @@ mod tests {
     }
 
     #[test]
+    fn repair_passes_add_no_events_to_the_sink() {
+        // smoothopd keeps one sink for its whole life, so an event per
+        // pass would grow it with every `/repair` and repair-loop tick.
+        let mut fleet = fragmented();
+        let sink = Arc::new(so_telemetry::RecordingSink::with_virtual_clock());
+        so_telemetry::with_sink(sink.clone(), || {
+            for _ in 0..50 {
+                fleet.repair().unwrap();
+            }
+        });
+        assert!(sink.events().is_empty(), "{} events", sink.events().len());
+        assert!(sink.prometheus().contains("so_remap_runs_total 50"));
+    }
+
+    #[test]
     fn grid_mismatches_are_rejected() {
         let mut fleet = engine();
         let short = PowerTrace::new(vec![1.0, 1.0], 60).unwrap();

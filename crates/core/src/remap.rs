@@ -123,6 +123,10 @@ pub fn remap_traces(
     config: RemapConfig,
 ) -> Result<RemapReport, CoreError> {
     let mut nodes = AssignmentNodes::new(traces, topology, assignment, config.level)?;
+    // Only offline runs open a span: the online engine repairs through
+    // `remap_nodes` on every pass, and a long-lived sink would keep each
+    // pass's span events.
+    let _span = so_telemetry::span("remap");
     remap_nodes(&mut nodes, &config)
 }
 
@@ -195,10 +199,9 @@ pub(crate) fn remap_nodes<N: RemapNodes>(
     nodes: &mut N,
     config: &RemapConfig,
 ) -> Result<RemapReport, CoreError> {
-    // Serial orchestration point: the span, gauges, and round counter live
-    // here; the parallel scans inside `best_swap` batch commutative
-    // counters only.
-    let _span = so_telemetry::span("remap");
+    // Serial orchestration point: the gauges and round counter live here;
+    // the parallel scans inside `best_swap` batch commutative counters
+    // only.
     let initial_worst_score = nodes.worst_score()?;
     let positions: Vec<usize> = (0..nodes.node_count()).collect();
     // Every member's AD in its own node, once per run: a swap changes it
@@ -593,7 +596,7 @@ fn asynchrony_score_members(traces: &[PowerTrace], members: &[usize]) -> Result<
 /// # Errors
 ///
 /// Propagates tree lookups and trace-length mismatches.
-pub fn worst_node(
+fn worst_node(
     topology: &PowerTopology,
     assignment: &Assignment,
     traces: &[PowerTrace],

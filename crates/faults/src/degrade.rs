@@ -3,8 +3,9 @@
 //! Placement consumes *measured* traces. Under faults the measurement
 //! differs from the truth: dropout windows are missing (masked), stuck
 //! windows repeat the onset reading, and crash windows genuinely draw
-//! zero power. [`degrade_trace`] produces exactly that measured view as a
-//! [`MaskedTrace`], ready for `so-core`'s degraded-mode placement.
+//! zero power. [`degrade_traces`] produces exactly that measured view as
+//! one [`MaskedTrace`] per instance, ready for `so-core`'s degraded-mode
+//! placement.
 
 use so_powertrace::{MaskedTrace, PowerTrace};
 
@@ -20,7 +21,7 @@ use crate::schedule::FaultSchedule;
 ///   really off — valid data);
 /// * [`FaultKind::BreakerTrip`] leaves the trace alone (it derates
 ///   capacity, not telemetry).
-pub fn degrade_trace(trace: &PowerTrace, instance: usize, events: &[FaultEvent]) -> MaskedTrace {
+fn degrade_trace(trace: &PowerTrace, instance: usize, events: &[FaultEvent]) -> MaskedTrace {
     let mut samples = trace.samples().to_vec();
     let mut valid = vec![true; samples.len()];
     for e in events {

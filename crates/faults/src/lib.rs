@@ -43,7 +43,7 @@ mod event;
 mod schedule;
 mod spec;
 
-pub use degrade::{degrade_trace, degrade_traces};
+pub use degrade::degrade_traces;
 pub use error::FaultError;
 pub use event::{FaultEvent, FaultKind, FaultTarget};
 pub use schedule::{FaultSchedule, FaultTimeline};

@@ -11,22 +11,18 @@
 //! | `arena_statprof_is_bit_identical` | `statprof_required_budget` over round-tripped traces vs originals | `ProvisioningReport ==` |
 //! | `arena_axpy_matches_scalar_loop` | `TraceArena::axpy_into` vs an element-order scalar loop | bit-identical |
 //! | `arena_parallel_synth_is_bit_exact` | `par_extend_rows` (parallel and under `serial_scope`) vs `push_with` | bit-identical samples |
-//! | `arena_sketch_quantile_within_tolerance` | `row_quantiles_sketch` vs the exact per-row distribution | rank error ≤ `P2_RANK_ERROR_BOUND` |
 //!
-//! Every oracle here except the sketch oracle is *exact* (`to_bits` or
-//! derived `==`): the arena kernels are documented to perform the same
-//! float operations in the same order as the trace-based paths, so any
-//! ULP of drift is a bug, not a tolerance question. This is what lets the
-//! scale tier swap storage layouts without re-validating numerics (the
-//! online engine's repair, which reads arena rows in place, is held
-//! against a materializing reference by the `online` and `daemon`
-//! families). The P² sketch is the one documented
-//! approximation, and its oracle gates the documented empirical rank-error
-//! bound instead of bits.
+//! Every oracle here is *exact* (`to_bits` or derived `==`): the arena
+//! kernels are documented to perform the same float operations in the
+//! same order as the trace-based paths, so any ULP of drift is a bug, not
+//! a tolerance question. This is what lets the scale tier swap storage
+//! layouts without re-validating numerics (the online engine's repair,
+//! which reads arena rows in place, is held against a materializing
+//! reference by the `online` and `daemon` families).
 
 use so_baselines::{statprof_required_budget, ProvisioningDegrees};
 use so_core::{score_vectors_arena, score_vectors_from_traces, ServiceTraces};
-use so_powertrace::{sketch, PowerTrace, TraceArena, P2_RANK_ERROR_BOUND};
+use so_powertrace::{PowerTrace, TraceArena};
 use so_powertree::Level;
 
 use crate::{Fixture, OracleError, OracleFamily, OracleReport};
@@ -53,7 +49,6 @@ pub fn run(fixture: &Fixture, report: &mut OracleReport) -> Result<(), OracleErr
     statprof(fixture, &arena, report)?;
     axpy(traces, &arena, report)?;
     parallel_synth(traces, &arena, report);
-    sketch_quantiles(traces, &arena, report)?;
     Ok(())
 }
 
@@ -290,44 +285,6 @@ fn parallel_synth(traces: &[PowerTrace], arena: &TraceArena, report: &mut Oracle
         bits(&forced_serial) == want,
         || "par_extend_rows under serial_scope diverges from push_with".to_string(),
     );
-}
-
-/// The opt-in P² streaming sketch vs the exact per-row distribution: for
-/// every probe the sketch's rank error must stay within the documented
-/// empirical bound, and the `q ∈ {0, 1}` edges must be exact (they track
-/// the running min/max markers).
-fn sketch_quantiles(
-    traces: &[PowerTrace],
-    arena: &TraceArena,
-    report: &mut OracleReport,
-) -> Result<(), OracleError> {
-    for q in PROBES {
-        let estimates = arena.row_quantiles_sketch(q)?;
-        for (i, trace) in traces.iter().enumerate().take(8) {
-            if q == 0.0 || q == 1.0 {
-                report.check_exact(
-                    FAMILY,
-                    "arena_sketch_quantile_within_tolerance",
-                    estimates[i],
-                    trace.quantile(q)?,
-                );
-            } else {
-                let error = sketch::rank_error(trace.samples(), q, estimates[i]);
-                report.check(
-                    FAMILY,
-                    "arena_sketch_quantile_within_tolerance",
-                    error <= P2_RANK_ERROR_BOUND,
-                    || {
-                        format!(
-                            "row {i} q={q}: sketch estimate {} has rank error {error} > {P2_RANK_ERROR_BOUND}",
-                            estimates[i]
-                        )
-                    },
-                );
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

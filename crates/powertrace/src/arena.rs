@@ -41,10 +41,7 @@
 //! * [`par_extend_rows`](TraceArena::par_extend_rows) synthesizes rows in
 //!   parallel into disjoint buffer windows (each row a pure function of its
 //!   index), and [`clear`](TraceArena::clear) recycles the buffer so
-//!   chunked/streaming synthesis keeps peak RSS bounded;
-//! * [`row_quantiles_sketch`](TraceArena::row_quantiles_sketch) is the
-//!   *approximate* one-pass P² alternative — deterministic, but bound by
-//!   [`crate::sketch::P2_RANK_ERROR_BOUND`] instead of bit-exactness.
+//!   chunked/streaming synthesis keeps peak RSS bounded.
 //!
 //! The `arena` oracle family in `so-oracles` diffs every kernel against the
 //! materializing path bit-for-bit on seeded fleets.
@@ -55,7 +52,6 @@ use crate::aggregate::peak_of_samples;
 use crate::error::TraceError;
 use crate::grid::TimeGrid;
 use crate::quantile;
-use crate::sketch::P2Quantile;
 use crate::trace::PowerTrace;
 
 /// Time-axis block width for allocation-free fused kernels. Small enough to
@@ -503,46 +499,6 @@ impl TraceArena {
         Ok(out)
     }
 
-    /// The `q`-quantile of every row estimated by the one-pass P² sketch
-    /// ([`crate::sketch`]) — the approximate, streaming-friendly
-    /// alternative to [`Self::row_quantiles`], parallelized over the same
-    /// canonical row blocks (and therefore equally deterministic at any
-    /// thread count; the sketch itself is a pure function of the row).
-    ///
-    /// Accuracy is the sketch's empirical contract
-    /// ([`crate::sketch::P2_RANK_ERROR_BOUND`]), **not** bit-exactness —
-    /// exact consumers must use [`Self::row_quantiles`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::InvalidQuantile`] for `q` outside `[0, 1]`.
-    pub fn row_quantiles_sketch(&self, q: f64) -> Result<Vec<f64>, TraceError> {
-        if !(0.0..=1.0).contains(&q) || q.is_nan() {
-            return Err(TraceError::InvalidQuantile(q));
-        }
-        if self.is_empty() {
-            return Ok(Vec::new());
-        }
-        let t = self.samples_per_trace;
-        let blocks = par_chunk_map(&self.samples, t * ROW_BLOCK, |_, block| {
-            block
-                .chunks(t)
-                .map(|row| {
-                    let mut sketch = P2Quantile::new(q).expect("q validated above");
-                    for &v in row {
-                        sketch.observe(v);
-                    }
-                    sketch.estimate().expect("rows are never empty")
-                })
-                .collect::<Vec<f64>>()
-        });
-        let mut out = Vec::with_capacity(self.len());
-        for block in blocks {
-            out.extend_from_slice(&block);
-        }
-        Ok(out)
-    }
-
     /// The `q`-quantile of row `i`, reusing `scratch` for the selection so
     /// repeated calls allocate nothing once the scratch has grown to one
     /// row. Agrees bit-for-bit with [`PowerTrace::quantile`] (`O(T)`
@@ -886,10 +842,8 @@ mod tests {
         }
         let peaks = arena.row_peaks();
         let q = arena.row_quantiles(0.9).unwrap();
-        let sketch = arena.row_quantiles_sketch(0.9).unwrap();
         assert_eq!(peaks.len(), 1030);
         assert_eq!(q.len(), 1030);
-        assert_eq!(sketch.len(), 1030);
         let mut scratch = Vec::new();
         for i in [0usize, 1, 512, 1023, 1029] {
             assert_eq!(peaks[i].to_bits(), arena.view(i).peak().to_bits());
@@ -900,9 +854,8 @@ mod tests {
                     .unwrap()
                     .to_bits()
             );
-            assert!(sketch[i].is_finite());
         }
-        assert!(arena.row_quantiles_sketch(1.5).is_err());
+        assert!(arena.row_quantiles(1.5).is_err());
     }
 
     #[test]

@@ -62,7 +62,6 @@ mod mask;
 mod metrics;
 pub mod quantile;
 mod sanitize;
-pub mod sketch;
 mod slack;
 mod stats;
 mod trace;
@@ -77,7 +76,6 @@ pub use grid::{TimeGrid, MINUTES_PER_DAY, MINUTES_PER_WEEK};
 pub use mask::MaskedTrace;
 pub use metrics::{peak_of_sum, peak_reduction, sum_of_peaks};
 pub use sanitize::{GapPolicy, RepairReport, SanitizeConfig, TraceSanitizer};
-pub use sketch::{sketch_quantile, P2Quantile, P2_RANK_ERROR_BOUND};
 pub use slack::{off_peak_mask, slack_reduction, SlackProfile};
 pub use stats::{Ecdf, TraceSummary};
 pub use trace::PowerTrace;

@@ -329,53 +329,6 @@ fn arena_edge_cases() {
     assert_eq!(arena.peak_of_sum(&[0, 0]).unwrap(), 15.0);
 }
 
-/// Warps a base vector into one of the adversarial shapes the P² sketch's
-/// empirical error bound is gated against. The shapes deliberately cover
-/// the estimator's weak spots: long sorted runs (markers trail the data),
-/// bimodal clusters, heavy tails, and periodic arrival order. All shapes
-/// except `constant` keep values distinct (continuous distributions are
-/// what P² models; its point-mass behavior is a documented limitation,
-/// not a gated property).
-fn adversarial_shape(base: &[f64], shape: u8) -> Vec<f64> {
-    // Tiny index-proportional jitter breaks ties without moving ranks.
-    let jitter = |i: usize| i as f64 * 1e-6;
-    match shape % 7 {
-        // 0: the raw uniform draw.
-        0 => base.to_vec(),
-        // 1: sorted ascending.
-        1 => {
-            let mut v = base.to_vec();
-            v.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-            v
-        }
-        // 2: sorted descending.
-        2 => {
-            let mut v = base.to_vec();
-            v.sort_by(|a, b| b.partial_cmp(a).expect("finite samples"));
-            v
-        }
-        // 3: constant (exact for the sketch at any length).
-        3 => vec![base[0]; base.len()],
-        // 4: bimodal — two well-separated continuous clusters.
-        4 => base
-            .iter()
-            .map(|&x| {
-                if x < 500.0 {
-                    x * 0.2
-                } else {
-                    900.0 + (x - 500.0) * 0.2
-                }
-            })
-            .collect(),
-        // 5: heavy tail — quartic warp stretches the top of the range.
-        5 => base.iter().map(|&x| (x / 1000.0).powi(4) * 1e8).collect(),
-        // 6: sawtooth in arrival order, independent of the draw.
-        _ => (0..base.len())
-            .map(|i| (i % 17) as f64 * 3.0 + jitter(i))
-            .collect(),
-    }
-}
-
 proptest! {
     /// The selection-based quantile is bit-for-bit the full-sort quantile
     /// for every sample set and probe — the contract that lets the scale
@@ -390,41 +343,5 @@ proptest! {
         let got = so_powertrace::quantile::quantile_select(&v, q, &mut scratch).unwrap();
         let want = so_powertrace::quantile::quantile(&v, q).unwrap();
         prop_assert_eq!(got.to_bits(), want.to_bits(), "q={}", q);
-    }
-
-    /// The streaming P² sketch stays within its documented empirical
-    /// rank-error bound across the adversarial distribution family —
-    /// streams of `n ≥ 64` and interior quantile targets, the regime the
-    /// bound is documented for. (`q ∈ {0, 1}` are exact by construction
-    /// and covered below; shorter streams and point-mass distributions
-    /// are documented limitations of the sketch, not gated properties.)
-    #[test]
-    fn sketch_rank_error_is_bounded_on_adversarial_shapes(
-        base in prop::collection::vec(0.0f64..1000.0, 64..400),
-        q in 0.05f64..=0.99,
-        shape in 0u8..7,
-    ) {
-        let data = adversarial_shape(&base, shape);
-        let est = so_powertrace::sketch_quantile(&data, q).unwrap();
-        let err = so_powertrace::sketch::rank_error(&data, q, est);
-        prop_assert!(
-            err <= so_powertrace::P2_RANK_ERROR_BOUND,
-            "shape {} n {} q {}: estimate {} rank error {} exceeds bound {}",
-            shape, data.len(), q, est, err, so_powertrace::P2_RANK_ERROR_BOUND
-        );
-    }
-
-    /// The sketch's extreme targets are exact on every shape: `q = 0`
-    /// tracks the running minimum marker and `q = 1` the maximum.
-    #[test]
-    fn sketch_extremes_are_exact_on_adversarial_shapes(
-        base in prop::collection::vec(0.0f64..1000.0, 1..300),
-        shape in 0u8..7,
-    ) {
-        let data = adversarial_shape(&base, shape);
-        let min = data.iter().copied().fold(f64::MAX, f64::min);
-        let max = data.iter().copied().fold(f64::MIN, f64::max);
-        prop_assert_eq!(so_powertrace::sketch_quantile(&data, 0.0).unwrap(), min);
-        prop_assert_eq!(so_powertrace::sketch_quantile(&data, 1.0).unwrap(), max);
     }
 }

@@ -5,7 +5,6 @@
 //! can host extra (conversion) servers. Proactive throttling additionally
 //! frees Batch power at peak, funding a further set `e_th`.
 
-use so_powertrace::PowerTrace;
 use so_powertree::{Assignment, NodeAggregates, NodeId, PowerTopology};
 
 use crate::error::ReshapeError;
@@ -187,28 +186,10 @@ pub fn peak_provisioned_budgets(
         .collect()
 }
 
-/// Convenience: plan `e_conv` directly from pre/post placements on shared
-/// instance traces.
-///
-/// # Errors
-///
-/// Propagates planning errors.
-pub fn plan_from_placements(
-    topology: &PowerTopology,
-    before: &Assignment,
-    after: &Assignment,
-    instance_traces: &[PowerTrace],
-    per_server_peak_watts: f64,
-) -> Result<usize, ReshapeError> {
-    let agg_before = NodeAggregates::compute(topology, before, instance_traces)?;
-    let agg_after = NodeAggregates::compute(topology, after, instance_traces)?;
-    let budgets = peak_provisioned_budgets(topology, &agg_before)?;
-    plan_conversion_capacity(topology, after, &agg_after, &budgets, per_server_peak_watts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use so_powertrace::PowerTrace;
 
     fn topo() -> PowerTopology {
         PowerTopology::builder()
@@ -281,20 +262,5 @@ mod tests {
         assert!(throttle_funded_capacity(10, 280.0, 1.5, 1.0, 300.0).is_err());
         assert!(throttle_funded_capacity(10, 280.0, 0.7, 0.0, 300.0).is_err());
         assert!(throttle_funded_capacity(10, 280.0, 0.7, 1.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn plan_from_placements_end_to_end() {
-        let t = topo();
-        // Before: both spiky traces on rack 0 (peak 200 there).
-        let racks = t.racks();
-        let before = Assignment::new(vec![racks[0], racks[0]], &t).unwrap();
-        // After: spread out (peak 100 per rack).
-        let after = Assignment::new(vec![racks[0], racks[1]], &t).unwrap();
-        let traces = vec![PowerTrace::new(vec![100.0, 0.0], 10).unwrap(); 2];
-        let extra = plan_from_placements(&t, &before, &after, &traces, 100.0).unwrap();
-        // Rack 0's budget was 200 (old peak), now draws 100 → 1 extra
-        // server fits there; rack 1's budget was 0 → nothing fits.
-        assert_eq!(extra, 1);
     }
 }

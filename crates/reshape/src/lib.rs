@@ -43,14 +43,11 @@ mod pipeline;
 mod threshold;
 
 pub use capacity::{
-    peak_provisioned_budgets, plan_conversion_capacity, plan_from_placements,
-    throttle_funded_capacity, ExtraCapacity,
+    peak_provisioned_budgets, plan_conversion_capacity, throttle_funded_capacity, ExtraCapacity,
 };
 pub use conversion::{ConversionPolicy, Phase, ThrottleBoostPolicy};
 pub use disagg::{ConversionModel, StorageAttachment};
 pub use error::ReshapeError;
 pub use longrun::{operate, LongRunConfig, LongRunReport, WeekOutcome};
-pub use pipeline::{
-    fitting_topology, pipeline_grid, run_fleet, run_scenario, PipelineConfig, ScenarioOutcome,
-};
+pub use pipeline::{fitting_topology, run_scenario, PipelineConfig, ScenarioOutcome};
 pub use threshold::learn_conversion_threshold;

@@ -9,7 +9,7 @@
 
 use so_baselines::oblivious_placement;
 use so_core::{PlacementConfig, SmoothPlacer};
-use so_powertrace::{off_peak_mask, slack_reduction, PowerTrace, TimeGrid};
+use so_powertrace::{off_peak_mask, slack_reduction, PowerTrace};
 use so_powertree::{Level, NodeAggregates, PowerTopology};
 use so_sim::{simulate, ServerPowerModel, SimConfig, StaticPolicy, Telemetry};
 use so_workloads::{DcScenario, Fleet, OfferedLoad, WorkKind};
@@ -168,7 +168,7 @@ pub fn run_scenario(
 /// # Errors
 ///
 /// Same as [`run_scenario`].
-pub fn run_fleet(
+fn run_fleet(
     name: String,
     fleet: &Fleet,
     baseline_mixing: f64,
@@ -337,11 +337,6 @@ pub fn fitting_topology(n: usize, rack_capacity: usize) -> Result<PowerTopology,
         .racks_per_rpp(4)
         .rack_capacity(rack_capacity)
         .build()?)
-}
-
-/// One-week grid helper shared by pipeline callers.
-pub fn pipeline_grid(step_minutes: u32) -> TimeGrid {
-    TimeGrid::one_week(step_minutes)
 }
 
 #[cfg(test)]

@@ -95,56 +95,6 @@ pub fn route(offered_qps: f64, slots: &[ServerSlot], l_conv: f64) -> RoutingOutc
     }
 }
 
-/// Routes with a *guard-first* policy for heterogeneous fleets: faster
-/// servers take proportionally more load, and when the guarded capacity
-/// is exhausted the spill is again proportional — but the per-server load
-/// fractions stay equal only within each phase, so the outcome differs
-/// from [`route`] when capacities differ and the load exceeds the guard.
-///
-/// Returns the same [`RoutingOutcome`] shape.
-///
-/// # Panics
-///
-/// Same as [`route`].
-pub fn route_guard_first(offered_qps: f64, slots: &[ServerSlot], l_conv: f64) -> RoutingOutcome {
-    assert!(!slots.is_empty(), "routing needs at least one server");
-    assert!(
-        l_conv.is_finite() && l_conv > 0.0 && l_conv <= 1.0,
-        "l_conv must lie in (0, 1]"
-    );
-    assert!(
-        offered_qps.is_finite() && offered_qps >= 0.0,
-        "offered load must be non-negative"
-    );
-
-    let total_capacity: f64 = slots.iter().map(|s| s.capacity_qps).sum();
-    let guarded_capacity = total_capacity * l_conv;
-    let served = offered_qps.min(total_capacity);
-    let dropped = offered_qps - served;
-
-    // Proportional shares keep every server at the same load *fraction*
-    // within each phase: l_conv × (guarded fill ratio) during the guarded
-    // phase.
-    let in_guard = served.min(guarded_capacity);
-    let guard_fraction = l_conv * in_guard / guarded_capacity.max(1e-12);
-    let mut loads = vec![guard_fraction; slots.len()];
-    let spill = served - in_guard;
-    let mut over_guard_count = 0;
-    if spill > 1e-12 {
-        let spill_capacity = total_capacity - guarded_capacity;
-        for load in loads.iter_mut() {
-            *load += (1.0 - l_conv) * spill / spill_capacity.max(1e-12);
-        }
-        over_guard_count = loads.iter().filter(|&&l| l > l_conv + 1e-12).count();
-    }
-    RoutingOutcome {
-        loads,
-        served_qps: served,
-        dropped_qps: dropped,
-        over_guard_count,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,19 +139,6 @@ mod tests {
         // Equal load *fractions*: 100/200 = 0.5 on both.
         assert!((out.loads[0] - 0.5).abs() < 1e-12);
         assert!((out.loads[1] - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn guard_first_matches_route_for_uniform_fleets() {
-        let s = slots(&[100.0; 4]);
-        for offered in [100.0, 320.0, 390.0] {
-            let a = route(offered, &s, 0.8);
-            let b = route_guard_first(offered, &s, 0.8);
-            for (x, y) in a.loads.iter().zip(&b.loads) {
-                assert!((x - y).abs() < 1e-9, "offered {offered}: {x} vs {y}");
-            }
-            assert_eq!(a.over_guard_count, b.over_guard_count);
-        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ mod error;
 mod policy;
 mod power;
 
-pub use balancer::{route, route_guard_first, RoutingOutcome, ServerSlot};
+pub use balancer::{route, RoutingOutcome, ServerSlot};
 pub use dvfs::DvfsState;
 pub use engine::{
     default_config, one_week_grid, simulate, simulate_with_faults, ConversionEvent, SimConfig,

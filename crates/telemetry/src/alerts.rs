@@ -413,18 +413,6 @@ pub fn default_online_rules() -> Vec<AlertRule> {
     ]
 }
 
-/// An `Above` rule on a per-level stranded-watts signal
-/// (`stranded_watts_<level>`), for callers that know their budget scale.
-pub fn stranded_watts_rule(level: &str, fire_at_watts: f64) -> AlertRule {
-    AlertRule::above(
-        &format!("stranded_watts_{level}"),
-        &format!("stranded_watts_{level}"),
-        fire_at_watts,
-        fire_at_watts * 0.8,
-        2,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -571,7 +559,5 @@ mod tests {
         assert!(rules.len() >= 5);
         let engine = AlertEngine::new(rules);
         assert!(engine.active().is_empty());
-        let stranded = stranded_watts_rule("rack", 500.0);
-        assert_eq!(stranded.signal, "stranded_watts_rack");
     }
 }

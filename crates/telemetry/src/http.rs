@@ -12,13 +12,13 @@
 //! * [`HttpServer`] — the generic listener: parses a request line (plus
 //!   a `Content-Length`-framed body for non-GET methods), hands an
 //!   [`HttpRequest`] to a routing closure, and writes the returned
-//!   [`HttpResponse`]. Resident services (the `smoothop serve` daemon)
-//!   mount their own routes on it.
-//! * [`MetricsServer`] — the scrape surface built on top: routes
-//!   `/metrics`, `/health`, `/alerts`, and `/flight` to a [`LivePlane`]
-//!   via [`route_plane`].
+//!   [`HttpResponse`].
+//! * [`route_plane`] — the scrape surface: routes `/metrics`, `/health`,
+//!   `/alerts`, and `/flight` to a [`LivePlane`]. A watched
+//!   `smoothop online --listen` mounts it alone; the `smoothop serve`
+//!   daemon mounts it beside its own routes.
 //!
-//! Endpoints served by [`MetricsServer`]:
+//! Endpoints served by [`route_plane`]:
 //!
 //! | Path          | Body                                            |
 //! |---------------|-------------------------------------------------|
@@ -232,49 +232,13 @@ impl Drop for HttpServer {
 /// map to the same-family loopback on the bound port, concrete
 /// addresses pass through unchanged.
 #[must_use]
-pub fn wake_addr(bound: SocketAddr) -> SocketAddr {
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
     let ip = match bound.ip() {
         IpAddr::V4(v4) if v4.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
         IpAddr::V6(v6) if v6.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
         other => other,
     };
     SocketAddr::new(ip, bound.port())
-}
-
-/// A running metrics listener serving a [`LivePlane`]. Shuts down
-/// (blocking until the service thread exits) on
-/// [`shutdown`](MetricsServer::shutdown) or drop.
-#[derive(Debug)]
-pub struct MetricsServer {
-    inner: HttpServer,
-}
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:9184`, port 0 for ephemeral) and
-    /// serves `plane` from a background thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind / thread-spawn failures.
-    pub fn spawn(addr: &str, plane: Arc<LivePlane>) -> std::io::Result<Self> {
-        let inner = HttpServer::spawn(
-            addr,
-            "so-metrics-http",
-            Arc::new(move |req| route_plane(&plane, req)),
-        )?;
-        Ok(Self { inner })
-    }
-
-    /// The bound address (resolves port 0 to the actual port).
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.inner.addr()
-    }
-
-    /// Stops the listener and joins the service thread.
-    pub fn shutdown(self) {
-        self.inner.shutdown();
-    }
 }
 
 /// Routes one request against a [`LivePlane`]: the four scrape
@@ -713,10 +677,22 @@ mod tests {
         plane
     }
 
+    /// Serves `plane`'s scrape routes on `addr`, as `smoothop online
+    /// --listen` does.
+    fn plane_server(addr: &str, plane: &Arc<LivePlane>) -> HttpServer {
+        let plane = Arc::clone(plane);
+        HttpServer::spawn(
+            addr,
+            "so-metrics-http",
+            Arc::new(move |req| route_plane(&plane, req)),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn serves_all_four_endpoints() {
         let plane = test_plane();
-        let server = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&plane)).unwrap();
+        let server = plane_server("127.0.0.1:0", &plane);
         let addr = server.addr();
 
         let (head, body) = get(addr, "/metrics");
@@ -748,7 +724,7 @@ mod tests {
         plane.evaluate_alerts(&[("t", 2.0)]);
         let held = plane.flight_jsonl(0).lines().count();
         assert!(held >= 2, "fixture should hold >= 2 records, got {held}");
-        let server = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&plane)).unwrap();
+        let server = plane_server("127.0.0.1:0", &plane);
         let addr = server.addr();
 
         // Omitted n: every held record.
@@ -787,7 +763,7 @@ mod tests {
     #[test]
     fn oversized_request_line_gets_414_not_a_truncated_route() {
         let plane = test_plane();
-        let server = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&plane)).unwrap();
+        let server = plane_server("127.0.0.1:0", &plane);
         let addr = server.addr();
 
         // A /metrics prefix plus a huge query: the pre-fix code would
@@ -802,7 +778,7 @@ mod tests {
     #[test]
     fn non_get_methods_are_rejected_with_405() {
         let plane = test_plane();
-        let server = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&plane)).unwrap();
+        let server = plane_server("127.0.0.1:0", &plane);
         let addr = server.addr();
 
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -834,7 +810,7 @@ mod tests {
     #[test]
     fn wildcard_bind_shuts_down_without_traffic() {
         let plane = test_plane();
-        let server = MetricsServer::spawn("0.0.0.0:0", Arc::clone(&plane)).unwrap();
+        let server = plane_server("0.0.0.0:0", &plane);
         assert!(server.addr().ip().is_unspecified());
         // Must return promptly with no scrape ever arriving: the wake
         // connection has to reach the listener through loopback.
@@ -850,7 +826,7 @@ mod tests {
     #[test]
     fn slow_client_hits_read_timeout_without_wedging_the_server() {
         let plane = test_plane();
-        let server = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&plane)).unwrap();
+        let server = plane_server("127.0.0.1:0", &plane);
         let addr = server.addr();
 
         // A client that connects and sends only half a request line,
@@ -868,7 +844,7 @@ mod tests {
     #[test]
     fn trickling_client_gets_408_and_cannot_stall_other_clients() {
         let plane = test_plane();
-        let server = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&plane)).unwrap();
+        let server = plane_server("127.0.0.1:0", &plane);
         let addr = server.addr();
 
         // One byte every 200 ms, inside the 2 s read timeout: without a
@@ -916,7 +892,7 @@ mod tests {
     #[test]
     fn concurrent_scrapes_survive_shutdown() {
         let plane = test_plane();
-        let server = MetricsServer::spawn("127.0.0.1:0", Arc::clone(&plane)).unwrap();
+        let server = plane_server("127.0.0.1:0", &plane);
         let addr = server.addr();
 
         // Scrapers race the shutdown: every connection must either get

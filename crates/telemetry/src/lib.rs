@@ -36,8 +36,8 @@
 //! engines: a bounded [`FlightRecorder`] ring of recent events, a
 //! declarative [`AlertEngine`] with hysteresis, the [`LivePlane`] bundle
 //! tying them to a [`RecordingSink`], and a dependency-free blocking
-//! [`MetricsServer`] serving `/metrics`, `/health`, `/alerts`, and
-//! `/flight?n=K`.
+//! [`HttpServer`] on which [`route_plane`] serves `/metrics`, `/health`,
+//! `/alerts`, and `/flight?n=K`.
 //!
 //! # Examples
 //!
@@ -71,14 +71,10 @@ mod report;
 mod sink;
 mod span;
 
-pub use alerts::{
-    default_online_rules, stranded_watts_rule, AlertEngine, AlertKind, AlertRule, AlertTransition,
-};
+pub use alerts::{default_online_rules, AlertEngine, AlertKind, AlertRule, AlertTransition};
 pub use clock::TelemetryClock;
 pub use flight::{FlightKind, FlightRecord, FlightRecorder};
-pub use http::{
-    route_plane, wake_addr, HttpHandler, HttpRequest, HttpResponse, HttpServer, MetricsServer,
-};
+pub use http::{route_plane, HttpHandler, HttpRequest, HttpResponse, HttpServer};
 pub use plane::{FlightDump, LivePlane};
 pub use registry::{Histogram, MetricKey, MetricsRegistry, BUCKET_BOUNDS};
 pub use report::render_report;

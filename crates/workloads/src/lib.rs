@@ -54,7 +54,7 @@ pub use burst::{inject_burst, BurstSpec};
 pub use error::WorkloadError;
 pub use fleet::Fleet;
 pub use instance::{heterogeneous_instance, InstanceSpec};
-pub use llm::{burst_correlation_report, residual_correlation, CorrelationReport, LlmBasis};
+pub use llm::{burst_correlation_report, CorrelationReport, LlmBasis};
 pub use load::{activity_series, OfferedLoad};
 pub use profile::{profile_services, ServiceProfile};
 pub use scenario::DcScenario;

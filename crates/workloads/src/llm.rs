@@ -198,8 +198,9 @@ impl CorrelationReport {
 }
 
 /// Computes the [`CorrelationReport`] for traces of one service
-/// (`group_a`) against traces of another (`group_b`), using
-/// [`residual_correlation`] with moving-average half-width `half_width`.
+/// (`group_a`) against traces of another (`group_b`), correlating the
+/// residuals each series leaves after a centered moving average of
+/// half-width `half_width`.
 ///
 /// # Panics
 ///
@@ -241,7 +242,7 @@ pub fn burst_correlation_report(
 /// share, so what remains is burst-scale structure: within-service pairs
 /// stay visibly correlated (shared burst clock) while cross-service pairs
 /// drop to ~0. Returns 0 for degenerate inputs.
-pub fn residual_correlation(a: &[f64], b: &[f64], half_width: usize) -> f64 {
+fn residual_correlation(a: &[f64], b: &[f64], half_width: usize) -> f64 {
     assert_eq!(a.len(), b.len(), "series must be equal length");
     let ra = residual(a, half_width);
     let rb = residual(b, half_width);

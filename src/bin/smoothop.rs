@@ -180,12 +180,8 @@ fn print_usage() {
     println!("                        10000,100000); `serve` takes one count (default 960)");
     println!("  --out <path>          output path for `scale` / `plan` / `online` / `daemon`");
     println!("                        (defaults BENCH_<command>.json)");
-    println!("  --quantiles <mode>    quantile phase for `scale`: `exact` (selection, the");
-    println!("                        default, bit-reproducible) or `sketch` (streaming P²,");
-    println!("                        approximate)");
-    println!("  --chunk-rows <n>      rows per streaming chunk for `scale` (0 = default;");
-    println!("                        rounded up to a multiple of the group size; never");
-    println!("                        changes checksums)");
+    println!("  --quantiles exact     `scale` only: the p99 kernel, exact selection (the only");
+    println!("                        accepted value and the default)");
     println!("  --workload <name>     waveform family for `scale`: `diurnal` (default) or");
     println!("                        `llm` (token-bursty, correlated 30-min bursts)");
     println!("  --base <n>            `plan` only: instances of the existing base fleet");
@@ -303,11 +299,11 @@ fn gate_cmd(args: &[String]) -> CliResult {
     }
 }
 
-/// `smoothop scale [--instances n1,n2,...] [--out path] [--quantiles
-/// exact|sketch] [--chunk-rows n]`: run the columnar scale ladder and
-/// write the `BENCH_scale.json` artifact.
+/// `smoothop scale [--instances n1,n2,...] [--seed s] [--out path]
+/// [--workload diurnal|llm] [--quantiles exact]`: run the columnar scale
+/// ladder and write the `BENCH_scale.json` artifact.
 fn scale_cmd(flags: &CliFlags) -> CliResult {
-    use smoothoperator::scale::{run_scale, QuantileMode, ScaleConfig, ScaleWorkload};
+    use smoothoperator::scale::{run_scale, ScaleConfig, ScaleWorkload};
 
     let mut config = ScaleConfig::default();
     if let Some(seed) = flags.parse("--seed")? {
@@ -316,27 +312,23 @@ fn scale_cmd(flags: &CliFlags) -> CliResult {
     if let Some(instances) = flags.list("--instances")? {
         config.instances = instances;
     }
-    if let Some(raw) = flags.get("--quantiles") {
-        config.quantile_mode = QuantileMode::parse(raw)
-            .ok_or_else(|| format!("--quantiles must be `exact` or `sketch`, got `{raw}`"))?;
+    // p99 is always exact selection; `exact` is the one accepted value.
+    if let Some(raw) = flags.get("--quantiles").filter(|raw| *raw != "exact") {
+        return Err(format!("--quantiles must be `exact`, got `{raw}`").into());
     }
     if let Some(raw) = flags.get("--workload") {
         config.workload = ScaleWorkload::parse(raw)
             .ok_or_else(|| format!("--workload must be `diurnal` or `llm`, got `{raw}`"))?;
     }
-    if let Some(chunk_rows) = flags.parse("--chunk-rows")? {
-        config.chunk_rows = chunk_rows;
-    }
     let path = flags.get("--out").unwrap_or("BENCH_scale.json");
 
     println!(
-        "scale ladder — {} points, {} {} samples/trace, groups of {}, seed {}, {} quantiles, {} rows/chunk, {} thread lane(s)",
+        "scale ladder — {} points, {} {} samples/trace, groups of {}, seed {}, {} rows/chunk, {} thread lane(s)",
         config.instances.len(),
         config.workload.as_str(),
         config.samples_per_trace,
         config.group_size,
         config.seed,
-        config.quantile_mode.as_str(),
         config.effective_chunk_rows(),
         so_parallel::effective_lanes(),
     );
@@ -489,8 +481,13 @@ fn online_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult 
     let plane = flags.watched().then(|| cli_plane(sink));
     let server = match (&plane, flags.get("--listen")) {
         (Some(plane), Some(addr)) => {
-            let server = so_telemetry::MetricsServer::spawn(addr, plane.clone())
-                .map_err(|e| format!("cannot listen on `{addr}`: {e}"))?;
+            let plane = plane.clone();
+            let server = so_telemetry::HttpServer::spawn(
+                addr,
+                "so-metrics-http",
+                Arc::new(move |req| so_telemetry::route_plane(&plane, req)),
+            )
+            .map_err(|e| format!("cannot listen on `{addr}`: {e}"))?;
             eprintln!(
                 "serving /metrics /health /alerts /flight on http://{}",
                 server.addr()
@@ -741,7 +738,7 @@ const COMMANDS: [(&str, &[&str]); 16] = [
     ("simulate", &["--faults"]),
     ("report", &[]),
     ("check", &["--seed"]),
-    ("scale", &["--instances", "--seed", "--out", "--quantiles", "--chunk-rows", "--workload"]),
+    ("scale", &["--instances", "--seed", "--out", "--quantiles", "--workload"]),
     ("plan", &["--seed", "--out", "--base", "--racks", "--deltas", "--workloads", "--budget"]),
     ("online", &["--instances", "--seed", "--out", "--batches", "--probes", "--repair",
                  "--listen", "--watch-out", "--flight-out", "--plant-violation"]),

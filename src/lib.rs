@@ -121,7 +121,7 @@ pub mod prelude {
         greedy_peak_placement, oblivious_placement, random_placement, ProvisioningDegrees,
     };
     pub use so_core::{
-        asynchrony_score, best_rack_for, remap, DriftMonitor, FragmentationReport, PlacementConfig,
+        asynchrony_score, remap, DriftMonitor, FragmentationReport, PlacementConfig,
         PlacementConstraints, RemapConfig, ServiceTraces, SmoothPlacer,
     };
     pub use so_oracles::{run_battery, BatteryConfig, OracleFamily, OracleReport};
@@ -132,7 +132,7 @@ pub mod prelude {
     };
     pub use crate::scale::{
         run_online_scale, run_scale, OnlineScaleConfig, OnlineScalePoint, OnlineScaleReport,
-        QuantileMode, ScaleConfig, ScaleReport, ScaleWorkload,
+        ScaleConfig, ScaleReport, ScaleWorkload,
     };
     pub use crate::serve::{
         run_daemon_scale, run_serve, DaemonScaleConfig, DaemonScaleReport, ServeConfig,

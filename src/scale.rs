@@ -21,11 +21,8 @@
 //!    trigonometry in the per-sample loop);
 //! 2. **row peaks** — [`so_powertrace::TraceArena::row_peaks`], the
 //!    per-instance peak pass every remap begins with;
-//! 3. **quantiles** — per-row p99, the StatProf provisioning kernel:
-//!    exact selection ([`so_powertrace::TraceArena::row_quantiles`]) or
-//!    the opt-in streaming P² sketch
-//!    ([`so_powertrace::TraceArena::row_quantiles_sketch`]) per
-//!    [`crate::scale::QuantileMode`];
+//! 3. **quantiles** — per-row p99, the StatProf provisioning kernel, by
+//!    exact selection ([`so_powertrace::TraceArena::row_quantiles`]);
 //! 4. **aggregation** — fused [`so_powertrace::TraceArena::peak_of_sum`]
 //!    per rack-sized group (the sum-of-peaks objective without
 //!    materializing a single aggregate trace);
@@ -34,7 +31,7 @@
 //!
 //! Every numeric output (`sum_of_group_peaks`, `checksum`) is a pure
 //! function of `(seed, instances, samples_per_trace, group_size,
-//! quantile_mode)`; only the `*_ms`, `rows_per_sec`, and
+//! workload)`; only the `*_ms`, `rows_per_sec`, and
 //! `peak_rss_bytes` fields are machine-dependent. CI's `scale-smoke` job
 //! runs the 100k rung and gates per-phase wall time and the digests
 //! against the committed baseline (`smoothop gate`, [`crate::gate`]);
@@ -64,39 +61,6 @@ use so_powertree::{Level, PowerTopology};
 use so_telemetry::export::BenchObject;
 use so_telemetry::{default_online_rules, AlertTransition, LivePlane, RecordingSink};
 use so_workloads::rng::{mix64, unit};
-
-/// How the per-row quantile phase computes p99.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QuantileMode {
-    /// Exact HF7 via `select_nth_unstable` selection — bit-reproducible,
-    /// pinned by the arena oracles. The default.
-    #[default]
-    Exact,
-    /// One-pass P² streaming sketch — `O(1)` memory per row, approximate
-    /// (rank error empirically below
-    /// [`so_powertrace::P2_RANK_ERROR_BOUND`]). Opt-in via
-    /// `smoothop scale --quantiles sketch`.
-    Sketch,
-}
-
-impl QuantileMode {
-    /// Stable lower-case name stamped into `BENCH_scale.json`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            QuantileMode::Exact => "exact",
-            QuantileMode::Sketch => "sketch",
-        }
-    }
-
-    /// Parses the CLI / JSON spelling (`"exact"` or `"sketch"`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "exact" => Some(QuantileMode::Exact),
-            "sketch" => Some(QuantileMode::Sketch),
-            _ => None,
-        }
-    }
-}
 
 /// Waveform family the ladder synthesizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -149,8 +113,6 @@ pub struct ScaleConfig {
     /// Candidate-move evaluations in the swap-probe phase (capped at the
     /// instance count).
     pub swap_probes: usize,
-    /// Exact selection or streaming sketch for the quantile phase.
-    pub quantile_mode: QuantileMode,
     /// Waveform family synthesized on every rung (diurnal or LLM).
     pub workload: ScaleWorkload,
     /// Rows synthesized and processed per streaming chunk; `0` selects
@@ -169,7 +131,6 @@ impl Default for ScaleConfig {
             seed: 7,
             group_size: 12,
             swap_probes: 4096,
-            quantile_mode: QuantileMode::Exact,
             workload: ScaleWorkload::Diurnal,
             chunk_rows: 0,
         }
@@ -205,8 +166,6 @@ pub struct ScalePoint {
     /// Thread lanes the parallel phases ran with
     /// ([`so_parallel::effective_lanes`] at run time).
     pub threads: usize,
-    /// Quantile phase mode this point ran under.
-    pub quantile_mode: QuantileMode,
     /// Effective streaming chunk size (rows) the point ran with.
     pub chunk_rows: usize,
     /// Waveform synthesis wall time, milliseconds.
@@ -250,7 +209,9 @@ pub struct ScaleReport {
 /// (deterministic digests differ from v1).
 /// v3: added the top-level `workload` field (`"diurnal"` or `"llm"`);
 /// diurnal digests are unchanged from v2.
-pub const SCALE_SCHEMA_VERSION: u32 = 3;
+/// v4: dropped the per-point `quantile_mode` field (p99 is always exact
+/// selection); digests are unchanged from v3.
+pub const SCALE_SCHEMA_VERSION: u32 = 4;
 
 /// Runs the scale ladder described by `config`.
 ///
@@ -352,11 +313,7 @@ fn run_point(config: &ScaleConfig, n: usize) -> Result<ScalePoint, Box<dyn std::
 
         // Phase 3: per-row p99 (the StatProf provisioning kernel).
         let t0 = Instant::now();
-        let q99 = match config.quantile_mode {
-            QuantileMode::Exact => arena.row_quantiles(0.99)?,
-            QuantileMode::Sketch => arena.row_quantiles_sketch(0.99)?,
-        };
-        for &v in &q99 {
+        for &v in &arena.row_quantiles(0.99)? {
             q99_sum += v;
         }
         quantiles_ms += ms_since(t0);
@@ -414,7 +371,6 @@ fn run_point(config: &ScaleConfig, n: usize) -> Result<ScalePoint, Box<dyn std::
     Ok(ScalePoint {
         instances: n,
         threads: so_parallel::effective_lanes(),
-        quantile_mode: config.quantile_mode,
         chunk_rows,
         synth_ms,
         row_peaks_ms,
@@ -438,7 +394,6 @@ impl ScaleReport {
             BenchObject::default()
                 .raw("instances", p.instances)
                 .raw("threads", p.threads)
-                .string("quantile_mode", p.quantile_mode.as_str())
                 .raw("chunk_rows", p.chunk_rows)
                 .fixed("synth_ms", p.synth_ms, 3)
                 .fixed("row_peaks_ms", p.row_peaks_ms, 3)
@@ -1151,7 +1106,6 @@ mod tests {
             seed: 7,
             group_size: 12,
             swap_probes: 64,
-            quantile_mode: QuantileMode::Exact,
             workload: ScaleWorkload::Diurnal,
             chunk_rows: 0,
         }
@@ -1205,50 +1159,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_mode_runs_and_stays_near_exact() {
-        let mut config = tiny_config();
-        let exact = run_scale(&config).unwrap();
-        config.quantile_mode = QuantileMode::Sketch;
-        let sketch = run_scale(&config).unwrap();
-        for (x, y) in exact.points.iter().zip(&sketch.points) {
-            assert_eq!(y.quantile_mode, QuantileMode::Sketch);
-            // Peaks / aggregation / probes are identical; only the
-            // quantile contribution to the checksum may drift, and the
-            // shared digests pin everything else.
-            assert_eq!(
-                x.sum_of_group_peaks.to_bits(),
-                y.sum_of_group_peaks.to_bits()
-            );
-            let drift = (x.checksum - y.checksum).abs() / x.checksum.abs().max(1.0);
-            assert!(drift < 0.05, "sketch checksum drifted {drift}");
-        }
-    }
-
-    #[test]
-    #[ignore = "measurement helper, not a gate"]
-    fn measure_sketch_p99_value_error() {
-        let samples = 168usize;
-        let basis = SynthBasis::new(samples);
-        let mut row = vec![0.0; samples];
-        let (mut max_rel, mut sum_rel, mut n) = (0.0f64, 0.0f64, 0u64);
-        for r in 0..20_000u64 {
-            RowWave::new(7, r).fill(&basis, &mut row);
-            let exact =
-                so_powertrace::quantile::quantile_select(&row, 0.99, &mut Vec::new()).unwrap();
-            let est = so_powertrace::sketch::sketch_quantile(&row, 0.99).unwrap();
-            let rel = (est - exact).abs() / exact.abs().max(1e-12);
-            max_rel = max_rel.max(rel);
-            sum_rel += rel;
-            n += 1;
-        }
-        println!(
-            "p99 sketch vs exact over {n} rows: mean rel err {:.6}, max rel err {:.6}",
-            sum_rel / n as f64,
-            max_rel
-        );
-    }
-
-    #[test]
     fn waveform_is_finite_and_positive_enough() {
         let basis = SynthBasis::new(168);
         let wave = RowWave::new(7, 123);
@@ -1281,9 +1191,8 @@ mod tests {
         assert!(json.contains("\"benchmark\": \"scale\""));
         assert!(json.contains("\"instances\": 48"));
         assert!(json.contains("\"instances\": 96"));
-        assert!(json.contains("\"schema_version\": 3"));
+        assert!(json.contains("\"schema_version\": 4"));
         assert!(json.contains("\"workload\": \"diurnal\""));
-        assert!(json.contains("\"quantile_mode\": \"exact\""));
         assert!(json.contains("\"threads\": "));
         assert!(json.contains("\"chunk_rows\": "));
     }

@@ -16,8 +16,8 @@ use std::str::FromStr;
 
 use smoothoperator::plan::{PlanConfig, PlanFit, PlanPoint, PlanReport, PlanWorkload};
 use smoothoperator::scale::{
-    OnlineScaleConfig, OnlineScalePoint, OnlineScaleReport, QuantileMode, ScaleConfig, ScalePoint,
-    ScaleReport, ScaleWorkload,
+    OnlineScaleConfig, OnlineScalePoint, OnlineScaleReport, ScaleConfig, ScalePoint, ScaleReport,
+    ScaleWorkload,
 };
 use smoothoperator::serve::{DaemonScaleConfig, DaemonScalePoint, DaemonScaleReport};
 use so_telemetry::export::{BenchJson, BenchObject};
@@ -108,7 +108,6 @@ fn scale_emitter_reproduces_the_committed_artifact() {
         .map(|p| ScalePoint {
             instances: num(p, "instances"),
             threads: num(p, "threads"),
-            quantile_mode: QuantileMode::parse(&name(p, "quantile_mode")).unwrap(),
             chunk_rows: num(p, "chunk_rows"),
             synth_ms: num(p, "synth_ms"),
             row_peaks_ms: num(p, "row_peaks_ms"),

@@ -8,6 +8,8 @@
 //! A word is a maximal run of alphanumeric characters and `_`, so the
 //! check reads names the way `\bname\b` does. It counts words, not
 //! calls: a name that also appears elsewhere as a field or a local hides.
+//! A re-export (`pub use …;`, `pub(crate) use …;`) names a function
+//! without reading it, so those statements are stripped before counting.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fs;
@@ -37,23 +39,50 @@ fn words(text: &str) -> BTreeSet<&str> {
         .collect()
 }
 
+/// Whether a word starts at byte `at` of `text`.
+fn starts_word(text: &str, at: usize) -> bool {
+    text[..at]
+        .chars()
+        .next_back()
+        .map_or(true, |c| !(c.is_alphanumeric() || c == '_'))
+}
+
 /// The names declared as `pub fn <name>` in `text`.
 fn pub_fns(text: &str) -> Vec<&str> {
     let mut names = Vec::new();
     for (at, _) in text.match_indices("pub fn ") {
-        let starts_word = text[..at]
-            .chars()
-            .next_back()
-            .map_or(true, |c| !(c.is_alphanumeric() || c == '_'));
         let rest = &text[at + "pub fn ".len()..];
         let end = rest
             .find(|c: char| !(c.is_alphanumeric() || c == '_'))
             .unwrap_or(rest.len());
-        if starts_word && end > 0 {
+        if starts_word(text, at) && end > 0 {
             names.push(&rest[..end]);
         }
     }
     names
+}
+
+/// `text` without its `pub use …;` and `pub(crate) use …;` statements.
+fn without_reexports(text: &str) -> String {
+    let mut kept = String::with_capacity(text.len());
+    let mut rest = text;
+    while let Some(start) = ["pub use ", "pub(crate) use "]
+        .iter()
+        .filter_map(|pattern| {
+            rest.match_indices(pattern)
+                .map(|(at, _)| at)
+                .find(|&at| starts_word(rest, at))
+        })
+        .min()
+    {
+        kept.push_str(&rest[..start]);
+        let end = rest[start..]
+            .find(';')
+            .map_or(rest.len(), |end| start + end + 1);
+        rest = &rest[end..];
+    }
+    kept.push_str(rest);
+    kept
 }
 
 #[test]
@@ -68,7 +97,7 @@ fn every_pub_fn_is_named_by_another_file() {
         .into_iter()
         .map(|path| {
             let text = fs::read_to_string(&path).expect("readable source");
-            (path, text)
+            (path, without_reexports(&text))
         })
         .collect();
     // How many files name each word.
@@ -111,5 +140,12 @@ fn the_census_reads_words_and_declarations() {
     assert_eq!(
         pub_fns("pub fn a() {}\npub(crate) fn b() {}\nrepub fn c() {}\n    pub fn d_1<T>()"),
         ["a", "d_1"]
+    );
+    // A re-export is not a reader; a call after it is.
+    let text = "pub use m::{\n    a, b,\n};\npub(crate) use n::c;\nrepub use d;\nfn e() { b() }";
+    assert_eq!(without_reexports(text), "\n\nrepub use d;\nfn e() { b() }");
+    assert_eq!(
+        words(&without_reexports(text)),
+        BTreeSet::from(["b", "d", "e", "fn", "repub", "use"])
     );
 }

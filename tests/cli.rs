@@ -1,7 +1,8 @@
 //! The `smoothop` command line rejects what it would otherwise ignore: an
 //! unknown flag, a flag the chosen command does not read, an unknown
-//! command, and a `serve --instances` list. Each is a one-line error with
-//! exit status 1, reported before any work starts.
+//! command, a `serve --instances` list and a `scale --quantiles` value
+//! other than `exact`. Each is a one-line error with exit status 1,
+//! reported before any work starts.
 //!
 //! Every invocation below would also run cheaply if it were accepted: a
 //! small fleet, an `--out` file under the test target's temporary directory,
@@ -60,7 +61,37 @@ fn unknown_flags_and_commands_are_rejected() {
         ],
         "unknown flag `--journal-cap`",
     );
+    let out = temp_out("scale_chunk_rows.json");
+    assert_rejected(
+        &[
+            "scale",
+            "--instances",
+            "48",
+            "--chunk-rows",
+            "12",
+            "--out",
+            &out,
+        ],
+        "unknown flag `--chunk-rows`",
+    );
     assert_rejected(&["watch", "--instances", "48"], "unknown command `watch`");
+}
+
+#[test]
+fn scale_quantiles_accepts_only_exact() {
+    let out = temp_out("scale_sketch.json");
+    assert_rejected(
+        &[
+            "scale",
+            "--instances",
+            "48",
+            "--quantiles",
+            "sketch",
+            "--out",
+            &out,
+        ],
+        "--quantiles must be `exact`, got `sketch`",
+    );
 }
 
 #[test]

@@ -19,7 +19,8 @@ use smoothoperator::scale::{run_online_scale, OnlineScaleConfig};
 use so_core::{EventRecord, OnlineConfig, OnlineFleet};
 use so_powertrace::{PowerTrace, TimeGrid};
 use so_telemetry::{
-    default_online_rules, render_report, FlightKind, LivePlane, MetricsServer, RecordingSink,
+    default_online_rules, render_report, route_plane, FlightKind, HttpServer, LivePlane,
+    RecordingSink,
 };
 
 fn small_watch() -> OnlineScaleConfig {
@@ -236,7 +237,13 @@ fn http_surface_serves_all_four_endpoints_during_a_live_run() {
         ..small_watch()
     };
     let plane = watch_plane(sink);
-    let server = MetricsServer::spawn("127.0.0.1:0", plane.clone()).unwrap();
+    let scraped = plane.clone();
+    let server = HttpServer::spawn(
+        "127.0.0.1:0",
+        "so-metrics-http",
+        Arc::new(move |req| route_plane(&scraped, req)),
+    )
+    .unwrap();
     let addr = server.addr();
 
     // Scrape mid-run from inside the emit callback: the surface must be

@@ -8,7 +8,7 @@
 //! ([`so_parallel::set_thread_limit`]), so the harness may run them
 //! concurrently.
 
-use smoothoperator::scale::{run_scale, QuantileMode, ScaleConfig, ScaleWorkload};
+use smoothoperator::scale::{run_scale, ScaleConfig, ScaleWorkload};
 
 fn config() -> ScaleConfig {
     ScaleConfig {
@@ -18,7 +18,6 @@ fn config() -> ScaleConfig {
         seed: 11,
         group_size: 12,
         swap_probes: 128,
-        quantile_mode: QuantileMode::Exact,
         workload: ScaleWorkload::Llm,
         chunk_rows: 96,
     }

@@ -5,9 +5,7 @@
 //! this file by field name; `tests/bench_artifacts.rs` pins the byte
 //! layout.
 
-use smoothoperator::scale::{
-    run_scale, QuantileMode, ScaleConfig, ScaleWorkload, SCALE_SCHEMA_VERSION,
-};
+use smoothoperator::scale::{run_scale, ScaleConfig, ScaleWorkload, SCALE_SCHEMA_VERSION};
 
 fn tiny_ladder() -> ScaleConfig {
     ScaleConfig {
@@ -17,7 +15,6 @@ fn tiny_ladder() -> ScaleConfig {
         seed: 7,
         group_size: 12,
         swap_probes: 32,
-        quantile_mode: QuantileMode::Exact,
         workload: ScaleWorkload::Diurnal,
         chunk_rows: 0,
     }
@@ -37,10 +34,9 @@ const TOP_LEVEL_FIELDS: [&str; 9] = [
     "\"points\"",
 ];
 
-const POINT_FIELDS: [&str; 14] = [
+const POINT_FIELDS: [&str; 13] = [
     "\"instances\"",
     "\"threads\"",
-    "\"quantile_mode\"",
     "\"chunk_rows\"",
     "\"synth_ms\"",
     "\"row_peaks_ms\"",
@@ -59,7 +55,7 @@ fn artifact_carries_the_pinned_schema() {
     let report = run_scale(&tiny_ladder()).unwrap();
     let json = report.to_json();
 
-    assert_eq!(SCALE_SCHEMA_VERSION, 3, "schema bumped: update this test");
+    assert_eq!(SCALE_SCHEMA_VERSION, 4, "schema bumped: update this test");
     for field in TOP_LEVEL_FIELDS {
         assert!(json.contains(field), "missing top-level field {field}");
     }
@@ -114,7 +110,7 @@ fn json_numbers_parse_back() {
     // No JSON parser in-tree: strip the syntax and check every value
     // token parses as a number (the artifact must never emit NaN/inf,
     // which are invalid JSON) or is one of the schema's non-numeric
-    // literals (the quantile-mode string, `null` for an absent RSS).
+    // literals (the workload string, `null` for an absent RSS).
     let report = run_scale(&tiny_ladder()).unwrap();
     for line in report.to_json().lines() {
         let Some((_, value)) = line.split_once(": ") else {
