@@ -95,7 +95,7 @@ fn bench_placement(c: &mut Criterion) {
 /// Serial vs parallel placement on a fleet-scale topology (10k instances,
 /// 512 racks). Identical work and bit-identical output in both arms — the
 /// only difference is the thread budget, so the ratio is the speedup of
-/// the `parallel` feature on this machine. On a single-core runner both
+/// the parallel helpers on this machine. On a single-core runner both
 /// arms degenerate to the same serial loop.
 fn bench_parallel_placement(c: &mut Criterion) {
     let fleet = DcScenario::dc2()

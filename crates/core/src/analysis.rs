@@ -2,10 +2,9 @@
 //! scores, and before/after comparisons (the measurements behind Figures 9
 //! and 10).
 
-use so_powertrace::{peak_reduction, MaskedTrace, PowerTrace};
+use so_powertrace::{peak_reduction, PowerTrace};
 use so_powertree::{Assignment, Level, NodeAggregates, PowerTopology};
 
-use crate::degraded::{complete_with_derived_priors, DegradedReport};
 use crate::error::CoreError;
 use crate::score::asynchrony_score;
 
@@ -93,29 +92,6 @@ impl FragmentationReport {
             });
         }
         Ok(Self { levels })
-    }
-
-    /// Analyzes a placement from *partial* instance telemetry: masked
-    /// traces are completed from service-level priors (see
-    /// [`crate::degraded`]) before the usual analysis runs. The returned
-    /// [`DegradedReport`] records, per instance, whether the analysis
-    /// rested on measurements, prior-filled holes, or the prior alone —
-    /// the caller can weigh the fragmentation numbers accordingly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates completion errors ([`CoreError::InsufficientData`] for
-    /// a service with no observed data) plus trace and tree errors.
-    pub fn analyze_degraded(
-        topology: &PowerTopology,
-        assignment: &Assignment,
-        masked: &[MaskedTrace],
-        service_of: &[usize],
-        min_coverage: f64,
-    ) -> Result<(Self, DegradedReport), CoreError> {
-        let (traces, degraded) = complete_with_derived_priors(masked, service_of, min_coverage)?;
-        let report = Self::analyze(topology, assignment, &traces)?;
-        Ok((report, degraded))
     }
 
     /// The per-level indicators, root level first.

@@ -37,9 +37,8 @@ pub fn score_vectors(
 
 /// Computes the asynchrony-score vector of every member instance against
 /// the given S-traces, from an explicit trace slice (one trace per
-/// instance). This is the degraded-data entry point: callers that
-/// completed partial telemetry via [`crate::degraded::complete_traces`]
-/// embed the completed traces without needing a [`Fleet`].
+/// instance), for callers that hold their own traces rather than a
+/// [`Fleet`].
 ///
 /// # Errors
 ///

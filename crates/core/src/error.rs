@@ -23,12 +23,6 @@ pub enum CoreError {
     EmptySet,
     /// No services were available to extract S-traces from.
     NoServices,
-    /// Degraded-mode completion found a service with not a single
-    /// observed sample (or an out-of-range service index).
-    InsufficientData {
-        /// The service with no observed data.
-        service: usize,
-    },
     /// An anti-affinity group cannot be satisfied on this topology.
     ConstraintUnsatisfiable {
         /// Size of the offending group (or the offending index when a
@@ -51,10 +45,6 @@ impl fmt::Display for CoreError {
             ),
             CoreError::EmptySet => write!(f, "cannot score an empty set of traces"),
             CoreError::NoServices => write!(f, "no services available for S-trace extraction"),
-            CoreError::InsufficientData { service } => write!(
-                f,
-                "service {service} has no observed samples to build a prior from"
-            ),
             CoreError::ConstraintUnsatisfiable { group_size, racks } => write!(
                 f,
                 "anti-affinity group of {group_size} cannot fit {racks} racks/instances"

@@ -15,12 +15,7 @@
 //! * [`remap`] — differential-score swap repair under workload drift
 //!   (§3.6);
 //! * [`FragmentationReport`] — sums of peaks and node scores per level
-//!   (the measurements behind Figures 9 and 10);
-//! * [`degraded`] — degraded-mode operation: partial (masked) telemetry
-//!   is completed from service-level priors before placement, remapping
-//!   ([`remap_degraded`]) or analysis
-//!   ([`FragmentationReport::analyze_degraded`]), with per-instance
-//!   provenance in a [`DegradedReport`].
+//!   (the measurements behind Figures 9 and 10).
 //!
 //! # Examples
 //!
@@ -53,7 +48,6 @@ mod admission;
 mod analysis;
 mod constraints;
 pub mod daemon;
-pub mod degraded;
 mod embedding;
 mod error;
 mod monitor;
@@ -67,7 +61,6 @@ pub use admission::{admission_decisions, AdmissionDecision};
 pub use analysis::{peak_reduction_by_level, FragmentationReport, LevelFragmentation};
 pub use constraints::PlacementConstraints;
 pub use daemon::{DaemonFleet, IngestReport, SampleUpdate};
-pub use degraded::{complete_traces, complete_with_derived_priors, DegradedReport, TraceSource};
 pub use embedding::{
     pairwise_score_vectors, score_vectors, score_vectors_arena, score_vectors_from_traces,
 };
@@ -78,7 +71,7 @@ pub use online::{
     LeafDecision, OnlineConfig, OnlineFleet,
 };
 pub use placement::{PlacementConfig, SmoothPlacer};
-pub use remap::{remap, remap_degraded, remap_traces, RemapConfig, RemapReport, SwapRecord};
+pub use remap::{remap, remap_traces, RemapConfig, RemapReport, SwapRecord};
 pub use score::{
     asynchrony_score, averaged_peer_trace, differential_score, differential_score_excluding,
     instance_to_service_score, pairwise_score, pairwise_score_from_peaks, pairwise_score_samples,

@@ -109,9 +109,8 @@ pub fn remap(
 /// Runs swap-based remapping on `assignment` in place against an explicit
 /// trace slice (one trace per instance, indexed like the assignment).
 ///
-/// This is the degraded-data entry point: callers that completed partial
-/// telemetry via [`crate::degraded::complete_traces`] feed the completed
-/// traces here without needing a [`Fleet`].
+/// Callers that hold their own traces (the oracles, the online engine's
+/// offline comparator) remap them here without needing a [`Fleet`].
 ///
 /// # Errors
 ///
@@ -128,29 +127,6 @@ pub fn remap_traces(
     // pass's span events.
     let _span = so_telemetry::span("remap");
     remap_nodes(&mut nodes, &config)
-}
-
-/// Degraded-mode remapping: completes partial traces from service-level
-/// priors (see [`crate::degraded`]), then runs [`remap_traces`]. Returns
-/// the remap report together with the provenance of every trace the
-/// decision rested on.
-///
-/// # Errors
-///
-/// Propagates completion errors ([`CoreError::InsufficientData`] for a
-/// service with no observed data) plus trace and tree errors.
-pub fn remap_degraded(
-    masked: &[so_powertrace::MaskedTrace],
-    service_of: &[usize],
-    topology: &PowerTopology,
-    assignment: &mut Assignment,
-    config: RemapConfig,
-    min_coverage: f64,
-) -> Result<(RemapReport, crate::degraded::DegradedReport), CoreError> {
-    let (traces, degraded) =
-        crate::degraded::complete_with_derived_priors(masked, service_of, min_coverage)?;
-    let report = remap_traces(&traces, topology, assignment, config)?;
-    Ok((report, degraded))
 }
 
 /// The node state the swap search reads and updates: nodes by position
@@ -707,49 +683,6 @@ mod tests {
         };
         let report = remap(&fleet, &topo, &mut assignment, config).unwrap();
         assert!(report.swaps.is_empty());
-    }
-
-    #[test]
-    fn degraded_remap_with_full_coverage_matches_clean_remap() {
-        use so_powertrace::MaskedTrace;
-
-        let topo = topo();
-        let fleet = fleet();
-        let racks = topo.racks();
-        let placement = vec![racks[0], racks[0], racks[1], racks[1]];
-
-        let mut clean = Assignment::new(placement.clone(), &topo).unwrap();
-        let clean_report = remap(&fleet, &topo, &mut clean, RemapConfig::default()).unwrap();
-
-        // Fully observed masked traces complete to the measured traces, so
-        // degraded remapping takes identical decisions.
-        let masked: Vec<MaskedTrace> = fleet
-            .averaged_traces()
-            .iter()
-            .map(MaskedTrace::from_trace)
-            .collect();
-        let service_of: Vec<usize> = (0..fleet.len())
-            .map(|i| {
-                if fleet.service_of(i) == ServiceClass::Frontend {
-                    0
-                } else {
-                    1
-                }
-            })
-            .collect();
-        let mut degraded = Assignment::new(placement, &topo).unwrap();
-        let (report, provenance) = remap_degraded(
-            &masked,
-            &service_of,
-            &topo,
-            &mut degraded,
-            RemapConfig::default(),
-            0.5,
-        )
-        .unwrap();
-        assert!(provenance.is_clean());
-        assert_eq!(report, clean_report);
-        assert_eq!(degraded, clean);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Serial-vs-parallel determinism: the `parallel` feature must not change
-//! a single bit of any result.
+//! Serial-vs-parallel determinism: running on more than one thread must
+//! not change a single bit of any result.
 //!
 //! Every parallel helper in the workspace uses positional output slots and
 //! canonically chunked reductions, so the floating-point evaluation order

@@ -4,7 +4,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// The power sensor of one instance reports nothing for the event
-    /// window; its samples are missing (masked).
+    /// window; its samples are missing.
     SensorDropout,
     /// The power sensor of one instance freezes at its value from the
     /// step the fault begins; samples are present but wrong.
@@ -42,9 +42,7 @@ pub enum FaultTarget {
 }
 
 /// One scheduled fault: a kind, a target, and a closed-open step window
-/// `[start, start + steps)` on the simulation [`TimeGrid`].
-///
-/// [`TimeGrid`]: so_powertrace::TimeGrid
+/// `[start, start + steps)` on the simulation's time grid.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// What happens.

@@ -18,7 +18,7 @@ const TRIP_STREAM_BASE: u64 = 1 << 62;
 ///
 /// Generation is deterministic in the spec alone: every event derives
 /// from [`stream_rng`] keyed by the spec seed and a per-(instance, kind)
-/// stream id, so serial and `parallel`-feature builds agree bit-for-bit.
+/// stream id, so serial and parallel runs agree bit-for-bit.
 ///
 /// # Examples
 ///

@@ -5,8 +5,8 @@ use crate::error::FaultError;
 /// Parameters of a fault-injection campaign.
 ///
 /// All randomness downstream derives from [`seed`](Self::seed) alone, so
-/// two runs with equal specs produce bit-identical schedules regardless
-/// of thread count or build features.
+/// two runs with equal specs produce bit-identical schedules at any
+/// thread count.
 ///
 /// # The `--faults` string format
 ///

@@ -7,7 +7,6 @@
 //! | `aggregation_cached_matches_scratch` | tree-cached node sums vs flat `PowerTrace::sum_of` | `1e-6` relative |
 //! | `aggregate_peak_matches_trace_peak` | `NodeAggregate::peak` vs `to_trace().peak()` | bit-identical |
 //! | `sim_empty_fault_schedule_is_identity` | `simulate` vs `simulate_with_faults` + empty schedule | `Telemetry ==` |
-//! | `sanitizer_is_identity_on_clean_traces` | sanitized clean trace vs original | bit-identical samples & summary |
 //! | `quantile_matches_reference` | any quantile impl vs an independent naive one | `1e-9` relative |
 //!
 //! The aggregation tolerance is `1e-6` relative because the tree cache
@@ -18,7 +17,7 @@
 use so_core::{remap_traces, RemapConfig, SmoothPlacer};
 use so_faults::FaultSchedule;
 use so_parallel::serial_scope;
-use so_powertrace::{NodeAggregate, PowerTrace, SanitizeConfig, TraceSanitizer, TraceSummary};
+use so_powertrace::{NodeAggregate, PowerTrace};
 use so_powertree::NodeAggregates;
 use so_sim::{default_config, one_week_grid, simulate, simulate_with_faults, StaticPolicy};
 use so_workloads::OfferedLoad;
@@ -38,7 +37,6 @@ pub fn run(fixture: &Fixture, report: &mut OracleReport) -> Result<(), OracleErr
     placement_and_remap(fixture, report)?;
     aggregation(fixture, report)?;
     simulation_identity(fixture, report)?;
-    sanitizer_identity(fixture, report)?;
     for trace in fixture.traces().iter().take(4) {
         quantile_matches_reference(
             |samples, q| so_powertrace::quantile::quantile(samples, q).ok(),
@@ -168,32 +166,6 @@ fn simulation_identity(fixture: &Fixture, report: &mut OracleReport) -> Result<(
         plain == faulted,
         || "telemetry diverges between simulate and simulate_with_faults(empty)".to_string(),
     );
-    Ok(())
-}
-
-/// A sanitizer with spike detection disabled must be the identity on
-/// already-clean traces, and must not move any summary statistic.
-fn sanitizer_identity(fixture: &Fixture, report: &mut OracleReport) -> Result<(), OracleError> {
-    let sanitizer = TraceSanitizer::new(SanitizeConfig {
-        spike_factor: f64::INFINITY,
-        ..SanitizeConfig::default()
-    })?;
-    for trace in fixture.traces().iter().take(6) {
-        let (clean, repair) = sanitizer.sanitize_trace(trace)?;
-        report.check(
-            FAMILY,
-            "sanitizer_is_identity_on_clean_traces",
-            repair.is_clean()
-                && clean.samples() == trace.samples()
-                && TraceSummary::of(&clean) == TraceSummary::of(trace),
-            || {
-                format!(
-                    "sanitizer touched a clean trace ({} flagged samples)",
-                    repair.flagged()
-                )
-            },
-        );
-    }
     Ok(())
 }
 

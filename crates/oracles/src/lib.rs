@@ -18,8 +18,8 @@
 //! * **Differential** ([`differential`]) — two implementations of the same
 //!   contract must agree: serial vs parallel placement and remap, cached
 //!   vs from-scratch aggregation, `simulate` vs `simulate_with_faults` on
-//!   an empty schedule, the sanitizer as identity on clean traces, and any
-//!   quantile implementation vs an independent reference.
+//!   an empty schedule, and any quantile implementation vs an independent
+//!   reference.
 //! * **Metamorphic** ([`metamorphic`]) — known input transforms with known
 //!   output effects: instance permutation, uniform power scaling
 //!   (bit-exact for power-of-two factors), circular time shifts.

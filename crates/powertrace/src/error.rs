@@ -43,14 +43,6 @@ pub enum TraceError {
     },
     /// A quantile outside `[0, 1]` was requested.
     InvalidQuantile(f64),
-    /// A masked trace with missing samples was used where a complete
-    /// trace is required.
-    MaskedSamples {
-        /// Number of masked (unobserved) positions.
-        masked: usize,
-        /// The trace length.
-        len: usize,
-    },
 }
 
 impl fmt::Display for TraceError {
@@ -75,12 +67,6 @@ impl fmt::Display for TraceError {
             }
             TraceError::InvalidQuantile(q) => {
                 write!(f, "quantile {q} outside the closed interval [0, 1]")
-            }
-            TraceError::MaskedSamples { masked, len } => {
-                write!(
-                    f,
-                    "trace has {masked} of {len} samples masked; a complete trace is required"
-                )
             }
         }
     }
@@ -117,7 +103,6 @@ mod tests {
                 "out of bounds",
             ),
             (TraceError::InvalidQuantile(1.5), "1.5"),
-            (TraceError::MaskedSamples { masked: 2, len: 8 }, "2 of 8"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

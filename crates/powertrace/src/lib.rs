@@ -7,8 +7,8 @@
 //!   arithmetic, peaks, and quantiles (the paper's I-traces and S-traces,
 //!   §3.3);
 //! * [`quantile`] — the workspace's single linear-interpolation quantile
-//!   convention, shared by trace percentiles, [`Ecdf`], and the sanitizer
-//!   median;
+//!   convention, shared by trace percentiles, [`Ecdf`], and the scale
+//!   tier's per-row p99;
 //! * [`TimeGrid`] — the sampling layout (step, length, minute-of-day /
 //!   day-of-week helpers);
 //! * [`SlackProfile`] — power slack and energy slack against a fixed budget
@@ -25,11 +25,7 @@
 //! * [`TraceArena`] — columnar storage for large trace populations: one
 //!   contiguous sample buffer with [`TraceView`]/[`TraceViewMut`] handles
 //!   and allocation-free batch kernels, the representation behind the
-//!   100k–1M instance scale tier;
-//! * [`TraceSanitizer`] — detection and repair of degraded raw telemetry
-//!   (NaN/negative samples, sensor spikes, gaps) with a [`RepairReport`];
-//! * [`MaskedTrace`] — a partial trace with a validity mask, fillable from
-//!   a service-level prior for degraded-mode placement.
+//!   100k–1M instance scale tier.
 //!
 //! # Examples
 //!
@@ -58,10 +54,8 @@ mod error;
 mod exact;
 mod grid;
 pub mod io;
-mod mask;
 mod metrics;
 pub mod quantile;
-mod sanitize;
 mod slack;
 mod stats;
 mod trace;
@@ -73,9 +67,7 @@ pub use decompose::SeasonalDecomposition;
 pub use error::TraceError;
 pub use exact::{snap_samples, MAX_EXACT_SLOTS, MAX_SAMPLE_WATTS, SAMPLE_QUANTUM_WATTS};
 pub use grid::{TimeGrid, MINUTES_PER_DAY, MINUTES_PER_WEEK};
-pub use mask::MaskedTrace;
 pub use metrics::{peak_of_sum, peak_reduction, sum_of_peaks};
-pub use sanitize::{GapPolicy, RepairReport, SanitizeConfig, TraceSanitizer};
 pub use slack::{off_peak_mask, slack_reduction, SlackProfile};
-pub use stats::{Ecdf, TraceSummary};
+pub use stats::Ecdf;
 pub use trace::PowerTrace;

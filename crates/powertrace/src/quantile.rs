@@ -2,7 +2,7 @@
 //!
 //! Three subsystems need quantiles of power samples — [`PowerTrace`]
 //! percentiles, the [`Ecdf`] behind the StatProf(u, δ) baseline, and the
-//! sanitizer's spike-detection median — and they must agree: StatProf
+//! scale tier's per-row p99 — and they must agree: StatProf
 //! budgets are compared against trace-level percentiles, and a convention
 //! mismatch (nearest-rank in one place, interpolated in another) silently
 //! shifts provisioning numbers. Every quantile in the workspace therefore
@@ -159,17 +159,6 @@ pub fn quantile_select(samples: &[f64], q: f64, scratch: &mut Vec<f64>) -> Resul
     Ok(x_lo + frac * (x_hi - x_lo))
 }
 
-/// Median (the 0.5 quantile) of unsorted samples, under the same
-/// convention: the middle sample for odd `n`, the midpoint of the two
-/// middle samples for even `n`.
-///
-/// # Errors
-///
-/// Same as [`quantile`].
-pub fn median(samples: &[f64]) -> Result<f64, TraceError> {
-    quantile(samples, 0.5)
-}
-
 /// Sorts a copy of `samples` ascending, rejecting NaN.
 ///
 /// Ordering is [`f64::total_cmp`] (so `-0.0` sorts before `0.0`): on
@@ -211,12 +200,6 @@ mod tests {
         let v = [0.0, 1.0, 2.0, 3.0];
         assert_eq!(quantile(&v, 0.5).unwrap(), 1.5);
         assert!((quantile(&v, 0.9).unwrap() - 2.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn median_conventions() {
-        assert_eq!(median(&[3.0, 1.0, 2.0]).unwrap(), 2.0);
-        assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]).unwrap(), 2.5);
     }
 
     #[test]

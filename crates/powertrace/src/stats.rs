@@ -86,36 +86,6 @@ impl Ecdf {
     }
 }
 
-/// Summary statistics of a trace, convenient for reports.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceSummary {
-    /// Peak (maximum) power.
-    pub peak: f64,
-    /// Mean power.
-    pub mean: f64,
-    /// Minimum power.
-    pub min: f64,
-    /// 95th-percentile power.
-    pub p95: f64,
-    /// Peak-to-mean ratio; 1.0 for a perfectly flat trace.
-    pub peak_to_mean: f64,
-}
-
-impl TraceSummary {
-    /// Computes the summary of a trace.
-    pub fn of(trace: &PowerTrace) -> Self {
-        let peak = trace.peak();
-        let mean = trace.mean();
-        Self {
-            peak,
-            mean,
-            min: trace.min(),
-            p95: trace.quantile(0.95).expect("0.95 is a valid quantile"),
-            peak_to_mean: if mean > 0.0 { peak / mean } else { 1.0 },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,15 +109,5 @@ mod tests {
             Ecdf::from_samples(vec![1.0, f64::INFINITY]),
             Err(TraceError::InvalidSample { index: 1, .. })
         ));
-    }
-
-    #[test]
-    fn summary_is_consistent() {
-        let t = PowerTrace::new(vec![1.0, 2.0, 3.0], 10).unwrap();
-        let s = TraceSummary::of(&t);
-        assert_eq!(s.peak, 3.0);
-        assert_eq!(s.mean, 2.0);
-        assert_eq!(s.min, 1.0);
-        assert!((s.peak_to_mean - 1.5).abs() < 1e-12);
     }
 }

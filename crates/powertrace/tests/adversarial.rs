@@ -3,11 +3,7 @@
 //! case must produce a clean error or a well-defined finite value — never a
 //! NaN, never a panic.
 
-use proptest::prelude::*;
-use so_powertrace::{
-    GapPolicy, MaskedTrace, NodeAggregate, PowerTrace, SanitizeConfig, TimeGrid, TraceError,
-    TraceSanitizer,
-};
+use so_powertrace::{NodeAggregate, PowerTrace, TimeGrid, TraceError};
 
 // ---------------------------------------------------------------------------
 // PowerTrace construction and peak
@@ -123,142 +119,4 @@ fn mean_excluding_needs_two_members() {
     let mut agg = NodeAggregate::new(grid);
     agg.add(&t).unwrap();
     assert_eq!(agg.mean_excluding(&t).unwrap_err(), TraceError::Empty);
-}
-
-// ---------------------------------------------------------------------------
-// Sanitizer and mask edge cases
-// ---------------------------------------------------------------------------
-
-#[test]
-fn sanitizer_survives_all_garbage_input() {
-    let garbage = vec![f64::NAN, f64::INFINITY, -3.0, f64::NEG_INFINITY];
-    let s = TraceSanitizer::default();
-    let (trace, report) = s.sanitize(&garbage, 10).unwrap();
-    assert!(report.all_invalid);
-    assert_eq!(trace.samples(), &[0.0; 4]);
-    // Drop policy on all-garbage input has nothing left: clean error.
-    let dropper = TraceSanitizer::new(SanitizeConfig {
-        gap_policy: GapPolicy::Drop,
-        ..SanitizeConfig::default()
-    })
-    .unwrap();
-    assert_eq!(
-        dropper.sanitize(&garbage, 10).unwrap_err(),
-        TraceError::Empty
-    );
-}
-
-#[test]
-fn masked_trace_with_no_valid_samples_still_reports_coverage() {
-    let m = MaskedTrace::from_samples(&[f64::NAN, -1.0], 10).unwrap();
-    assert_eq!(m.observed(), 0);
-    assert_eq!(m.coverage(), 0.0);
-    assert_eq!(m.observed_mean(), None);
-    assert!(matches!(
-        m.to_trace(),
-        Err(TraceError::MaskedSamples { masked: 2, len: 2 })
-    ));
-}
-
-// ---------------------------------------------------------------------------
-// Properties: the sanitizer is idempotent and never raises the peak
-// ---------------------------------------------------------------------------
-
-/// Raw telemetry: mixes plausible values with NaN, infinities, negatives,
-/// and absurd spikes.
-fn hostile_samples(len: usize) -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(
-        prop_oneof![
-            5 => 0.0f64..1_000.0,
-            1 => Just(f64::NAN),
-            1 => Just(f64::INFINITY),
-            1 => Just(f64::NEG_INFINITY),
-            1 => -1_000.0f64..0.0,
-            1 => 1.0e9f64..1.0e12,
-        ],
-        len..=len,
-    )
-}
-
-fn any_policy() -> impl Strategy<Value = GapPolicy> {
-    prop_oneof![
-        Just(GapPolicy::Interpolate),
-        Just(GapPolicy::HoldLast),
-        Just(GapPolicy::Zero),
-        Just(GapPolicy::Drop),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Sanitizing a sanitized trace changes nothing (and the output is
-    /// always a fully valid trace).
-    #[test]
-    fn sanitizer_is_idempotent(
-        samples in hostile_samples(24),
-        policy in any_policy(),
-    ) {
-        let s = TraceSanitizer::new(SanitizeConfig {
-            gap_policy: policy,
-            ..SanitizeConfig::default()
-        })
-        .unwrap();
-        let first = s.sanitize(&samples, 10);
-        let Ok((trace, _)) = first else {
-            // Drop policy may legitimately empty the trace; nothing more
-            // to check.
-            prop_assert_eq!(policy, GapPolicy::Drop);
-            return Ok(());
-        };
-        prop_assert!(trace.samples().iter().all(|v| v.is_finite() && *v >= 0.0));
-        let (again, report) = s.sanitize(trace.samples(), 10).unwrap();
-        prop_assert!(report.is_clean(), "second pass flagged {report:?}");
-        prop_assert_eq!(again.samples(), trace.samples());
-    }
-
-    /// The sanitized peak never exceeds the largest plausible (finite,
-    /// non-negative) input sample: repairs only ever lower power.
-    #[test]
-    fn sanitizer_never_raises_the_peak(
-        samples in hostile_samples(24),
-        policy in any_policy(),
-    ) {
-        let s = TraceSanitizer::new(SanitizeConfig {
-            gap_policy: policy,
-            ..SanitizeConfig::default()
-        })
-        .unwrap();
-        if let Ok((trace, _)) = s.sanitize(&samples, 10) {
-            let plausible_peak = samples
-                .iter()
-                .copied()
-                .filter(|v| v.is_finite() && *v >= 0.0)
-                .fold(0.0f64, f64::max);
-            prop_assert!(
-                trace.peak() <= plausible_peak + 1e-9,
-                "peak {} exceeds best input {}",
-                trace.peak(),
-                plausible_peak
-            );
-        }
-    }
-
-    /// Completing a masked trace from any valid prior yields a valid trace
-    /// that preserves the observed samples bit-for-bit.
-    #[test]
-    fn fill_preserves_observed_samples(
-        samples in hostile_samples(16),
-        prior in prop::collection::vec(0.0f64..500.0, 16..=16),
-    ) {
-        let m = MaskedTrace::from_samples(&samples, 10).unwrap();
-        let p = PowerTrace::new(prior, 10).unwrap();
-        let filled = m.fill_with(&p).unwrap();
-        for t in 0..m.len() {
-            prop_assert!(filled.samples()[t].is_finite() && filled.samples()[t] >= 0.0);
-            if m.valid()[t] {
-                prop_assert_eq!(filled.samples()[t], m.samples()[t]);
-            }
-        }
-    }
 }

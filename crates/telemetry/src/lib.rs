@@ -5,8 +5,8 @@
 //! dynamically re-evaluates the severity of the fragmentation problem"
 //! (§3.6). This crate is the reproduction's equivalent nervous system:
 //! every hot path (embedding, k-means, placement recursion, remapping,
-//! the runtime simulator, trace sanitization) reports counters, gauges,
-//! histograms, and timed spans through the [`RecordingSink`] installed on
+//! the runtime simulator) reports counters, gauges, histograms, and
+//! timed spans through the [`RecordingSink`] installed on
 //! the calling thread. Each thread has its own; `so_parallel` workers and
 //! the smoothopd service threads run under the sink of the thread that
 //! spawned them, so concurrent runs under different sinks never mix.

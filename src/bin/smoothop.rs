@@ -11,9 +11,10 @@
 //! ```
 //!
 //! `<dc>` is `dc1`, `dc2`, or `dc3`; `n` is the fleet size (default 240).
-//! `--metrics-out <path>` / `--trace-out <path>` attach a recording
-//! telemetry sink to any command and write a Prometheus snapshot / a
-//! JSON-lines event log on exit.
+//! `--metrics-out <path>` attaches a recording telemetry sink to any
+//! command and writes a Prometheus snapshot on exit; `--trace-out <path>`
+//! writes the JSON-lines span log of the seven commands that record spans
+//! (`place`, `pipeline`, `longrun`, `dot`, `simulate`, `report`, `check`).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -171,7 +172,9 @@ fn print_usage() {
     println!("                        Example: --faults seed=7,dropout=0.2,trips=1");
     println!("  --metrics-out <path>  write a Prometheus text snapshot of all metrics");
     println!("                        recorded during the command");
-    println!("  --trace-out <path>    write the recorded span events as JSON lines");
+    println!("  --trace-out <path>    write the recorded span events as JSON lines; read by");
+    println!("                        `place`, `pipeline`, `longrun`, `dot`, `simulate`,");
+    println!("                        `report` and `check`, the commands that record spans");
     println!("  --seed <u64>          battery seed for `check` (default 7); the seed picks the");
     println!("                        scenario and drives every randomized probe. Also seeds");
     println!("                        `scale`, `plan`, `online`, `serve` and `daemon`");
@@ -592,17 +595,21 @@ fn serve_cmd(flags: &CliFlags, sink: Option<&Arc<RecordingSink>>) -> CliResult {
     config.ttl_ms = flags.parse("--ttl-ms")?;
 
     let plane = cli_plane(sink);
-    eprintln!(
-        "smoothopd — {} instances resident, window {}, repair budget {} every {}ms, seed {}",
-        config.instances,
-        config.samples_per_trace,
-        config.repair_budget,
-        config.repair_interval_ms,
-        config.seed,
-    );
     // The announce line goes to stdout so scripts can parse the bound
-    // (possibly ephemeral) address without scraping stderr.
-    let outcome = run_serve(&config, plane.clone(), |line| println!("{line}"))?;
+    // (possibly ephemeral) address without scraping stderr. Both lines
+    // wait for the seeded daemon, so a rejected config prints only its
+    // error.
+    let outcome = run_serve(&config, plane.clone(), |line| {
+        eprintln!(
+            "smoothopd — {} instances resident, window {}, repair budget {} every {}ms, seed {}",
+            config.instances,
+            config.samples_per_trace,
+            config.repair_budget,
+            config.repair_interval_ms,
+            config.seed,
+        );
+        println!("{line}");
+    })?;
     write_flight(flags, &plane)?;
     eprintln!(
         "smoothopd done — {} batches / {} samples ingested ({} dropped), {} live, {} committed, {} rejected, {} retired, {} repair pass(es)",
@@ -642,6 +649,9 @@ fn daemon_cmd(flags: &CliFlags) -> CliResult {
     }
     let path = flags.get("--out").unwrap_or("BENCH_daemon.json");
 
+    // The table prints once the rung is done, so a rejected config prints
+    // only its error.
+    let report = run_daemon_scale(&config)?;
     println!(
         "daemon rung — {} points, {} sweeps of {}-slot batches, {} samples/window, seed {}, {} thread lane(s)",
         config.instances.len(),
@@ -655,7 +665,6 @@ fn daemon_cmd(flags: &CliFlags) -> CliResult {
         "{:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>9} {:>9} {:>10}",
         "instances", "seed", "ingest", "query", "repair", "samples/s", "p50 µs", "p99 µs", "rss"
     );
-    let report = run_daemon_scale(&config)?;
     for p in &report.points {
         let rss = match p.peak_rss_bytes {
             Some(bytes) => format!("{}MB", bytes / (1024 * 1024)),
@@ -726,18 +735,20 @@ fn with_scenario(args: &[String], f: impl FnOnce(DcScenario, usize) -> CliResult
 
 /// Every command and the flags it reads besides [`COMMON_FLAGS`]. A flag
 /// outside this table is unknown, and a known flag the chosen command
-/// does not read is an error rather than silently ignored.
+/// does not read is an error rather than silently ignored. `--trace-out`
+/// belongs only to the commands that record spans; the others would
+/// write an empty file.
 #[rustfmt::skip]
 const COMMANDS: [(&str, &[&str]); 16] = [
     ("scenarios", &[]),
     ("breakdown", &[]),
-    ("place", &[]),
-    ("pipeline", &[]),
-    ("longrun", &[]),
-    ("dot", &[]),
-    ("simulate", &["--faults"]),
-    ("report", &[]),
-    ("check", &["--seed"]),
+    ("place", &["--trace-out"]),
+    ("pipeline", &["--trace-out"]),
+    ("longrun", &["--trace-out"]),
+    ("dot", &["--trace-out"]),
+    ("simulate", &["--faults", "--trace-out"]),
+    ("report", &["--trace-out"]),
+    ("check", &["--seed", "--trace-out"]),
     ("scale", &["--instances", "--seed", "--out", "--quantiles", "--workload"]),
     ("plan", &["--seed", "--out", "--base", "--racks", "--deltas", "--workloads", "--budget"]),
     ("online", &["--instances", "--seed", "--out", "--batches", "--probes", "--repair",
@@ -750,7 +761,7 @@ const COMMANDS: [(&str, &[&str]); 16] = [
 ];
 
 /// Flags every command reads.
-const COMMON_FLAGS: [&str; 3] = ["--metrics-out", "--trace-out", "--threads"];
+const COMMON_FLAGS: [&str; 2] = ["--metrics-out", "--threads"];
 
 /// The one flag that takes no value.
 const SWITCH: &str = "--plant-violation";

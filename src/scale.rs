@@ -580,8 +580,8 @@ pub fn run_online_scale(
     if config.instances.is_empty() {
         return Err("online ladder needs at least one instance count".into());
     }
-    if config.samples_per_trace == 0 || config.batches == 0 || config.sample_probes == 0 {
-        return Err("samples_per_trace, batches, and sample_probes must be positive".into());
+    if config.samples_per_trace == 0 || config.batches == 0 {
+        return Err("samples_per_trace and batches must be positive".into());
     }
     if config.instances.contains(&0) {
         return Err("instance counts must be positive".into());
@@ -601,6 +601,8 @@ pub fn run_online_scale(
 /// × 2 MSB × 2 SB × r RPP × 4 racks) sized so rack slots cover
 /// `instances`, on a grid of `samples_per_trace` steps of `step_minutes`,
 /// under a [`CommitPolicy::Sampling`] policy salted by `seed`.
+///
+/// Rejects `probes == 0`: such a fleet would commit no arrival.
 pub(crate) fn online_fleet(
     instances: usize,
     samples_per_trace: usize,
@@ -608,7 +610,10 @@ pub(crate) fn online_fleet(
     seed: u64,
     probes: usize,
     repair_budget: usize,
-) -> Result<OnlineFleet, so_powertree::TreeError> {
+) -> Result<OnlineFleet, Box<dyn std::error::Error>> {
+    if probes == 0 {
+        return Err("sample_probes must be positive".into());
+    }
     let racks_needed = instances.div_ceil(ONLINE_RACK_SLOTS).max(1);
     let rpps = racks_needed.div_ceil(2 * 2 * 4).max(1);
     let topology = PowerTopology::builder()

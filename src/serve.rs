@@ -137,7 +137,8 @@ pub struct ServeOutcome {
 ///
 /// # Errors
 ///
-/// Propagates topology and engine errors.
+/// Returns an error for zero `sample_probes`, and propagates topology
+/// and engine errors.
 pub fn build_daemon(
     config: &ServeConfig,
     plane: Arc<LivePlane>,
@@ -794,10 +795,21 @@ pub struct DaemonScaleReport {
 ///
 /// # Errors
 ///
-/// Propagates build and engine errors.
+/// Returns an error when `config` is degenerate (no instance counts, a
+/// zero count, zero samples/sweeps/batch slots/probes), and propagates
+/// build and engine errors.
 pub fn run_daemon_scale(
     config: &DaemonScaleConfig,
 ) -> Result<DaemonScaleReport, Box<dyn std::error::Error>> {
+    if config.instances.is_empty() {
+        return Err("daemon ladder needs at least one instance count".into());
+    }
+    if config.instances.contains(&0) {
+        return Err("instance counts must be positive".into());
+    }
+    if config.samples_per_trace == 0 || config.sweeps == 0 || config.batch_slots == 0 {
+        return Err("samples_per_trace, sweeps, and batch_slots must be positive".into());
+    }
     let mut points = Vec::with_capacity(config.instances.len());
     for &n in &config.instances {
         points.push(run_daemon_point(config, n)?);
@@ -839,9 +851,9 @@ fn run_daemon_point(
     let mut batch_us: Vec<f64> = Vec::new();
     let mut samples_ingested = 0u64;
     let mut batches = 0u64;
-    let mut updates = Vec::with_capacity(config.batch_slots.max(1));
+    let mut updates = Vec::with_capacity(config.batch_slots);
     for sweep in 0..config.sweeps {
-        for chunk in live.chunks(config.batch_slots.max(1)) {
+        for chunk in live.chunks(config.batch_slots) {
             updates.clear();
             for &slot in chunk {
                 let draw = mix(config.seed ^ 0x1D6E57, (sweep * live.len() + slot) as u64);

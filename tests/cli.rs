@@ -1,8 +1,9 @@
 //! The `smoothop` command line rejects what it would otherwise ignore: an
 //! unknown flag, a flag the chosen command does not read, an unknown
-//! command, a `serve --instances` list and a `scale --quantiles` value
-//! other than `exact`. Each is a one-line error with exit status 1,
-//! reported before any work starts.
+//! command, a `serve --instances` list, a `scale --quantiles` value
+//! other than `exact`, and a `daemon` or `serve` config that would run
+//! empty. Each is a one-line error with exit status 1, reported before
+//! any work starts.
 //!
 //! Every invocation below would also run cheaply if it were accepted: a
 //! small fleet, an `--out` file under the test target's temporary directory,
@@ -112,6 +113,81 @@ fn flags_the_command_does_not_read_are_rejected() {
     assert_rejected(
         &["scenarios", "--plant-violation"],
         "`scenarios` does not read --plant-violation",
+    );
+    // Only the commands that record spans read --trace-out.
+    let out = temp_out("scale_trace_out.json");
+    let trace = temp_out("scale_trace_out.jsonl");
+    assert_rejected(
+        &[
+            "scale",
+            "--instances",
+            "48",
+            "--out",
+            &out,
+            "--trace-out",
+            &trace,
+        ],
+        "`scale` does not read --trace-out",
+    );
+    assert!(!std::path::Path::new(&trace).exists());
+}
+
+#[test]
+fn place_trace_out_writes_span_lines() {
+    let trace = temp_out("place_trace_out.jsonl");
+    let _ = std::fs::remove_file(&trace);
+    let output = Command::new(env!("CARGO_BIN_EXE_smoothop"))
+        .args(["place", "dc2", "96", "--trace-out", &trace])
+        .output()
+        .expect("smoothop runs");
+    assert!(output.status.success(), "{output:?}");
+    let log = std::fs::read_to_string(&trace).expect("trace file written");
+    assert!(
+        log.lines()
+            .any(|line| line.contains("\"kind\":\"span_start\"")),
+        "no span line in {log:?}"
+    );
+}
+
+#[test]
+fn daemon_and_serve_reject_configs_that_would_run_empty() {
+    let cases: [(&str, &[&str], &str); 3] = [
+        (
+            "instances",
+            &["--instances", "0"],
+            "instance counts must be positive",
+        ),
+        (
+            "batches",
+            &["--instances", "100", "--batches", "0"],
+            "sweeps",
+        ),
+        (
+            "probes",
+            &["--instances", "100", "--probes", "0"],
+            "sample_probes must be positive",
+        ),
+    ];
+    for (name, flags, needle) in cases {
+        let out = temp_out(&format!("daemon_zero_{name}.json"));
+        let _ = std::fs::remove_file(&out);
+        let mut args = vec!["daemon", "--out", &out];
+        args.extend(flags);
+        assert_rejected(&args, needle);
+        assert!(!std::path::Path::new(&out).exists(), "{args:?} wrote {out}");
+    }
+    // Rejected before the daemon is built, so no `serving` announce.
+    assert_rejected(
+        &[
+            "serve",
+            "--instances",
+            "10",
+            "--probes",
+            "0",
+            "--ttl-ms",
+            "1",
+        ],
+        "sample_probes must be positive",
     );
 }
 

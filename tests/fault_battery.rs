@@ -4,7 +4,7 @@
 //! telemetry, and stays bit-identical between serial and parallel
 //! execution for the same fault seed.
 
-use so_faults::{degrade_traces, FaultKind, FaultSchedule, FaultSpec};
+use so_faults::{FaultKind, FaultSchedule, FaultSpec};
 use so_parallel::{serial_scope, set_thread_limit};
 use so_reshape::ThrottleBoostPolicy;
 use so_sim::{
@@ -111,50 +111,4 @@ fn fault_free_schedule_changes_nothing() {
     assert_eq!(via_faults.batch_throughput, direct.batch_throughput);
     assert!(via_faults.fault_events.is_empty());
     assert_eq!(via_faults.degraded_steps(), 0);
-}
-
-#[test]
-fn degraded_traces_feed_degraded_placement_analysis() {
-    // The full degraded path: fault schedule -> masked telemetry ->
-    // prior-completed traces -> fragmentation analysis.
-    use so_core::FragmentationReport;
-    use so_powertree::{Assignment, PowerTopology};
-    use so_workloads::DcScenario;
-
-    let fleet = DcScenario::dc1().generate_fleet(16).unwrap();
-    let traces = fleet.averaged_traces().to_vec();
-    let spec = FaultSpec {
-        dropout_rate: 0.5,
-        stuck_rate: 0.25,
-        ..FaultSpec::default()
-    };
-    let schedule = FaultSchedule::generate(&spec, traces[0].len(), traces.len());
-    let masked = degrade_traces(&traces, &schedule);
-    assert!(
-        masked.iter().any(|m| !m.is_complete()),
-        "expected at least one degraded trace at 50% dropout"
-    );
-
-    let service_of: Vec<usize> = (0..fleet.len())
-        .map(|i| fleet.service_of(i) as usize)
-        .collect();
-    let topo = PowerTopology::builder()
-        .suites(1)
-        .msbs_per_suite(1)
-        .sbs_per_msb(2)
-        .rpps_per_sb(2)
-        .racks_per_rpp(2)
-        .rack_capacity(2)
-        .build()
-        .unwrap();
-    let assignment = Assignment::round_robin(&topo, fleet.len()).unwrap();
-    let (report, provenance) =
-        FragmentationReport::analyze_degraded(&topo, &assignment, &masked, &service_of, 0.25)
-            .unwrap();
-    assert!(!provenance.is_clean());
-    assert!(provenance.mean_coverage < 1.0);
-    for level in report.levels() {
-        assert!(level.sum_of_peaks.is_finite() && level.sum_of_peaks > 0.0);
-        assert!(level.mean_score.is_finite());
-    }
 }
